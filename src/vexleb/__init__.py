@@ -41,7 +41,7 @@ from .exponents import (
     local_exponents,
     sobolev_exponent,
 )
-from .norms import NormResult, holder_check, luxemburg_norm, modular
+from .norms import NormResult, holder_check, luxemburg_norm, luxemburg_norms, modular
 from .operators import (
     KernelSpec,
     OperatorOutput,

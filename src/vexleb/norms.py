@@ -8,7 +8,7 @@ norm is found by bisection with a guaranteed bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import DomainError
 from .exponents import PointFunction, conjugate, extrema_over
 from .space import DiscreteSpace
 
-__all__ = ["NormResult", "modular", "luxemburg_norm", "holder_check"]
+__all__ = ["NormResult", "modular", "luxemburg_norm", "luxemburg_norms", "holder_check"]
 
 REL_TOL = 1e-10
 MAX_ITERS = 200
@@ -42,13 +42,15 @@ def _subset_mask(space: DiscreteSpace, subset) -> Optional[np.ndarray]:
     return mask
 
 
-def _modular_arrays(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> float:
+def _modular_arrays(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray):
+    """sum of |f|**p mu along the last axis (one value per row of a block);
+    zero values contribute 0."""
     fv = np.abs(fv)
     out = np.zeros_like(fv)
     pos = fv > 0
     with np.errstate(over="ignore"):
-        out[pos] = fv[pos] ** pv[pos]
-    return float((out * mu).sum())
+        out[pos] = fv[pos] ** np.broadcast_to(pv, fv.shape)[pos]
+    return (out * mu).sum(axis=-1)
 
 
 def modular(space: DiscreteSpace, p: PointFunction, f: PointFunction, subset=None) -> float:
@@ -59,7 +61,7 @@ def modular(space: DiscreteSpace, p: PointFunction, f: PointFunction, subset=Non
     fv, pv, mu = f.values, p.values, space.mu
     if mask is not None:
         fv, pv, mu = fv[mask], pv[mask], mu[mask]
-    return _modular_arrays(fv, pv, mu)
+    return float(_modular_arrays(fv, pv, mu))
 
 
 def luxemburg_norm(space: DiscreteSpace, p: PointFunction, f: PointFunction,
@@ -71,38 +73,66 @@ def luxemburg_norm(space: DiscreteSpace, p: PointFunction, f: PointFunction,
     is still grown geometrically as a guard, and the lower end is shrunk
     until the modular exceeds 1.
     """
+    return luxemburg_norms(space, p, f.values[None, :], subset)[0]
+
+
+def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray,
+                    subset=None) -> List[NormResult]:
+    """``luxemburg_norm`` of each row of a (P, n) block of finite values.
+
+    The rows are bisected together, each with its own bracket and its own
+    active mask, so every row goes through exactly the iterates it would go
+    through alone and its NormResult is bit for bit the single-row one.
+    """
     if p.kind != "exponent":
         raise DomainError("Luxemburg norm needs an exponent field")
+    fv = np.asarray(rows, dtype=float)
+    if fv.ndim != 2 or fv.shape[1] != space.n:
+        raise DomainError(f"norm rows must form a (P, {space.n}) block")
+    if not np.all(np.isfinite(fv)):
+        raise DomainError("norm rows must be finite everywhere")
     mask = _subset_mask(space, subset)
-    fv, pv, mu = f.values, p.values, space.mu
+    pv, mu = p.values, space.mu
     if mask is not None:
-        fv, pv, mu = fv[mask], pv[mask], mu[mask]
-    if not np.any(fv != 0):
-        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+        fv, pv, mu = fv[:, mask], pv[mask], mu[mask]
+    results = [NormResult(0.0, 0.0, 0, (0.0, 0.0))] * len(fv)
+    live = np.flatnonzero(np.any(fv != 0, axis=1))
+    fv = fv[live]
 
-    def S(lam: float) -> float:
-        return _modular_arrays(fv / lam, pv, mu)
+    def S(active, lam):
+        return _modular_arrays(fv[active] / lam[:, None], pv, mu)
 
-    hi = min(max(1.0, _modular_arrays(fv, pv, mu)), 1e300)
-    grow = 0
-    while S(hi) > 1.0 and grow < 200:
-        hi *= 2.0
-        grow += 1
-    lo = hi
-    shrink = 0
-    while S(lo) <= 1.0 and shrink < 2000:
-        lo /= 8.0
-        shrink += 1
-    iters = 0
-    while hi - lo > REL_TOL * hi and iters < MAX_ITERS:
-        mid = np.sqrt(lo * hi)
-        if S(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    return NormResult(float(hi), S(hi), iters, (float(lo), float(hi)),
-                      converged=hi - lo <= REL_TOL * hi)
+    every = np.ones(len(fv), dtype=bool)
+    hi = np.clip(_modular_arrays(fv, pv, mu), 1.0, 1e300)
+    grow = np.zeros(len(fv), dtype=int)
+    active = S(every, hi) > 1.0
+    while active.any():
+        hi[active] *= 2.0
+        grow[active] += 1
+        active[active] = (grow[active] < 200) & (S(active, hi[active]) > 1.0)
+    lo = hi.copy()
+    shrink = np.zeros(len(fv), dtype=int)
+    active = S(every, lo) <= 1.0
+    while active.any():
+        lo[active] /= 8.0
+        shrink[active] += 1
+        active[active] = (shrink[active] < 2000) & (S(active, lo[active]) <= 1.0)
+    iters = np.zeros(len(fv), dtype=int)
+    active = (hi - lo > REL_TOL * hi) & (iters < MAX_ITERS)
+    while active.any():
+        rows_at = np.flatnonzero(active)
+        mid = np.sqrt(lo[active] * hi[active])
+        inside = S(active, mid) <= 1.0
+        hi[rows_at[inside]] = mid[inside]
+        lo[rows_at[~inside]] = mid[~inside]
+        iters[active] += 1
+        active = (hi - lo > REL_TOL * hi) & (iters < MAX_ITERS)
+    at_hi = S(every, hi)
+    for k, row in enumerate(live):
+        results[row] = NormResult(float(hi[k]), float(at_hi[k]), int(iters[k]),
+                                  (float(lo[k]), float(hi[k])),
+                                  converged=bool(hi[k] - lo[k] <= REL_TOL * hi[k]))
+    return results
 
 
 def holder_check(space: DiscreteSpace, p: PointFunction, f: PointFunction,

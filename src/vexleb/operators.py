@@ -87,44 +87,28 @@ def hardy_tail_transform(space: DiscreteSpace, v: PointFunction, w: PointFunctio
 def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
     """Centered maximal function: per point, the largest ball average of |f|
     over the radius sweep (each distinct distance, plus the whole space)."""
-    out = np.empty(space.n)
-    absf_mu = np.abs(f.values) * space.mu
-    mu = space.mu
-    for x in range(space.n):
-        d = space.dist[x]
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        num = np.cumsum(absf_mu[order])
-        den = np.cumsum(mu[order])
-        # closed balls are realized at the last index of each tie group
-        ends = np.searchsorted(ds, np.unique(ds), side="right") - 1
-        out[x] = float(np.max(num[ends] / den[ends]))
-    return _as_output(out)
+    idx = space.ball_index
+    num = np.cumsum((np.abs(f.values) * space.mu)[idx.order], axis=1)
+    # closed balls are realized at the last index of each tie group
+    averages = np.where(idx.ends, num / idx.prefix[:, 1:], -np.inf)
+    return _as_output(averages.max(axis=1))
 
 
 def _ball_measure_rows(space: DiscreteSpace, x: int):
     """mu B(x, d(x, y)) for all y, with the open-ball convention."""
-    d = space.dist[x]
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
-    return prefix[np.searchsorted(ds, d, side="left")]
+    return space.ball_index.open_measure[x]
 
 
 def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
     """Potential with kernel (mu B(x, d(x,y)))**(alpha(x) - 1), diagonal excluded."""
     if alpha.kind not in ("alpha", "test"):
         raise DomainError("order field must be alpha-kind")
-    out = np.zeros(space.n)
-    skipped = 0
-    fmu = f.values * space.mu
-    for x in range(space.n):
-        m = _ball_measure_rows(space, x)
-        sel = np.arange(space.n) != x
-        ok = sel & (m > 0)
-        skipped += int((sel & ~ok).sum())
-        out[x] = float((fmu[ok] * m[ok] ** (alpha.values[x] - 1.0)).sum())
-    return _as_output(out, skipped=skipped)
+    m = space.ball_index.open_measure
+    ok = m > 0
+    np.fill_diagonal(ok, False)
+    skipped = space.n * (space.n - 1) - int(ok.sum())
+    kernel = np.power(m, alpha.values[:, None] - 1.0, out=np.zeros_like(m), where=ok)
+    return _as_output(kernel @ (f.values * space.mu), skipped=skipped)
 
 
 def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:

@@ -6,6 +6,7 @@ given resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -71,11 +72,14 @@ class Scenario:
         if not isinstance(data, dict):
             raise ValidationError("scenario must be a mapping")
         name = data.get("name", "scenario")
+        # the name becomes the report's file name inside --out-dir
+        if not isinstance(name, str) or not name or "/" in name or "\\" in name:
+            raise ValidationError(f"scenario.name: must be a plain file name, got {name!r}")
         space_spec = data.get("space")
         if space_spec is None:
             raise ValidationError("scenario.space: required")
-        exps = data.get("exponents", {})
-        weights = data.get("weights", {})
+        exps = _mapping(data, "exponents")
+        weights = _mapping(data, "weights")
         pair = None
         v_spec = weights.get("v")
         w_spec = weights.get("w")
@@ -112,7 +116,12 @@ class Scenario:
                 raise ValidationError("scenario.weights.v: required by the listed conditions")
             if w_spec is None:
                 raise ValidationError("scenario.weights.w: required by the listed conditions")
-        resolutions = [int(r) for r in data.get("resolutions", [64, 256, 1024])]
+        resolutions = data.get("resolutions", [64, 256, 1024])
+        if not isinstance(resolutions, (list, tuple)) or not all(
+                isinstance(r, Integral) and not isinstance(r, bool) for r in resolutions):
+            raise ValidationError(
+                f"scenario.resolutions: must be a list of integers, got {resolutions!r}")
+        resolutions = [int(r) for r in resolutions]
         if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
             raise ValidationError("scenario.resolutions: must be strictly increasing")
         return cls(
@@ -156,6 +165,14 @@ class Scenario:
                 space_spec["depth"] = max(1, int(np.log2(max(2, int(n)))))
         space = space_from_spec(space_spec)
         return Materialized(self, space)
+
+
+def _mapping(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"scenario.{key}: must be a mapping, got {type(value).__name__}")
+    return value
 
 
 def _radial_spec(v_spec, w_spec) -> bool:

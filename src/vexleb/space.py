@@ -17,6 +17,7 @@ each estimator takes the reading that matches its continuum quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "DiscreteSpace",
+    "BallIndex",
     "BallView",
     "GeometryReport",
     "RadialPartition",
@@ -43,6 +45,41 @@ __all__ = [
 
 # Exhaustive triple search is O(n^3); beyond this size a seeded sampler is used.
 EXHAUSTIVE_TRIPLE_LIMIT = 512
+
+
+@dataclass(frozen=True)
+class BallIndex:
+    """Every row of the distance table sorted once, with its ball measures.
+
+    order        : (n, n) stable ascending order of each row ``dist[x]``
+    prefix       : (n, n + 1) mu summed over the first k points of that order
+    ends         : (n, n) True at the last sorted position of each group of
+                   tied distances, where a closed ball is realized
+    open_measure : (n, n) mu B(x, d(x, y)), the open ball, in column order y
+    """
+
+    order: np.ndarray
+    prefix: np.ndarray
+    ends: np.ndarray
+    open_measure: np.ndarray
+
+    @classmethod
+    def build(cls, dist: np.ndarray, mu: np.ndarray) -> "BallIndex":
+        n = dist.shape[0]
+        order = np.argsort(dist, axis=1, kind="stable")
+        ds = np.take_along_axis(dist, order, axis=1)
+        prefix = np.zeros((n, n + 1))
+        np.cumsum(mu[order], axis=1, out=prefix[:, 1:])
+        starts = np.ones((n, n), dtype=bool)
+        starts[:, 1:] = ds[:, 1:] != ds[:, :-1]
+        ends = np.ones((n, n), dtype=bool)
+        ends[:, :-1] = starts[:, 1:]
+        # an open ball at a distance holds everything before its tie group
+        group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        open_measure = np.empty((n, n))
+        np.put_along_axis(open_measure, order,
+                          np.take_along_axis(prefix, group_start, axis=1), axis=1)
+        return cls(order, prefix, ends, open_measure)
 
 
 @dataclass(frozen=True)
@@ -117,6 +154,17 @@ class DiscreteSpace:
     def L_eff(self) -> float:
         """Radius of the represented domain: L when finite, else trunc_radius."""
         return float(self.trunc_radius) if self.infinite_diameter else float(self.L)
+
+    @cached_property
+    def ball_index(self) -> BallIndex:
+        """The sorted rows and ball measures of every center, built on first use.
+
+        It holds about 25 bytes per pair of points (25 n^2 bytes: 105 MB at
+        n = 2048), so only operators that need every row at once read it
+        (``ball_potential``, ``maximal_function`` and the ball-measure rows
+        of the kernel checks); per-center queries sort their own row.
+        """
+        return BallIndex.build(self.dist, self.mu)
 
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):

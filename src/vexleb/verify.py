@@ -17,7 +17,7 @@ import numpy as np
 from .conditions import classify_trend
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
-from .norms import luxemburg_norm
+from .norms import luxemburg_norm, luxemburg_norms
 from .space import DiscreteSpace
 
 __all__ = [
@@ -48,15 +48,6 @@ class NormEstimate:
     converged: bool = True
 
 
-def _ratio(space, op, p, q, v, w, f_vals: np.ndarray) -> Optional[float]:
-    den = luxemburg_norm(space, p, PointFunction(w.values * f_vals, "test")).value
-    if den == 0.0:
-        return None
-    out = op(f_vals)
-    num = luxemburg_norm(space, q, PointFunction(v.values * out, "test")).value
-    return num / den
-
-
 def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray],
                     p: PointFunction, q: PointFunction, v: PointFunction,
                     w: PointFunction, trials: int = 32, seed: int = 0) -> NormEstimate:
@@ -68,6 +59,12 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     weight functions w**(-p'(.)) cut to the same balls, then ``trials``
     random nonnegative mixtures of ball indicators, powers and point masses.
     Probes with vanishing weighted norm are discarded and counted.
+
+    The norms are taken in two batches: every denominator ||w f||_p first,
+    then every numerator.  ``op`` maps one vector to one vector and is called
+    once per probe with a nonzero denominator, in probe order.
+    ``converged`` is False when any of those norms stopped short of its
+    bisection tolerance.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -99,16 +96,19 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
         f[masses] += rng.uniform(0.5, 2.0, size=3)
         probes.append(f)
 
-    best, best_f, discarded = 0.0, None, 0
-    for f_vals in probes:
-        r = _ratio(space, op, p, q, v, w, f_vals)
-        if r is None:
-            discarded += 1
-            continue
+    block = np.array(probes)
+    dens = luxemburg_norms(space, p, w.values * block)
+    kept = [i for i, den in enumerate(dens) if den.value != 0.0]
+    outs = np.array([op(block[i]) for i in kept], dtype=float).reshape(len(kept), n)
+    nums = luxemburg_norms(space, q, v.values * outs)
+    best, best_f = 0.0, None
+    for i, num in zip(kept, nums):
+        r = num.value / dens[i].value
         if r > best:
-            best, best_f = r, f_vals
+            best, best_f = r, block[i]
     return NormEstimate(best, None if best_f is None else PointFunction(best_f, "test"),
-                        "probe", len(probes), discarded=discarded)
+                        "probe", len(probes), discarded=len(probes) - len(kept),
+                        converged=all(res.converged for res in dens + nums))
 
 
 def power_iteration_pq(space: DiscreteSpace, kernel: np.ndarray, p_const: float,

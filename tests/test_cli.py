@@ -114,6 +114,27 @@ class TestRun:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("field, changes", [
+        ("exponents", {"exponents": [], "conditions": []}),
+        ("weights", {"weights": "log-pair"}),
+        ("resolutions", {"resolutions": ["x"]}),
+        ("resolutions", {"resolutions": 64}),
+        ("resolutions", {"resolutions": [16.5, 32, 64]}),
+    ])
+    def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
+        path = write_scenario(tmp_path, dict(MINIMAL, **changes))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"scenario.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..\\escaped", ""])
+    def test_name_leaving_out_dir_exit_two(self, tmp_path, capsys, name):
+        path = write_scenario(tmp_path, dict(MINIMAL, name=name, resolutions=[16, 32, 64]))
+        out = tmp_path / "reports" / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert "scenario.name" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "escaped.json").exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestEmitReport:
     def test_byte_identical_reruns(self, tmp_path):

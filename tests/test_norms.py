@@ -144,6 +144,38 @@ class TestLuxemburgNorm:
         assert smaller <= min(nf, ng) * (1 + 1e-9)
 
 
+class TestBatchedNorms:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_single_norms(self, seed, rows, variable_p, use_subset):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        sp = random_space(rng, n)
+        p = vx.PointFunction(rng.uniform(1.1, 5.0, n), "exponent") if variable_p \
+            else const(n, float(rng.uniform(1.1, 5.0)))
+        block = rng.uniform(0, 1, (rows, n)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+        block[rng.uniform(size=(rows, n)) < 0.4] = 0.0
+        block[rng.uniform(size=rows) < 0.3] = 0.0
+        subset = rng.uniform(size=n) < 0.6 if use_subset else None
+        batched = vx.luxemburg_norms(sp, p, block, subset)
+        assert len(batched) == rows
+        for row, res in zip(block, batched):
+            assert res == vx.luxemburg_norm(sp, p, vx.PointFunction(row, "test"), subset)
+
+    def test_all_zero_rows(self):
+        sp = vx.uniform_grid(8)
+        res = vx.luxemburg_norms(sp, const(8, 2.0), np.zeros((3, 8)))
+        assert res == [vx.NormResult(0.0, 0.0, 0, (0.0, 0.0))] * 3
+        assert vx.luxemburg_norms(sp, const(8, 2.0), np.zeros((0, 8))) == []
+
+    def test_rejects_non_finite_or_misshapen_rows(self):
+        sp = vx.uniform_grid(8)
+        with pytest.raises(vx.DomainError):
+            vx.luxemburg_norms(sp, const(8, 2.0), np.full((2, 8), np.inf))
+        with pytest.raises(vx.DomainError):
+            vx.luxemburg_norms(sp, const(8, 2.0), np.ones(8))
+
+
 class TestSubsetNorms:
     def test_subset_equals_masked(self):
         rng = np.random.default_rng(21)

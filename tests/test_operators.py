@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError
@@ -12,6 +13,97 @@ def const(n, v, kind="test"):
 def grid_setup(n):
     sp = vx.uniform_grid(n)
     return sp, const(n, 1.0, "weight"), const(n, 1.0, "test")
+
+
+def reference_maximal(space, f):
+    """The centered maximal function as a per-center loop: one stable sort of
+    each distance row, ball averages at the last index of each tie group."""
+    out = np.empty(space.n)
+    absf_mu = np.abs(f) * space.mu
+    for x in range(space.n):
+        d = space.dist[x]
+        order = np.argsort(d, kind="stable")
+        ds = d[order]
+        num = np.cumsum(absf_mu[order])
+        den = np.cumsum(space.mu[order])
+        ends = np.searchsorted(ds, np.unique(ds), side="right") - 1
+        out[x] = float(np.max(num[ends] / den[ends]))
+    return out
+
+
+def reference_ball_potential(space, alpha, f):
+    """The ball potential as a per-center loop over open-ball measures of one
+    sorted row; returns (values, skipped pairs)."""
+    out = np.zeros(space.n)
+    skipped = 0
+    fmu = f * space.mu
+    for x in range(space.n):
+        d = space.dist[x]
+        order = np.argsort(d, kind="stable")
+        prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
+        m = prefix[np.searchsorted(d[order], d, side="left")]
+        sel = np.arange(space.n) != x
+        ok = sel & (m > 0)
+        skipped += int((sel & ~ok).sum())
+        out[x] = float((fmu[ok] * m[ok] ** (alpha[x] - 1.0)).sum())
+    return out, skipped
+
+
+@st.composite
+def spaces(draw):
+    """A uniform grid, a Cantor set (tied distances) or an asymmetric explicit
+    table with tied distances and uneven weights."""
+    kind = draw(st.sampled_from(["grid", "cantor", "explicit"]))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(2, 70)))
+    if kind == "cantor":
+        return vx.cantor_space(draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    dist = rng.integers(1, 6, (n, n)) / 4.0
+    np.fill_diagonal(dist, 0.0)
+    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n))
+
+
+class TestAgainstPerCenterLoops:
+    @given(spaces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_maximal_equals_loop_exactly(self, sp, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-2, 2, sp.n) * (rng.uniform(size=sp.n) < 0.7)
+        out = vx.maximal_function(sp, vx.PointFunction(f, "test")).values.values
+        assert np.array_equal(out, reference_maximal(sp, f))
+
+    @given(spaces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_ball_potential_matches_loop(self, sp, seed):
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.05, 0.95, sp.n)
+        f = rng.uniform(-2, 2, sp.n)
+        out = vx.ball_potential(sp, vx.PointFunction(alpha, "alpha"),
+                                vx.PointFunction(f, "test"))
+        expect, skipped = reference_ball_potential(sp, alpha, f)
+        # the kernel product sums in another order than the loop
+        scale = np.abs(expect) + vx.ball_potential(
+            sp, vx.PointFunction(alpha, "alpha"),
+            vx.PointFunction(np.abs(f), "test")).values.values
+        assert np.all(np.abs(out.values.values - expect) <= 1e-12 * scale)
+        assert out.skipped == skipped
+
+    @given(spaces(), st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_ball_potential_linear_and_positive(self, sp, seed, a, b):
+        rng = np.random.default_rng(seed)
+        alpha = vx.PointFunction(rng.uniform(0.05, 0.95, sp.n), "alpha")
+        f, g = rng.uniform(0, 2, sp.n), rng.uniform(0, 2, sp.n)
+
+        def T(vals):
+            return vx.ball_potential(sp, alpha, vx.PointFunction(vals, "test")).values.values
+
+        Tf, Tg = T(f), T(g)
+        assert np.all(Tf >= 0.0) and np.all(Tg >= 0.0)
+        scale = abs(a) * Tf + abs(b) * Tg + 1e-300
+        assert np.all(np.abs(T(a * f + b * g) - (a * Tf + b * Tg)) <= 1e-12 * scale)
 
 
 class TestHardyTransforms:

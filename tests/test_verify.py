@@ -75,6 +75,33 @@ class TestEmpiricalRatio:
         assert est.discarded == 0  # every probe touches the basepoint
         assert est.ratio > 0
 
+    def test_converged_reports_norm_bisections(self, monkeypatch):
+        from vexleb import norms
+        n = 64
+        sp = vx.uniform_grid(n)
+        one = const(n, 1.0, "weight")
+        args = (sp, hardy_op(sp), const(n, 2.0), const(n, 2.0), one, one)
+        assert vx.empirical_ratio(*args, trials=4, seed=0).converged is True
+        monkeypatch.setattr(norms, "MAX_ITERS", 1)
+        assert vx.empirical_ratio(*args, trials=4, seed=0).converged is False
+
+    def test_op_called_once_per_kept_probe(self):
+        n = 32
+        sp = vx.uniform_grid(n)
+        one = const(n, 1.0, "weight")
+        w = vx.PointFunction(np.where(sp.coords > 0.5, 1.0, 0.0), "test")
+        seen = []
+
+        def op(f):
+            seen.append(f.copy())
+            return f
+
+        est = vx.empirical_ratio(sp, op, const(n, 2.0), const(n, 2.0), one, w,
+                                 trials=4, seed=0)
+        assert len(seen) == est.trials - est.discarded
+        assert est.discarded > 0
+        assert all(np.any(w.values * f != 0) for f in seen)
+
 
 class TestPowerIteration:
     def test_matches_dense_svd(self):
