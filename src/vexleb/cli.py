@@ -49,12 +49,14 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
     if seed is not None:
         scenario.seed = int(seed)
     try:
-        mat = scenario.materialize(scenario.resolutions[-1])
-        geometry = mat.geometry_summary()
-        reports = mat.evaluate_conditions()
         study = None
         if len(scenario.resolutions) >= 3 and (scenario.conditions or scenario.operator):
+            # the report's geometry and conditions are the study's finest resolution
             study = refinement_study(scenario, scenario.resolutions)
+            geometry, reports = study.geometry[-1], study.reports
+        else:
+            mat = scenario.materialize(scenario.resolutions[-1])
+            geometry, reports = mat.geometry_summary(), mat.evaluate_conditions()
     except (ValidationError, PreconditionError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
     "sobolev_exponent",
     "class_check",
     "field_from_spec",
+    "parse_field_spec",
+    "radial_profile",
 ]
 
 _KINDS = ("exponent", "alpha", "weight", "test")
@@ -291,50 +293,70 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
 # ---------------------------------------------------------------------------
 # field construction from structured specs
 
+class _Expression(NamedTuple):
+    nparams: int
+    radial: bool      # read at radial_distances(), else at the unfloored d0
+    value: Callable   # value(t, L, *params)
+
+
+_EXPRESSIONS = {
+    "const": _Expression(1, True, lambda t, L, c: np.full_like(t, c)),
+    "affine-in-dist": _Expression(2, False, lambda t, L, base, slope: base + slope * t),
+    "power-of-dist": _Expression(1, True, lambda t, L, g: t ** g),
+    "log-power": _Expression(1, True, lambda t, L, g: t ** g * np.log(2.0 * L / t)),
+}
 _EXPR_RE = re.compile(r"^\s*([a-z0-9-]+)\s*(?:\(\s*x0\s*(?:,\s*([^)]*))?\))?\s*(.*)$")
+
+
+def parse_field_spec(spec) -> Optional[Tuple[_Expression, List[float]]]:
+    """The expression and parameters of a field spec, or None when it lists
+    explicit ``values``.  Expressions are written ``name(x0, a, ...)`` or
+    ``name a ...``; a malformed spec raises ValidationError."""
+    if not isinstance(spec, dict):
+        raise ValidationError("field spec must be a mapping")
+    if "values" in spec:
+        return None
+    expr = spec.get("expr")
+    m = _EXPR_RE.match(expr) if isinstance(expr, str) else None
+    if not m or m.group(1) not in _EXPRESSIONS:
+        raise ValidationError(f"field spec needs 'values' or a known 'expr', got {expr!r}")
+    name, args, tail = m.groups()
+    try:
+        params = [float(a) for a in (args.split(",") if args else []) + tail.split()]
+    except ValueError:
+        raise ValidationError(f"non-numeric parameter in {expr!r}") from None
+    entry = _EXPRESSIONS[name]
+    if len(params) != entry.nparams:
+        raise ValidationError(f"{name} takes {entry.nparams} parameter(s), got {expr!r}")
+    return entry, params
+
+
+def radial_profile(space: DiscreteSpace, spec: dict) -> Optional[Callable]:
+    """The profile t -> value of a radial expression spec, whose field is the
+    profile at ``radial_distances()``; None for any other spec."""
+    parsed = parse_field_spec(spec)
+    if parsed is None or not parsed[0].radial:
+        return None
+    (entry, params), L = parsed, space.L_eff
+    return lambda t: entry.value(np.asarray(t, dtype=float), L, *params)
 
 
 def field_from_spec(space: DiscreteSpace, spec: dict) -> PointFunction:
     """Build a field from ``{"kind": ..., "expr": ... | "values": [...]}``.
 
-    Recognized expressions (all radial ones use the basepoint distance, with
-    the basepoint atom floored to half the nearest-neighbor distance):
+    Recognized expressions (all but the affine one use the basepoint
+    distance, with the basepoint atom floored to half the nearest-neighbor
+    distance); ``"const c"`` may also be written ``"const(x0, c)"``:
 
       "const c"                   constant c
       "affine-in-dist(x0, b, s)"  b + s * d0
       "power-of-dist(x0, g)"      d0 ** g
       "log-power(x0, g)"          d0 ** g * log(2 L / d0)
     """
-    if not isinstance(spec, dict):
-        raise ValidationError("field spec must be a mapping")
+    parsed = parse_field_spec(spec)
     kind = spec.get("kind", "test")
-    if "values" in spec:
+    if parsed is None:
         return PointFunction(np.asarray(spec["values"], dtype=float), kind)
-    expr = spec.get("expr")
-    if not isinstance(expr, str):
-        raise ValidationError("field spec needs 'expr' or 'values'")
-    m = _EXPR_RE.match(expr)
-    if not m:
-        raise ValidationError(f"cannot parse field expression {expr!r}")
-    name, args_str, tail = m.group(1), m.group(2), m.group(3)
-    args = [float(a) for a in args_str.split(",")] if args_str else []
-    d = space.radial_distances()
-    if name == "const":
-        try:
-            c = float(tail if tail else args[0])
-        except (ValueError, IndexError):
-            raise ValidationError(f"const expression needs a value: {expr!r}") from None
-        return PointFunction.constant(space.n, c, kind)
-    if name == "affine-in-dist":
-        if len(args) != 2:
-            raise ValidationError("affine-in-dist(x0, base, slope) needs two parameters")
-        return PointFunction(args[0] + args[1] * space.d0, kind)
-    if name == "power-of-dist":
-        if len(args) != 1:
-            raise ValidationError("power-of-dist(x0, g) needs one parameter")
-        return PointFunction(d ** args[0], kind)
-    if name == "log-power":
-        if len(args) != 1:
-            raise ValidationError("log-power(x0, g) needs one parameter")
-        return PointFunction(d ** args[0] * np.log(2.0 * space.L_eff / d), kind)
-    raise ValidationError(f"unknown field expression {name!r}")
+    entry, params = parsed
+    t = space.radial_distances() if entry.radial else space.d0
+    return PointFunction(entry.value(t, space.L_eff, *params), kind)

@@ -6,42 +6,111 @@ given resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import conditions as cond
 from . import operators as ops
 from .errors import PreconditionError, ValidationError
-from .exponents import PointFunction, field_from_spec, sobolev_exponent
+from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
+                        sobolev_exponent)
 from .space import DiscreteSpace, geometry_constants, space_from_spec
 from .verify import empirical_ratio
 
-__all__ = ["Scenario", "Materialized", "OPERATOR_TAGS", "CONDITION_TAGS"]
+__all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
 
-OPERATOR_TAGS = ("hardy", "hardy-tail", "maximal", "potential-ball",
-                 "potential-distance", "singular")
 
-# condition tag -> (needs_alpha, needs_radial_weights, compatible operators)
-CONDITION_TAGS = {
-    "hardy": (False, False, ("hardy",)),
-    "hardy-tail": (False, False, ("hardy-tail",)),
-    "potential-ball": (True, False, ("potential-ball", "hardy")),
-    "potential-tail": (True, False, ("potential-ball", "hardy-tail")),
-    "distance-ball": (True, False, ("potential-distance",)),
-    "distance-tail": (True, False, ("potential-distance",)),
-    "radial-potential": (True, True, ("potential-ball", "hardy")),
-    "radial-potential-basepoint": (True, True, ("potential-ball",)),
-    "radial-distance-potential": (True, True, ("potential-distance",)),
-    "radial-maximal": (False, True, ("maximal", "singular")),
-    "radial-maximal-basepoint": (False, True, ("maximal", "singular")),
-    "variable-order-ball": (True, True, ("potential-ball",)),
-    "variable-order-tail": (True, True, ("potential-ball",)),
-    "maximal-ball": (False, False, ("maximal", "singular")),
-    "maximal-tail": (False, False, ("maximal", "singular")),
-    "annulus-comparison": (False, False, OPERATOR_TAGS),
-    "muckenhoupt": (False, False, OPERATOR_TAGS),
+class Operator(NamedTuple):
+    apply: Callable          # apply(materialized, f) -> OperatorOutput
+    weighted: bool = False   # v and w act inside the operator, not on the norm ratio
+
+
+def _singular(m: "Materialized", f: PointFunction):
+    kernel = ops.kernel_from_spec(m.scenario.params.get("kernel", {"type": "hilbert"}))
+    pos = m.space.d0[m.space.d0 > 0]
+    eps = float(m.scenario.params.get("eps", 2.0 * pos.min() if pos.size else 1.0))
+    return ops.singular_integral(m.space, kernel, f, eps)
+
+
+# Table entries reach ``ops`` and ``cond`` through the module when called, so
+# a function replaced there (a tracer, a test double) is the one that runs.
+OPERATORS = {
+    "hardy": Operator(lambda m, f: ops.hardy_transform(m.space, *m._weights, f), True),
+    "hardy-tail": Operator(lambda m, f: ops.hardy_tail_transform(m.space, *m._weights, f), True),
+    "maximal": Operator(lambda m, f: ops.maximal_function(m.space, f)),
+    "potential-ball": Operator(lambda m, f: ops.ball_potential(m.space, m.alpha, f)),
+    "potential-distance": Operator(lambda m, f: ops.distance_potential(m.space, m.alpha, f)),
+    "singular": Operator(_singular),
+}
+_OPERATOR_TAGS = tuple(OPERATORS)
+
+
+class Condition(NamedTuple):
+    needs_alpha: bool
+    needs_radial: bool
+    operators: tuple
+    evaluate: Callable           # evaluate(materialized) -> report, or (ball, tail) reports
+    half: Optional[int] = None   # which half of the (ball, tail) pair the tag reports
+
+
+def _monotone(m: "Materialized") -> bool:
+    return bool(m.scenario.params.get("require_monotone", False))
+
+
+def _radial(variant: str) -> Callable:
+    return lambda m: cond.radial_condition(m.space, m.p, m.v_profile, m.w_profile, variant,
+                                           alpha=m.alpha0, q=m.q, require_monotone=_monotone(m))
+
+
+def _annulus(m: "Materialized"):
+    params = m.scenario.params
+    b1, b2, skipped = cond.annulus_weight_comparison(
+        m.space, m.v, m.w, float(params.get("A", 2.0)), a1=float(params.get("a1", 1.0)))
+    return cond.ConditionReport("annulus-comparison", min(b1, b2), 0.0, np.array([0.0]),
+                                np.array([min(b1, b2)]), m.space.n,
+                                meta={"b1": b1, "b2": b2, "skipped": skipped})
+
+
+def _muckenhoupt(m: "Materialized"):
+    r = float(m.scenario.params.get("r", 2.0))
+    val = cond.muckenhoupt_ar(m.space, m.w, r)
+    return cond.ConditionReport("muckenhoupt", val, 0.0, np.array([0.0]), np.array([val]),
+                                m.space.n, meta={"r": r})
+
+
+# the functionals of (ball, tail) pairs, each shared by the pair's two tags
+_potential = lambda m: cond.potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha0)
+_distance = lambda m: cond.distance_potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha)
+_variable_order = lambda m: cond.variable_order_conditions(
+    m.space, m.p, m.q, m.v, m.w_profile, m.alpha, require_monotone=_monotone(m))
+_maximal = lambda m: cond.maximal_singular_conditions(m.space, m.p, m.v, m.w)
+_MAXIMAL_OPS = ("maximal", "singular")
+
+CONDITIONS = {
+    "hardy": Condition(False, False, ("hardy",),
+                       lambda m: cond.hardy_condition(m.space, m.p, m.q, m.v, m.w)),
+    "hardy-tail": Condition(False, False, ("hardy-tail",),
+                            lambda m: cond.hardy_tail_condition(m.space, m.p, m.q, m.v, m.w)),
+    "potential-ball": Condition(True, False, ("potential-ball", "hardy"), _potential, 0),
+    "potential-tail": Condition(True, False, ("potential-ball", "hardy-tail"), _potential, 1),
+    "distance-ball": Condition(True, False, ("potential-distance",), _distance, 0),
+    "distance-tail": Condition(True, False, ("potential-distance",), _distance, 1),
+    "radial-potential": Condition(True, True, ("potential-ball", "hardy"), _radial("potential")),
+    "radial-potential-basepoint": Condition(True, True, ("potential-ball",),
+                                            _radial("potential-basepoint")),
+    "radial-distance-potential": Condition(True, True, ("potential-distance",),
+                                           _radial("distance-potential")),
+    "radial-maximal": Condition(False, True, _MAXIMAL_OPS, _radial("maximal")),
+    "radial-maximal-basepoint": Condition(False, True, _MAXIMAL_OPS, _radial("maximal-basepoint")),
+    "variable-order-ball": Condition(True, True, ("potential-ball",), _variable_order, 0),
+    "variable-order-tail": Condition(True, True, ("potential-ball",), _variable_order, 1),
+    "maximal-ball": Condition(False, False, _MAXIMAL_OPS, _maximal, 0),
+    "maximal-tail": Condition(False, False, _MAXIMAL_OPS, _maximal, 1),
+    "annulus-comparison": Condition(False, False, _OPERATOR_TAGS, _annulus),
+    "muckenhoupt": Condition(False, False, _OPERATOR_TAGS, _muckenhoupt),
 }
 
 _PAIR_TAGS = ("power-pair", "log-pair")
@@ -75,14 +144,23 @@ class Scenario:
         # the name becomes the report's file name inside --out-dir
         if not isinstance(name, str) or not name or "/" in name or "\\" in name:
             raise ValidationError(f"scenario.name: must be a plain file name, got {name!r}")
-        space_spec = data.get("space")
-        if space_spec is None:
+        if data.get("space") is None:
             raise ValidationError("scenario.space: required")
+        space_spec = _mapping(data, "space")
         exps = _mapping(data, "exponents")
         weights = _mapping(data, "weights")
         pair = None
         v_spec = weights.get("v")
         w_spec = weights.get("w")
+        parsed = {}
+        for where, spec in (("exponents.p", exps.get("p")), ("exponents.alpha", exps.get("alpha")),
+                            ("weights.v", v_spec), ("weights.w", w_spec)):
+            try:
+                parsed[where] = None if spec is None else parse_field_spec(spec)
+            except ValidationError as exc:
+                raise ValidationError(f"scenario.{where}: {exc}") from None
+        radial_weights = all(f is not None and f[0].radial
+                             for f in (parsed["weights.v"], parsed["weights.w"]))
         if "pair" in weights:
             pair = dict(weights["pair"]) if isinstance(weights["pair"], dict) \
                 else {"family": weights["pair"]}
@@ -90,25 +168,28 @@ class Scenario:
             if fam not in _PAIR_TAGS:
                 raise ValidationError(f"weights.pair.family: unknown family {fam!r}")
         operator = data.get("operator")
-        if operator is not None and operator not in OPERATOR_TAGS:
+        if operator is not None and operator not in _OPERATOR_TAGS:
             raise ValidationError(
-                f"scenario.operator: unknown tag {operator!r} (expected one of {OPERATOR_TAGS})")
-        conds = list(data.get("conditions", []))
+                f"scenario.operator: unknown tag {operator!r} (expected one of {_OPERATOR_TAGS})")
+        conds = data.get("conditions", [])
+        if not isinstance(conds, (list, tuple)) or not all(isinstance(c, str) for c in conds):
+            raise ValidationError(f"scenario.conditions: must be a list of tags, got {conds!r}")
+        conds = list(conds)
         for c in conds:
-            if c not in CONDITION_TAGS:
+            if c not in CONDITIONS:
                 raise ValidationError(f"scenario.conditions: unknown tag {c!r}")
-            needs_alpha, needs_radial, compat = CONDITION_TAGS[c]
-            if needs_alpha and "alpha" not in exps:
+            entry = CONDITIONS[c]
+            if entry.needs_alpha and "alpha" not in exps:
                 raise ValidationError(
                     f"scenario.exponents.alpha: required by condition {c!r}")
-            if needs_radial and pair is None and not _radial_spec(v_spec, w_spec):
+            if entry.needs_radial and pair is None and not radial_weights:
                 raise ValidationError(
                     f"scenario.weights: condition {c!r} needs radial profile weights "
-                    "(a pair family, or power-of-dist / log-power expressions)")
-            if operator is not None and operator not in compat:
+                    "(a pair family, or const / power-of-dist / log-power expressions)")
+            if operator is not None and operator not in entry.operators:
                 raise ValidationError(
                     f"scenario: condition {c!r} is incompatible with operator "
-                    f"{operator!r} (expects one of {compat})")
+                    f"{operator!r} (expects one of {entry.operators})")
         if ("p" not in exps) and (conds or operator):
             raise ValidationError("scenario.exponents.p: required")
         if conds and pair is None:
@@ -117,18 +198,22 @@ class Scenario:
             if w_spec is None:
                 raise ValidationError("scenario.weights.w: required by the listed conditions")
         resolutions = data.get("resolutions", [64, 256, 1024])
-        if not isinstance(resolutions, (list, tuple)) or not all(
-                isinstance(r, Integral) and not isinstance(r, bool) for r in resolutions):
+        if not isinstance(resolutions, (list, tuple)) or not resolutions \
+                or not all(isinstance(r, Integral) and not isinstance(r, bool)
+                           for r in resolutions):
             raise ValidationError(
                 f"scenario.resolutions: must be a list of integers, got {resolutions!r}")
         resolutions = [int(r) for r in resolutions]
         if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
             raise ValidationError("scenario.resolutions: must be strictly increasing")
+        seed = data.get("seed", 0)
+        if not isinstance(seed, Integral) or isinstance(seed, bool):
+            raise ValidationError(f"scenario.seed: must be an integer, got {seed!r}")
         return cls(
             name=name, space_spec=space_spec, p_spec=exps.get("p"),
             alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
             operator=operator, conditions=conds, resolutions=resolutions,
-            seed=int(data.get("seed", 0)), params=dict(data.get("params", {})),
+            seed=int(seed), params=dict(_mapping(data, "params")),
             compose_hardy=bool(data.get("compose_hardy", False)),
         )
 
@@ -175,15 +260,6 @@ def _mapping(data: dict, key: str) -> dict:
     return value
 
 
-def _radial_spec(v_spec, w_spec) -> bool:
-    def ok(s):
-        if s is None:
-            return False
-        e = s.get("expr", "")
-        return e.startswith(("power-of-dist", "log-power", "const"))
-    return ok(v_spec) and ok(w_spec)
-
-
 class Materialized:
     """A scenario bound to one concrete space resolution."""
 
@@ -193,21 +269,20 @@ class Materialized:
         self.p = None if scenario.p_spec is None else field_from_spec(space, scenario.p_spec)
         self.alpha = None if scenario.alpha_spec is None \
             else field_from_spec(space, scenario.alpha_spec)
+        self.alpha0 = None if self.alpha is None else float(self.alpha.values[space.x0])
         self.q = self.p if self.alpha is None or self.p is None \
             else sobolev_exponent(self.p, self.alpha)
         self._build_weights()
 
     def _build_weights(self):
         sc, space = self.scenario, self.space
-        self.v_profile = self.w_profile = None
         if sc.pair is not None:
             fam = sc.pair["family"]
             if fam == "power-pair":
                 if self.p is None or self.alpha is None:
                     raise ValidationError("power-pair weights need exponents.p and alpha")
                 pv = float(self.p.values[space.x0])
-                av = float(self.alpha.values[space.x0])
-                pair = cond.power_weight_pair(pv, av, float(sc.pair.get("beta", 0.0)),
+                pair = cond.power_weight_pair(pv, self.alpha0, float(sc.pair.get("beta", 0.0)),
                                               sc.pair.get("gamma"))
             else:
                 if self.p is None:
@@ -224,103 +299,51 @@ class Materialized:
         else:
             self.v = None if sc.v_spec is None else field_from_spec(space, sc.v_spec)
             self.w = None if sc.w_spec is None else field_from_spec(space, sc.w_spec)
-            if _radial_spec(sc.v_spec, sc.w_spec):
-                self.v_profile = _profile_from_spec(space, sc.v_spec)
-                self.w_profile = _profile_from_spec(space, sc.w_spec)
+            self.v_profile = None if sc.v_spec is None else radial_profile(space, sc.v_spec)
+            self.w_profile = None if sc.w_spec is None else radial_profile(space, sc.w_spec)
         if sc.compose_hardy:
             if self.v is None or self.w is None or self.alpha is None:
                 raise ValidationError("compose_hardy needs v, w and alpha")
             self.v, self.w = cond.potential_to_hardy_weights(
-                self.space, self.v, self.w, float(self.alpha.values[space.x0]))
+                self.space, self.v, self.w, self.alpha0)
+
+    @cached_property
+    def _weights(self):
+        """v and w, each defaulting to the unit weight."""
+        ones = PointFunction.constant(self.space.n, 1.0, "weight")
+        return self.v or ones, self.w or ones
 
     # -- evaluation hooks used by refinement studies and the runner ---------
 
     def evaluate_conditions(self) -> dict:
-        out = {}
-        sp, p, q, v, w = self.space, self.p, self.q, self.v, self.w
-        alpha0 = None if self.alpha is None else float(self.alpha.values[sp.x0])
+        """One report per listed tag; the two tags of a (ball, tail) pair
+        share one evaluation."""
+        out, results = {}, {}
         for tag in self.scenario.conditions:
-            if tag == "hardy":
-                out[tag] = cond.hardy_condition(sp, p, q, v, w)
-            elif tag == "hardy-tail":
-                out[tag] = cond.hardy_tail_condition(sp, p, q, v, w)
-            elif tag in ("potential-ball", "potential-tail"):
-                ball, tail = cond.potential_conditions(sp, p, q, v, w, alpha0)
-                out[tag] = ball if tag == "potential-ball" else tail
-            elif tag in ("distance-ball", "distance-tail"):
-                ball, tail = cond.distance_potential_conditions(sp, p, q, v, w, self.alpha)
-                out[tag] = ball if tag == "distance-ball" else tail
-            elif tag.startswith("radial-"):
-                variant = tag[len("radial-"):]
-                out[tag] = cond.radial_condition(
-                    sp, p, self.v_profile, self.w_profile, variant,
-                    alpha=alpha0, q=q,
-                    require_monotone=bool(self.scenario.params.get("require_monotone", False)))
-            elif tag in ("variable-order-ball", "variable-order-tail"):
-                one, two = cond.variable_order_conditions(
-                    sp, p, q, v, self.w_profile, self.alpha,
-                    require_monotone=bool(self.scenario.params.get("require_monotone", False)))
-                out[tag] = one if tag == "variable-order-ball" else two
-            elif tag in ("maximal-ball", "maximal-tail"):
-                ball, tail = cond.maximal_singular_conditions(sp, p, v, w)
-                out[tag] = ball if tag == "maximal-ball" else tail
-            elif tag == "annulus-comparison":
-                b1, b2, skipped = cond.annulus_weight_comparison(
-                    sp, v, w, float(self.scenario.params.get("A", 2.0)),
-                    a1=float(self.scenario.params.get("a1", 1.0)))
-                rep = cond.ConditionReport(tag, min(b1, b2), 0.0, np.array([0.0]),
-                                           np.array([min(b1, b2)]), sp.n,
-                                           meta={"b1": b1, "b2": b2, "skipped": skipped})
-                out[tag] = rep
-            elif tag == "muckenhoupt":
-                r = float(self.scenario.params.get("r", 2.0))
-                val = cond.muckenhoupt_ar(sp, self.w, r)
-                out[tag] = cond.ConditionReport(tag, val, 0.0, np.array([0.0]),
-                                                np.array([val]), sp.n, meta={"r": r})
+            entry = CONDITIONS[tag]
+            if entry.evaluate not in results:
+                results[entry.evaluate] = entry.evaluate(self)
+            result = results[entry.evaluate]
+            out[tag] = result if entry.half is None else result[entry.half]
         return out
 
     def operator_closure(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        sp = self.space
         tag = self.scenario.operator
         if tag is None:
             return None
-        ones = PointFunction.constant(sp.n, 1.0, "weight")
-        if tag == "hardy":
-            v, w = self.v or ones, self.w or ones
-            return lambda fv: ops.hardy_transform(sp, v, w, PointFunction(fv, "test")).values.values
-        if tag == "hardy-tail":
-            v, w = self.v or ones, self.w or ones
-            return lambda fv: ops.hardy_tail_transform(sp, v, w, PointFunction(fv, "test")).values.values
-        if tag == "maximal":
-            return lambda fv: ops.maximal_function(sp, PointFunction(fv, "test")).values.values
-        if tag == "potential-ball":
-            return lambda fv: ops.ball_potential(sp, self.alpha, PointFunction(fv, "test")).values.values
-        if tag == "potential-distance":
-            return lambda fv: ops.distance_potential(sp, self.alpha, PointFunction(fv, "test")).values.values
-        if tag == "singular":
-            kernel = ops.kernel_from_spec(self.scenario.params.get(
-                "kernel", {"type": "hilbert"}))
-            pos = sp.d0[sp.d0 > 0]
-            eps = float(self.scenario.params.get("eps", 2.0 * pos.min() if pos.size else 1.0))
-            return lambda fv: ops.singular_integral(sp, kernel, PointFunction(fv, "test"),
-                                                    eps).values.values
-        raise ValidationError(f"unknown operator tag {tag!r}")
+        apply = OPERATORS[tag].apply
+        return lambda fv: apply(self, PointFunction(fv, "test")).values.values
 
     def evaluate_ratio(self) -> Optional[float]:
         op = self.operator_closure()
         if op is None or self.p is None:
             return None
-        ones = PointFunction.constant(self.space.n, 1.0, "weight")
-        tag = self.scenario.operator
-        if tag in ("hardy", "hardy-tail"):
+        v, w = self._weights
+        if OPERATORS[self.scenario.operator].weighted:
             # weights live inside the transform; the ratio is ||T f||_q / ||f||_p
-            est = empirical_ratio(self.space, op, self.p, self.q, ones, ones,
-                                  trials=8, seed=self.scenario.seed)
-        else:
-            est = empirical_ratio(self.space, op, self.p, self.q,
-                                  self.v or ones, self.w or ones,
-                                  trials=8, seed=self.scenario.seed)
-        return est.ratio
+            v = w = PointFunction.constant(self.space.n, 1.0, "weight")
+        return empirical_ratio(self.space, op, self.p, self.q, v, w,
+                               trials=8, seed=self.scenario.seed).ratio
 
     def geometry_summary(self) -> dict:
         g = geometry_constants(self.space, A=float(self.scenario.params.get("A", 2.0)))
@@ -328,21 +351,3 @@ class Materialized:
                 "doubling_c": g.doubling_c, "rdc_B": g.rdc_B,
                 "ahlfors_c1": g.ahlfors_upper_c1, "ahlfors_c2": g.ahlfors_lower_c2,
                 "annuli_nonempty": g.annuli_nonempty}
-
-
-def _profile_from_spec(space: DiscreteSpace, spec: dict) -> Callable:
-    expr = spec.get("expr", "")
-    if expr.startswith("const"):
-        c = float(expr.split()[-1])
-        return lambda t: np.full_like(np.asarray(t, dtype=float), c)
-    import re
-    m = re.match(r"^\s*([a-z-]+)\(\s*x0\s*,\s*([^)]*)\)\s*$", expr)
-    if not m:
-        raise ValidationError(f"cannot parse radial profile {expr!r}")
-    name, g = m.group(1), float(m.group(2))
-    if name == "power-of-dist":
-        return lambda t: np.asarray(t, dtype=float) ** g
-    if name == "log-power":
-        L = space.L_eff
-        return lambda t: np.asarray(t, dtype=float) ** g * np.log(2.0 * L / np.asarray(t, dtype=float))
-    raise ValidationError(f"unknown radial profile {name!r}")

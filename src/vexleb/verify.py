@@ -257,6 +257,8 @@ class StudyReport:
     geometry: List[dict]
     condition_trends: dict
     ratio_trend: str
+    # the finest resolution's condition reports (curves included); not serialized
+    reports: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -272,20 +274,29 @@ class StudyReport:
 def refinement_study(scenario, resolutions: Sequence[int]) -> StudyReport:
     """Re-run a scenario's conditions and empirical ratio across strictly
     increasing resolutions and classify each series as bounded / divergent /
-    undecided by the two-resolution trend rule."""
+    undecided by the two-resolution trend rule.  Each resolution must
+    materialize more points than the one before: a space that ignores the
+    resolution would yield a flat series, read as bounded."""
     res = [int(r) for r in resolutions]
     if len(res) < 3 or any(b <= a for a, b in zip(res, res[1:])):
         raise PreconditionError("resolutions must be strictly increasing with >= 3 entries")
     cond_values: dict = {}
     ratios: List[Optional[float]] = []
     geometry: List[dict] = []
+    points = 0
     for n in res:
         mat = scenario.materialize(n)
-        for name, rep in mat.evaluate_conditions().items():
+        if mat.space.n <= points:
+            raise PreconditionError(
+                f"scenario.resolutions: resolution {n} gives {mat.space.n} points, no more "
+                f"than the {points} before it; the space does not refine")
+        points = mat.space.n
+        reports = mat.evaluate_conditions()
+        for name, rep in reports.items():
             cond_values.setdefault(name, []).append(rep.value)
         ratios.append(mat.evaluate_ratio())
         geometry.append(mat.geometry_summary())
     cond_trends = {k: classify_trend(v) for k, v in cond_values.items()}
     ratio_vals = [r for r in ratios if r is not None]
     ratio_trend = classify_trend(ratio_vals) if len(ratio_vals) >= 2 else "undecided"
-    return StudyReport(res, cond_values, ratios, geometry, cond_trends, ratio_trend)
+    return StudyReport(res, cond_values, ratios, geometry, cond_trends, ratio_trend, reports)

@@ -120,6 +120,19 @@ class TestRun:
         ("resolutions", {"resolutions": ["x"]}),
         ("resolutions", {"resolutions": 64}),
         ("resolutions", {"resolutions": [16.5, 32, 64]}),
+        ("seed", {"seed": "x"}),
+        ("params", {"params": 5}),
+        ("space", {"space": "grid"}),
+        ("weights.v", {"weights": {"v": "x", "w": {"kind": "weight", "expr": "const 1"}},
+                       "conditions": ["radial-maximal"]}),
+        ("weights.w", {"weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                   "w": {"kind": "weight", "expr": "power-of-dist(x0, abc)"}}}),
+        ("exponents.p", {"exponents": {"p": {"kind": "exponent",
+                                             "expr": "affine-in-dist(x0, a, b)"}}}),
+        ("exponents.p", {"exponents": {"p": {"kind": "exponent",
+                                             "expr": "power-of-dist(x0, 1, 2)"}}}),
+        ("conditions", {"conditions": 5}),
+        ("resolutions", {"resolutions": []}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

@@ -237,6 +237,8 @@ class TestFieldFromSpec:
         sp = vx.uniform_grid(8)
         f = vx.field_from_spec(sp, {"kind": "exponent", "expr": "const 2.5"})
         assert np.allclose(f.values, 2.5)
+        g = vx.field_from_spec(sp, {"kind": "exponent", "expr": "const(x0, 2.5)"})
+        assert np.array_equal(g.values, f.values)
 
     def test_affine(self):
         sp = vx.uniform_grid(8)

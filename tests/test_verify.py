@@ -259,3 +259,22 @@ class TestRefinementStudy:
             vx.refinement_study(self._scenario("const 1"), [64, 128])
         with pytest.raises(PreconditionError):
             vx.refinement_study(self._scenario("const 1"), [64, 64, 128])
+
+    @pytest.mark.parametrize("space, resolutions", [
+        ({"points": [{"id": i, "coord": i / 3} for i in range(4)],
+          "metric": "euclidean1d", "mu": "lebesgue-grid", "x0": 0, "L": 1.0},
+         [16, 32, 64]),
+        ({"generator": "cantor", "depth": 6}, [32, 64, 96]),
+    ])
+    def test_refuses_resolutions_that_do_not_refine(self, space, resolutions):
+        # an explicit table ignores the resolution and Cantor depths 64 and
+        # 96 round alike: a flat series from one space must not read "bounded"
+        sc = vx.Scenario.from_dict({
+            "name": "flat", "space": space,
+            "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+            "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                        "w": {"kind": "weight", "expr": "power-of-dist(x0, -1)"}},
+            "conditions": ["hardy"], "resolutions": resolutions,
+        })
+        with pytest.raises(PreconditionError, match="scenario.resolutions"):
+            vx.refinement_study(sc, resolutions)
