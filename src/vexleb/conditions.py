@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, comparison_annulus
+from .space import DiscreteSpace, _sorted_row_blocks, comparison_annulus
 
 __all__ = [
     "ConditionReport",
@@ -526,17 +526,19 @@ def muckenhoupt_ar(space: DiscreteSpace, w: PointFunction, r: float) -> float:
     wv = _positive(space, w, "w")
     rp = r / (r - 1.0)
     best = 0.0
-    mu = space.mu
-    for x in range(space.n):
-        d = space.dist[x]
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cmu = np.cumsum(mu[order])
-        cw = np.cumsum((wv * mu)[order])
-        cwr = np.cumsum((wv ** (1.0 - rp) * mu)[order])
-        ends = np.searchsorted(ds, np.unique(ds), side="right") - 1
-        vals = (cw[ends] / cmu[ends]) * (cwr[ends] / cmu[ends]) ** (r - 1.0)
-        best = max(best, float(vals.max()))
+    wmu = wv * space.mu
+    wrmu = wv ** (1.0 - rp) * space.mu
+    for blk in _sorted_row_blocks(space):
+        # closed balls at each distinct distance: the ends of the tie groups
+        b, n = blk.ds.shape
+        ends = np.flatnonzero(blk.ends)
+        rows = ends // n
+        cmu = blk.prefix.ravel()[ends + rows + 1]
+        cw = np.cumsum(wmu[blk.order], axis=1).ravel()[ends]
+        cwr = np.cumsum(wrmu[blk.order], axis=1).ravel()[ends]
+        vals = (cw / cmu) * (cwr / cmu) ** (r - 1.0)
+        row_max = np.maximum.reduceat(vals, np.searchsorted(rows, np.arange(b)))
+        best = max(best, *row_max.tolist())
     return best
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -315,6 +316,12 @@ def parse_field_spec(spec) -> Optional[Tuple[_Expression, List[float]]]:
     if not isinstance(spec, dict):
         raise ValidationError("field spec must be a mapping")
     if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise ValidationError(f"'values' must be a list of numbers, got {values!r}")
+        bad = [v for v in values if isinstance(v, bool) or not isinstance(v, Real)]
+        if bad:
+            raise ValidationError(f"'values' must hold numbers only, got {bad[0]!r}")
         return None
     expr = spec.get("expr")
     m = _EXPR_RE.match(expr) if isinstance(expr, str) else None
@@ -356,7 +363,10 @@ def field_from_spec(space: DiscreteSpace, spec: dict) -> PointFunction:
     parsed = parse_field_spec(spec)
     kind = spec.get("kind", "test")
     if parsed is None:
-        return PointFunction(np.asarray(spec["values"], dtype=float), kind)
+        values = np.asarray(spec["values"], dtype=float)
+        if values.shape != (space.n,):
+            raise ValidationError(f"{values.size} values for a space of {space.n} points")
+        return PointFunction(values, kind)
     entry, params = parsed
     t = space.radial_distances() if entry.radial else space.d0
     return PointFunction(entry.value(t, space.L_eff, *params), kind)

@@ -47,9 +47,8 @@ def _modular_arrays(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray):
     zero values contribute 0."""
     fv = np.abs(fv)
     out = np.zeros_like(fv)
-    pos = fv > 0
     with np.errstate(over="ignore"):
-        out[pos] = fv[pos] ** np.broadcast_to(pv, fv.shape)[pos]
+        np.power(fv, pv, out=out, where=fv > 0)
     return (out * mu).sum(axis=-1)
 
 

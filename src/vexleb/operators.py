@@ -230,8 +230,8 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     if sample_pairs < 1:
         raise DomainError("need at least one sampled pair")
     if a1 is None:
-        from .space import geometry_constants
-        a1 = geometry_constants(space).a1
+        from .space import _a1
+        a1, _ = _a1(space)
     rng = np.random.default_rng(seed)
     n = space.n
     rows = {}

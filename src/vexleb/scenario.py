@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -167,6 +167,13 @@ class Scenario:
             fam = pair.get("family")
             if fam not in _PAIR_TAGS:
                 raise ValidationError(f"weights.pair.family: unknown family {fam!r}")
+            # gamma may be null: the family then picks the minimal one
+            for key in ("beta", "gamma", "L"):
+                value = pair.get(key)
+                if key in pair and not (key == "gamma" and value is None) \
+                        and (not isinstance(value, Real) or isinstance(value, bool)):
+                    raise ValidationError(
+                        f"scenario.weights.pair.{key}: must be a number, got {value!r}")
         operator = data.get("operator")
         if operator is not None and operator not in _OPERATOR_TAGS:
             raise ValidationError(
@@ -266,13 +273,20 @@ class Materialized:
     def __init__(self, scenario: Scenario, space: DiscreteSpace):
         self.scenario = scenario
         self.space = space
-        self.p = None if scenario.p_spec is None else field_from_spec(space, scenario.p_spec)
-        self.alpha = None if scenario.alpha_spec is None \
-            else field_from_spec(space, scenario.alpha_spec)
+        self.p = self._field("exponents.p", scenario.p_spec)
+        self.alpha = self._field("exponents.alpha", scenario.alpha_spec)
         self.alpha0 = None if self.alpha is None else float(self.alpha.values[space.x0])
         self.q = self.p if self.alpha is None or self.p is None \
             else sobolev_exponent(self.p, self.alpha)
         self._build_weights()
+
+    def _field(self, where: str, spec: Optional[dict]) -> Optional[PointFunction]:
+        if spec is None:
+            return None
+        try:
+            return field_from_spec(self.space, spec)
+        except ValidationError as exc:
+            raise ValidationError(f"scenario.{where}: {exc}") from None
 
     def _build_weights(self):
         sc, space = self.scenario, self.space
@@ -297,8 +311,8 @@ class Materialized:
             self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")
             self.w = PointFunction(np.asarray(pair.w_profile(dre), dtype=float), "weight")
         else:
-            self.v = None if sc.v_spec is None else field_from_spec(space, sc.v_spec)
-            self.w = None if sc.w_spec is None else field_from_spec(space, sc.w_spec)
+            self.v = self._field("weights.v", sc.v_spec)
+            self.w = self._field("weights.w", sc.w_spec)
             self.v_profile = None if sc.v_spec is None else radial_profile(space, sc.v_spec)
             self.w_profile = None if sc.w_spec is None else radial_profile(space, sc.w_spec)
         if sc.compose_hardy:

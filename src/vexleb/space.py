@@ -8,7 +8,9 @@ constants.  Constants are reported as estimates together with the attaining
 configuration, never as booleans: at a fixed resolution only the estimate is
 observable, finiteness is a refinement trend.
 
-Radius sweeps use the sorted distinct distances seen from each center.
+Radius sweeps use the sorted distinct distances seen from each center.  The
+sweeps over every center read the distance rows a block at a time, each row
+sorted once, so they never hold more than a few (block, n) arrays.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
 collapse the swept annulus while open balls at atom scale inflate ratios, so
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -267,20 +269,75 @@ class GeometryReport:
     skipped_balls: int = 0
 
 
-def _quasi_constants(space: DiscreteSpace, seed: int, sample_triples: int):
+# rows sorted together by the geometry sweeps and the Muckenhoupt functional:
+# a block holds a few (block, n) arrays, never an (n, n) one
+_BLOCK_ROWS = 64
+
+
+class _SortedRows(NamedTuple):
+    """A block of distance rows, each sorted once.
+
+    start  : id of the block's first row
+    order  : (b, n) stable ascending order of each row
+    ds     : (b, n) the sorted distances
+    prefix : (b, n + 1) mu summed over the first k points of that order
+    ends   : (b, n) True at the last sorted position of each tie group
+    """
+
+    start: int
+    order: np.ndarray
+    ds: np.ndarray
+    prefix: np.ndarray
+    ends: np.ndarray
+
+
+def _sorted_row_blocks(space: DiscreteSpace):
+    """The rows of the distance table in blocks of ``_BLOCK_ROWS``, sorted."""
+    n = space.n
+    for start in range(0, n, _BLOCK_ROWS):
+        d = space.dist[start:start + _BLOCK_ROWS]
+        order = np.argsort(d, axis=1, kind="stable")
+        ds = np.take_along_axis(d, order, axis=1)
+        prefix = np.zeros((d.shape[0], n + 1))
+        np.cumsum(space.mu[order], axis=1, out=prefix[:, 1:])
+        ends = np.ones(ds.shape, dtype=bool)
+        np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
+        yield _SortedRows(start, order, ds, prefix, ends)
+
+
+def _a0(space: DiscreteSpace):
+    """Quasi-symmetry constant sup d(x, y) / d(y, x) and its first attaining
+    pair in row-major order, one block of rows at a time."""
+    d = space.dist
+    a0, a0_pair = -np.inf, (0, 0)
+    for start in range(0, space.n, _BLOCK_ROWS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the column block is copied first: reading it transposed in
+            # place strides across the whole table
+            ratios = (d[start:start + _BLOCK_ROWS]
+                      / np.ascontiguousarray(d[:, start:start + _BLOCK_ROWS]).T)
+        ratios[~np.isfinite(ratios)] = 0.0
+        j = int(ratios.argmax())
+        if ratios.flat[j] > a0:
+            a0 = float(ratios.flat[j])
+            a0_pair = (start + j // space.n, j % space.n)
+    return a0, a0_pair
+
+
+def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
+    """Quasi-triangle constant sup d(x, y) / (d(x, z) + d(z, y)) and its
+    attaining triple: exhaustive up to ``EXHAUSTIVE_TRIPLE_LIMIT`` points,
+    over seeded random triples beyond."""
     d = space.dist
     n = space.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = d / d.T
-    ratios[~np.isfinite(ratios)] = 0.0
-    a0 = float(ratios.max())
-    a0_pair = np.unravel_index(int(ratios.argmax()), ratios.shape)
-
     a1 = 0.0
     a1_triple = (0, 0, 0)
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
+        hops = np.empty((n, n))
+        two_hop = np.empty(n)
         for x in range(n):
-            two_hop = np.min(d[x][:, None] + d, axis=0)
+            np.add(d[x][:, None], d, out=hops)
+            hops.min(axis=0, out=two_hop)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(two_hop > 0, d[x] / two_hop, 0.0)
             y = int(r.argmax())
@@ -288,22 +345,21 @@ def _quasi_constants(space: DiscreteSpace, seed: int, sample_triples: int):
                 z = int(np.argmin(d[x] + d[:, y]))
                 a1, a1_triple = float(r[y]), (x, y, z)
     else:
+        flat = d.ravel()
         rng = np.random.default_rng(seed)
         remaining = max(sample_triples, 10**6)
         chunk = 200_000
         while remaining > 0:
             m = min(chunk, remaining)
             xs, ys, zs = (rng.integers(0, n, m) for _ in range(3))
-            denom = d[xs, zs] + d[zs, ys]
-            ok = denom > 0
-            if ok.any():
-                r = d[xs[ok], ys[ok]] / denom[ok]
-                j = int(r.argmax())
-                if r[j] > a1:
-                    kk = np.flatnonzero(ok)[j]
-                    a1, a1_triple = float(r[j]), (int(xs[kk]), int(ys[kk]), int(zs[kk]))
+            denom = np.take(flat, xs * n + zs) + np.take(flat, zs * n + ys)
+            r = np.divide(np.take(flat, xs * n + ys), denom, out=np.full(m, -np.inf),
+                          where=denom > 0)
+            j = int(r.argmax())
+            if r[j] > a1:
+                a1, a1_triple = float(r[j]), (int(xs[j]), int(ys[j]), int(zs[j]))
             remaining -= m
-    return a0, tuple(int(i) for i in a0_pair), a1, a1_triple
+    return a1, a1_triple
 
 
 # distance tables carry float noise (twice a stored distance need not equal
@@ -311,12 +367,135 @@ def _quasi_constants(space: DiscreteSpace, seed: int, sample_triples: int):
 _RADIUS_JITTER = 1e-9
 
 
-def _closed_measures(ds: np.ndarray, prefix: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    return prefix[np.searchsorted(ds, radii * (1.0 + _RADIUS_JITTER), side="right")]
+def _jittered_measures(ds: np.ndarray, prefix: np.ndarray, at: np.ndarray,
+                       side: str) -> np.ndarray:
+    """Ball measures at the radii ``ds`` of the positions ``at``, jittered:
+    the closed ball B[x, r (1 + jitter)] at the tie groups' ends ("right"),
+    the open ball B(x, r (1 - jitter)) at their starts ("left").
+
+    A ball ends at its tie group's bound unless near-ties within the jitter
+    lie past it.  One near-tie is stepped over in the whole block at once;
+    the rare positions with more are searched row by row.
+    """
+    more = np.zeros_like(at)
+    if side == "right":
+        t = ds * (1.0 + _RADIUS_JITTER)
+        near = at[:, :-1] & (ds[:, 1:] <= t[:, :-1])
+        if not near.any():
+            return prefix[:, 1:]
+        m = prefix[:, 1:].copy()
+        m[:, :-1] = np.where(near, prefix[:, 2:], m[:, :-1])
+        more[:, :-2] = near[:, :-1] & (ds[:, 2:] <= t[:, :-2])
+    else:
+        t = ds * (1.0 - _RADIUS_JITTER)
+        near = at[:, 1:] & (ds[:, :-1] >= t[:, 1:])
+        if not near.any():
+            return prefix[:, :-1]
+        m = prefix[:, :-1].copy()
+        m[:, 1:] = np.where(near, prefix[:, :-2], m[:, 1:])
+        more[:, 2:] = near[:, 1:] & (ds[:, :-2] >= t[:, 2:])
+    for i in np.flatnonzero(more.any(axis=1)):
+        k = np.flatnonzero(more[i])
+        m[i, k] = prefix[i, np.searchsorted(ds[i], t[i, k], side=side)]
+    return m
 
 
-def _open_measures(ds: np.ndarray, prefix: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    return prefix[np.searchsorted(ds, radii * (1.0 - _RADIUS_JITTER), side="left")]
+def _measures_at(ds: np.ndarray, prefix: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
+    """``prefix[i, np.searchsorted(ds[i], t[i], side)]`` for each row ``i``."""
+    out = np.empty(t.shape)
+    for i in range(ds.shape[0]):
+        prefix[i].take(np.searchsorted(ds[i], t[i], side=side), out=out[i])
+    return out
+
+
+def _first_max(block: np.ndarray, last: np.ndarray):
+    """Value, row and column of the first maximum, in row-major order, of
+    ``block`` with ``last`` appended as one more column."""
+    row_max = block.max(axis=1)
+    i = int(np.maximum(row_max, last).argmax())
+    if row_max[i] >= last[i]:
+        k = int(block[i].argmax())
+        return block[i, k], i, k
+    return last[i], i, block.shape[1]
+
+
+def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
+    """Doubling, reverse doubling, Ahlfors regularity and the annulus test in
+    one pass over the sorted row blocks: returns the tuples of
+    ``doubling_reverse_doubling`` and ``ahlfors_regularity`` and whether no
+    annulus is empty.
+
+    The swept radii of a center are its distinct positive distances.  Closed
+    balls are read at the last position of each tie group, open balls at the
+    first, and each estimate is evaluated where its balls are read.  Each
+    keeps the witness of the first center and then the first radius that
+    attains it, as a loop over the centers in order would.
+    """
+    if A <= 1:
+        raise DomainError("reverse-doubling factor must exceed 1")
+    if q <= 0:
+        raise DomainError("Ahlfors exponent must be positive")
+    n = space.n
+    L = space.L_eff
+    cap = L / A
+    doubling_c, rdc_B, c1, c2 = 0.0, np.inf, 0.0, np.inf
+    dbl_wit, rdc_wit, w1, w2 = (), (), (), ()
+    skipped = 0
+    annuli = True
+    for blk in _sorted_row_blocks(space):
+        ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
+        positive = ds > 0
+
+        # doubling over closed balls B[x, r], B[x, 2r], at the tie groups' ends
+        swept = ends & positive
+        m_r = _jittered_measures(ds, prefix, swept, "right")
+        m_2r = _measures_at(ds, prefix, 2.0 * ds * (1.0 + _RADIUS_JITTER), "right")
+        ok = swept & (m_r > 0)
+        skipped += int(np.count_nonzero(swept) - np.count_nonzero(ok))
+        ratios = np.divide(m_2r, m_r, out=np.full(ds.shape, -np.inf), where=ok)
+        j = int(ratios.argmax())
+        if ratios.flat[j] > doubling_c:
+            doubling_c, dbl_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
+
+        # reverse doubling over open balls B(x, r), B(x, A r) for r <= L_eff / A,
+        # at the tie groups' starts
+        swept = positive.copy()
+        swept[:, 1:] &= ends[:, :-1]
+        m_open = _jittered_measures(ds, prefix, swept, "left")
+        ok = swept & (m_open > 0)
+        m_A = _measures_at(ds, prefix, A * ds * (1.0 - _RADIUS_JITTER), "left")
+        small = swept & (ds <= cap)
+        small_ok = small & ok
+        skipped += int(np.count_nonzero(small) - np.count_nonzero(small_ok))
+        ratios = np.divide(m_A, m_open, out=np.full(ds.shape, np.inf), where=small_ok)
+        j = int(ratios.argmin())
+        if ratios.flat[j] < rdc_B:
+            rdc_B, rdc_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
+
+        # Ahlfors over the same open balls, each row followed by one ball past
+        # its largest distance (the whole space)
+        whole = ds[:, -1] * (1.0 + 1e-6)
+        m_whole = prefix[np.arange(ds.shape[0]),
+                         (ds < (whole * (1.0 - _RADIUS_JITTER))[:, None]).sum(axis=1)]
+        ok_whole = swept.any(axis=1) & (m_whole > 0)
+        ratios = np.divide(m_open, ds**q, out=np.full(ds.shape, -np.inf), where=ok)
+        ratios_whole = np.divide(m_whole, whole**q, out=np.full(whole.shape, -np.inf),
+                                 where=ok_whole)
+        value, i, k = _first_max(ratios, ratios_whole)
+        if value > c1:
+            c1, w1 = float(value), (start + i, float(ds[i, k] if k < n else whole[i]))
+        ratios[~(ok & (ds <= L))] = np.inf
+        ratios_whole[~(ok_whole & (whole <= L))] = np.inf
+        value, i, k = _first_max(-ratios, -ratios_whole)
+        if -value < c2:
+            c2, w2 = float(-value), (start + i, float(ds[i, k] if k < n else whole[i]))
+
+        # an empty annulus [r, A r) is a jump by more than A between
+        # consecutive distinct distances of one center within (0, L_eff]
+        if annuli:
+            annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
+                                & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
+    return (doubling_c, rdc_B, dbl_wit, rdc_wit, skipped), (c1, c2, w1, w2), annuli
 
 
 def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):
@@ -330,83 +509,18 @@ def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):
     ones collapse it at the boundary radii).
     Swept balls with zero measure are skipped and counted.
     """
-    if A_candidate <= 1:
-        raise DomainError("reverse-doubling factor must exceed 1")
+    doubling, _, _ = _geometry_sweep(space, A_candidate, 1.0)
     if space.n < 2:
         raise DomainError("need at least 2 points for doubling estimates")
-    doubling_c, rdc_B = 0.0, np.inf
-    dbl_wit, rdc_wit = (), ()
-    skipped = 0
-    cap = space.L_eff / A_candidate
-    for x in range(space.n):
-        ds, prefix, _ = _sorted_row(space, x)
-        radii = np.unique(ds[ds > 0])
-        if radii.size == 0:
-            continue
-        m_r = _closed_measures(ds, prefix, radii)
-        m_2r = _closed_measures(ds, prefix, 2.0 * radii)
-        ok = m_r > 0
-        skipped += int((~ok).sum())
-        if ok.any():
-            ratios = m_2r[ok] / m_r[ok]
-            j = int(ratios.argmax())
-            if ratios[j] > doubling_c:
-                doubling_c, dbl_wit = float(ratios[j]), (x, float(radii[ok][j]))
-        small = radii <= cap
-        if small.any():
-            m_open = _open_measures(ds, prefix, radii[small])
-            m_A = _open_measures(ds, prefix, A_candidate * radii[small])
-            pos = m_open > 0
-            skipped += int((~pos).sum())
-            if pos.any():
-                ratios = m_A[pos] / m_open[pos]
-                j = int(ratios.argmin())
-                if ratios[j] < rdc_B:
-                    rdc_B, rdc_wit = float(ratios[j]), (x, float(radii[small][pos][j]))
-    if doubling_c == 0.0:
-        raise DomainError("no admissible radii; space too degenerate for doubling sweep")
-    return doubling_c, rdc_B, dbl_wit, rdc_wit, skipped
+    return doubling
 
 
 def ahlfors_regularity(space: DiscreteSpace, exponent_q: float = 1.0):
     """Upper/lower Ahlfors constants over open balls at the distinct
     distances (plus the whole-space ball): c1 = sup mu B(x,r)/r^q,
     c2 = inf of the same ratio restricted to r <= L_eff."""
-    if exponent_q <= 0:
-        raise DomainError("Ahlfors exponent must be positive")
-    c1, c2 = 0.0, np.inf
-    w1, w2 = (), ()
-    for x in range(space.n):
-        ds, prefix, _ = _sorted_row(space, x)
-        pos = np.unique(ds[ds > 0])
-        if pos.size == 0:
-            continue
-        radii = np.append(pos, pos[-1] * (1.0 + 1e-6))
-        m = _open_measures(ds, prefix, radii)
-        ok = m > 0
-        ratios = np.where(ok, m / radii**exponent_q, -np.inf)
-        j = int(ratios.argmax())
-        if ratios[j] > c1:
-            c1, w1 = float(ratios[j]), (x, float(radii[j]))
-        low = ok & (radii <= space.L_eff)
-        if low.any():
-            rl = ratios[low]
-            j = int(rl.argmin())
-            if rl[j] < c2:
-                c2, w2 = float(rl[j]), (x, float(radii[low][j]))
-    return c1, c2, w1, w2
-
-
-def _annuli_nonempty(space: DiscreteSpace, A: float) -> bool:
-    """No annulus at scale A within the resolved range is empty: from every
-    center, consecutive distinct positive distances never jump by more than a
-    factor A (an empty annulus [r, A r) exists exactly at such a jump)."""
-    for x in range(space.n):
-        ds = np.unique(space.d_from(x))
-        ds = ds[(ds > 0) & (ds <= space.L_eff)]
-        if ds.size >= 2 and np.any(ds[1:] > A * ds[:-1] * (1 + 1e-12)):
-            return False
-    return True
+    _, ahlfors, _ = _geometry_sweep(space, 2.0, exponent_q)
+    return ahlfors
 
 
 def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: float = 1.0,
@@ -414,13 +528,15 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     """Estimate all geometric constants of the space in one report."""
     if space.n < 2:
         raise DomainError("need at least 2 points")
-    a0, a0_pair, a1, a1_triple = _quasi_constants(space, seed, sample_triples)
-    doubling_c, rdc_B, dbl_wit, rdc_wit, skipped = doubling_reverse_doubling(space, A)
-    c1, c2, _, _ = ahlfors_regularity(space, ahlfors_exponent)
+    a0, a0_pair = _a0(space)
+    a1, a1_triple = _a1(space, seed, sample_triples)
+    doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent)
+    doubling_c, rdc_B, dbl_wit, rdc_wit, skipped = doubling
+    c1, c2, _, _ = ahlfors
     return GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=ahlfors_exponent,
-        annuli_nonempty=_annuli_nonempty(space, A),
+        annuli_nonempty=annuli_nonempty,
         a0_pair=a0_pair, a1_triple=a1_triple,
         doubling_witness=dbl_wit, rdc_witness=rdc_wit, skipped_balls=skipped,
     )

@@ -133,6 +133,14 @@ class TestRun:
                                              "expr": "power-of-dist(x0, 1, 2)"}}}),
         ("conditions", {"conditions": 5}),
         ("resolutions", {"resolutions": []}),
+        ("weights.v", {"weights": {"v": {"kind": "weight", "values": ["a"] * 32},
+                                   "w": {"kind": "weight", "expr": "const 1"}}}),
+        ("weights.v", {"weights": {"v": {"kind": "weight", "values": [1.0] * 5},
+                                   "w": {"kind": "weight", "expr": "const 1"}}}),
+        ("exponents.p", {"exponents": {"p": {"kind": "exponent", "values": 2.0}}}),
+        ("weights.pair.beta", {"weights": {"pair": {"family": "power-pair", "beta": "x"}}}),
+        ("weights.pair.gamma", {"weights": {"pair": {"family": "power-pair", "gamma": "x"}}}),
+        ("weights.pair.L", {"weights": {"pair": {"family": "log-pair", "L": "x"}}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

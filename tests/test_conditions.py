@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.conditions import t_sweep
@@ -412,7 +413,49 @@ class TestWeightComparison:
                                          const(n, 0.0, "test"), 2.0)
 
 
+def reference_muckenhoupt(space, w, r):
+    """The Muckenhoupt constant as a per-center loop: one stable sort of each
+    row, tie-group ends from np.unique and searchsorted."""
+    rp = r / (r - 1.0)
+    best = 0.0
+    mu = space.mu
+    for x in range(space.n):
+        d = space.dist[x]
+        order = np.argsort(d, kind="stable")
+        ds = d[order]
+        cmu = np.cumsum(mu[order])
+        cw = np.cumsum((w * mu)[order])
+        cwr = np.cumsum((w ** (1.0 - rp) * mu)[order])
+        ends = np.searchsorted(ds, np.unique(ds), side="right") - 1
+        vals = (cw[ends] / cmu[ends]) * (cwr[ends] / cmu[ends]) ** (r - 1.0)
+        best = max(best, float(vals.max()))
+    return best
+
+
+@st.composite
+def tied_spaces(draw):
+    """A uniform grid, a Cantor set or an asymmetric table with tied distances,
+    up to a few blocks of rows."""
+    kind = draw(st.sampled_from(["grid", "cantor", "explicit"]))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(2, 150)))
+    if kind == "cantor":
+        return vx.cantor_space(draw(st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 150))
+    dist = rng.integers(1, 6, (n, n)) / 4.0
+    np.fill_diagonal(dist, 0.0)
+    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n))
+
+
 class TestMuckenhoupt:
+    @given(tied_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.7]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_center_loop_exactly(self, sp, seed, r):
+        w = np.random.default_rng(seed).uniform(0.01, 10.0, sp.n)
+        got = vx.muckenhoupt_ar(sp, vx.PointFunction(w, "weight"), r)
+        assert got == reference_muckenhoupt(sp, w, r)
+
     def test_unit_weight(self):
         sp = vx.uniform_grid(128)
         assert vx.muckenhoupt_ar(sp, const(128, 1.0, "weight"), 2.0) == pytest.approx(1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
+from vexleb.norms import _modular_arrays
 
 
 def const(n, v, kind="exponent"):
@@ -62,6 +63,23 @@ class TestModular:
         f = const(10, 1.0, "test")
         half = np.arange(5)
         assert vx.modular(sp, const(10, 3.0), f, half) == pytest.approx(0.5)
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_block_modular_equals_gather_scatter(self, seed, rows, variable_p):
+        # the former form: power only at the gathered nonzero entries
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        fv = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        fv[rng.uniform(size=(rows, n)) < 0.3] = 0.0
+        pv = rng.uniform(1.01, 6.0, n) if variable_p else np.full(n, rng.uniform(1.01, 6.0))
+        mu = rng.uniform(0.1, 1.0, n)
+        absf = np.abs(fv)
+        pos = absf > 0
+        powered = np.zeros_like(absf)
+        powered[pos] = absf[pos] ** np.broadcast_to(pv, absf.shape)[pos]
+        assert np.array_equal(_modular_arrays(fv, pv, mu), (powered * mu).sum(axis=-1))
 
 
 class TestLuxemburgNorm:

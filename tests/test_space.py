@@ -4,11 +4,181 @@ from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, ValidationError
+from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT
 
 
 def brute_ball(space, center, r, closed=False):
     d = space.dist[center]
     return set(np.flatnonzero(d <= r if closed else d < r).tolist())
+
+
+# Per-center reference loops for the geometry sweep: each sorts one row,
+# takes the distinct distances with np.unique and searches every radius.
+JITTER = 1e-9
+
+
+def sorted_row(space, x):
+    d = space.dist[x]
+    order = np.argsort(d, kind="stable")
+    return d[order], np.concatenate([[0.0], np.cumsum(space.mu[order])])
+
+
+def closed_measures(ds, prefix, radii):
+    return prefix[np.searchsorted(ds, radii * (1.0 + JITTER), side="right")]
+
+
+def open_measures(ds, prefix, radii):
+    return prefix[np.searchsorted(ds, radii * (1.0 - JITTER), side="left")]
+
+
+def reference_doubling(space, A):
+    doubling_c, rdc_B = 0.0, np.inf
+    dbl_wit, rdc_wit = (), ()
+    skipped = 0
+    cap = space.L_eff / A
+    for x in range(space.n):
+        ds, prefix = sorted_row(space, x)
+        radii = np.unique(ds[ds > 0])
+        if radii.size == 0:
+            continue
+        m_r = closed_measures(ds, prefix, radii)
+        m_2r = closed_measures(ds, prefix, 2.0 * radii)
+        ok = m_r > 0
+        skipped += int((~ok).sum())
+        if ok.any():
+            ratios = m_2r[ok] / m_r[ok]
+            j = int(ratios.argmax())
+            if ratios[j] > doubling_c:
+                doubling_c, dbl_wit = float(ratios[j]), (x, float(radii[ok][j]))
+        small = radii <= cap
+        if small.any():
+            m_open = open_measures(ds, prefix, radii[small])
+            m_A = open_measures(ds, prefix, A * radii[small])
+            pos = m_open > 0
+            skipped += int((~pos).sum())
+            if pos.any():
+                ratios = m_A[pos] / m_open[pos]
+                j = int(ratios.argmin())
+                if ratios[j] < rdc_B:
+                    rdc_B, rdc_wit = float(ratios[j]), (x, float(radii[small][pos][j]))
+    return doubling_c, rdc_B, dbl_wit, rdc_wit, skipped
+
+
+def reference_ahlfors(space, q):
+    c1, c2 = 0.0, np.inf
+    w1, w2 = (), ()
+    for x in range(space.n):
+        ds, prefix = sorted_row(space, x)
+        pos = np.unique(ds[ds > 0])
+        if pos.size == 0:
+            continue
+        radii = np.append(pos, pos[-1] * (1.0 + 1e-6))
+        m = open_measures(ds, prefix, radii)
+        ok = m > 0
+        ratios = np.where(ok, m / radii**q, -np.inf)
+        j = int(ratios.argmax())
+        if ratios[j] > c1:
+            c1, w1 = float(ratios[j]), (x, float(radii[j]))
+        low = ok & (radii <= space.L_eff)
+        if low.any():
+            rl = ratios[low]
+            j = int(rl.argmin())
+            if rl[j] < c2:
+                c2, w2 = float(rl[j]), (x, float(radii[low][j]))
+    return c1, c2, w1, w2
+
+
+def reference_annuli_nonempty(space, A):
+    for x in range(space.n):
+        ds = np.unique(space.dist[x])
+        ds = ds[(ds > 0) & (ds <= space.L_eff)]
+        if ds.size >= 2 and np.any(ds[1:] > A * ds[:-1] * (1 + 1e-12)):
+            return False
+    return True
+
+
+def reference_quasi(space, seed, sample_triples):
+    """a0 from the full table d / d.T; a1 with one n x n temporary per center,
+    or over the seeded triples with 2-D gathers."""
+    d, n = space.dist, space.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = d / d.T
+    ratios[~np.isfinite(ratios)] = 0.0
+    a0_pair = tuple(int(i) for i in np.unravel_index(int(ratios.argmax()), ratios.shape))
+    a1, a1_triple = 0.0, (0, 0, 0)
+    if n <= EXHAUSTIVE_TRIPLE_LIMIT:
+        for x in range(n):
+            two_hop = np.min(d[x][:, None] + d, axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(two_hop > 0, d[x] / two_hop, 0.0)
+            y = int(r.argmax())
+            if r[y] > a1:
+                a1, a1_triple = float(r[y]), (x, y, int(np.argmin(d[x] + d[:, y])))
+    else:
+        rng = np.random.default_rng(seed)
+        remaining = max(sample_triples, 10**6)
+        while remaining > 0:
+            m = min(200_000, remaining)
+            xs, ys, zs = (rng.integers(0, n, m) for _ in range(3))
+            denom = d[xs, zs] + d[zs, ys]
+            ok = denom > 0
+            if ok.any():
+                r = d[xs[ok], ys[ok]] / denom[ok]
+                j = int(r.argmax())
+                if r[j] > a1:
+                    kk = np.flatnonzero(ok)[j]
+                    a1, a1_triple = float(r[j]), (int(xs[kk]), int(ys[kk]), int(zs[kk]))
+            remaining -= m
+    return float(ratios.max()), a0_pair, a1, a1_triple
+
+
+def reference_report(space, A, q, seed=0, sample_triples=10**6):
+    a0, a0_pair, a1, a1_triple = reference_quasi(space, seed, sample_triples)
+    doubling_c, rdc_B, dbl_wit, rdc_wit, skipped = reference_doubling(space, A)
+    c1, c2, _, _ = reference_ahlfors(space, q)
+    return vx.GeometryReport(
+        a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
+        ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=q,
+        annuli_nonempty=reference_annuli_nonempty(space, A),
+        a0_pair=a0_pair, a1_triple=a1_triple,
+        doubling_witness=dbl_wit, rdc_witness=rdc_wit, skipped_balls=skipped)
+
+
+@st.composite
+def tied_spaces(draw, sizes, modes=("ties", "near-ties", "on searched radii")):
+    """Asymmetric explicit tables with tied distances and uneven weights.  A
+    third of them carry near-ties at relative 1e-10 to 3e-9, inside the
+    radius jitter; another third has distances exactly on the radii searched
+    from other distances.  Some have a diameter cap below the largest
+    distance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(sizes)
+    dist = rng.uniform(0.2, 1.3, 5)[rng.integers(0, 5, (n, n))]
+    mode = draw(st.sampled_from(modes))
+    if mode == "near-ties":
+        dist *= 1.0 + rng.choice([-1.0, 0.0, 1.0], (n, n)) * rng.uniform(1e-10, 3e-9, (n, n))
+    elif mode == "on searched radii":
+        r = np.unique(dist)
+        searched = np.concatenate([r * (1.0 + JITTER), r * (1.0 - JITTER), 2.0 * r * (1.0 + JITTER)]
+                                  + [A * r * (1.0 - JITTER) for A in (1.5, 2.0, 3.0)])
+        moved = rng.uniform(size=(n, n)) < 0.3
+        dist[moved] = rng.choice(searched, int(moved.sum()))
+    np.fill_diagonal(dist, 0.0)
+    L = draw(st.sampled_from([np.inf, 0.8, 1.25]))
+    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n), 0, L)
+
+
+@st.composite
+def geometry_spaces(draw):
+    kind = draw(st.sampled_from(["grid", "cantor", "tied", "tied", "block edge"]))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(2, 90)))
+    if kind == "cantor":
+        return vx.cantor_space(draw(st.integers(1, 7)))
+    if kind == "tied":
+        return draw(tied_spaces(st.integers(2, 40)))
+    edges = [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    return draw(tied_spaces(st.sampled_from(edges)))
 
 
 class TestBall:
@@ -49,6 +219,37 @@ class TestBall:
         b1, b2 = vx.ball(sp, 0, r1), vx.ball(sp, 0, r2)
         assert set(b1.members.tolist()) <= set(b2.members.tolist())
         assert b1.measure <= b2.measure + 1e-15
+
+
+class TestGeometryAgainstPerCenterLoops:
+    @given(geometry_spaces(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_report_equals_loops_exactly(self, sp, A, q):
+        # repr: the same values and the same Python types
+        got = vx.geometry_constants(sp, A=A, ahlfors_exponent=q)
+        assert repr(got) == repr(reference_report(sp, A, q))
+        assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+        assert repr(vx.ahlfors_regularity(sp, q)) == repr(reference_ahlfors(sp, q))
+
+    @given(tied_spaces(st.integers(EXHAUSTIVE_TRIPLE_LIMIT + 1, EXHAUSTIVE_TRIPLE_LIMIT + 8)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_sampled_triples_equal_loops_exactly(self, sp, seed):
+        got = vx.geometry_constants(sp, seed=seed, sample_triples=1000)
+        assert repr(got) == repr(reference_report(sp, 2.0, 1.0, seed=seed, sample_triples=1000))
+
+    @given(tied_spaces(st.integers(10, 40), modes=("on searched radii",)),
+           st.sampled_from([1.5, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_distances_on_searched_radii(self, sp, A):
+        # the searched radii are rounded as the loops round them
+        assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+
+    def test_single_point(self):
+        sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
+        assert vx.ahlfors_regularity(sp, 1.0) == reference_ahlfors(sp, 1.0) == (0.0, np.inf, (), ())
+        with pytest.raises(DomainError):
+            vx.geometry_constants(sp)
 
 
 class TestGeometryConstants:
