@@ -1,7 +1,7 @@
 """Modulars, Luxemburg norms, and the inequalities between them.
 
-For constant exponents the norm has a closed form, which the bisection
-reproduces to ten digits.  For variable exponents there is no closed form;
+For constant exponents the norm has a closed form, which the Newton
+iteration reproduces to ten digits in two steps.  For variable exponents there is no closed form;
 the two-point example below is solvable by hand and lands exactly on 2.
 
 Run:  python demos/02_luxemburg_norms.py
@@ -15,13 +15,13 @@ n = 256
 sp = vx.uniform_grid(n)
 f = vx.PointFunction(rng.uniform(0, 3, n), "test")
 
-print("constant exponents: bisection vs closed form")
+print("constant exponents: Newton iteration vs closed form")
 for pval in (1.5, 2.0, 3.0):
     p = vx.PointFunction.constant(n, pval, "exponent")
     res = vx.luxemburg_norm(sp, p, f)
     closed = ((np.abs(f.values) ** pval * sp.mu).sum()) ** (1 / pval)
     print(f"  p = {pval}: norm = {res.value:.12f}, closed form = {closed:.12f}, "
-          f"{res.bisection_iters} bisection steps")
+          f"{res.bisection_iters} steps")
 
 two = vx.explicit_space([[0, 1], [1, 0]], [0.5, 0.5], 0, 1.0)
 p24 = vx.PointFunction([2.0, 4.0], "exponent")

@@ -216,12 +216,16 @@ class Scenario:
         seed = data.get("seed", 0)
         if not isinstance(seed, Integral) or isinstance(seed, bool):
             raise ValidationError(f"scenario.seed: must be an integer, got {seed!r}")
+        compose_hardy = data.get("compose_hardy", False)
+        if not isinstance(compose_hardy, bool):
+            raise ValidationError(
+                f"scenario.compose_hardy: must be true or false, got {compose_hardy!r}")
         return cls(
             name=name, space_spec=space_spec, p_spec=exps.get("p"),
             alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
             operator=operator, conditions=conds, resolutions=resolutions,
             seed=int(seed), params=dict(_mapping(data, "params")),
-            compose_hardy=bool(data.get("compose_hardy", False)),
+            compose_hardy=compose_hardy,
         )
 
     def to_dict(self) -> dict:

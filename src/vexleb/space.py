@@ -130,8 +130,8 @@ class DiscreteSpace:
             raise ValidationError("distances must be finite and nonnegative")
         if np.any(np.diag(dist) != 0.0):
             raise ValidationError("dist(x, x) must be 0")
-        off = dist + np.eye(n)
-        if np.any(off <= 0):
+        # with a zero diagonal and no negative entry, only the diagonal may be 0
+        if dist.size - np.count_nonzero(dist) != n:
             raise ValidationError("dist(x, y) = 0 with x != y violates separation")
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
             raise ValidationError("point weights must be positive and finite")
@@ -618,13 +618,19 @@ def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0,
 # generators
 
 
+def _line_distances(coords: np.ndarray) -> np.ndarray:
+    """|coords[x] - coords[y]| as one (n, n) table, built in place."""
+    dist = np.subtract.outer(coords, coords)
+    return np.abs(dist, out=dist)
+
+
 def uniform_grid(n: int) -> DiscreteSpace:
     """Uniform n-point grid on [0, 1] (both endpoints included) with equal
     weights 1/n."""
     if n < 2:
         raise DomainError("grid needs at least 2 points")
     coords = np.linspace(0.0, 1.0, n)
-    dist = np.abs(coords[:, None] - coords[None, :])
+    dist = _line_distances(coords)
     return DiscreteSpace(dist=dist, mu=np.full(n, 1.0 / n), x0=0, L=1.0, coords=coords)
 
 
@@ -635,7 +641,7 @@ def cantor_space(depth: int) -> DiscreteSpace:
         raise DomainError("depth must be at least 1")
     bits = (np.arange(2**depth)[:, None] >> np.arange(depth)) & 1
     coords = np.sort((2.0 * bits / 3.0 ** (np.arange(depth) + 1)).sum(axis=1))
-    dist = np.abs(coords[:, None] - coords[None, :])
+    dist = _line_distances(coords)
     mu = np.full(coords.size, 2.0 ** (-depth))
     return DiscreteSpace(dist=dist, mu=mu, x0=0, L=1.0, coords=coords)
 
@@ -684,7 +690,7 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     if metric == "euclidean1d":
         if coords is None:
             raise ValidationError("space.points: euclidean1d metric needs coords")
-        dist = np.abs(coords[:, None] - coords[None, :])
+        dist = _line_distances(coords)
     elif metric == "explicit":
         if "dist" not in spec:
             raise ValidationError("space.dist: required for explicit metric")

@@ -64,7 +64,7 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     then every numerator.  ``op`` maps one vector to one vector and is called
     once per probe with a nonzero denominator, in probe order.
     ``converged`` is False when any of those norms stopped short of its
-    bisection tolerance.
+    tolerance.
     """
     if trials < 1:
         raise DomainError("need at least one trial")

@@ -141,6 +141,7 @@ class TestRun:
         ("weights.pair.beta", {"weights": {"pair": {"family": "power-pair", "beta": "x"}}}),
         ("weights.pair.gamma", {"weights": {"pair": {"family": "power-pair", "gamma": "x"}}}),
         ("weights.pair.L", {"weights": {"pair": {"family": "log-pair", "L": "x"}}}),
+        ("compose_hardy", {"compose_hardy": "false"}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

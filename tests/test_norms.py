@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.norms import _modular_arrays
@@ -192,6 +192,47 @@ class TestBatchedNorms:
             vx.luxemburg_norms(sp, const(8, 2.0), np.full((2, 8), np.inf))
         with pytest.raises(vx.DomainError):
             vx.luxemburg_norms(sp, const(8, 2.0), np.ones(8))
+
+
+class TestNewtonBracket:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6),
+           st.sampled_from([0.0, 100.0]))
+    @example(seed=5101, variable_p=True, use_subset=False, scales=[0.0], mu_decades=100.0)
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_tolerance_and_homogeneity(self, seed, variable_p, use_subset, scales,
+                                               mu_decades):
+        # weights spread over mu_decades orders of magnitude and entries
+        # over up to 30 push Newton targets out of the bracket
+        from vexleb.norms import MAX_ITERS
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 48))
+        sp = random_space(rng, n)
+        if mu_decades:
+            sp = vx.explicit_space(sp.dist, 10.0 ** rng.uniform(-mu_decades, 0.0, n), 0, 1.0)
+        p = vx.PointFunction(rng.uniform(1.0000001, 20.0, n), "exponent") if variable_p \
+            else const(n, float(rng.uniform(1.0000001, 20.0)))
+        rows = len(scales)
+        block = rng.uniform(0, 1, (rows, n)) ** rng.uniform(1, 30) \
+            * 10.0 ** np.array(scales)[:, None]
+        block[rng.uniform(size=(rows, n)) < 0.4] = 0.0
+        subset = rng.uniform(size=n) < 0.6 if use_subset else None
+        c = 10.0 ** rng.uniform(-3, 3)
+        results = vx.luxemburg_norms(sp, p, block, subset)
+        scaled = vx.luxemburg_norms(sp, p, c * block, subset)
+        for row, res, res_c in zip(block, results, scaled):
+            if res.value == 0.0:
+                continue
+            lo, hi = res.bracket
+            assert res.value == hi
+            at_hi = vx.modular(sp, p, vx.PointFunction(row / hi, "test"), subset)
+            assert at_hi == res.modular_at_value
+            assert at_hi <= 1.0 < vx.modular(sp, p, vx.PointFunction(row / lo, "test"), subset)
+            assert hi - lo <= 1e-10 * hi and res.converged
+            assert res_c.value == pytest.approx(c * res.value, rel=1e-9)
+            assert res.bisection_iters < MAX_ITERS
+            if not variable_p:
+                assert res.bisection_iters <= 4
 
 
 class TestSubsetNorms:

@@ -414,6 +414,18 @@ class TestSpaceValidation:
         with pytest.raises(ValidationError):
             vx.explicit_space([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5], 0, 1.0)
 
+    @pytest.mark.parametrize("dist, message", [
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], "square"),
+        ([[0.0, -1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "nonnegative"),
+        ([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "finite"),
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1e-300]], "dist\\(x, x\\) must be 0"),
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 1.0, 0.0]], "separation"),
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, -0.0, 0.0]], "separation"),
+    ])
+    def test_each_table_check_names_its_fault(self, dist, message):
+        with pytest.raises(ValidationError, match=message):
+            vx.DiscreteSpace(dist=np.array(dist), mu=np.full(len(dist), 0.5), x0=0, L=2.0)
+
     def test_infinite_needs_truncation(self):
         with pytest.raises(ValidationError):
             vx.DiscreteSpace(dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
