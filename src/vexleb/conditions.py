@@ -13,6 +13,19 @@ the piecewise-constant curve exactly; region boundaries use the half-open
 convention {d0 <= t} / {t < d0} throughout, so mirror and constant-order
 consistency identities hold exactly on discrete data.
 
+Every functional is evaluated in logs.  Each one hands the sweep evaluator
+(``_sup_functional``) its outer bases and the log of its inner integrand,
+log base * exponent + log mu: one array when the exponent is constant, else
+a callable giving the rows of a block of outer points.  Inner sums are
+row-max-scaled cumsums in basepoint order (tail sums reversed cumsums), and
+the outer sum is a max-scaled exp-sum per sweep step over blocks of outer
+points, so an exponent near 1 (conjugate near infinity) or weights near
+1e+-200 neither overflow nor collapse to 0.  The curve is evaluated once per
+step, at the knots 0, the distinct distances and L, and each midpoint
+repeats the knot below it.  Only true atoms, a zero base under a negative
+exponent, are dropped from an inner sum; ``meta["skipped_inner"]`` counts
+them.
+
 Values are reported with the full per-t curve and the attaining t.
 Finiteness is a refinement trend, never a boolean at one resolution; see
 ``finite_hint``.
@@ -73,9 +86,10 @@ class ConditionReport:
 
 def finite_hint(values: Sequence[float]) -> Optional[bool]:
     """Two-resolution trend rule: all successive ratios <= 1.25 -> True
-    (stable), the last two ratios >= 2 -> False (divergent), else None."""
+    (stable), the last two ratios >= 2 -> False (divergent), else None.
+    A series holding an infinite or NaN value supports no trend: None."""
     vals = [float(v) for v in values]
-    if len(vals) < 2:
+    if len(vals) < 2 or not np.all(np.isfinite(vals)):
         return None
     ratios = []
     for a, b in zip(vals, vals[1:]):
@@ -129,68 +143,141 @@ def _muB0(space: DiscreteSpace) -> np.ndarray:
     return prefix[np.searchsorted(d0[order], d0, side="left")]
 
 
-def _sup_functional(space: DiscreteSpace, name: str, outer_base: np.ndarray,
-                    outer_tail: bool, inner, gamma: np.ndarray,
-                    inner_head: bool, meta: Optional[dict] = None) -> ConditionReport:
-    """Evaluate one sup-functional over the sweep.
+# outer points per block: B * max(n, knots) stays at or below this many
+# elements, so a block's temporaries are a few MB at any resolution
+_BLOCK_ELEMS = 2**17
 
-    ``inner`` is either an array (x-independent inner integrand including mu)
-    or a callable x -> array.  ``gamma`` is the per-x outer power applied to
-    the inner sum.  Non-finite inner entries (basepoint atoms of singular
-    radial profiles) are zeroed and counted.
+
+def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool) -> np.ndarray:
+    """Logs of the partial sums of exp(r) along each row of ``r`` (no entry
+    +inf), read at positions ``at``: the sum over the first ``at`` entries
+    (head) or over the entries from ``at`` on (tail).
+
+    Each row is scaled by its maximum before the exp and the cumsum; a tail
+    is its own reversed cumsum, never a total minus a head, which would
+    cancel.  A row whose running sum underflowed to 0 after a finite entry
+    is recomputed alone by ``np.logaddexp.accumulate``.
+    """
+    b, n = r.shape
+    m = r.max(axis=1, initial=-np.inf)
+    m[m == -np.inf] = 0.0
+    csum = np.zeros((b, n + 1))
+    terms = csum[:, 1:] if head else csum[:, :-1]
+    np.subtract(r, m[:, None], out=terms)
+    np.exp(terms, out=terms)
+    if not head:
+        terms = terms[:, ::-1]
+    np.cumsum(terms, axis=1, out=terms)
+    with np.errstate(divide="ignore"):
+        out = np.log(csum[:, at]) + m[:, None]
+    # the zeros of a running sum are its first entries; they are exact only
+    # where every term summed so far is exp(-inf)
+    zeros = n - np.count_nonzero(terms, axis=1)
+    for i in np.flatnonzero(zeros):
+        seen = r[i, :zeros[i]] if head else r[i, n - zeros[i]:]
+        if np.any(seen > -np.inf):
+            lsum = np.full(n + 1, -np.inf)
+            if head:
+                lsum[1:] = np.logaddexp.accumulate(r[i])
+            else:
+                lsum[-2::-1] = np.logaddexp.accumulate(r[i, ::-1])
+            out[i] = lsum[at]
+    return out
+
+
+def _log_col_sums(vals: np.ndarray) -> np.ndarray:
+    """log of the sum over rows of exp(vals), per column, scaled by the
+    column maximum; overwrites ``vals``."""
+    m = vals.max(axis=0)
+    m[m == -np.inf] = 0.0
+    vals -= m
+    np.exp(vals, out=vals)
+    with np.errstate(divide="ignore"):
+        return np.log(vals.sum(axis=0)) + m
+
+
+def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
+                    forward: bool, inner, gamma: np.ndarray,
+                    meta: Optional[dict] = None) -> ConditionReport:
+    """Evaluate one sup-functional over the sweep, in logs.
+
+    ``forward`` selects the outer region {t < d0 <= L} with the inner sum
+    over {d0 <= t}; otherwise the outer region is {d0 <= t} and the inner
+    sum runs over {t < d0 <= L}.  ``log_outer`` is log O(x), the outer base
+    times mu (-inf where O is 0).  ``inner`` is the log-integrand of the
+    inner sum, log of (integrand times mu): an array when it does not depend
+    on the outer point x, else a callable taking a block of outer indices xs
+    to a (len(xs), n) array.  ``gamma`` is the per-x outer power applied to
+    the inner sum W_x(t).  The curve at t is the sum over the outer region
+    of exp(log O(x) + gamma(x) log W_x(t)), so neither a weight raised to a
+    large power nor a sum of such terms overflows or underflows before the
+    result itself would.
+
+    Inner entries of +inf are the atoms of a zero base under a negative
+    exponent (the basepoint of a singular integrand): they are zeroed and
+    counted in ``meta["skipped_inner"]``, once per inner row evaluated (one
+    row for an x-independent integrand, one per outer point otherwise).
+
+    The curve is evaluated once per step of the sweep, at the knots 0, the
+    distinct basepoint distances within [0, L] and L: a midpoint of
+    ``t_sweep`` lies in the same half-open regions as the knot below it, so
+    its entry is that knot's.  Outer points are taken in blocks sorted by
+    where their region starts; each block reads only the knots its points
+    reach and only the inner entries summed at those knots.
     """
     L = space.L_eff
     d0 = space.d0
-    cap = d0 <= L * (1 + 1e-12)
-    O = np.where(cap, outer_base, 0.0)
+    capped = d0 <= L * (1 + 1e-12)
+    log_O = np.where(capped, log_outer, -np.inf)
     order = np.argsort(d0, kind="stable")
     ds = d0[order]
+    n_in = int(np.count_nonzero(capped))  # inner sums run over the first n_in in order
     ts = t_sweep(space)
-    head_count = np.searchsorted(ds, ts, side="right")
-    curve = np.zeros(ts.size)
+    knots = np.unique(np.concatenate([[0.0], ds[ds <= L], [L]]))
+    T = knots.size
+    # the inner sum at knot k holds the first head_count[k] points (forward)
+    # or the capped points after them
+    head_count = np.searchsorted(ds, knots, side="right")
+    # x is outer at knot k when forward: k < cut(x); else k >= cut(x)
+    cut = np.searchsorted(knots, d0, side="left")
+    gamma = np.asarray(gamma, dtype=float)
     skipped = 0
 
-    def w_of_t(yvals: np.ndarray) -> np.ndarray:
-        csum = np.concatenate([[0.0], np.cumsum(yvals[order])])
-        head = csum[head_count]
-        return head if inner_head else csum[-1] - head
-
-    def clean(yvals: np.ndarray) -> np.ndarray:
+    def log_W(r: np.ndarray, k0: int, k1: int) -> np.ndarray:
+        """log W at knots k0..k1-1 from log-integrand rows in point order."""
         nonlocal skipped
-        yvals = np.where(cap, yvals, 0.0)
-        bad = ~np.isfinite(yvals)
-        if bad.any():
-            skipped += int(bad.sum())
-            yvals = np.where(bad, 0.0, yvals)
-        return yvals
+        lo, hi = (0, head_count[k1 - 1]) if forward else (head_count[k0], n_in)
+        r = r[:, order[lo:hi]]
+        for i in np.flatnonzero(r.max(axis=1, initial=-np.inf) == np.inf):
+            atoms = r[i] == np.inf
+            skipped += int(atoms.sum())
+            r[i, atoms] = -np.inf
+        return _log_partial_sums(r, head_count[k0:k1] - lo, forward)
 
-    # x contributes at sweep index k when outer_tail: k < cut(x); else k >= cut(x)
-    cut = np.searchsorted(ts, d0, side="left")
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (space.n,)).astype(float)
-
-    def powW(W: np.ndarray, g: float) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.where(W > 0, W ** g, 0.0)
-
-    if isinstance(inner, np.ndarray):
-        W = w_of_t(clean(inner))
-        if np.ptp(gamma) <= 1e-13 * max(1.0, abs(float(gamma[0]))):
-            # outer sums per sweep index via a histogram over cut values
-            H = np.zeros(ts.size + 1)
-            np.add.at(H, cut, O)
-            cumH = np.cumsum(H)[: ts.size]
-            R = (float(O.sum()) - cumH) if outer_tail else cumH
-            curve = powW(W, float(gamma[0])) * R
-        else:
-            for x in np.flatnonzero(O > 0):
-                sl = slice(0, cut[x]) if outer_tail else slice(cut[x], None)
-                curve[sl] += O[x] * powW(W[sl], gamma[x])
+    xs = np.flatnonzero(log_O > -np.inf)
+    xs = xs[np.argsort(cut[xs], kind="stable")]
+    shared = log_W(inner[None, :], 0, T)[0] if isinstance(inner, np.ndarray) else None
+    if shared is not None and np.ptp(gamma) <= 1e-13 * max(1.0, abs(float(gamma[0]))):
+        # W**gamma factors out: the outer sums per knot are partial sums over
+        # the outer points in cut order
+        at = np.searchsorted(cut[xs], np.arange(T), side="right")
+        log_R = _log_partial_sums(log_O[xs][None, :], at, not forward)[0]
+        log_curve = float(gamma[0]) * shared + log_R
     else:
-        for x in np.flatnonzero(O > 0):
-            W = w_of_t(clean(inner(x)))
-            sl = slice(0, cut[x]) if outer_tail else slice(cut[x], None)
-            curve[sl] += O[x] * powW(W[sl], gamma[x])
+        log_curve = np.full(T, -np.inf)
+        xs = xs[cut[xs] > 0] if forward else xs[cut[xs] < T]
+        B = max(1, _BLOCK_ELEMS // max(space.n, T))
+        for s in range(0, xs.size, B):
+            blk = xs[s:s + B]
+            c = cut[blk]
+            k0, k1 = (0, int(c[-1])) if forward else (int(c[0]), T)
+            W = shared[None, k0:k1] if shared is not None else log_W(inner(blk), k0, k1)
+            vals = log_O[blk, None] + gamma[blk, None] * W
+            k = np.arange(k0, k1)
+            vals[(k >= c[:, None]) if forward else (k < c[:, None])] = -np.inf
+            log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], _log_col_sums(vals))
 
+    curve = np.exp(log_curve)[np.searchsorted(knots, ts, side="right") - 1]
     j = int(curve.argmax())
     meta = dict(meta or {})
     meta["skipped_inner"] = skipped
@@ -205,19 +292,27 @@ def _ordering_check(name: str, lower: PointFunction, upper: PointFunction):
             f"{name}: local exponent exceeds the target exponent", witness=int(bad[0]))
 
 
-def _pow_inner(wv: np.ndarray, e: np.ndarray, mu: np.ndarray):
-    """Inner integrand w**e(x) mu, collapsed to an array when e is constant.
-    Infinite entries (zero base, negative exponent) are left for the sweep
-    evaluator to zero out and count."""
+def _log(x) -> np.ndarray:
+    """Natural log, -inf at 0 without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _log_positive(x: np.ndarray) -> np.ndarray:
+    """Natural log of the positive entries of x, 0 at the others; callers
+    mask those (the basepoint's zero distance and ball measure)."""
+    return np.log(np.where(x > 0, x, 1.0))
+
+
+def _pow_inner(log_w: np.ndarray, e: np.ndarray, log_mu: np.ndarray):
+    """Log-integrand e(x) log w + log mu of the inner sum of w**e(x) mu: an
+    array when e is constant, else a callable taking a block of outer
+    indices xs to a (len(xs), n) array.  A zero base (log w = -inf) under a
+    negative exponent gives +inf, an atom the sweep evaluator zeroes and
+    counts."""
     if np.ptp(e) <= 1e-13 * max(1.0, abs(float(e[0]))):
-        with np.errstate(divide="ignore"):
-            return wv ** e[0] * mu
-
-    def inner(x):
-        with np.errstate(divide="ignore"):
-            return wv ** e[x] * mu
-
-    return inner
+        return e[0] * log_w + log_mu
+    return lambda xs: e[xs, None] * log_w + log_mu
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -236,9 +331,9 @@ def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
     le = local_exponents(space, p, a)
     _ordering_check("hardy condition", le.ball_min_capped, q)
     e = conjugate(le.ball_min_capped).values
-    O = vv ** q.values * space.mu
-    return _sup_functional(space, "hardy", O, True, _pow_inner(wv, e, space.mu),
-                           q.values / e, True)
+    log_mu = np.log(space.mu)
+    return _sup_functional(space, "hardy", q.values * _log(vv) + log_mu, True,
+                           _pow_inner(_log(wv), e, log_mu), q.values / e)
 
 
 def hardy_tail_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -251,9 +346,9 @@ def hardy_tail_condition(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     le = local_exponents(space, p, a)
     _ordering_check("hardy tail condition", le.tail_min_capped, q)
     e = conjugate(le.tail_min_capped).values
-    O = vv ** q.values * space.mu
-    return _sup_functional(space, "hardy-tail", O, False, _pow_inner(wv, e, space.mu),
-                           q.values / e, False)
+    log_mu = np.log(space.mu)
+    return _sup_functional(space, "hardy-tail", q.values * _log(vv) + log_mu, False,
+                           _pow_inner(_log(wv), e, log_mu), q.values / e)
 
 
 def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
@@ -283,18 +378,16 @@ def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     e0 = conjugate(le.ball_min_capped).values
     e1 = conjugate(le.tail_min_capped).values
     muB0 = _muB0(space)
-    mu = space.mu
+    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
 
-    with np.errstate(divide="ignore"):
-        O1 = np.where(muB0 > 0, (vv * np.where(muB0 > 0, muB0, 1.0) ** (alpha - 1.0))
-                      ** q.values * mu, 0.0)
-    r1 = _sup_functional(space, "potential-ball", O1, True,
-                         _pow_inner(wv, -e0, mu), q.values / e0, True)
+    log_O1 = np.where(muB0 > 0, q.values * (log_v + (alpha - 1.0) * _log_positive(muB0))
+                      + log_mu, -np.inf)
+    r1 = _sup_functional(space, "potential-ball", log_O1, True,
+                         _pow_inner(log_w, -e0, log_mu), q.values / e0)
 
-    O2 = vv ** q.values * mu
-    base2 = wv * muB0 ** (1.0 - alpha)
-    r2 = _sup_functional(space, "potential-tail", O2, False,
-                         _pow_inner(base2, -e1, mu), q.values / e1, False)
+    log_base2 = log_w + (1.0 - alpha) * _log(muB0)
+    r2 = _sup_functional(space, "potential-tail", q.values * log_v + log_mu, False,
+                         _pow_inner(log_base2, -e1, log_mu), q.values / e1)
     return r1, r2
 
 
@@ -317,19 +410,18 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     e0 = conjugate(le.ball_min).values
     e1 = conjugate(le.tail_min).values
     d0 = space.d0
-    mu = space.mu
+    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
+    log_d0 = _log_positive(d0)
 
-    with np.errstate(divide="ignore"):
-        O1 = np.where(d0 > 0, (vv * np.where(d0 > 0, d0, 1.0)
-                               ** (alpha.values - 1.0)) ** q.values * mu, 0.0)
-    r1 = _sup_functional(space, "distance-ball", O1, True,
-                         _pow_inner(wv, -e0, mu), q.values / e0, True, meta=meta)
+    log_O1 = np.where(d0 > 0, q.values * (log_v + (alpha.values - 1.0) * log_d0) + log_mu,
+                      -np.inf)
+    r1 = _sup_functional(space, "distance-ball", log_O1, True,
+                         _pow_inner(log_w, -e0, log_mu), q.values / e0, meta=meta)
 
-    O2 = vv ** q.values * mu
-    base2 = wv * np.where(d0 > 0, d0, 1.0) ** (1.0 - alpha.values)
-    base2 = np.where(d0 > 0, base2, np.inf)  # basepoint atom never enters the tail
-    r2 = _sup_functional(space, "distance-tail", O2, False,
-                         _pow_inner(base2, -e1, mu), q.values / e1, False, meta=meta)
+    # a base of +inf keeps the basepoint atom out of the tail
+    log_base2 = np.where(d0 > 0, log_w + (1.0 - alpha.values) * log_d0, np.inf)
+    r2 = _sup_functional(space, "distance-tail", q.values * log_v + log_mu, False,
+                         _pow_inner(log_base2, -e1, log_mu), q.values / e1, meta=meta)
     return r1, r2
 
 
@@ -397,19 +489,18 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
     le = local_exponents(space, p, a)
-    mu = space.mu
+    log_mu, log_v = np.log(space.mu), _log(vr)
     muB0 = _muB0(space)
     d0 = space.d0
     p_conj_x0 = float(p.values[space.x0] / (p.values[space.x0] - 1.0))
 
     if variant in ("potential", "potential-basepoint"):
-        denom = np.where(muB0 > 0, muB0, 1.0) ** (1.0 - alpha)
-        O = np.where(muB0 > 0, (vr / denom) ** out_exp * mu, 0.0)
+        log_denom = np.where(muB0 > 0, (1.0 - alpha) * _log_positive(muB0), np.inf)
     elif variant == "distance-potential":
-        denom = np.where(d0 > 0, d0, 1.0) ** (1.0 - alpha)
-        O = np.where(d0 > 0, (vr / denom) ** out_exp * mu, 0.0)
+        log_denom = np.where(d0 > 0, (1.0 - alpha) * _log_positive(d0), np.inf)
     else:
-        O = np.where(muB0 > 0, (vr / np.where(muB0 > 0, muB0, 1.0)) ** out_exp * mu, 0.0)
+        log_denom = np.where(muB0 > 0, _log_positive(muB0), np.inf)
+    log_O = out_exp * (log_v - log_denom) + log_mu
 
     if variant in ("potential-basepoint", "maximal-basepoint"):
         e = np.full(space.n, p_conj_x0)
@@ -418,8 +509,8 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
     else:
         e = conjugate(le.ball_min_capped).values
 
-    return _sup_functional(space, f"radial-{variant}", O, True,
-                           _pow_inner(wr, -e, mu), out_exp / e, True)
+    return _sup_functional(space, f"radial-{variant}", log_O, True,
+                           _pow_inner(np.log(wr), -e, log_mu), out_exp / e)
 
 
 def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -443,29 +534,27 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     le = local_exponents(space, p, a)
     e0 = conjugate(le.ball_min).values
     e1 = conjugate(le.tail_min).values
-    mu = space.mu
     muB0 = _muB0(space)
     dre = space.radial_distances()
     wr = np.asarray(w_profile(dre), dtype=float)
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
     av = alpha.values
+    log_mu, log_v, log_wr = np.log(space.mu), _log(vv), np.log(wr)
 
-    with np.errstate(divide="ignore"):
-        O1 = np.where(muB0 > 0,
-                      (vv * np.where(muB0 > 0, muB0, 1.0) ** (av - 1.0)) ** q.values * mu,
-                      0.0)
-    r1 = _sup_functional(space, "variable-order-ball", O1, True,
-                         _pow_inner(wr, -e0, mu), q.values / e0, True)
+    log_O1 = np.where(muB0 > 0, q.values * (log_v + (av - 1.0) * _log_positive(muB0))
+                      + log_mu, -np.inf)
+    r1 = _sup_functional(space, "variable-order-ball", log_O1, True,
+                         _pow_inner(log_wr, -e0, log_mu), q.values / e0)
 
-    O2 = vv ** q.values * mu
-    muB0_safe = np.where(muB0 > 0, muB0, np.inf)
+    # log muB0 = +inf at the basepoint keeps it out of the tail integrand
+    log_muB0 = np.where(muB0 > 0, _log_positive(muB0), np.inf)
 
-    def inner2(x):
-        return (wr * muB0_safe ** (1.0 - av[x])) ** (-e1[x]) * mu
+    def inner2(xs):
+        return -e1[xs, None] * (log_wr + (1.0 - av[xs, None]) * log_muB0) + log_mu
 
-    r2 = _sup_functional(space, "variable-order-tail", O2, False, inner2,
-                         q.values / e1, False)
+    r2 = _sup_functional(space, "variable-order-tail", q.values * log_v + log_mu, False,
+                         inner2, q.values / e1)
     return r1, r2
 
 
@@ -485,17 +574,16 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
     le = local_exponents(space, p, a)
     e0 = conjugate(le.ball_min_capped).values
     e1 = conjugate(le.tail_min_capped).values
-    mu = space.mu
     muB0 = _muB0(space)
+    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
 
-    O1 = np.where(muB0 > 0, (vv / np.where(muB0 > 0, muB0, 1.0)) ** p.values * mu, 0.0)
-    r1 = _sup_functional(space, "maximal-ball", O1, True,
-                         _pow_inner(wv, -e0, mu), p.values / e0, True)
+    log_O1 = np.where(muB0 > 0, p.values * (log_v - _log_positive(muB0)) + log_mu, -np.inf)
+    r1 = _sup_functional(space, "maximal-ball", log_O1, True,
+                         _pow_inner(log_w, -e0, log_mu), p.values / e0)
 
-    O2 = vv ** p.values * mu
-    base2 = wv * muB0  # zero at the basepoint: masked, and outside the region
-    r2 = _sup_functional(space, "maximal-tail", O2, False,
-                         _pow_inner(base2, -e1, mu), p.values / e1, False)
+    # w muB0 is zero at the basepoint: an atom, and outside the tail region
+    r2 = _sup_functional(space, "maximal-tail", p.values * log_v + log_mu, False,
+                         _pow_inner(log_w + _log(muB0), -e1, log_mu), p.values / e1)
     return r1, r2
 
 

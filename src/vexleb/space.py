@@ -168,6 +168,13 @@ class DiscreteSpace:
         """
         return BallIndex.build(self.dist, self.mu)
 
+    @cached_property
+    def _geometry_sweeps(self) -> dict:
+        """Results of the doubling/Ahlfors row sweep by (A, q), kept on first
+        use: ``geometry_constants`` and the distance-potential functionals
+        ask for the same sweep.  Each result is a tuple of floats and tuples."""
+        return {}
+
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):
             raise DomainError(f"point id {center} out of range")
@@ -327,7 +334,7 @@ def _a0(space: DiscreteSpace):
 def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
     """Quasi-triangle constant sup d(x, y) / (d(x, z) + d(z, y)) and its
     attaining triple: exhaustive up to ``EXHAUSTIVE_TRIPLE_LIMIT`` points,
-    over seeded random triples beyond."""
+    over the first ``sample_triples`` seeded random triples beyond."""
     d = space.dist
     n = space.n
     a1 = 0.0
@@ -347,7 +354,7 @@ def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
     else:
         flat = d.ravel()
         rng = np.random.default_rng(seed)
-        remaining = max(sample_triples, 10**6)
+        remaining = sample_triples
         chunk = 200_000
         while remaining > 0:
             m = min(chunk, remaining)
@@ -429,12 +436,15 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     balls are read at the last position of each tie group, open balls at the
     first, and each estimate is evaluated where its balls are read.  Each
     keeps the witness of the first center and then the first radius that
-    attains it, as a loop over the centers in order would.
+    attains it, as a loop over the centers in order would.  The result is
+    kept on the space, so a second call with the same (A, q) reads it back.
     """
     if A <= 1:
         raise DomainError("reverse-doubling factor must exceed 1")
     if q <= 0:
         raise DomainError("Ahlfors exponent must be positive")
+    if (A, q) in space._geometry_sweeps:
+        return space._geometry_sweeps[A, q]
     n = space.n
     L = space.L_eff
     cap = L / A
@@ -495,7 +505,9 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         if annuli:
             annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
                                 & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
-    return (doubling_c, rdc_B, dbl_wit, rdc_wit, skipped), (c1, c2, w1, w2), annuli
+    result = (doubling_c, rdc_B, dbl_wit, rdc_wit, skipped), (c1, c2, w1, w2), annuli
+    space._geometry_sweeps[A, q] = result
+    return result
 
 
 def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):

@@ -1,3 +1,7 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import vexleb as vx
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def const(n, v, kind="exponent"):
@@ -565,6 +571,12 @@ class TestTrendRule:
         assert vx.classify_trend([1, 2, 4.5]) == "divergent"
         assert vx.classify_trend([1, 1.9]) == "undecided"
 
+    @pytest.mark.parametrize("series", [[1.0, 2.0, np.inf], [np.inf, np.inf, np.inf],
+                                        [1.0, np.nan, 1.0], [0.0, 0.0, np.inf]])
+    def test_no_verdict_from_values_that_are_not_finite(self, series):
+        assert vx.finite_hint(series) is None
+        assert vx.classify_trend(series) == "undecided"
+
 
 class TestRadialPointwiseAgreement:
     def test_radial_equals_composed_pointwise(self):
@@ -649,3 +661,182 @@ class TestHardyCompositionRoutes:
         v1, w1 = vx.potential_to_hardy_weights(sp, v, w, alpha)
         via_ball = vx.hardy_condition(sp, p, q, v1, w1)
         assert via_ball.value == pytest.approx(direct_ball.value, rel=1e-12)
+
+
+class TestLogDomain:
+    def test_hardy_near_one_is_scale_free(self):
+        # p = q = 1 + 1e-7 puts the conjugate near 1e7, where w**e over- or
+        # underflows; the functional is invariant under (v, w) -> (s v, w / s)
+        n = 64
+        sp = vx.uniform_grid(n)
+        p = const(n, 1.0000001)
+        reps = [vx.hardy_condition(sp, p, p, const(n, v, "weight"), const(n, w, "weight"))
+                for v, w in [(1.0, 1.0), (1e200, 1e-200), (1e-200, 1e200)]]
+        for rep in reps:
+            assert rep.value == pytest.approx(0.98437, rel=1e-5)
+            assert rep.value == pytest.approx(reps[0].value, rel=1e-12)
+            assert rep.meta["skipped_inner"] == 0
+
+    @pytest.mark.parametrize("p_expr", ["const 1.01", "const 1.001", "const 1.0000001"])
+    def test_hardy_divergent_stays_divergent_near_one(self, p_expr):
+        # the singular weight w = 1/d0 diverges faster as p nears 1; no inner
+        # sum may be dropped or collapse to 0 on the way
+        data = json.loads((SCENARIOS / "hardy_divergent.json").read_text())
+        del data["operator"]
+        data["exponents"] = {"p": {"kind": "exponent", "expr": p_expr}}
+        study = vx.refinement_study(vx.Scenario.from_dict(data), data["resolutions"])
+        vals = study.condition_values["hardy"]
+        assert study.condition_trends["hardy"] == "divergent"
+        assert vals[0] > 120 and vals[1] / vals[0] > 3.9 and vals[2] / vals[1] > 3.9
+
+    @given(st.integers(2, 40), st.floats(1.0000001, 20.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneity_in_v(self, n, p_lo, spread, q_frac, s_frac, seed):
+        # for constant q every outer base scales by s**q; s spans 1e-200..1e200
+        # as far as s**q stays a float
+        rng = np.random.default_rng(seed)
+        sp = vx.uniform_grid(n)
+        p_hi = p_lo + spread * (20.0 - p_lo)
+        p = vx.PointFunction(rng.uniform(p_lo, p_hi, n), "exponent")
+        q_val = p_hi + q_frac * (20.0 - p_hi)
+        q = const(n, q_val)
+        log_s = s_frac * min(200.0, 290.0 / q_val) * np.log(10.0)
+        v = rng.uniform(0.5, 2.0, n)
+        w = vx.PointFunction(rng.uniform(0.5, 2.0, n), "weight")
+
+        def values(scale):
+            vs = vx.PointFunction(scale * v, "weight")
+            return [vx.hardy_condition(sp, p, q, vs, w).value,
+                    vx.hardy_tail_condition(sp, p, q, vs, w).value,
+                    *(r.value for r in vx.potential_conditions(sp, p, q, vs, w, 0.5 / p_hi))]
+
+        for got, base in zip(values(np.exp(log_s)), values(1.0)):
+            assert base > 0
+            assert got == pytest.approx(np.exp(q_val * log_s + np.log(base)), rel=1e-9)
+
+
+def plain_curve(space, O, inner, gamma, forward):
+    """The sweep curve by a per-t, per-x loop in the direct domain; inner(x)
+    is the integrand times mu at every point, and its infinite entries (the
+    atoms) are left out of the inner sum."""
+    d0, L = space.d0, space.L_eff
+    cap = d0 <= L * (1 + 1e-12)
+    curve = []
+    for t in t_sweep(space):
+        total = 0.0
+        for x in range(space.n):
+            if not cap[x] or O[x] == 0 or (t < d0[x]) != forward:
+                continue
+            with np.errstate(divide="ignore", over="ignore"):
+                f = inner(x)
+            region = ((d0 <= t) if forward else (d0 > t)) & cap & np.isfinite(f)
+            W = f[region].sum()
+            if W > 0:
+                total += O[x] * W ** gamma[x]
+        curve.append(total)
+    return np.array(curve)
+
+
+def every_functional(sp, p, q, v, w, al, a, b):
+    """(report, outer base, inner integrand, gamma, forward) of each
+    sweep functional, the last four written out from the docstrings."""
+    mu, d0, x0 = sp.mu, sp.d0, sp.x0
+    P, Q, V, Wv, A = p.values, q.values, v.values, w.values, al.values
+    alpha = 0.5 / P.max()
+    muB0 = np.array([vx.ball(sp, x0, d).measure for d in d0])
+    safe = np.where(muB0 > 0, muB0, 1.0)
+    dsafe = np.where(d0 > 0, d0, 1.0)
+    le = vx.local_exponents(sp, p)
+    eb, et = vx.conjugate(le.ball_min_capped).values, vx.conjugate(le.tail_min_capped).values
+    eB, eT = vx.conjugate(le.ball_min).values, vx.conjugate(le.tail_min).values
+    pc0 = np.full(sp.n, P[x0] / (P[x0] - 1.0))
+    vprof, wprof = (lambda t: np.asarray(t) ** a), (lambda t: np.asarray(t) ** b)
+    dre = sp.radial_distances()
+    vr, wr = vprof(dre), wprof(dre)
+    with np.errstate(divide="ignore"):
+        ball_base = np.where(muB0 > 0, (V * safe ** (alpha - 1)) ** Q * mu, 0.0)
+        dist_base = np.where(d0 > 0, (V * dsafe ** (A - 1)) ** Q * mu, 0.0)
+        order_base = np.where(muB0 > 0, (V * safe ** (A - 1)) ** Q * mu, 0.0)
+        max_base = np.where(muB0 > 0, (V / safe) ** P * mu, 0.0)
+        rad_pot = np.where(muB0 > 0, (vr / safe ** (1 - alpha)) ** Q * mu, 0.0)
+        rad_dist = np.where(d0 > 0, (vr / dsafe ** (1 - alpha)) ** Q * mu, 0.0)
+        rad_max = np.where(muB0 > 0, (vr / safe) ** P * mu, 0.0)
+    cases = [
+        (vx.hardy_condition(sp, p, q, v, w), V ** Q * mu,
+         lambda x: Wv ** eb[x] * mu, Q / eb, True),
+        (vx.hardy_tail_condition(sp, p, q, v, w), V ** Q * mu,
+         lambda x: Wv ** et[x] * mu, Q / et, False),
+    ]
+    ball, tail = vx.potential_conditions(sp, p, q, v, w, alpha)
+    cases += [(ball, ball_base, lambda x: Wv ** -eb[x] * mu, Q / eb, True),
+              (tail, V ** Q * mu, lambda x: (Wv * muB0 ** (1 - alpha)) ** -et[x] * mu,
+               Q / et, False)]
+    ball, tail = vx.distance_potential_conditions(sp, p, q, v, w, al)
+    cases += [(ball, dist_base, lambda x: Wv ** -eB[x] * mu, Q / eB, True),
+              (tail, V ** Q * mu,
+               lambda x: np.where(d0 > 0, (Wv * dsafe ** (1 - A)) ** -eT[x], 0.0) * mu,
+               Q / eT, False)]
+    for variant, base, e, power in [("potential", rad_pot, eb, Q),
+                                    ("potential-basepoint", rad_pot, pc0, Q),
+                                    ("distance-potential", rad_dist, eB, Q),
+                                    ("maximal", rad_max, eb, P),
+                                    ("maximal-basepoint", rad_max, pc0, P)]:
+        rep = vx.radial_condition(sp, p, vprof, wprof, variant, alpha=alpha, q=q)
+        cases.append((rep, base, lambda x, e=e: wr ** -e[x] * mu, power / e, True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ball, tail = vx.variable_order_conditions(sp, p, q, v, wprof, al)
+    cases += [(ball, order_base, lambda x: wr ** -eB[x] * mu, Q / eB, True),
+              (tail, V ** Q * mu,
+               lambda x: np.where(muB0 > 0, (wr * safe ** (1 - A[x])) ** -eT[x], 0.0) * mu,
+               Q / eT, False)]
+    ball, tail = vx.maximal_singular_conditions(sp, p, v, w)
+    cases += [(ball, max_base, lambda x: Wv ** -eb[x] * mu, P / eb, True),
+              (tail, V ** P * mu, lambda x: (Wv * muB0) ** -et[x] * mu, P / et, False)]
+    return cases
+
+
+@st.composite
+def small_spaces(draw):
+    """Grids, Cantor sets and tied tables of at most 24 points; a table's
+    diameter L may lie past its largest distance."""
+    kind = draw(st.sampled_from(["grid", "cantor", "explicit"]))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(2, 24)))
+    if kind == "cantor":
+        return vx.cantor_space(draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 24))
+    dist = rng.integers(1, 6, (n, n)) / 4.0
+    np.fill_diagonal(dist, 0.0)
+    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n), x0=draw(st.integers(0, n - 1)),
+                             L=draw(st.sampled_from([1.25, 1.5])))
+
+
+class TestBlockPathAgainstLoops:
+    @given(small_spaces(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_functional_equals_plain_loop(self, sp, seed, p_varies, q_varies, a, b):
+        rng = np.random.default_rng(seed)
+        n = sp.n
+        p = vx.PointFunction(rng.uniform(1.3, 3.0, n) if p_varies else np.full(n, 2.2),
+                             "exponent")
+        q = vx.PointFunction(p.values + (rng.uniform(0.0, 1.0, n) if q_varies else 0.5),
+                             "exponent")
+        v = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
+        w = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
+        al = vx.PointFunction(rng.uniform(0.05, 0.95, n) / p.values.max(), "alpha")
+        ts = t_sweep(sp)
+        L = sp.L_eff
+        knots = np.isin(ts, np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
+        for rep, O, inner, gamma, forward in every_functional(sp, p, q, v, w, al, a, b):
+            assert np.array_equal(rep.ts, ts)
+            np.testing.assert_allclose(rep.curve, plain_curve(sp, O, inner, gamma, forward),
+                                       rtol=1e-12, atol=0, err_msg=rep.name)
+            # a midpoint lies in the same half-open regions as the knot below it
+            mids = np.flatnonzero(~knots)
+            assert np.array_equal(rep.curve[mids], rep.curve[mids - 1]), rep.name
+            j = int(rep.curve.argmax())
+            assert rep.value == rep.curve[j] and rep.argmax_t == ts[j] and knots[j]

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, ValidationError
-from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT
+from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1
 
 
 def brute_ball(space, center, r, closed=False):
@@ -116,7 +116,7 @@ def reference_quasi(space, seed, sample_triples):
                 a1, a1_triple = float(r[y]), (x, y, int(np.argmin(d[x] + d[:, y])))
     else:
         rng = np.random.default_rng(seed)
-        remaining = max(sample_triples, 10**6)
+        remaining = sample_triples
         while remaining > 0:
             m = min(200_000, remaining)
             xs, ys, zs = (rng.integers(0, n, m) for _ in range(3))
@@ -268,6 +268,18 @@ class TestGeometryConstants:
     def test_asymmetric_pair(self):
         sp = vx.explicit_space([[0.0, 2.0], [1.0, 0.0]], [0.5, 0.5], 0, 2.0)
         assert vx.geometry_constants(sp).a0 == pytest.approx(2.0)
+
+    def test_sampler_honours_sample_triples(self):
+        # a smaller budget reads the first triples of the same seeded stream
+        sp = vx.uniform_grid(520)
+        d, n = sp.dist, sp.n
+        rng = np.random.default_rng(0)
+        xs, ys, zs = (rng.integers(0, n, 1000) for _ in range(3))
+        denom = d[xs, zs] + d[zs, ys]
+        r = np.divide(d[xs, ys], denom, out=np.full(1000, -np.inf), where=denom > 0)
+        j = int(r.argmax())
+        expected = (float(r[j]), (int(xs[j]), int(ys[j]), int(zs[j])))
+        assert _a1(sp, 0, 1000) == expected
 
     def test_sampled_path_matches_exhaustive(self):
         # n just above the exhaustive limit uses the seeded sampler
