@@ -79,10 +79,6 @@ class ConditionReport:
     finite_hint: Optional[bool] = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def per_t_curve(self):
-        return list(zip(self.ts.tolist(), self.curve.tolist()))
-
 
 def finite_hint(values: Sequence[float]) -> Optional[bool]:
     """Two-resolution trend rule: all successive ratios <= 1.25 -> True
@@ -133,14 +129,6 @@ def _positive(space, f: PointFunction, what: str) -> np.ndarray:
     if len(f) != space.n or f.kind != "weight" or np.any(f.values <= 0):
         raise DomainError(f"{what} must be a strictly positive weight field")
     return f.values
-
-
-def _muB0(space: DiscreteSpace) -> np.ndarray:
-    """Open-ball measures mu B(x0, d0(x)) per point (0 at the basepoint)."""
-    d0 = space.d0
-    order = np.argsort(d0, kind="stable")
-    prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
-    return prefix[np.searchsorted(d0[order], d0, side="left")]
 
 
 # outer points per block: B * max(n, knots) stays at or below this many
@@ -229,7 +217,7 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     d0 = space.d0
     capped = d0 <= L * (1 + 1e-12)
     log_O = np.where(capped, log_outer, -np.inf)
-    order = np.argsort(d0, kind="stable")
+    order = space.radial_order
     ds = d0[order]
     n_in = int(np.count_nonzero(capped))  # inner sums run over the first n_in in order
     ts = t_sweep(space)
@@ -377,7 +365,7 @@ def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     le = local_exponents(space, p, a)
     e0 = conjugate(le.ball_min_capped).values
     e1 = conjugate(le.tail_min_capped).values
-    muB0 = _muB0(space)
+    muB0 = space.muB0
     log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
 
     log_O1 = np.where(muB0 > 0, q.values * (log_v + (alpha - 1.0) * _log_positive(muB0))
@@ -490,7 +478,7 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
         raise PreconditionError("w profile must be positive on the swept distances")
     le = local_exponents(space, p, a)
     log_mu, log_v = np.log(space.mu), _log(vr)
-    muB0 = _muB0(space)
+    muB0 = space.muB0
     d0 = space.d0
     p_conj_x0 = float(p.values[space.x0] / (p.values[space.x0] - 1.0))
 
@@ -534,7 +522,7 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     le = local_exponents(space, p, a)
     e0 = conjugate(le.ball_min).values
     e1 = conjugate(le.tail_min).values
-    muB0 = _muB0(space)
+    muB0 = space.muB0
     dre = space.radial_distances()
     wr = np.asarray(w_profile(dre), dtype=float)
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
@@ -574,7 +562,7 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
     le = local_exponents(space, p, a)
     e0 = conjugate(le.ball_min_capped).values
     e1 = conjugate(le.tail_min_capped).values
-    muB0 = _muB0(space)
+    muB0 = space.muB0
     log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
 
     log_O1 = np.where(muB0 > 0, p.values * (log_v - _log_positive(muB0)) + log_mu, -np.inf)
@@ -701,7 +689,7 @@ def potential_to_hardy_weights(space: DiscreteSpace, v: PointFunction,
     to half its own weight (its quadrature cell)."""
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
-    muB0 = np.maximum(_muB0(space), 0.5 * space.mu[space.x0])
+    muB0 = np.maximum(space.muB0, 0.5 * space.mu[space.x0])
     return (PointFunction(vv * muB0 ** (alpha - 1.0), "weight"),
             PointFunction(1.0 / wv, "weight"))
 
@@ -717,7 +705,7 @@ def maximal_to_hardy_weights(space: DiscreteSpace, v: PointFunction, w: PointFun
     """
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
-    muB0 = np.maximum(_muB0(space), 0.5 * space.mu[space.x0])
+    muB0 = np.maximum(space.muB0, 0.5 * space.mu[space.x0])
     forward = (PointFunction(np.where(vv > 0, vv / muB0, 0.0), "test"),
                PointFunction(1.0 / wv, "weight"))
     tail = (v, PointFunction(1.0 / (wv * muB0), "weight"))

@@ -20,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .space import DiscreteSpace, _ball_measures, _sorted_row, sweep_radii
+from .space import DiscreteSpace, _sorted_row_blocks
 
 __all__ = [
     "PointFunction",
@@ -108,7 +108,8 @@ class LocalExponents:
     """Basepoint-local minima of an exponent field.
 
     ball_min(x)  : min of p over the closed ball of radius d0(x)
-    tail_min(x)  : min of p over {y : d0(x) <= d0(y) <= a}
+    tail_min(x)  : min of p over {y : d0(x) <= d0(y) <= a}; for x beyond a,
+                   where that set is empty, the tail value, else p(x)
     *_capped     : the same, spliced to the constant tail value beyond
                    radius a (identical to the plain versions when the
                    diameter is finite, where a is forced to L).
@@ -132,11 +133,11 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     _check_len(space, p)
     if p.kind != "exponent":
         raise DomainError("local exponents are defined for exponent fields")
+    p_c = None
     if space.infinite_diameter:
         if a is None or a <= 0:
             raise PreconditionError("truncated infinite model needs a positive cap radius a")
         tail = space.d0 > a
-        p_c = None
         if tail.any():
             tail_vals = p.values[tail]
             p_c = float(tail_vals[0])
@@ -146,11 +147,9 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
                     "exponent must be constant beyond the cap radius", witness=int(bad[0]))
     else:
         a = space.L_eff
-        p_c = None
 
-    d0 = space.d0
-    order = np.argsort(d0, kind="stable")
-    ds = d0[order]
+    order = space.radial_order
+    ds = space.d0[order]
     pv = p.values[order]
 
     # closed-ball prefix minima; equal distances share one closed ball
@@ -167,19 +166,17 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     suffix[:-1] = np.minimum.accumulate(masked[::-1])[::-1]
     group_start = np.searchsorted(ds, ds, side="left")
     tail_min_sorted = suffix[group_start]
-    fallback = p_c if p_c is not None else np.nan
+    fallback = pv if p_c is None else p_c
     tail_min_sorted = np.where(np.isinf(tail_min_sorted), fallback, tail_min_sorted)
     tail_min = np.empty_like(tail_min_sorted)
     tail_min[order] = tail_min_sorted
 
+    # tail_min beyond a is already the tail value
+    ball_capped = ball_min
     if space.infinite_diameter and p_c is not None:
-        beyond = space.d0 > a
-        ball_capped = np.where(beyond, p_c, ball_min)
-        tail_capped = np.where(beyond, p_c, tail_min)
-    else:
-        ball_capped, tail_capped = ball_min, tail_min
+        ball_capped = np.where(space.d0 > a, p_c, ball_min)
     mk = lambda v: PointFunction(v, "exponent")
-    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), mk(tail_capped),
+    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), mk(tail_min),
                           float(a), p_c)
 
 
@@ -200,18 +197,6 @@ class ClassReport:
     worst_witness: tuple
     satisfied_hint: Optional[bool] = None
     excluded: int = 0
-
-
-def _muB_pair_matrix(space: DiscreteSpace) -> np.ndarray:
-    """Matrix of open-ball measures mu B(x, d(x, y))."""
-    out = np.empty((space.n, space.n))
-    mu = space.mu
-    for x in range(space.n):
-        d = space.dist[x]
-        order = np.argsort(d, kind="stable")
-        prefix = np.concatenate([[0.0], np.cumsum(mu[order])])
-        out[x] = prefix[np.searchsorted(d[order], d, side="left")]
-    return out
 
 
 def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0,
@@ -235,7 +220,6 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
         b = 0.5 * space.L_eff
     if b <= 0:
         raise DomainError("sweep radius b must be positive")
-    centers = range(space.n) if at is None else [at]
     if at is not None and not (0 <= at < space.n):
         raise DomainError(f"point id {at} out of range")
 
@@ -244,40 +228,39 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
             raise DomainError("oscillation class needs N >= 1")
         best, wit = 0.0, ()
         excluded = 0
-        for x in centers:
-            ds, prefix, order = _sorted_row(space, x)
-            pv = p.values[order]
-            radii = sweep_radii(space, x, r_cap=b, include_whole=False)
-            if radii.size == 0:
-                excluded += 1
-                continue
-            idx = np.searchsorted(ds, radii, side="left")
-            run_min = np.minimum.accumulate(pv)
-            run_max = np.maximum.accumulate(pv)
-            mN = _ball_measures(ds, prefix, N * radii)
-            ok = (idx > 0) & (mN > 0)
-            excluded += int((~ok).sum())
-            if not ok.any():
-                continue
-            osc = run_min[idx[ok] - 1] - run_max[idx[ok] - 1]
-            vals = mN[ok] ** osc
-            j = int(vals.argmax())
-            if vals[j] > best:
-                best, wit = float(vals[j]), (x, float(radii[ok][j]))
+        rows = (0, space.n) if at is None else (at, at + 1)
+        for blk in _sorted_row_blocks(space, *rows):
+            for i, (ds, prefix, ends) in enumerate(zip(blk.ds, blk.prefix, blk.ends)):
+                # radii: midpoints between consecutive distinct distances, up to b
+                du = ds[ends]
+                radii = 0.5 * (du[:-1] + du[1:])
+                radii = radii[radii <= b]
+                if radii.size == 0:
+                    excluded += 1
+                    continue
+                pv = p.values[blk.order[i]]
+                idx = np.searchsorted(ds, radii, side="left")
+                run_min = np.minimum.accumulate(pv)
+                run_max = np.maximum.accumulate(pv)
+                mN = prefix[np.searchsorted(ds, N * radii, side="left")]
+                ok = (idx > 0) & (mN > 0)
+                excluded += int((~ok).sum())
+                if not ok.any():
+                    continue
+                osc = run_min[idx[ok] - 1] - run_max[idx[ok] - 1]
+                vals = mN[ok] ** osc
+                j = int(vals.argmax())
+                if vals[j] > best:
+                    best, wit = float(vals[j]), (blk.start + i, float(radii[ok][j]))
         return ClassReport(cls, best, float(b), wit, excluded=excluded)
 
     if cls in ("log-holder", "log-holder-distance"):
         dp = np.abs(p.values[:, None] - p.values[None, :])
-        if cls == "log-holder":
-            gate = _muB_pair_matrix(space)
-        else:
-            gate = space.dist
         d = space.dist
+        gate = space.ball_index.open_measure if cls == "log-holder" else d
         admissible = (d > 0) & (d <= b) & (gate > 0) & (gate < 1)
         if at is not None:
-            keep = np.zeros_like(admissible)
-            keep[at] = admissible[at]
-            admissible = keep
+            admissible[np.arange(space.n) != at] = False
         excluded = int(((d > 0) & (d <= b)).sum() - admissible.sum())
         if not admissible.any():
             return ClassReport(cls, 0.0, float(b), (), excluded=excluded)

@@ -52,17 +52,17 @@ def _as_output(values: np.ndarray, eps: Optional[float] = None, skipped: int = 0
 def _radial_sums(space: DiscreteSpace, integrand: np.ndarray):
     """Prefix machinery over the basepoint-distance ordering.
 
-    Returns (d0, total, strict_below, strict_above) where strict_below[x]
-    sums the integrand over {y : d0(y) < d0(x)} and strict_above over
+    Returns (strict_below, strict_above) where strict_below[x] sums the
+    integrand over {y : d0(y) < d0(x)} and strict_above over
     {y : d0(y) > d0(x)}.
     """
     d0 = space.d0
-    order = np.argsort(d0, kind="stable")
+    order = space.radial_order
     ds = d0[order]
     csum = np.concatenate([[0.0], np.cumsum(integrand[order])])
     below = csum[np.searchsorted(ds, d0, side="left")]
     above = csum[-1] - csum[np.searchsorted(ds, d0, side="right")]
-    return d0, float(csum[-1]), below, above
+    return below, above
 
 
 def hardy_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
@@ -72,7 +72,7 @@ def hardy_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
     At the basepoint the ball is empty, so the value there is 0.
     """
     integrand = f.values * w.values * space.mu
-    _, _, below, _ = _radial_sums(space, integrand)
+    below, _ = _radial_sums(space, integrand)
     return _as_output(v.values * below)
 
 
@@ -80,7 +80,7 @@ def hardy_tail_transform(space: DiscreteSpace, v: PointFunction, w: PointFunctio
                          f: PointFunction) -> OperatorOutput:
     """v(x) * sum of f w mu over the tail {y : d0(y) > d0(x)}."""
     integrand = f.values * w.values * space.mu
-    _, _, _, above = _radial_sums(space, integrand)
+    _, above = _radial_sums(space, integrand)
     return _as_output(v.values * above)
 
 
@@ -92,11 +92,6 @@ def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
     # closed balls are realized at the last index of each tie group
     averages = np.where(idx.ends, num / idx.prefix[:, 1:], -np.inf)
     return _as_output(averages.max(axis=1))
-
-
-def _ball_measure_rows(space: DiscreteSpace, x: int):
-    """mu B(x, d(x, y)) for all y, with the open-ball convention."""
-    return space.ball_index.open_measure[x]
 
 
 def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
@@ -122,7 +117,7 @@ def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunct
     out = np.zeros(space.n)
     fmu = f.values * space.mu
     for x in range(space.n):
-        d = space.dist[x]
+        d = space.d_from(x)
         ok = d > 0
         out[x] = float((fmu[ok] * d[ok] ** (alpha.values[x] - 1.0)).sum())
     return _as_output(out)
@@ -166,7 +161,7 @@ def power_dist_kernel(exponent: float) -> KernelSpec:
     """k(x, y) = d(x, y)**exponent (positive, distance-driven)."""
 
     def row(space: DiscreteSpace, x: int) -> np.ndarray:
-        d = space.dist[x]
+        d = space.d_from(x)
         with np.errstate(divide="ignore"):
             return np.where(d > 0, d ** exponent, 0.0)
 
@@ -209,7 +204,7 @@ def singular_integral(space: DiscreteSpace, kernel: KernelSpec, f: PointFunction
     out = np.zeros(space.n)
     fmu = f.values * space.mu
     for x in range(space.n):
-        mask = space.dist[x] > eps
+        mask = space.d_from(x) > eps
         if mask.any():
             out[x] = float((kernel.row(space, x)[mask] * fmu[mask]).sum())
     return _as_output(out, eps=eps)
@@ -244,26 +239,26 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     size_c = 0.0
     xs = rng.integers(0, n, sample_pairs)
     ys = rng.integers(0, n, sample_pairs)
+    open_measure = space.ball_index.open_measure
     for x in np.unique(xs):
-        m = _ball_measure_rows(space, x)
         yy = ys[xs == x]
-        yy = yy[space.dist[x][yy] > 0]
+        yy = yy[space.d_from(x)[yy] > 0]
         if yy.size:
-            size_c = max(size_c, float(np.max(np.abs(krow(x)[yy]) * m[yy])))
+            size_c = max(size_c, float(np.max(np.abs(krow(x)[yy]) * open_measure[x, yy])))
 
     smooth_c = 0.0
     x1s = rng.integers(0, n, sample_pairs)
     x2s = rng.integers(0, n, sample_pairs)
     for x1, x2 in zip(x1s, x2s):
-        dx = space.dist[x2, x1]
+        d2 = space.d_from(x2)
+        dx = d2[x1]
         if dx <= 0:
             continue
-        d2 = space.dist[x2]
         gate = d2 >= 2.0 * a1 * dx
         gate &= d2 > 0
         if not gate.any():
             continue
-        m2 = _ball_measure_rows(space, x2)
+        m2 = open_measure[x2]
         num = np.abs(krow(x1) - krow(x2))
         # transposed differences k(y, x1) - k(y, x2), gathered column-wise
         col1 = np.array([krow(y)[x1] for y in np.flatnonzero(gate)])

@@ -113,7 +113,23 @@ CONDITIONS = {
     "muckenhoupt": Condition(False, False, _OPERATOR_TAGS, _muckenhoupt),
 }
 
-_PAIR_TAGS = ("power-pair", "log-pair")
+
+def _power_pair(m: "Materialized", pair: dict):
+    if m.p is None or m.alpha is None:
+        raise ValidationError("power-pair weights need exponents.p and alpha")
+    return cond.power_weight_pair(float(m.p.values[m.space.x0]), m.alpha0,
+                                  float(pair.get("beta", 0.0)), pair.get("gamma"))
+
+
+def _log_pair(m: "Materialized", pair: dict):
+    if m.p is None:
+        raise ValidationError("log-pair weights need exponents.p")
+    px0 = float(m.p.values[m.space.x0])
+    return cond.log_adjusted_weight_pair(px0 / (px0 - 1.0), float(pair.get("L", m.space.L_eff)))
+
+
+# weight-pair families: each builds its ProfilePair from (materialization, pair spec)
+_PAIR_FAMILIES = {"power-pair": _power_pair, "log-pair": _log_pair}
 
 
 @dataclass
@@ -165,7 +181,7 @@ class Scenario:
             pair = dict(weights["pair"]) if isinstance(weights["pair"], dict) \
                 else {"family": weights["pair"]}
             fam = pair.get("family")
-            if fam not in _PAIR_TAGS:
+            if fam not in _PAIR_FAMILIES:
                 raise ValidationError(f"weights.pair.family: unknown family {fam!r}")
             # gamma may be null: the family then picks the minimal one
             for key in ("beta", "gamma", "L"):
@@ -295,19 +311,7 @@ class Materialized:
     def _build_weights(self):
         sc, space = self.scenario, self.space
         if sc.pair is not None:
-            fam = sc.pair["family"]
-            if fam == "power-pair":
-                if self.p is None or self.alpha is None:
-                    raise ValidationError("power-pair weights need exponents.p and alpha")
-                pv = float(self.p.values[space.x0])
-                pair = cond.power_weight_pair(pv, self.alpha0, float(sc.pair.get("beta", 0.0)),
-                                              sc.pair.get("gamma"))
-            else:
-                if self.p is None:
-                    raise ValidationError("log-pair weights need exponents.p")
-                px0 = float(self.p.values[space.x0])
-                pair = cond.log_adjusted_weight_pair(px0 / (px0 - 1.0),
-                                                     float(sc.pair.get("L", space.L_eff)))
+            pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
             if not pair.admissible:
                 raise PreconditionError(f"weight pair inadmissible: {pair.reason}")
             self.v_profile, self.w_profile = pair.v_profile, pair.w_profile

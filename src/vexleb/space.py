@@ -8,9 +8,10 @@ constants.  Constants are reported as estimates together with the attaining
 configuration, never as booleans: at a fixed resolution only the estimate is
 observable, finiteness is a refinement trend.
 
-Radius sweeps use the sorted distinct distances seen from each center.  The
-sweeps over every center read the distance rows a block at a time, each row
-sorted once, so they never hold more than a few (block, n) arrays.
+Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
+block at a time, each row sorted once, and every sweep, ball index, ball
+measure and basepoint order (``radial_order``, ``muB0``) is read from its
+blocks.  Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
 collapse the swept annulus while open balls at atom scale inflate ratios, so
@@ -33,7 +34,6 @@ __all__ = [
     "GeometryReport",
     "RadialPartition",
     "ball",
-    "sweep_radii",
     "geometry_constants",
     "doubling_reverse_doubling",
     "ahlfors_regularity",
@@ -66,22 +66,17 @@ class BallIndex:
     open_measure: np.ndarray
 
     @classmethod
-    def build(cls, dist: np.ndarray, mu: np.ndarray) -> "BallIndex":
-        n = dist.shape[0]
-        order = np.argsort(dist, axis=1, kind="stable")
-        ds = np.take_along_axis(dist, order, axis=1)
-        prefix = np.zeros((n, n + 1))
-        np.cumsum(mu[order], axis=1, out=prefix[:, 1:])
-        starts = np.ones((n, n), dtype=bool)
-        starts[:, 1:] = ds[:, 1:] != ds[:, :-1]
-        ends = np.ones((n, n), dtype=bool)
-        ends[:, :-1] = starts[:, 1:]
-        # an open ball at a distance holds everything before its tie group
-        group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-        open_measure = np.empty((n, n))
-        np.put_along_axis(open_measure, order,
-                          np.take_along_axis(prefix, group_start, axis=1), axis=1)
-        return cls(order, prefix, ends, open_measure)
+    def build(cls, space: "DiscreteSpace") -> "BallIndex":
+        n = space.n
+        index = cls(np.empty((n, n), dtype=np.intp), np.empty((n, n + 1)),
+                    np.empty((n, n), dtype=bool), np.empty((n, n)))
+        for blk in _sorted_row_blocks(space):
+            rows = slice(blk.start, blk.start + blk.ds.shape[0])
+            index.order[rows] = blk.order
+            index.prefix[rows] = blk.prefix
+            index.ends[rows] = blk.ends
+            index.open_measure[rows] = blk.open_measure()
+        return index
 
 
 @dataclass(frozen=True)
@@ -159,14 +154,34 @@ class DiscreteSpace:
 
     @cached_property
     def ball_index(self) -> BallIndex:
-        """The sorted rows and ball measures of every center, built on first use.
+        """The sorted rows and ball measures of every center, built from the
+        row blocks on first use.
 
         It holds about 25 bytes per pair of points (25 n^2 bytes: 105 MB at
-        n = 2048), so only operators that need every row at once read it
-        (``ball_potential``, ``maximal_function`` and the ball-measure rows
-        of the kernel checks); per-center queries sort their own row.
+        n = 2048), so only what needs every row at once reads it (the ball
+        potential, maximal function, kernel checks and log-Hoelder class).
         """
-        return BallIndex.build(self.dist, self.mu)
+        return BallIndex.build(self)
+
+    @cached_property
+    def _basepoint_row(self):
+        """The basepoint's row, sorted once: its order and ball measures."""
+        row = next(_sorted_row_blocks(self, self.x0, self.x0 + 1))
+        order, measures = row.order[0], row.open_measure()[0]
+        order.flags.writeable = measures.flags.writeable = False
+        return order, measures
+
+    @cached_property
+    def radial_order(self) -> np.ndarray:
+        """Point ids in stable ascending order of d0 (read-only): the order
+        behind the radial regions {d0 <= t} and {t < d0}."""
+        return self._basepoint_row[0]
+
+    @cached_property
+    def muB0(self) -> np.ndarray:
+        """Open-ball measures mu B(x0, d0(x)) per point, 0 at the basepoint
+        (read-only)."""
+        return self._basepoint_row[1]
 
     @cached_property
     def _geometry_sweeps(self) -> dict:
@@ -226,38 +241,6 @@ def ball(space: DiscreteSpace, center: int, radius: float, closed: bool = False)
     return BallView(center, float(radius), closed, members, float(space.mu[mask].sum()))
 
 
-def _sorted_row(space: DiscreteSpace, center: int):
-    """Distances from ``center`` sorted ascending with matching mu prefix sums."""
-    d = space.d_from(center)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
-    return ds, prefix, order
-
-
-def _ball_measures(ds: np.ndarray, prefix: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Measures of open balls at the given radii from one sorted row."""
-    idx = np.searchsorted(ds, radii, side="left")
-    return prefix[idx]
-
-
-def sweep_radii(space: DiscreteSpace, center: int, r_cap: Optional[float] = None,
-                include_whole: bool = True) -> np.ndarray:
-    """Radius sweep for one center: midpoints between consecutive distinct
-    distances, optionally plus a radius just past the largest distance (the
-    whole-space ball)."""
-    ds = np.unique(space.d_from(center))
-    if ds.size < 2:
-        radii = np.array([], dtype=float)
-    else:
-        radii = 0.5 * (ds[:-1] + ds[1:])
-    if include_whole and ds.size:
-        radii = np.append(radii, ds[-1] * (1.0 + 1e-9) + 1e-300)
-    if r_cap is not None:
-        radii = radii[radii <= r_cap]
-    return radii
-
-
 @dataclass
 class GeometryReport:
     a0: float
@@ -273,11 +256,10 @@ class GeometryReport:
     a1_triple: tuple = ()
     doubling_witness: tuple = ()
     rdc_witness: tuple = ()
-    skipped_balls: int = 0
 
 
-# rows sorted together by the geometry sweeps and the Muckenhoupt functional:
-# a block holds a few (block, n) arrays, never an (n, n) one
+# rows sorted together: a block holds a few (block, n) arrays, never an
+# (n, n) one
 _BLOCK_ROWS = 64
 
 
@@ -297,12 +279,26 @@ class _SortedRows(NamedTuple):
     prefix: np.ndarray
     ends: np.ndarray
 
+    def open_measure(self) -> np.ndarray:
+        """(b, n) mu B(x, d(x, y)), the open ball, per row in column order y."""
+        b, n = self.ds.shape
+        starts = np.ones((b, n), dtype=bool)
+        starts[:, 1:] = self.ends[:, :-1]
+        # an open ball at a distance holds everything before its tie group
+        group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        out = np.empty((b, n))
+        np.put_along_axis(out, self.order,
+                          np.take_along_axis(self.prefix, group_start, axis=1), axis=1)
+        return out
 
-def _sorted_row_blocks(space: DiscreteSpace):
-    """The rows of the distance table in blocks of ``_BLOCK_ROWS``, sorted."""
+
+def _sorted_row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
+    """Rows ``first`` up to ``stop`` (default: all) of the distance table in
+    blocks of ``_BLOCK_ROWS``, each row sorted once."""
     n = space.n
-    for start in range(0, n, _BLOCK_ROWS):
-        d = space.dist[start:start + _BLOCK_ROWS]
+    stop = n if stop is None else stop
+    for start in range(first, stop, _BLOCK_ROWS):
+        d = space.dist[start:min(start + _BLOCK_ROWS, stop)]
         order = np.argsort(d, axis=1, kind="stable")
         ds = np.take_along_axis(d, order, axis=1)
         prefix = np.zeros((d.shape[0], n + 1))
@@ -450,7 +446,6 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     cap = L / A
     doubling_c, rdc_B, c1, c2 = 0.0, np.inf, 0.0, np.inf
     dbl_wit, rdc_wit, w1, w2 = (), (), (), ()
-    skipped = 0
     annuli = True
     for blk in _sorted_row_blocks(space):
         ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
@@ -460,9 +455,7 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         swept = ends & positive
         m_r = _jittered_measures(ds, prefix, swept, "right")
         m_2r = _measures_at(ds, prefix, 2.0 * ds * (1.0 + _RADIUS_JITTER), "right")
-        ok = swept & (m_r > 0)
-        skipped += int(np.count_nonzero(swept) - np.count_nonzero(ok))
-        ratios = np.divide(m_2r, m_r, out=np.full(ds.shape, -np.inf), where=ok)
+        ratios = np.divide(m_2r, m_r, out=np.full(ds.shape, -np.inf), where=swept)
         j = int(ratios.argmax())
         if ratios.flat[j] > doubling_c:
             doubling_c, dbl_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
@@ -472,12 +465,9 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         swept = positive.copy()
         swept[:, 1:] &= ends[:, :-1]
         m_open = _jittered_measures(ds, prefix, swept, "left")
-        ok = swept & (m_open > 0)
         m_A = _measures_at(ds, prefix, A * ds * (1.0 - _RADIUS_JITTER), "left")
-        small = swept & (ds <= cap)
-        small_ok = small & ok
-        skipped += int(np.count_nonzero(small) - np.count_nonzero(small_ok))
-        ratios = np.divide(m_A, m_open, out=np.full(ds.shape, np.inf), where=small_ok)
+        ratios = np.divide(m_A, m_open, out=np.full(ds.shape, np.inf),
+                           where=swept & (ds <= cap))
         j = int(ratios.argmin())
         if ratios.flat[j] < rdc_B:
             rdc_B, rdc_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
@@ -487,14 +477,14 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         whole = ds[:, -1] * (1.0 + 1e-6)
         m_whole = prefix[np.arange(ds.shape[0]),
                          (ds < (whole * (1.0 - _RADIUS_JITTER))[:, None]).sum(axis=1)]
-        ok_whole = swept.any(axis=1) & (m_whole > 0)
-        ratios = np.divide(m_open, ds**q, out=np.full(ds.shape, -np.inf), where=ok)
+        ok_whole = swept.any(axis=1)
+        ratios = np.divide(m_open, ds**q, out=np.full(ds.shape, -np.inf), where=swept)
         ratios_whole = np.divide(m_whole, whole**q, out=np.full(whole.shape, -np.inf),
                                  where=ok_whole)
         value, i, k = _first_max(ratios, ratios_whole)
         if value > c1:
             c1, w1 = float(value), (start + i, float(ds[i, k] if k < n else whole[i]))
-        ratios[~(ok & (ds <= L))] = np.inf
+        ratios[~(swept & (ds <= L))] = np.inf
         ratios_whole[~(ok_whole & (whole <= L))] = np.inf
         value, i, k = _first_max(-ratios, -ratios_whole)
         if -value < c2:
@@ -505,7 +495,7 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         if annuli:
             annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
                                 & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
-    result = (doubling_c, rdc_B, dbl_wit, rdc_wit, skipped), (c1, c2, w1, w2), annuli
+    result = (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
     space._geometry_sweeps[A, q] = result
     return result
 
@@ -519,7 +509,7 @@ def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):
     ``rdc_B = inf mu B(x, A r) / mu B(x, r)`` with open balls over radii
     ``r <= L_eff / A`` (open balls keep the swept annulus nonempty, closed
     ones collapse it at the boundary radii).
-    Swept balls with zero measure are skipped and counted.
+    Every swept ball holds its center, so no ratio divides by 0.
     """
     doubling, _, _ = _geometry_sweep(space, A_candidate, 1.0)
     if space.n < 2:
@@ -543,14 +533,14 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     a0, a0_pair = _a0(space)
     a1, a1_triple = _a1(space, seed, sample_triples)
     doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent)
-    doubling_c, rdc_B, dbl_wit, rdc_wit, skipped = doubling
+    doubling_c, rdc_B, dbl_wit, rdc_wit = doubling
     c1, c2, _, _ = ahlfors
     return GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=ahlfors_exponent,
         annuli_nonempty=annuli_nonempty,
         a0_pair=a0_pair, a1_triple=a1_triple,
-        doubling_witness=dbl_wit, rdc_witness=rdc_wit, skipped_balls=skipped,
+        doubling_witness=dbl_wit, rdc_witness=rdc_wit,
     )
 
 

@@ -187,7 +187,6 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         raise DomainError("need constant exponents 1 < p <= q")
     if np.any(w.values <= 0):
         raise DomainError("probe weight must be positive on its support")
-    from .conditions import _muB0
     from .operators import ball_potential, hardy_transform, maximal_function
 
     mu = space.mu
@@ -197,32 +196,31 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
     tail = ~head
     p_pf, q_pf = _const(space, p_const), _const(space, q_const)
     ones = _const(space, 1.0, "weight")
+    # the ball probe and its inner sum, shared by all but the tail variant
+    f_ball = w.values ** (-pp) * head
+    inner_ball = float((w.values ** (-pp) * mu)[head].sum())
 
     def lux(expo, vals):
         return luxemburg_norm(space, expo, PointFunction(vals, "test")).value
 
     if variant == "hardy":
-        f = w.values ** (-pp) * head
-        Hf = hardy_transform(space, ones, ones, PointFunction(f, "test")).values.values
-        num, den = lux(q_pf, v.values * Hf), lux(p_pf, w.values * f)
-        inner = float((w.values ** (-pp) * mu)[head].sum())
+        Hf = hardy_transform(space, ones, ones, PointFunction(f_ball, "test")).values.values
+        num, den = lux(q_pf, v.values * Hf), lux(p_pf, w.values * f_ball)
         cond = float(((v.values ** q_const * mu)[tail & (d0 <= space.L_eff)]).sum()
-                     * inner ** (q_const / pp))
+                     * inner_ball ** (q_const / pp))
         return (0.0 if den == 0 else num / den), cond
 
     alpha = 1.0 / p_const - 1.0 / q_const
-    muB0 = _muB0(space)
+    muB0 = space.muB0
+    outer = tail & (d0 <= space.L_eff) & (muB0 > 0)
     if variant == "potential-ball":
         if alpha <= 0:
             raise DomainError("ball-potential probe needs q > p")
-        f = w.values ** (-pp) * head
         Tf = ball_potential(space, _const(space, alpha, "alpha"),
-                            PointFunction(f, "test")).values.values
-        num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f)
-        inner = float((w.values ** (-pp) * mu)[head].sum())
-        outer = tail & (d0 <= space.L_eff) & (muB0 > 0)
+                            PointFunction(f_ball, "test")).values.values
+        num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f_ball)
         cond = float(((v.values[outer] * muB0[outer] ** (alpha - 1.0)) ** q_const
-                      * mu[outer]).sum() * inner ** (q_const / pp))
+                      * mu[outer]).sum() * inner_ball ** (q_const / pp))
         return (0.0 if den == 0 else num / den), cond
 
     if variant == "potential-tail":
@@ -233,19 +231,16 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         Tf = ball_potential(space, _const(space, alpha, "alpha"),
                             PointFunction(f, "test")).values.values
         num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f)
-        sel = tail & (d0 <= space.L_eff) & (muB0 > 0)
-        inner = float((((w.values[sel] * muB0[sel] ** (1.0 - alpha)) ** (-pp)) * mu[sel]).sum())
+        inner = float((((w.values[outer] * muB0[outer] ** (1.0 - alpha)) ** (-pp))
+                       * mu[outer]).sum())
         cond = float(((v.values ** q_const * mu)[head]).sum() * inner ** (q_const / pp))
         return (0.0 if den == 0 else num / den), cond
 
     # maximal: q = p
-    f = w.values ** (-pp) * head
-    Mf = maximal_function(space, PointFunction(f, "test")).values.values
-    num, den = lux(p_pf, v.values * Mf), lux(p_pf, w.values * f)
-    inner = float((w.values ** (-pp) * mu)[head].sum())
-    outer = tail & (d0 <= space.L_eff) & (muB0 > 0)
+    Mf = maximal_function(space, PointFunction(f_ball, "test")).values.values
+    num, den = lux(p_pf, v.values * Mf), lux(p_pf, w.values * f_ball)
     cond = float(((v.values[outer] / muB0[outer]) ** p_const * mu[outer]).sum()
-                 * inner ** (p_const / pp))
+                 * inner_ball ** (p_const / pp))
     return (0.0 if den == 0 else num / den), cond
 
 

@@ -94,6 +94,25 @@ class TestRun:
         sc = load_scenario(write_scenario(tmp_path, data))
         assert run(sc, tmp_path / "out") == 2
 
+    def test_point_beyond_finite_diameter(self, tmp_path):
+        # the point at d0 = 2 > L lies outside every capped region: the run
+        # succeeds and reads as the space without it
+        def scenario(coords, name):
+            return dict(MINIMAL, name=name, conditions=["hardy", "hardy-tail"], resolutions=[4],
+                        space={"points": [{"id": i, "coord": c} for i, c in enumerate(coords)],
+                               "metric": "euclidean1d", "mu": [0.25] * len(coords), "L": 1.0})
+
+        for coords, name in (([0.0, 0.5, 1.0, 2.0], "beyond"), ([0.0, 0.5, 1.0], "inside")):
+            path = write_scenario(tmp_path, scenario(coords, name), f"{name}.json")
+            assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        beyond, inside = (json.loads((tmp_path / "o" / f"{name}.json").read_text())
+                          for name in ("beyond", "inside"))
+        values = [[c["value"] for c in rep["conditions"]] for rep in (beyond, inside)]
+        assert values[0] == values[1] == pytest.approx([0.125, 0.125])
+        for tag in ("hardy", "hardy-tail"):
+            assert ((tmp_path / "o" / f"beyond_{tag}.csv").read_bytes()
+                    == (tmp_path / "o" / f"inside_{tag}.csv").read_bytes())
+
     def test_geometry_only_exit_zero(self, tmp_path):
         data = {"space": {"generator": "uniform-grid", "n": 32},
                 "conditions": [], "resolutions": [16, 32]}

@@ -4,10 +4,76 @@ from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, PreconditionError
+from test_space import sorted_row_spaces
 
 
 def const(n, v, kind="exponent"):
     return vx.PointFunction.constant(n, v, kind)
+
+
+# class_check as it read the table before every row sort read the shared row
+# blocks: one sort per center, np.unique radii and a per-row pair matrix.
+def reference_sorted_row(space, center):
+    d = space.d_from(center)
+    order = np.argsort(d, kind="stable")
+    return d[order], np.concatenate([[0.0], np.cumsum(space.mu[order])]), order
+
+
+def reference_sweep_radii(space, center, r_cap):
+    ds = np.unique(space.d_from(center))
+    radii = 0.5 * (ds[:-1] + ds[1:]) if ds.size >= 2 else np.array([], dtype=float)
+    return radii[radii <= r_cap]
+
+
+def reference_muB_pair_matrix(space):
+    out = np.empty((space.n, space.n))
+    for x in range(space.n):
+        d = space.dist[x]
+        order = np.argsort(d, kind="stable")
+        prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
+        out[x] = prefix[np.searchsorted(d[order], d, side="left")]
+    return out
+
+
+def reference_class_check(space, p, cls, N=1.0, at=None, b=None):
+    b = 0.5 * space.L_eff if b is None else b
+    centers = range(space.n) if at is None else [at]
+    if cls == "oscillation":
+        best, wit, excluded = 0.0, (), 0
+        for x in centers:
+            ds, prefix, order = reference_sorted_row(space, x)
+            pv = p.values[order]
+            radii = reference_sweep_radii(space, x, b)
+            if radii.size == 0:
+                excluded += 1
+                continue
+            idx = np.searchsorted(ds, radii, side="left")
+            run_min, run_max = np.minimum.accumulate(pv), np.maximum.accumulate(pv)
+            mN = prefix[np.searchsorted(ds, N * radii, side="left")]
+            ok = (idx > 0) & (mN > 0)
+            excluded += int((~ok).sum())
+            if not ok.any():
+                continue
+            vals = mN[ok] ** (run_min[idx[ok] - 1] - run_max[idx[ok] - 1])
+            j = int(vals.argmax())
+            if vals[j] > best:
+                best, wit = float(vals[j]), (x, float(radii[ok][j]))
+        return vx.ClassReport(cls, best, float(b), wit, excluded=excluded)
+    d = space.dist
+    gate = reference_muB_pair_matrix(space) if cls == "log-holder" else d
+    admissible = (d > 0) & (d <= b) & (gate > 0) & (gate < 1)
+    if at is not None:
+        keep = np.zeros_like(admissible)
+        keep[at] = admissible[at]
+        admissible = keep
+    excluded = int(((d > 0) & (d <= b)).sum() - admissible.sum())
+    if not admissible.any():
+        return vx.ClassReport(cls, 0.0, float(b), (), excluded=excluded)
+    dp = np.abs(p.values[:, None] - p.values[None, :])
+    vals = np.where(admissible, dp * (-np.log(np.where(admissible, gate, 1.0))), 0.0)
+    flat = int(vals.argmax())
+    wit = tuple(int(i) for i in np.unravel_index(flat, vals.shape))
+    return vx.ClassReport(cls, float(vals.max()), float(b), wit, excluded=excluded)
 
 
 class TestPointFunction:
@@ -230,6 +296,20 @@ class TestClassCheck:
         assert not (0.5 <= r_lh <= 2.0) or not (r_osc > 2.0)
         # and on the noisy field both constants drift upward together
         assert r_osc > 1.05 and r_lh > 1.05
+
+
+class TestClassCheckAgainstPerRowSorts:
+    @given(sorted_row_spaces(), st.data(),
+           st.sampled_from(["oscillation", "log-holder", "log-holder-distance"]),
+           st.sampled_from([1.0, 1.5, 3.0]), st.sampled_from([None, 0.3, 0.9]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_sorts_exactly(self, sp, data, cls, N, b):
+        # repr: the same constant, witness and exclusion count, with their types
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        p = vx.PointFunction(rng.uniform(1.2, 3.0, sp.n), "exponent")
+        at = data.draw(st.one_of(st.none(), st.integers(0, sp.n - 1)))
+        got = vx.class_check(sp, p, cls, N=N, at=at, b=b)
+        assert repr(got) == repr(reference_class_check(sp, p, cls, N=N, at=at, b=b))
 
 
 class TestFieldFromSpec:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,7 +63,9 @@ def reference_doubling(space, A):
                 j = int(ratios.argmin())
                 if ratios[j] < rdc_B:
                     rdc_B, rdc_wit = float(ratios[j]), (x, float(radii[small][pos][j]))
-    return doubling_c, rdc_B, dbl_wit, rdc_wit, skipped
+    # every swept ball holds its center, so none has measure 0
+    assert skipped == 0
+    return doubling_c, rdc_B, dbl_wit, rdc_wit
 
 
 def reference_ahlfors(space, q):
@@ -134,14 +138,14 @@ def reference_quasi(space, seed, sample_triples):
 
 def reference_report(space, A, q, seed=0, sample_triples=10**6):
     a0, a0_pair, a1, a1_triple = reference_quasi(space, seed, sample_triples)
-    doubling_c, rdc_B, dbl_wit, rdc_wit, skipped = reference_doubling(space, A)
+    doubling_c, rdc_B, dbl_wit, rdc_wit = reference_doubling(space, A)
     c1, c2, _, _ = reference_ahlfors(space, q)
     return vx.GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=q,
         annuli_nonempty=reference_annuli_nonempty(space, A),
         a0_pair=a0_pair, a1_triple=a1_triple,
-        doubling_witness=dbl_wit, rdc_witness=rdc_wit, skipped_balls=skipped)
+        doubling_witness=dbl_wit, rdc_witness=rdc_wit)
 
 
 @st.composite
@@ -179,6 +183,65 @@ def geometry_spaces(draw):
         return draw(tied_spaces(st.integers(2, 40)))
     edges = [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
     return draw(tied_spaces(st.sampled_from(edges)))
+
+
+@st.composite
+def sorted_row_spaces(draw):
+    """Geometry spaces plus grids and tied tables whose sizes put a row block
+    edge just before, at and after a multiple of ``_BLOCK_ROWS``, with the
+    basepoint anywhere."""
+    edges = st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    sp = draw(st.one_of(geometry_spaces(), edges.map(vx.uniform_grid), tied_spaces(edges)))
+    return dataclasses.replace(sp, x0=draw(st.integers(0, sp.n - 1)))
+
+
+# The ball index and basepoint ball measures as built before every row sort
+# read the shared row blocks: one full-table sort, one basepoint sort.
+def reference_ball_index(space):
+    dist, mu, n = space.dist, space.mu, space.n
+    order = np.argsort(dist, axis=1, kind="stable")
+    ds = np.take_along_axis(dist, order, axis=1)
+    prefix = np.zeros((n, n + 1))
+    np.cumsum(mu[order], axis=1, out=prefix[:, 1:])
+    starts = np.ones((n, n), dtype=bool)
+    starts[:, 1:] = ds[:, 1:] != ds[:, :-1]
+    ends = np.ones((n, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    open_measure = np.empty((n, n))
+    np.put_along_axis(open_measure, order,
+                      np.take_along_axis(prefix, group_start, axis=1), axis=1)
+    return order, prefix, ends, open_measure
+
+
+def reference_muB0(space):
+    d0 = space.d0
+    order = np.argsort(d0, kind="stable")
+    prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
+    return prefix[np.searchsorted(d0[order], d0, side="left")]
+
+
+class TestSharedSortedRows:
+    @given(sorted_row_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_ball_index_equals_full_table_build(self, sp):
+        idx = sp.ball_index
+        for got, ref in zip((idx.order, idx.prefix, idx.ends, idx.open_measure),
+                            reference_ball_index(sp)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @given(sorted_row_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_basepoint_row_equals_per_row_sort(self, sp):
+        assert np.array_equal(sp.radial_order, np.argsort(sp.d0, kind="stable"))
+        assert np.array_equal(sp.muB0, reference_muB0(sp))
+        assert np.array_equal(sp.muB0, sp.ball_index.open_measure[sp.x0])
+
+    def test_basepoint_arrays_are_read_only(self):
+        sp = vx.uniform_grid(16)
+        for shared in (sp.muB0, sp.radial_order):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[1] = 0
 
 
 class TestBall:
@@ -292,7 +355,7 @@ class TestGeometryConstants:
 class TestDoublingReverseDoubling:
     def test_grid_doubling_near_two(self):
         for n in (128, 512):
-            d, _, _, _, _ = vx.doubling_reverse_doubling(vx.uniform_grid(n), 2.0)
+            d, _, _, _ = vx.doubling_reverse_doubling(vx.uniform_grid(n), 2.0)
             assert abs(d - 2.0) <= 4.0 / n
 
     def test_single_point_errors(self):
@@ -302,7 +365,7 @@ class TestDoublingReverseDoubling:
 
     def test_grid_reverse_doubling_above_one(self):
         sp = vx.uniform_grid(256)
-        _, rdc, _, wit, _ = vx.doubling_reverse_doubling(sp, 2.0)
+        _, rdc, _, wit = vx.doubling_reverse_doubling(sp, 2.0)
         assert rdc > 1.0
         # minimum attained near the middle of the interval at a large radius
         x, r = wit
