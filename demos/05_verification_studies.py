@@ -19,7 +19,8 @@ for n in (64, 256, 1024):
     sp = vx.uniform_grid(n)
     one = vx.PointFunction.constant(n, 1.0, "weight")
     p2 = vx.PointFunction.constant(n, 2.0, "exponent")
-    op = lambda fv: vx.hardy_transform(sp, one, one, vx.PointFunction(fv, "test")).values.values
+    # the operator maps a block of probes, one per row, to their images
+    op = lambda rows: vx.hardy_transforms(sp, one, one, rows)
     est = vx.empirical_ratio(sp, op, p2, p2, one, one, trials=8, seed=0)
     cond = vx.hardy_condition(sp, p2, p2, one, one).value
     print(f"  n = {n:5d}: condition {cond:.4f}, best ratio {est.ratio:.4f} "

@@ -214,6 +214,9 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
     ``at`` restricts x to one point (the "at a point" variants).  Pairs or
     radii excluded by the smallness gates are counted, not failed; if nothing
     is admissible the report carries constant 0 and the exclusion count.
+    Each class reads the distance rows a block at a time, so no (n, n) table
+    is built; the witness of a log-Hoelder class is its first admissible
+    pair in row-major order that attains the constant.
     """
     _check_len(space, p)
     if b is None:
@@ -223,12 +226,12 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
     if at is not None and not (0 <= at < space.n):
         raise DomainError(f"point id {at} out of range")
 
+    rows = (0, space.n) if at is None else (at, at + 1)
     if cls == "oscillation":
         if N < 1:
             raise DomainError("oscillation class needs N >= 1")
         best, wit = 0.0, ()
         excluded = 0
-        rows = (0, space.n) if at is None else (at, at + 1)
         for blk in _sorted_row_blocks(space, *rows):
             for i, (ds, prefix, ends) in enumerate(zip(blk.ds, blk.prefix, blk.ends)):
                 # radii: midpoints between consecutive distinct distances, up to b
@@ -255,21 +258,25 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
         return ClassReport(cls, best, float(b), wit, excluded=excluded)
 
     if cls in ("log-holder", "log-holder-distance"):
-        dp = np.abs(p.values[:, None] - p.values[None, :])
-        d = space.dist
-        gate = space.ball_index.open_measure if cls == "log-holder" else d
-        admissible = (d > 0) & (d <= b) & (gate > 0) & (gate < 1)
-        if at is not None:
-            admissible[np.arange(space.n) != at] = False
-        excluded = int(((d > 0) & (d <= b)).sum() - admissible.sum())
-        if not admissible.any():
-            return ClassReport(cls, 0.0, float(b), (), excluded=excluded)
-        with np.errstate(divide="ignore"):
-            vals = np.where(admissible, dp * (-np.log(gate, where=admissible,
-                                                      out=np.ones_like(gate))), 0.0)
-        flat = int(vals.argmax())
-        wit = tuple(int(i) for i in np.unravel_index(flat, vals.shape))
-        return ClassReport(cls, float(vals.max()), float(b), wit, excluded=excluded)
+        best, wit = -np.inf, ()
+        excluded = 0
+        for blk in _sorted_row_blocks(space, *rows):
+            x = slice(blk.start, blk.start + blk.ds.shape[0])
+            d = space.dist[x]
+            gate = blk.open_measure() if cls == "log-holder" else d
+            near = (d > 0) & (d <= b)
+            admissible = near & (gate > 0) & (gate < 1)
+            excluded += int(near.sum() - admissible.sum())
+            if not admissible.any():
+                continue
+            dp = np.abs(p.values[x, None] - p.values[None, :])
+            vals = np.full(d.shape, -np.inf)
+            vals[admissible] = dp[admissible] * -np.log(gate[admissible])
+            # strictly larger only: the witness is the first in row-major order
+            j = int(vals.argmax())
+            if vals.flat[j] > best:
+                best, wit = float(vals.flat[j]), (blk.start + j // space.n, j % space.n)
+        return ClassReport(cls, max(best, 0.0), float(b), wit, excluded=excluded)
 
     raise DomainError(f"unknown regularity class {cls!r}")
 

@@ -21,11 +21,17 @@ __all__ = [
     "OperatorOutput",
     "KernelSpec",
     "hardy_transform",
+    "hardy_transforms",
     "hardy_tail_transform",
+    "hardy_tail_transforms",
     "maximal_function",
+    "maximal_functions",
     "ball_potential",
+    "ball_potentials",
     "distance_potential",
+    "distance_potentials",
     "singular_integral",
+    "singular_integrals",
     "kernel_regularity_check",
     "hilbert_kernel",
     "power_dist_kernel",
@@ -38,31 +44,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorOutput:
-    """Values of an operator applied to one test function."""
+    """Values of an operator applied to one test function.  ``skipped``
+    counts off-diagonal pairs a kernel could not weigh; no operator here
+    skips any (see ``ball_potentials``)."""
 
     values: PointFunction
     truncation_eps: Optional[float] = None
     skipped: int = 0
 
 
-def _as_output(values: np.ndarray, eps: Optional[float] = None, skipped: int = 0) -> OperatorOutput:
-    return OperatorOutput(PointFunction(values, "test"), eps, skipped)
+def _as_output(values: np.ndarray, eps: Optional[float] = None) -> OperatorOutput:
+    return OperatorOutput(PointFunction(values, "test"), eps)
 
 
-def _radial_sums(space: DiscreteSpace, integrand: np.ndarray):
-    """Prefix machinery over the basepoint-distance ordering.
+def _rows(space: DiscreteSpace, rows) -> np.ndarray:
+    """A (P, n) block of finite test-function values, one function per row."""
+    block = np.asarray(rows, dtype=float)
+    if block.ndim != 2 or block.shape[1] != space.n:
+        raise DomainError(f"operator rows must form a (P, {space.n}) block")
+    if not np.all(np.isfinite(block)):
+        raise DomainError("operator rows must be finite everywhere")
+    return block
 
-    Returns (strict_below, strict_above) where strict_below[x] sums the
-    integrand over {y : d0(y) < d0(x)} and strict_above over
-    {y : d0(y) > d0(x)}.
-    """
+
+def _apply_kernel(kernel: np.ndarray, fmu: np.ndarray) -> np.ndarray:
+    """kernel @ row for each row of fmu.  One mat-vec per row on the shared
+    kernel: at probe sizes a single matrix product over the block starts
+    BLAS's thread pool and is slower than the mat-vecs."""
+    out = np.empty_like(fmu)
+    for k, row in enumerate(fmu):
+        out[k] = kernel @ row
+    return out
+
+
+def _hardy(space: DiscreteSpace, v: PointFunction, w: PointFunction, rows,
+           below: bool) -> np.ndarray:
+    """v(x) times the sum of f w mu of each row of a (P, n) block over
+    {y : d0(y) < d0(x)} when ``below``, else over {y : d0(y) > d0(x)}: one
+    cumsum along the basepoint order for the whole block."""
+    integrand = _rows(space, rows) * w.values
+    integrand *= space.mu
     d0 = space.d0
     order = space.radial_order
     ds = d0[order]
-    csum = np.concatenate([[0.0], np.cumsum(integrand[order])])
-    below = csum[np.searchsorted(ds, d0, side="left")]
-    above = csum[-1] - csum[np.searchsorted(ds, d0, side="right")]
-    return below, above
+    csum = np.zeros((len(integrand), space.n + 1))
+    np.cumsum(integrand[:, order], axis=1, out=csum[:, 1:])
+    if below:
+        out = csum[:, np.searchsorted(ds, d0, side="left")]
+    else:
+        out = csum[:, -1:] - csum[:, np.searchsorted(ds, d0, side="right")]
+    out *= v.values
+    return out
+
+
+def hardy_transforms(space: DiscreteSpace, v: PointFunction, w: PointFunction,
+                     rows) -> np.ndarray:
+    """``hardy_transform`` of each row of a (P, n) block."""
+    return _hardy(space, v, w, rows, below=True)
 
 
 def hardy_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
@@ -71,39 +109,78 @@ def hardy_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
 
     At the basepoint the ball is empty, so the value there is 0.
     """
-    integrand = f.values * w.values * space.mu
-    below, _ = _radial_sums(space, integrand)
-    return _as_output(v.values * below)
+    return _as_output(hardy_transforms(space, v, w, f.values[None, :])[0])
+
+
+def hardy_tail_transforms(space: DiscreteSpace, v: PointFunction, w: PointFunction,
+                          rows) -> np.ndarray:
+    """``hardy_tail_transform`` of each row of a (P, n) block."""
+    return _hardy(space, v, w, rows, below=False)
 
 
 def hardy_tail_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
                          f: PointFunction) -> OperatorOutput:
     """v(x) * sum of f w mu over the tail {y : d0(y) > d0(x)}."""
-    integrand = f.values * w.values * space.mu
-    _, above = _radial_sums(space, integrand)
-    return _as_output(v.values * above)
+    return _as_output(hardy_tail_transforms(space, v, w, f.values[None, :])[0])
+
+
+def maximal_functions(space: DiscreteSpace, rows) -> np.ndarray:
+    """``maximal_function`` of each row of a (P, n) block.
+
+    One sweep over sorted positions serves every center and every row: at
+    step j, each center x adds |f| mu at the j-th point of its sorted row to
+    its running sums, which so take their terms in the order of a per-center
+    cumsum and match it bit for bit.  Closed balls are realized at the last
+    position of each tie group; elsewhere the running sum is divided by inf,
+    and 0 never exceeds an average.
+    """
+    absf_mu = np.ascontiguousarray((np.abs(_rows(space, rows)) * space.mu).T)
+    idx = space.ball_index
+    total = np.zeros_like(absf_mu)
+    best = np.zeros_like(absf_mu)
+    average = np.empty_like(absf_mu)
+    for j in range(space.n):
+        total += absf_mu[idx.order[:, j]]
+        measure = np.where(idx.ends[:, j], idx.prefix[:, j + 1], np.inf)
+        np.divide(total, measure[:, None], out=average)
+        # fmax, not maximum: an overflowed sum over an infinite measure is NaN
+        np.fmax(best, average, out=best)
+    return best.T.copy()
 
 
 def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
     """Centered maximal function: per point, the largest ball average of |f|
     over the radius sweep (each distinct distance, plus the whole space)."""
-    idx = space.ball_index
-    num = np.cumsum((np.abs(f.values) * space.mu)[idx.order], axis=1)
-    # closed balls are realized at the last index of each tie group
-    averages = np.where(idx.ends, num / idx.prefix[:, 1:], -np.inf)
-    return _as_output(averages.max(axis=1))
+    return _as_output(maximal_functions(space, f.values[None, :])[0])
+
+
+def _potential(space: DiscreteSpace, table: np.ndarray, alpha: PointFunction,
+               rows) -> np.ndarray:
+    """Each row of a (P, n) block through the kernel table**(alpha(x) - 1),
+    built once per call; entries where the table is 0 (only the diagonal)
+    are excluded."""
+    if alpha.kind not in ("alpha", "test"):
+        raise DomainError("order field must be alpha-kind")
+    kernel = np.power(table, alpha.values[:, None] - 1.0, out=np.zeros_like(table),
+                      where=table > 0)
+    return _apply_kernel(kernel, _rows(space, rows) * space.mu)
+
+
+def ball_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndarray:
+    """``ball_potential`` of each row of a (P, n) block.  The open ball
+    B(x, d(x, y)) holds x for y != x, so its measure is 0 only on the
+    diagonal."""
+    return _potential(space, space.ball_index.open_measure, alpha, rows)
 
 
 def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
     """Potential with kernel (mu B(x, d(x,y)))**(alpha(x) - 1), diagonal excluded."""
-    if alpha.kind not in ("alpha", "test"):
-        raise DomainError("order field must be alpha-kind")
-    m = space.ball_index.open_measure
-    ok = m > 0
-    np.fill_diagonal(ok, False)
-    skipped = space.n * (space.n - 1) - int(ok.sum())
-    kernel = np.power(m, alpha.values[:, None] - 1.0, out=np.zeros_like(m), where=ok)
-    return _as_output(kernel @ (f.values * space.mu), skipped=skipped)
+    return _as_output(ball_potentials(space, alpha, f.values[None, :])[0])
+
+
+def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndarray:
+    """``distance_potential`` of each row of a (P, n) block."""
+    return _potential(space, space.dist, alpha, rows)
 
 
 def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
@@ -112,15 +189,7 @@ def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunct
     Meant for spaces whose measure is upper Ahlfors 1-regular, where it is
     pointwise comparable to the ball potential.
     """
-    if alpha.kind not in ("alpha", "test"):
-        raise DomainError("order field must be alpha-kind")
-    out = np.zeros(space.n)
-    fmu = f.values * space.mu
-    for x in range(space.n):
-        d = space.d_from(x)
-        ok = d > 0
-        out[x] = float((fmu[ok] * d[ok] ** (alpha.values[x] - 1.0)).sum())
-    return _as_output(out)
+    return _as_output(distance_potentials(space, alpha, f.values[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +264,22 @@ def table_modulus(ts, vals) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: np.interp(np.asarray(t, dtype=float), ts, vals)
 
 
+def singular_integrals(space: DiscreteSpace, kernel: KernelSpec, rows,
+                       eps: float) -> np.ndarray:
+    """``singular_integral`` of each row of a (P, n) block, the truncated
+    kernel built once per call."""
+    if eps <= 0:
+        raise DomainError("truncation radius must be positive")
+    table = np.array([kernel.row(space, x) for x in range(space.n)], dtype=float)
+    table[space.dist <= eps] = 0.0
+    return _apply_kernel(table, _rows(space, rows) * space.mu)
+
+
 def singular_integral(space: DiscreteSpace, kernel: KernelSpec, f: PointFunction,
                       eps: float) -> OperatorOutput:
     """Truncated singular integral: sum over {y : d(x, y) > eps} of
     k(x, y) f(y) mu(y).  The principal value is approached by shrinking eps."""
-    if eps <= 0:
-        raise DomainError("truncation radius must be positive")
-    out = np.zeros(space.n)
-    fmu = f.values * space.mu
-    for x in range(space.n):
-        mask = space.d_from(x) > eps
-        if mask.any():
-            out[x] = float((kernel.row(space, x)[mask] * fmu[mask]).sum())
-    return _as_output(out, eps=eps)
+    return _as_output(singular_integrals(space, kernel, f.values[None, :], eps)[0], eps=eps)
 
 
 def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pairs: int,

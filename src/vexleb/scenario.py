@@ -18,31 +18,34 @@ from .errors import PreconditionError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
 from .space import DiscreteSpace, geometry_constants, space_from_spec
-from .verify import empirical_ratio
+from .verify import NormEstimate, empirical_ratio
 
 __all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
 
 
 class Operator(NamedTuple):
-    apply: Callable          # apply(materialized, f) -> OperatorOutput
+    apply: Callable          # apply(materialized, rows) -> the (P, n) block of row images
     weighted: bool = False   # v and w act inside the operator, not on the norm ratio
 
 
-def _singular(m: "Materialized", f: PointFunction):
+def _singular(m: "Materialized", rows: np.ndarray) -> np.ndarray:
     kernel = ops.kernel_from_spec(m.scenario.params.get("kernel", {"type": "hilbert"}))
     pos = m.space.d0[m.space.d0 > 0]
     eps = float(m.scenario.params.get("eps", 2.0 * pos.min() if pos.size else 1.0))
-    return ops.singular_integral(m.space, kernel, f, eps)
+    return ops.singular_integrals(m.space, kernel, rows, eps)
 
 
 # Table entries reach ``ops`` and ``cond`` through the module when called, so
 # a function replaced there (a tracer, a test double) is the one that runs.
+# Each operator takes a (P, n) block of test functions and returns its block.
 OPERATORS = {
-    "hardy": Operator(lambda m, f: ops.hardy_transform(m.space, *m._weights, f), True),
-    "hardy-tail": Operator(lambda m, f: ops.hardy_tail_transform(m.space, *m._weights, f), True),
-    "maximal": Operator(lambda m, f: ops.maximal_function(m.space, f)),
-    "potential-ball": Operator(lambda m, f: ops.ball_potential(m.space, m.alpha, f)),
-    "potential-distance": Operator(lambda m, f: ops.distance_potential(m.space, m.alpha, f)),
+    "hardy": Operator(lambda m, rows: ops.hardy_transforms(m.space, *m._weights, rows), True),
+    "hardy-tail": Operator(
+        lambda m, rows: ops.hardy_tail_transforms(m.space, *m._weights, rows), True),
+    "maximal": Operator(lambda m, rows: ops.maximal_functions(m.space, rows)),
+    "potential-ball": Operator(lambda m, rows: ops.ball_potentials(m.space, m.alpha, rows)),
+    "potential-distance": Operator(
+        lambda m, rows: ops.distance_potentials(m.space, m.alpha, rows)),
     "singular": Operator(_singular),
 }
 _OPERATOR_TAGS = tuple(OPERATORS)
@@ -350,13 +353,17 @@ class Materialized:
         return out
 
     def operator_closure(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """The scenario's operator as a map from a (P, n) block of test
+        functions to its (P, n) block of values, or None without one."""
         tag = self.scenario.operator
         if tag is None:
             return None
         apply = OPERATORS[tag].apply
-        return lambda fv: apply(self, PointFunction(fv, "test")).values.values
+        return lambda rows: apply(self, rows)
 
-    def evaluate_ratio(self) -> Optional[float]:
+    def evaluate_ratio(self) -> Optional[NormEstimate]:
+        """The empirical norm ratio of the scenario's operator, or None
+        without an operator or p."""
         op = self.operator_closure()
         if op is None or self.p is None:
             return None
@@ -365,7 +372,7 @@ class Materialized:
             # weights live inside the transform; the ratio is ||T f||_q / ||f||_p
             v = w = PointFunction.constant(self.space.n, 1.0, "weight")
         return empirical_ratio(self.space, op, self.p, self.q, v, w,
-                               trials=8, seed=self.scenario.seed).ratio
+                               trials=8, seed=self.scenario.seed)
 
     def geometry_summary(self) -> dict:
         g = geometry_constants(self.space, A=float(self.scenario.params.get("A", 2.0)))

@@ -61,10 +61,10 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     Probes with vanishing weighted norm are discarded and counted.
 
     The norms are taken in two batches: every denominator ||w f||_p first,
-    then every numerator.  ``op`` maps one vector to one vector and is called
-    once per probe with a nonzero denominator, in probe order.
-    ``converged`` is False when any of those norms stopped short of its
-    tolerance.
+    then every numerator.  ``op`` maps a (P, n) block of test functions, one
+    per row, to the (P, n) block of their images; it is called once, on the
+    probes with a nonzero denominator, in probe order.  ``converged`` is
+    False when any of those norms stopped short of its tolerance.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -99,7 +99,10 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     block = np.array(probes)
     dens = luxemburg_norms(space, p, w.values * block)
     kept = [i for i, den in enumerate(dens) if den.value != 0.0]
-    outs = np.array([op(block[i]) for i in kept], dtype=float).reshape(len(kept), n)
+    outs = np.asarray(op(block[kept]), dtype=float)
+    if outs.shape != (len(kept), n):
+        raise DomainError(f"operator must map a ({len(kept)}, {n}) block to one of that shape, "
+                          f"got {outs.shape}")
     nums = luxemburg_norms(space, q, v.values * outs)
     best, best_f = 0.0, None
     for i, num in zip(kept, nums):
@@ -271,7 +274,8 @@ def refinement_study(scenario, resolutions: Sequence[int]) -> StudyReport:
     increasing resolutions and classify each series as bounded / divergent /
     undecided by the two-resolution trend rule.  Each resolution must
     materialize more points than the one before: a space that ignores the
-    resolution would yield a flat series, read as bounded."""
+    resolution would yield a flat series, read as bounded.  The ratio trend
+    is undecided when any ratio's norms did not converge."""
     res = [int(r) for r in resolutions]
     if len(res) < 3 or any(b <= a for a, b in zip(res, res[1:])):
         raise PreconditionError("resolutions must be strictly increasing with >= 3 entries")
@@ -279,6 +283,7 @@ def refinement_study(scenario, resolutions: Sequence[int]) -> StudyReport:
     ratios: List[Optional[float]] = []
     geometry: List[dict] = []
     points = 0
+    converged = True
     for n in res:
         mat = scenario.materialize(n)
         if mat.space.n <= points:
@@ -289,9 +294,13 @@ def refinement_study(scenario, resolutions: Sequence[int]) -> StudyReport:
         reports = mat.evaluate_conditions()
         for name, rep in reports.items():
             cond_values.setdefault(name, []).append(rep.value)
-        ratios.append(mat.evaluate_ratio())
+        est = mat.evaluate_ratio()
+        ratios.append(None if est is None else est.ratio)
+        converged = converged and (est is None or est.converged)
         geometry.append(mat.geometry_summary())
     cond_trends = {k: classify_trend(v) for k, v in cond_values.items()}
     ratio_vals = [r for r in ratios if r is not None]
-    ratio_trend = classify_trend(ratio_vals) if len(ratio_vals) >= 2 else "undecided"
+    # a ratio whose norms stopped short of their tolerance cannot carry a trend
+    ratio_trend = classify_trend(ratio_vals) if len(ratio_vals) >= 2 and converged \
+        else "undecided"
     return StudyReport(res, cond_values, ratios, geometry, cond_trends, ratio_trend, reports)

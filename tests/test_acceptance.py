@@ -117,7 +117,7 @@ def test_c05_sufficiency_and_necessity_trends():
     def hardy_ratio(n, make_vw, p_val, q_val):
         sp = vx.uniform_grid(n)
         v, w = make_vw(sp)
-        op = lambda fv: vx.hardy_transform(sp, v, w, vx.PointFunction(fv, "test")).values.values
+        op = lambda rows: vx.hardy_transforms(sp, v, w, rows)
         ones = const(n, 1.0, "weight")
         return vx.empirical_ratio(sp, op, const(n, p_val), const(n, q_val),
                                   ones, ones, trials=8, seed=0).ratio

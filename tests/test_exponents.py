@@ -12,7 +12,9 @@ def const(n, v, kind="exponent"):
 
 
 # class_check as it read the table before every row sort read the shared row
-# blocks: one sort per center, np.unique radii and a per-row pair matrix.
+# blocks: one sort per center, np.unique radii and a per-row pair matrix.  A
+# log-Hoelder class with ``at`` counts the exclusions of that row only, and
+# its witness is an admissible pair.
 def reference_sorted_row(space, center):
     d = space.d_from(center)
     order = np.argsort(d, kind="stable")
@@ -61,16 +63,17 @@ def reference_class_check(space, p, cls, N=1.0, at=None, b=None):
         return vx.ClassReport(cls, best, float(b), wit, excluded=excluded)
     d = space.dist
     gate = reference_muB_pair_matrix(space) if cls == "log-holder" else d
-    admissible = (d > 0) & (d <= b) & (gate > 0) & (gate < 1)
+    near = (d > 0) & (d <= b)
     if at is not None:
-        keep = np.zeros_like(admissible)
-        keep[at] = admissible[at]
-        admissible = keep
-    excluded = int(((d > 0) & (d <= b)).sum() - admissible.sum())
+        keep = np.zeros_like(near)
+        keep[at] = near[at]
+        near = keep
+    admissible = near & (gate > 0) & (gate < 1)
+    excluded = int(near.sum() - admissible.sum())
     if not admissible.any():
         return vx.ClassReport(cls, 0.0, float(b), (), excluded=excluded)
     dp = np.abs(p.values[:, None] - p.values[None, :])
-    vals = np.where(admissible, dp * (-np.log(np.where(admissible, gate, 1.0))), 0.0)
+    vals = np.where(admissible, dp * (-np.log(np.where(admissible, gate, 1.0))), -np.inf)
     flat = int(vals.argmax())
     wit = tuple(int(i) for i in np.unravel_index(flat, vals.shape))
     return vx.ClassReport(cls, float(vals.max()), float(b), wit, excluded=excluded)
@@ -257,6 +260,26 @@ class TestClassCheck:
         full = vx.class_check(sp, p, "log-holder-distance", b=0.5)
         assert rep.constant_c <= full.constant_c + 1e-15
         assert rep.worst_witness[0] == 0
+
+    @pytest.mark.parametrize("cls", ["log-holder", "log-holder-distance"])
+    def test_at_point_counts_only_its_own_row(self, cls):
+        # the row of `at` holds n - 1 pairs; no other row's pairs are excluded
+        n, at, b = 1024, 5, 0.5
+        sp = vx.uniform_grid(n)
+        p = vx.PointFunction(2.0 + sp.coords, "exponent")
+        rep = vx.class_check(sp, p, cls, at=at, b=b)
+        d = sp.d_from(at)
+        gate = np.array([vx.ball(sp, at, r).measure for r in d]) if cls == "log-holder" else d
+        near = (d > 0) & (d <= b)
+        assert rep.excluded == int((near & ~((gate > 0) & (gate < 1))).sum())
+        assert rep.excluded <= n - 1
+
+    @pytest.mark.parametrize("at", [None, 3])
+    def test_log_holder_builds_no_ball_index(self, at):
+        sp = vx.uniform_grid(96)
+        p = vx.PointFunction(2.0 + sp.coords, "exponent")
+        vx.class_check(sp, p, "log-holder", at=at)
+        assert "ball_index" not in vars(sp)
 
     def test_log_profile_stable_under_refinement(self):
         vals = []

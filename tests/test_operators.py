@@ -106,6 +106,107 @@ class TestAgainstPerCenterLoops:
         assert np.all(np.abs(T(a * f + b * g) - (a * Tf + b * Tg)) <= 1e-12 * scale)
 
 
+def block_operators(sp, rng):
+    """Each block operator on ``sp`` as (name, block form, one-vector form,
+    block form with the kernel's absolute value).  The singular integral runs
+    on a signed random table truncated at a quarter of the median distance."""
+    v = vx.PointFunction(rng.uniform(0.2, 2.0, sp.n), "weight")
+    w = vx.PointFunction(rng.uniform(0.2, 2.0, sp.n), "weight")
+    alpha = vx.PointFunction(rng.uniform(0.05, 0.95, sp.n), "alpha")
+    table = rng.uniform(-1.0, 1.0, (sp.n, sp.n))
+    kernel, abs_kernel = vx.explicit_kernel(table), vx.explicit_kernel(np.abs(table))
+    eps = 0.25 * float(np.median(sp.dist[sp.dist > 0]))
+
+    def one(f):
+        return vx.PointFunction(f, "test")
+
+    return [
+        ("hardy", lambda F: vx.hardy_transforms(sp, v, w, F),
+         lambda f: vx.hardy_transform(sp, v, w, one(f)), None),
+        ("hardy-tail", lambda F: vx.hardy_tail_transforms(sp, v, w, F),
+         lambda f: vx.hardy_tail_transform(sp, v, w, one(f)), None),
+        ("maximal", lambda F: vx.maximal_functions(sp, F),
+         lambda f: vx.maximal_function(sp, one(f)), None),
+        ("ball", lambda F: vx.ball_potentials(sp, alpha, F),
+         lambda f: vx.ball_potential(sp, alpha, one(f)), None),
+        ("distance", lambda F: vx.distance_potentials(sp, alpha, F),
+         lambda f: vx.distance_potential(sp, alpha, one(f)), None),
+        ("singular", lambda F: vx.singular_integrals(sp, kernel, F, eps),
+         lambda f: vx.singular_integral(sp, kernel, one(f), eps),
+         lambda F: vx.singular_integrals(sp, abs_kernel, F, eps)),
+    ]
+
+
+EXACT = ("hardy", "hardy-tail", "maximal")
+LINEAR = ("hardy", "hardy-tail", "ball", "distance", "singular")
+
+
+def abs_bound(T, T_abs, F):
+    """The operator with its kernel's absolute value applied to |F|: a bound
+    on the size of every term T sums."""
+    return (T_abs or T)(np.abs(F))
+
+
+class TestBlockOperators:
+    @given(spaces(), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_one_vector_form(self, sp, seed, rows):
+        rng = np.random.default_rng(seed)
+        F = rng.uniform(-2, 2, (rows, sp.n)) * (rng.uniform(size=(rows, sp.n)) < 0.7)
+        for name, T, single, T_abs in block_operators(sp, rng):
+            block = T(F)
+            assert block.shape == F.shape
+            each = np.array([single(f).values.values for f in F])
+            if name in EXACT:
+                assert np.array_equal(block, each), name
+            else:
+                scale = abs_bound(T, T_abs, F)
+                assert np.all(np.abs(block - each) <= 1e-12 * scale), name
+
+    @given(spaces(), st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_linear(self, sp, seed, a, b):
+        rng = np.random.default_rng(seed)
+        F, G = rng.uniform(-2, 2, (2, 3, sp.n))
+        for name, T, _, T_abs in block_operators(sp, rng):
+            if name not in LINEAR:
+                continue
+            lhs, rhs = T(a * F + b * G), a * T(F) + b * T(G)
+            scale = abs(a) * abs_bound(T, T_abs, F) + abs(b) * abs_bound(T, T_abs, G)
+            assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale + 1e-300), name
+
+    @given(spaces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_positive(self, sp, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.uniform(0, 2, (3, sp.n)) * (rng.uniform(size=(3, sp.n)) < 0.7)
+        for name, T, _, T_abs in block_operators(sp, rng):
+            # the signed singular kernel is not positive; its absolute value is
+            assert np.all((T_abs or T)(F) >= 0.0), name
+
+    @given(spaces(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 0.5, 3.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_maximal_homogeneous_and_sublinear(self, sp, seed, c):
+        rng = np.random.default_rng(seed)
+        F, G = rng.uniform(-2, 2, (2, 3, sp.n))
+        M = lambda rows: vx.maximal_functions(sp, rows)
+        MF, MG = M(F), M(G)
+        # the ball {x} and the whole space are among the averages
+        top = np.abs(F).max(axis=1, keepdims=True)
+        assert np.all(np.abs(F) * (1 - 1e-12) <= MF) and np.all(MF <= top * (1 + 1e-12))
+        assert np.array_equal(M(-F), MF)
+        assert np.all(np.abs(M(c * F) - c * MF) <= 1e-12 * c * MF)
+        assert np.all(M(F + G) <= (MF + MG) * (1 + 1e-12))
+
+    def test_rows_must_form_a_block(self):
+        sp = vx.uniform_grid(8)
+        with pytest.raises(DomainError, match="block"):
+            vx.maximal_functions(sp, np.ones(8))
+        with pytest.raises(DomainError, match="finite"):
+            vx.hardy_transforms(sp, const(8, 1.0, "weight"), const(8, 1.0, "weight"),
+                                np.full((2, 8), np.nan))
+
+
 class TestHardyTransforms:
     def test_zero_input(self):
         sp, one_w, _ = grid_setup(64)

@@ -13,7 +13,7 @@ def hardy_op(sp, v=None, w=None):
     n = sp.n
     v = v or const(n, 1.0, "weight")
     w = w or const(n, 1.0, "weight")
-    return lambda fv: vx.hardy_transform(sp, v, w, vx.PointFunction(fv, "test")).values.values
+    return lambda rows: vx.hardy_transforms(sp, v, w, rows)
 
 
 class TestEmpiricalRatio:
@@ -60,7 +60,8 @@ class TestEmpiricalRatio:
         p = const(n, 2.0)
         est = vx.empirical_ratio(sp, hardy_op(sp), p, p, one, one, trials=8, seed=1)
         f = est.best_f
-        num = vx.luxemburg_norm(sp, p, vx.PointFunction(hardy_op(sp)(f.values), "test")).value
+        num = vx.luxemburg_norm(sp, p, vx.PointFunction(hardy_op(sp)(f.values[None])[0],
+                                                         "test")).value
         den = vx.luxemburg_norm(sp, p, f).value
         assert est.ratio == pytest.approx(num / den, rel=1e-12)
 
@@ -85,22 +86,41 @@ class TestEmpiricalRatio:
         monkeypatch.setattr(norms, "MAX_ITERS", 1)
         assert vx.empirical_ratio(*args, trials=4, seed=0).converged is False
 
-    def test_op_called_once_per_kept_probe(self):
+    def test_op_called_once_per_kept_probe(self, monkeypatch):
+        from vexleb import verify
         n = 32
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         w = vx.PointFunction(np.where(sp.coords > 0.5, 1.0, 0.0), "test")
-        seen = []
+        seen, normed = [], []
 
-        def op(f):
-            seen.append(f.copy())
-            return f
+        def op(rows):
+            seen.append(rows.copy())
+            return rows
 
+        def recording_norms(space, p, rows, subset=None):
+            normed.append(rows.copy())
+            return luxemburg_norms(space, p, rows, subset)
+
+        luxemburg_norms = verify.luxemburg_norms
+        monkeypatch.setattr(verify, "luxemburg_norms", recording_norms)
         est = vx.empirical_ratio(sp, op, const(n, 2.0), const(n, 2.0), one, w,
                                  trials=4, seed=0)
-        assert len(seen) == est.trials - est.discarded
+        assert len(seen) == 1
         assert est.discarded > 0
-        assert all(np.any(w.values * f != 0) for f in seen)
+        assert seen[0].shape == (est.trials - est.discarded, n)
+        # the first norm batch holds every weighted probe; op gets the ones
+        # with a nonzero weighted norm, in probe order
+        kept = np.any(normed[0] != 0, axis=1)
+        assert np.array_equal(w.values * seen[0], normed[0][kept])
+
+    def test_op_block_of_the_wrong_shape_is_refused(self):
+        n = 16
+        sp = vx.uniform_grid(n)
+        one = const(n, 1.0, "weight")
+        with pytest.raises(DomainError, match="block"):
+            vx.empirical_ratio(sp, lambda rows: rows[:1], const(n, 2.0), const(n, 2.0),
+                               one, one, trials=4, seed=0)
 
 
 class TestPowerIteration:
@@ -138,7 +158,7 @@ class TestPowerIteration:
         k = rng.uniform(0.05, 1.0, (n, n))
         pi = vx.power_iteration_pq(sp, k, 2.0, 2.0, iters=2000, tol=1e-13)
         one = const(n, 1.0, "weight")
-        er = vx.empirical_ratio(sp, lambda f: k @ (f * sp.mu), const(n, 2.0),
+        er = vx.empirical_ratio(sp, lambda rows: (rows * sp.mu) @ k.T, const(n, 2.0),
                                 const(n, 2.0), one, one, trials=16, seed=3)
         assert pi.ratio >= er.ratio - 1e-9
 
@@ -232,6 +252,17 @@ class TestRefinementStudy:
         study = vx.refinement_study(self._scenario("const 1"), [64, 128, 256])
         assert study.condition_trends["hardy"] == "bounded"
         assert study.ratio_trend == "bounded"
+
+    def test_unconverged_ratio_gives_no_trend(self, monkeypatch):
+        from vexleb import norms
+        sc = self._scenario("const 1")
+        assert vx.refinement_study(sc, [64, 128, 256]).ratio_trend == "bounded"
+        monkeypatch.setattr(norms, "MAX_ITERS", 1)
+        est = sc.materialize(64).evaluate_ratio()
+        assert isinstance(est, vx.NormEstimate) and not est.converged
+        study = vx.refinement_study(sc, [64, 128, 256])
+        assert all(r is not None for r in study.ratios)
+        assert study.ratio_trend == "undecided"
 
     def test_divergent_scenario(self):
         study = vx.refinement_study(self._scenario("power-of-dist(x0, -1)"),
