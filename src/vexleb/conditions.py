@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _sorted_row_blocks, comparison_annulus
+from .space import DiscreteSpace, _sorted_row_blocks, ahlfors_regularity, comparison_annulus
 
 __all__ = [
     "ConditionReport",
@@ -391,7 +391,6 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(alpha.values, p)
-    from .space import ahlfors_regularity
     c1, _, _, _ = ahlfors_regularity(space, 1.0)
     meta = {"ahlfors_upper_c1": c1}
     le = local_exponents(space, p, a)

@@ -9,13 +9,15 @@ to confirm the exclusion is harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
-from .space import DiscreteSpace
+from .space import DiscreteSpace, _a1, _sorted_row_blocks
 
 __all__ = [
     "OperatorOutput",
@@ -127,25 +129,26 @@ def hardy_tail_transform(space: DiscreteSpace, v: PointFunction, w: PointFunctio
 def maximal_functions(space: DiscreteSpace, rows) -> np.ndarray:
     """``maximal_function`` of each row of a (P, n) block.
 
-    One sweep over sorted positions serves every center and every row: at
-    step j, each center x adds |f| mu at the j-th point of its sorted row to
-    its running sums, which so take their terms in the order of a per-center
-    cumsum and match it bit for bit.  Closed balls are realized at the last
-    position of each tie group; elsewhere the running sum is divided by inf,
-    and 0 never exceeds an average.
+    One sweep over sorted positions per block of centers serves every row:
+    at step j, each center x adds |f| mu at the j-th point of its sorted row
+    to its running sums, which so take their terms in the order of a
+    per-center cumsum and match it bit for bit.  Closed balls are realized at
+    the last position of each tie group; elsewhere the running sum is divided
+    by inf, and 0 never exceeds an average.
     """
     absf_mu = np.ascontiguousarray((np.abs(_rows(space, rows)) * space.mu).T)
-    idx = space.ball_index
-    total = np.zeros_like(absf_mu)
-    best = np.zeros_like(absf_mu)
-    average = np.empty_like(absf_mu)
-    for j in range(space.n):
-        total += absf_mu[idx.order[:, j]]
-        measure = np.where(idx.ends[:, j], idx.prefix[:, j + 1], np.inf)
-        np.divide(total, measure[:, None], out=average)
-        # fmax, not maximum: an overflowed sum over an infinite measure is NaN
-        np.fmax(best, average, out=best)
-    return best.T.copy()
+    out = np.zeros_like(absf_mu)
+    for blk in _sorted_row_blocks(space):
+        best = out[blk.start:blk.start + len(blk.order)]
+        total = np.zeros_like(best)
+        average = np.empty_like(best)
+        measures = np.where(blk.ends, blk.prefix[:, 1:], np.inf)
+        for order, measure in zip(blk.order.T, measures.T):
+            total += absf_mu[order]
+            np.divide(total, measure[:, None], out=average)
+            # fmax, not maximum: an overflowed sum over an infinite measure is NaN
+            np.fmax(best, average, out=best)
+    return out.T.copy()
 
 
 def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
@@ -154,15 +157,17 @@ def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
     return _as_output(maximal_functions(space, f.values[None, :])[0])
 
 
-def _potential(space: DiscreteSpace, table: np.ndarray, alpha: PointFunction,
-               rows) -> np.ndarray:
+def _potential(space: DiscreteSpace, alpha: PointFunction, rows, tables) -> np.ndarray:
     """Each row of a (P, n) block through the kernel table**(alpha(x) - 1),
-    built once per call; entries where the table is 0 (only the diagonal)
-    are excluded."""
+    built once per call from ``tables``, the pairs (first row, block of the
+    table's rows); entries where the table is 0 (only the diagonal) are
+    excluded."""
     if alpha.kind not in ("alpha", "test"):
         raise DomainError("order field must be alpha-kind")
-    kernel = np.power(table, alpha.values[:, None] - 1.0, out=np.zeros_like(table),
-                      where=table > 0)
+    kernel = np.zeros((space.n, space.n))
+    for start, table in tables:
+        block = slice(start, start + len(table))
+        np.power(table, alpha.values[block, None] - 1.0, out=kernel[block], where=table > 0)
     return _apply_kernel(kernel, _rows(space, rows) * space.mu)
 
 
@@ -170,7 +175,8 @@ def ball_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndar
     """``ball_potential`` of each row of a (P, n) block.  The open ball
     B(x, d(x, y)) holds x for y != x, so its measure is 0 only on the
     diagonal."""
-    return _potential(space, space.ball_index.open_measure, alpha, rows)
+    return _potential(space, alpha, rows, ((blk.start, blk.open_measure())
+                                           for blk in _sorted_row_blocks(space)))
 
 
 def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
@@ -180,7 +186,7 @@ def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction)
 
 def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndarray:
     """``distance_potential`` of each row of a (P, n) block."""
-    return _potential(space, space.dist, alpha, rows)
+    return _potential(space, alpha, rows, [(0, space.dist)])
 
 
 def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
@@ -297,26 +303,26 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     if sample_pairs < 1:
         raise DomainError("need at least one sampled pair")
     if a1 is None:
-        from .space import _a1
         a1, _ = _a1(space)
     rng = np.random.default_rng(seed)
     n = space.n
-    rows = {}
 
+    @cache
     def krow(x: int) -> np.ndarray:
-        if x not in rows:
-            rows[x] = kernel.row(space, x)
-        return rows[x]
+        return kernel.row(space, x)
+
+    @cache
+    def open_measure(x: int) -> np.ndarray:
+        return next(_sorted_row_blocks(space, x, x + 1)).open_measure()[0]
 
     size_c = 0.0
     xs = rng.integers(0, n, sample_pairs)
     ys = rng.integers(0, n, sample_pairs)
-    open_measure = space.ball_index.open_measure
     for x in np.unique(xs):
         yy = ys[xs == x]
         yy = yy[space.d_from(x)[yy] > 0]
         if yy.size:
-            size_c = max(size_c, float(np.max(np.abs(krow(x)[yy]) * open_measure[x, yy])))
+            size_c = max(size_c, float(np.max(np.abs(krow(x)[yy]) * open_measure(x)[yy])))
 
     smooth_c = 0.0
     x1s = rng.integers(0, n, sample_pairs)
@@ -330,7 +336,7 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
         gate &= d2 > 0
         if not gate.any():
             continue
-        m2 = open_measure[x2]
+        m2 = open_measure(x2)
         num = np.abs(krow(x1) - krow(x2))
         # transposed differences k(y, x1) - k(y, x2), gathered column-wise
         col1 = np.array([krow(y)[x1] for y in np.flatnonzero(gate)])
@@ -345,6 +351,13 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     return size_c, smooth_c, dini_sum
 
 
+def _number(spec: dict, key: str, default=None) -> float:
+    value = spec.get(key, default)
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValidationError(f"{key}: must be a number, got {value!r}")
+    return float(value)
+
+
 def kernel_from_spec(spec: dict) -> KernelSpec:
     """Kernel spec: {"type": "hilbert" | "explicit-table" | "power-dist",
     "exponent": g, "table": [[...]], "omega": {"type": "power", "a": 1.0} |
@@ -352,9 +365,13 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
     if not isinstance(spec, dict):
         raise ValidationError("kernel spec must be a mapping")
     omega_spec = spec.get("omega", {"type": "power", "a": 1.0})
+    if not isinstance(omega_spec, dict):
+        raise ValidationError(f"omega: must be a mapping, got {omega_spec!r}")
     if omega_spec.get("type") == "power":
-        omega = power_modulus(float(omega_spec.get("a", 1.0)))
+        omega = power_modulus(_number(omega_spec, "a", 1.0))
     elif omega_spec.get("type") == "table":
+        if "t" not in omega_spec or "value" not in omega_spec:
+            raise ValidationError("table modulus needs 't' and 'value'")
         omega = table_modulus(omega_spec["t"], omega_spec["value"])
     else:
         raise ValidationError(f"unknown modulus type {omega_spec.get('type')!r}")
@@ -364,12 +381,12 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
     elif ktype == "power-dist":
         if "exponent" not in spec:
             raise ValidationError("power-dist kernel needs 'exponent'")
-        k = power_dist_kernel(float(spec["exponent"]))
+        k = power_dist_kernel(_number(spec, "exponent"))
     elif ktype == "explicit-table":
         if "table" not in spec:
             raise ValidationError("explicit-table kernel needs 'table'")
         k = explicit_kernel(np.asarray(spec["table"], dtype=float))
     else:
         raise ValidationError(f"unknown kernel type {ktype!r}")
-    return KernelSpec(k.row, omega, cz_c=float(spec.get("cz_c", k.cz_c)),
-                      s=float(spec.get("s", k.s)), name=k.name)
+    return KernelSpec(k.row, omega, cz_c=_number(spec, "cz_c", k.cz_c),
+                      s=_number(spec, "s", k.s), name=k.name)

@@ -60,7 +60,7 @@ class Condition(NamedTuple):
 
 
 def _monotone(m: "Materialized") -> bool:
-    return bool(m.scenario.params.get("require_monotone", False))
+    return m.scenario.params.get("require_monotone", False)
 
 
 def _radial(variant: str) -> Callable:
@@ -190,7 +190,7 @@ class Scenario:
             for key in ("beta", "gamma", "L"):
                 value = pair.get(key)
                 if key in pair and not (key == "gamma" and value is None) \
-                        and (not isinstance(value, Real) or isinstance(value, bool)):
+                        and not _is_number(value):
                     raise ValidationError(
                         f"scenario.weights.pair.{key}: must be a number, got {value!r}")
         operator = data.get("operator")
@@ -239,12 +239,24 @@ class Scenario:
         if not isinstance(compose_hardy, bool):
             raise ValidationError(
                 f"scenario.compose_hardy: must be true or false, got {compose_hardy!r}")
+        params = dict(_mapping(data, "params"))
+        for key in ("A", "a1", "r", "eps"):
+            if key in params and not _is_number(params[key]):
+                raise ValidationError(
+                    f"scenario.params.{key}: must be a number, got {params[key]!r}")
+        if not isinstance(params.get("require_monotone", False), bool):
+            raise ValidationError("scenario.params.require_monotone: must be true or false, "
+                                  f"got {params['require_monotone']!r}")
+        if "kernel" in params:
+            try:
+                ops.kernel_from_spec(params["kernel"])
+            except ValueError as exc:
+                raise ValidationError(f"scenario.params.kernel: {exc}") from None
         return cls(
             name=name, space_spec=space_spec, p_spec=exps.get("p"),
             alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
             operator=operator, conditions=conds, resolutions=resolutions,
-            seed=int(seed), params=dict(_mapping(data, "params")),
-            compose_hardy=compose_hardy,
+            seed=int(seed), params=params, compose_hardy=compose_hardy,
         )
 
     def to_dict(self) -> dict:
@@ -280,6 +292,10 @@ class Scenario:
                 space_spec["depth"] = max(1, int(np.log2(max(2, int(n)))))
         space = space_from_spec(space_spec)
         return Materialized(self, space)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _mapping(data: dict, key: str) -> dict:

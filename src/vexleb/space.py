@@ -9,10 +9,10 @@ configuration, never as booleans: at a fixed resolution only the estimate is
 observable, finiteness is a refinement trend.
 
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
-block at a time, each row sorted once, and every sweep, ball index, ball
-measure and basepoint order (``radial_order``, ``muB0``) is read from its
-blocks.  Radius sweeps use the sorted distinct distances seen from each center.
-Sup-type estimates (doubling) read closed balls there, inf-type estimates
+block at a time, each row sorted once, and every sweep, ball measure and
+basepoint order (``radial_order``, ``muB0``) is read from its blocks, so no
+(n, n) table of sorted rows is kept.  Radius sweeps use the sorted distinct
+distances seen from each center.  Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
 collapse the swept annulus while open balls at atom scale inflate ratios, so
 each estimator takes the reading that matches its continuum quantity.
@@ -29,7 +29,6 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "DiscreteSpace",
-    "BallIndex",
     "BallView",
     "GeometryReport",
     "RadialPartition",
@@ -47,36 +46,6 @@ __all__ = [
 
 # Exhaustive triple search is O(n^3); beyond this size a seeded sampler is used.
 EXHAUSTIVE_TRIPLE_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class BallIndex:
-    """Every row of the distance table sorted once, with its ball measures.
-
-    order        : (n, n) stable ascending order of each row ``dist[x]``
-    prefix       : (n, n + 1) mu summed over the first k points of that order
-    ends         : (n, n) True at the last sorted position of each group of
-                   tied distances, where a closed ball is realized
-    open_measure : (n, n) mu B(x, d(x, y)), the open ball, in column order y
-    """
-
-    order: np.ndarray
-    prefix: np.ndarray
-    ends: np.ndarray
-    open_measure: np.ndarray
-
-    @classmethod
-    def build(cls, space: "DiscreteSpace") -> "BallIndex":
-        n = space.n
-        index = cls(np.empty((n, n), dtype=np.intp), np.empty((n, n + 1)),
-                    np.empty((n, n), dtype=bool), np.empty((n, n)))
-        for blk in _sorted_row_blocks(space):
-            rows = slice(blk.start, blk.start + blk.ds.shape[0])
-            index.order[rows] = blk.order
-            index.prefix[rows] = blk.prefix
-            index.ends[rows] = blk.ends
-            index.open_measure[rows] = blk.open_measure()
-        return index
 
 
 @dataclass(frozen=True)
@@ -151,17 +120,6 @@ class DiscreteSpace:
     def L_eff(self) -> float:
         """Radius of the represented domain: L when finite, else trunc_radius."""
         return float(self.trunc_radius) if self.infinite_diameter else float(self.L)
-
-    @cached_property
-    def ball_index(self) -> BallIndex:
-        """The sorted rows and ball measures of every center, built from the
-        row blocks on first use.
-
-        It holds about 25 bytes per pair of points (25 n^2 bytes: 105 MB at
-        n = 2048), so only what needs every row at once reads it (the ball
-        potential, maximal function, kernel checks and log-Hoelder class).
-        """
-        return BallIndex.build(self)
 
     @cached_property
     def _basepoint_row(self):

@@ -18,6 +18,7 @@ from .conditions import classify_trend
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
 from .norms import luxemburg_norm, luxemburg_norms
+from .operators import ball_potential, hardy_transform, maximal_function
 from .space import DiscreteSpace
 
 __all__ = [
@@ -190,7 +191,6 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         raise DomainError("need constant exponents 1 < p <= q")
     if np.any(w.values <= 0):
         raise DomainError("probe weight must be positive on its support")
-    from .operators import ball_potential, hardy_transform, maximal_function
 
     mu = space.mu
     d0 = space.d0

@@ -161,6 +161,13 @@ class TestRun:
         ("weights.pair.gamma", {"weights": {"pair": {"family": "power-pair", "gamma": "x"}}}),
         ("weights.pair.L", {"weights": {"pair": {"family": "log-pair", "L": "x"}}}),
         ("compose_hardy", {"compose_hardy": "false"}),
+        ("params.eps", {"params": {"eps": "x"}}),
+        ("params.A", {"params": {"A": "x"}}),
+        ("params.kernel", {"params": {"kernel": {"type": "power-dist", "exponent": "x"}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "omega": 5}}}),
+        ("params.require_monotone", {"params": {"require_monotone": "false"}}),
+        ("params.a1", {"params": {"a1": True}}),
+        ("params.r", {"params": {"r": [2]}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

@@ -274,13 +274,6 @@ class TestClassCheck:
         assert rep.excluded == int((near & ~((gate > 0) & (gate < 1))).sum())
         assert rep.excluded <= n - 1
 
-    @pytest.mark.parametrize("at", [None, 3])
-    def test_log_holder_builds_no_ball_index(self, at):
-        sp = vx.uniform_grid(96)
-        p = vx.PointFunction(2.0 + sp.coords, "exponent")
-        vx.class_check(sp, p, "log-holder", at=at)
-        assert "ball_index" not in vars(sp)
-
     def test_log_profile_stable_under_refinement(self):
         vals = []
         for n in (128, 256):

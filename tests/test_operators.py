@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,31 @@ def reference_ball_potential(space, alpha, f):
         skipped += int((sel & ~ok).sum())
         out[x] = float((fmu[ok] * m[ok] ** (alpha[x] - 1.0)).sum())
     return out, skipped
+
+
+def reference_kernel_constants(space, kernel, pairs, seed, a1):
+    """size_c and smooth_c of ``kernel_regularity_check`` as per-pair loops
+    over the same seeded draws, each ball measured on its own."""
+    rng = np.random.default_rng(seed)
+    xs, ys, x1s, x2s = (rng.integers(0, space.n, pairs) for _ in range(4))
+    k = np.array([kernel.row(space, x) for x in range(space.n)])
+    d = space.dist
+
+    def open_ball(x, r):
+        return vx.ball(space, x, r, closed=False).measure
+
+    size_c = max([abs(k[x, y]) * open_ball(x, d[x, y]) for x, y in zip(xs, ys) if d[x, y] > 0],
+                 default=0.0)
+    smooth_c = 0.0
+    for x1, x2 in zip(x1s, x2s):
+        dx = d[x2, x1]
+        for y in range(space.n):
+            if dx > 0 and d[x2, y] > 0 and d[x2, y] >= 2.0 * a1 * dx:
+                quot = ((abs(k[x1, y] - k[x2, y]) + abs(k[y, x1] - k[y, x2]))
+                        * open_ball(x2, d[x2, y]) / kernel.omega(dx / d[x2, y]))
+                if np.isfinite(quot):
+                    smooth_c = max(smooth_c, float(quot))
+    return size_c, smooth_c
 
 
 @st.composite
@@ -454,6 +481,32 @@ class TestKernelChecks:
         sp = vx.uniform_grid(129)
         _, smooth_c, _ = vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 300, a1=1.0)
         assert 0 < smooth_c < 50.0
+
+    @pytest.mark.parametrize("sp, kernel", [
+        (vx.uniform_grid(70), vx.hilbert_kernel()),
+        (vx.cantor_space(6), vx.hilbert_kernel()),
+        (vx.cantor_space(6), vx.power_dist_kernel(-1.0)),
+    ], ids=["grid-hilbert", "cantor-hilbert", "cantor-power-dist"])
+    def test_matches_per_pair_balls(self, sp, kernel):
+        size_c, smooth_c, _ = vx.kernel_regularity_check(sp, kernel, 60, seed=3, a1=1.0)
+        ref_size, ref_smooth = reference_kernel_constants(sp, kernel, 60, 3, 1.0)
+        assert ref_size > 0 and ref_smooth > 0
+        assert size_c == pytest.approx(ref_size, rel=1e-12)
+        assert smooth_c == pytest.approx(ref_smooth, rel=1e-12)
+
+    def test_reads_only_the_sampled_rows(self):
+        # the open-ball measures of the sampled centers come from their rows
+        # alone: no n x n ball-measure table is built
+        sp = vx.uniform_grid(1024)
+        tracemalloc.start()
+        try:
+            out = vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 200, a1=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == pytest.approx((1.9980468750000002, 7.9921875, 0.6931471805593149),
+                                    rel=1e-12)
+        assert peak < 15e6
 
     def test_table_modulus(self):
         om = vx.table_modulus([0.0, 1.0], [0.0, 2.0])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, ValidationError
-from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1
+from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1, _sorted_row_blocks
 
 
 def brute_ball(space, center, r, closed=False):
@@ -195,7 +195,7 @@ def sorted_row_spaces(draw):
     return dataclasses.replace(sp, x0=draw(st.integers(0, sp.n - 1)))
 
 
-# The ball index and basepoint ball measures as built before every row sort
+# The sorted rows and basepoint ball measures as built before every row sort
 # read the shared row blocks: one full-table sort, one basepoint sort.
 def reference_ball_index(space):
     dist, mu, n = space.dist, space.mu, space.n
@@ -221,21 +221,55 @@ def reference_muB0(space):
     return prefix[np.searchsorted(d0[order], d0, side="left")]
 
 
+def held_arrays(value):
+    """The arrays in a value, searched through mappings, tuples and objects."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        parts = value.values()
+    elif isinstance(value, tuple):
+        parts = value
+    elif hasattr(value, "__dict__"):
+        parts = vars(value).values()
+    else:
+        return []
+    return [a for part in parts for a in held_arrays(part)]
+
+
 class TestSharedSortedRows:
     @given(sorted_row_spaces())
     @settings(max_examples=60, deadline=None)
-    def test_ball_index_equals_full_table_build(self, sp):
-        idx = sp.ball_index
-        for got, ref in zip((idx.order, idx.prefix, idx.ends, idx.open_measure),
-                            reference_ball_index(sp)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    def test_row_blocks_equal_full_table_build(self, sp):
+        ref = reference_ball_index(sp)
+        starts = []
+        for blk in _sorted_row_blocks(sp):
+            starts.append(blk.start)
+            rows = slice(blk.start, blk.start + _BLOCK_ROWS)
+            for got, full in zip((blk.order, blk.prefix, blk.ends, blk.open_measure()), ref):
+                assert got.dtype == full.dtype and np.array_equal(got, full[rows])
+        assert starts == list(range(0, sp.n, _BLOCK_ROWS))
 
     @given(sorted_row_spaces())
     @settings(max_examples=60, deadline=None)
     def test_basepoint_row_equals_per_row_sort(self, sp):
         assert np.array_equal(sp.radial_order, np.argsort(sp.d0, kind="stable"))
         assert np.array_equal(sp.muB0, reference_muB0(sp))
-        assert np.array_equal(sp.muB0, sp.ball_index.open_measure[sp.x0])
+        blk = next(b for b in _sorted_row_blocks(sp) if b.start <= sp.x0 < b.start + _BLOCK_ROWS)
+        assert np.array_equal(sp.muB0, blk.open_measure()[sp.x0 - blk.start])
+
+    def test_space_keeps_no_square_table(self):
+        # every reader of sorted rows reduces row blocks; only dist is n x n
+        sp = vx.uniform_grid(2 * _BLOCK_ROWS + 5)
+        n = sp.n
+        rows = np.random.default_rng(0).uniform(-1, 1, (3, n))
+        vx.maximal_functions(sp, rows)
+        vx.ball_potentials(sp, vx.PointFunction.constant(n, 0.5, "alpha"), rows)
+        vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 50, a1=1.0)
+        p = vx.PointFunction(2.0 + sp.coords, "exponent")
+        for at in (None, 3):
+            vx.class_check(sp, p, "log-holder", at=at)
+        assert [name for name, value in vars(sp).items()
+                if any(a.size >= n * n for a in held_arrays(value))] == ["dist"]
 
     def test_basepoint_arrays_are_read_only(self):
         sp = vx.uniform_grid(16)
