@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, PreconditionError
-from test_space import sorted_row_spaces
+from test_space import held_arrays, sorted_row_spaces
 
 
 def const(n, v, kind="exponent"):
@@ -273,6 +273,16 @@ class TestClassCheck:
         near = (d > 0) & (d <= b)
         assert rep.excluded == int((near & ~((gate > 0) & (gate < 1))).sum())
         assert rep.excluded <= n - 1
+
+    @pytest.mark.parametrize("at", [None, 3])
+    def test_log_holder_builds_no_ball_index(self, at):
+        # the ball measures come from row blocks; no n x n table is kept
+        sp = vx.uniform_grid(96)
+        p = vx.PointFunction(2.0 + sp.coords, "exponent")
+        vx.class_check(sp, p, "log-holder", at=at)
+        assert "ball_index" not in vars(sp)
+        assert [name for name, value in vars(sp).items()
+                if any(a.size >= sp.n * sp.n for a in held_arrays(value))] == ["dist"]
 
     def test_log_profile_stable_under_refinement(self):
         vals = []
