@@ -44,24 +44,17 @@ from .exponents import (
 from .norms import NormResult, holder_check, luxemburg_norm, luxemburg_norms, modular
 from .operators import (
     KernelSpec,
-    OperatorOutput,
-    ball_potential,
     ball_potentials,
-    distance_potential,
     distance_potentials,
     explicit_kernel,
-    hardy_tail_transform,
     hardy_tail_transforms,
-    hardy_transform,
     hardy_transforms,
     hilbert_kernel,
     kernel_from_spec,
     kernel_regularity_check,
-    maximal_function,
     maximal_functions,
     power_dist_kernel,
     power_modulus,
-    singular_integral,
     singular_integrals,
     table_modulus,
 )

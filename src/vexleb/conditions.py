@@ -1,15 +1,18 @@
 """Two-weight sufficient-condition functionals and weight families.
 
-Every functional here has the shape
+Every functional here is the ball half or the tail half of a Hardy-type
+condition, sup over t in [0, L] of
 
-    sup over t in [0, L] of
-        sum over an outer region in x of  base(x) * (inner sum over y)**g(x)
+    ball:  sum_{t < d0(x) <= L} (v(x)/D(x))**s(x) W_x(d0 <= t)**(s(x)/|e(x)|) mu(x)
+    tail:  sum_{d0(x) <= t} v(x)**s(x) W_x(t < d0 <= L)**(s(x)/|e(x)|) mu(x)
 
-where the outer region is {t < d0 <= L} or {d0 <= t}, the inner sum runs over
-the complementary region, and the per-point exponents come from the
-basepoint-local minima of the exponent field.  The sup is discretized over
-the distinct basepoint distances plus midpoints, which samples every step of
-the piecewise-constant curve exactly; region boundaries use the half-open
+with W_x(R) the sum over y in R of w(y)**e(x) mu(y).  Between the Hardy,
+potential, maximal and singular conditions only the outer power s, the ball
+factor D and the local exponent e change (e is plus or minus the conjugate
+of a basepoint-local minimum of the exponent field); ``_ball_half`` and
+``_tail_half`` evaluate them all.  The sup is discretized over the distinct
+basepoint distances plus midpoints, which samples every step of the
+piecewise-constant curve exactly; region boundaries use the half-open
 convention {d0 <= t} / {t < d0} throughout, so mirror and constant-order
 consistency identities hold exactly on discrete data.
 
@@ -286,21 +289,44 @@ def _log(x) -> np.ndarray:
         return np.log(x)
 
 
-def _log_positive(x: np.ndarray) -> np.ndarray:
-    """Natural log of the positive entries of x, 0 at the others; callers
-    mask those (the basepoint's zero distance and ball measure)."""
-    return np.log(np.where(x > 0, x, 1.0))
+def _log_power(x: np.ndarray, power) -> np.ndarray:
+    """log of x**power for x > 0, +inf where x is 0 (the basepoint's zero
+    distance and ball measure)."""
+    return np.where(x > 0, power * np.log(np.where(x > 0, x, 1.0)), np.inf)
 
 
-def _pow_inner(log_w: np.ndarray, e: np.ndarray, log_mu: np.ndarray):
+def _pow_inner(log_w, e: np.ndarray, log_mu: np.ndarray):
     """Log-integrand e(x) log w + log mu of the inner sum of w**e(x) mu: an
-    array when e is constant, else a callable taking a block of outer
-    indices xs to a (len(xs), n) array.  A zero base (log w = -inf) under a
+    array when neither e nor w depends on x, else a callable taking a block
+    of outer indices xs to a (len(xs), n) array.  ``log_w`` is an array, or
+    such a callable when w depends on x.  A zero base (log w = -inf) under a
     negative exponent gives +inf, an atom the sweep evaluator zeroes and
     counts."""
+    if callable(log_w):
+        return lambda xs: e[xs, None] * log_w(xs) + log_mu
     if np.ptp(e) <= 1e-13 * max(1.0, abs(float(e[0]))):
         return e[0] * log_w + log_mu
     return lambda xs: e[xs, None] * log_w + log_mu
+
+
+def _ball_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
+               log_D, log_w: np.ndarray, e: np.ndarray,
+               meta: Optional[dict] = None) -> ConditionReport:
+    """The ball half (module docstring) from log v, log D and log w.  Where
+    log D is +inf (D = 0), x drops out of the outer sum."""
+    log_mu = np.log(space.mu)
+    log_O = np.where(log_D < np.inf, s * (log_v - log_D) + log_mu, -np.inf)
+    return _sup_functional(space, name, log_O, True, _pow_inner(log_w, e, log_mu),
+                           s / np.abs(e), meta=meta)
+
+
+def _tail_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
+               log_w, e: np.ndarray, meta: Optional[dict] = None) -> ConditionReport:
+    """The tail half (module docstring) from log v and log w, which may
+    depend on x (see ``_pow_inner``)."""
+    log_mu = np.log(space.mu)
+    return _sup_functional(space, name, s * log_v + log_mu, False,
+                           _pow_inner(log_w, e, log_mu), s / np.abs(e), meta=meta)
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -318,25 +344,21 @@ def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
     wv = _nonneg(space, w, "w")
     le = local_exponents(space, p, a)
     _ordering_check("hardy condition", le.ball_min_capped, q)
-    e = conjugate(le.ball_min_capped).values
-    log_mu = np.log(space.mu)
-    return _sup_functional(space, "hardy", q.values * _log(vv) + log_mu, True,
-                           _pow_inner(_log(wv), e, log_mu), q.values / e)
+    return _ball_half(space, "hardy", q.values, _log(vv), 0.0, _log(wv),
+                      conjugate(le.ball_min_capped).values)
 
 
 def hardy_tail_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
                          v: PointFunction, w: PointFunction,
                          a: Optional[float] = None) -> ConditionReport:
     """Tail Hardy functional: outer region {d0 <= t}, inner region
-    {t < d0 <= L}, with e the conjugate of the capped tail-minimum of p."""
+    {t < d0 <= L}, with e the conjugate of the tail-minimum of p."""
     vv = _nonneg(space, v, "v")
     wv = _nonneg(space, w, "w")
     le = local_exponents(space, p, a)
-    _ordering_check("hardy tail condition", le.tail_min_capped, q)
-    e = conjugate(le.tail_min_capped).values
-    log_mu = np.log(space.mu)
-    return _sup_functional(space, "hardy-tail", q.values * _log(vv) + log_mu, False,
-                           _pow_inner(_log(wv), e, log_mu), q.values / e)
+    _ordering_check("hardy tail condition", le.tail_min, q)
+    return _tail_half(space, "hardy-tail", q.values, _log(vv), _log(wv),
+                      conjugate(le.tail_min).values)
 
 
 def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
@@ -344,6 +366,19 @@ def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
     if np.any(alpha_vals <= 0) or np.any(alpha_vals >= 1.0 / p_plus):
         raise DomainError(
             f"order must lie in (0, 1/p_max) = (0, {1.0 / p_plus:.6g})")
+
+
+# The ball half of each pair with a radial variant, as (outer power s, log D,
+# e0) from (space, p, q, order alpha, local exponents); its inner exponent is
+# -e0.  The pair and its radial variants read the half from here.
+_BALL_HALVES = {
+    "potential": lambda space, p, q, alpha, le: (
+        q.values, _log_power(space.muB0, 1.0 - alpha), conjugate(le.ball_min_capped).values),
+    "distance-potential": lambda space, p, q, alpha, le: (
+        q.values, _log_power(space.d0, 1.0 - alpha), conjugate(le.ball_min).values),
+    "maximal": lambda space, p, q, alpha, le: (
+        p.values, _log_power(space.muB0, 1.0), conjugate(le.ball_min_capped).values),
+}
 
 
 def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -363,20 +398,12 @@ def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     wv = _positive(space, w, "w")
     _alpha_gate(np.array([alpha]), p)
     le = local_exponents(space, p, a)
-    e0 = conjugate(le.ball_min_capped).values
-    e1 = conjugate(le.tail_min_capped).values
-    muB0 = space.muB0
-    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
-
-    log_O1 = np.where(muB0 > 0, q.values * (log_v + (alpha - 1.0) * _log_positive(muB0))
-                      + log_mu, -np.inf)
-    r1 = _sup_functional(space, "potential-ball", log_O1, True,
-                         _pow_inner(log_w, -e0, log_mu), q.values / e0)
-
-    log_base2 = log_w + (1.0 - alpha) * _log(muB0)
-    r2 = _sup_functional(space, "potential-tail", q.values * log_v + log_mu, False,
-                         _pow_inner(log_base2, -e1, log_mu), q.values / e1)
-    return r1, r2
+    s, log_D, e0 = _BALL_HALVES["potential"](space, p, q, alpha, le)
+    log_v, log_w = _log(vv), _log(wv)
+    e1 = conjugate(le.tail_min).values
+    return (_ball_half(space, "potential-ball", s, log_v, log_D, log_w, -e0),
+            _tail_half(space, "potential-tail", s, log_v,
+                       log_w + (1.0 - alpha) * _log(space.muB0), -e1))
 
 
 def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -394,26 +421,18 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     c1, _, _, _ = ahlfors_regularity(space, 1.0)
     meta = {"ahlfors_upper_c1": c1}
     le = local_exponents(space, p, a)
-    e0 = conjugate(le.ball_min).values
+    s, log_D, e0 = _BALL_HALVES["distance-potential"](space, p, q, alpha.values, le)
+    log_v, log_w = _log(vv), _log(wv)
     e1 = conjugate(le.tail_min).values
-    d0 = space.d0
-    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
-    log_d0 = _log_positive(d0)
-
-    log_O1 = np.where(d0 > 0, q.values * (log_v + (alpha.values - 1.0) * log_d0) + log_mu,
-                      -np.inf)
-    r1 = _sup_functional(space, "distance-ball", log_O1, True,
-                         _pow_inner(log_w, -e0, log_mu), q.values / e0, meta=meta)
-
     # a base of +inf keeps the basepoint atom out of the tail
-    log_base2 = np.where(d0 > 0, log_w + (1.0 - alpha.values) * log_d0, np.inf)
-    r2 = _sup_functional(space, "distance-tail", q.values * log_v + log_mu, False,
-                         _pow_inner(log_base2, -e1, log_mu), q.values / e1, meta=meta)
-    return r1, r2
+    return (_ball_half(space, "distance-ball", s, log_v, log_D, log_w, -e0, meta=meta),
+            _tail_half(space, "distance-tail", s, log_v, log_w + log_D, -e1, meta=meta))
 
 
 def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
-                   require_monotone: bool):
+                   require_monotone: bool) -> np.ndarray:
+    """The profile at the radial distances, once it is nonnegative and
+    finite (and nondecreasing if required) on the swept grid."""
     ts = t_sweep(space)
     grid = np.unique(np.append(ts[ts > 0], 2.0 * space.L_eff))
     vals = np.asarray(profile(grid), dtype=float)
@@ -429,6 +448,7 @@ def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
             raise PreconditionError(
                 f"{what} profile must be nondecreasing on (0, 2L]",
                 witness=(float(grid[j]), float(grid[j + 1])))
+    return np.asarray(profile(space.radial_distances()), dtype=float)
 
 
 def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable,
@@ -437,15 +457,11 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
                      require_monotone: bool = True) -> ConditionReport:
     """Sup-functional for radially composed weights v(d0(x)), w(d0(y)).
 
-    Variants (all with outer region {t < d0 <= L} and inner {d0 <= t}):
-
-      "potential"           base (v(d0)/muB0**(1-alpha))**q, inner exponent
-                            -e0(x), power q(x)/e0(x)
-      "potential-basepoint" same base, inner exponent -p'(x0), power q/p'(x0)
-      "distance-potential"  base (v(d0)/d0**(1-alpha))**q, inner -e0(x) with
-                            the uncapped ball minimum
-      "maximal"             base (v(d0)/muB0)**p, inner -e0(x), power p/e0
-      "maximal-basepoint"   base (v(d0)/muB0)**p, inner -p'(x0), power p/p'(x0)
+    "potential", "distance-potential" and "maximal" are the ball halves of
+    ``potential_conditions``, ``distance_potential_conditions`` (at constant
+    order alpha) and ``maximal_singular_conditions`` on the fields v(d0),
+    w(d0); "potential-basepoint" and "maximal-basepoint" are the same halves
+    with the inner exponent -p'(x0) everywhere.
 
     Profiles must be positive and nondecreasing on the swept grid
     (``require_monotone=False`` skips the monotonicity gate; some admissible
@@ -455,10 +471,9 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
     """
     if variant not in RADIAL_VARIANTS:
         raise DomainError(f"unknown radial variant {variant!r}")
-    _check_profile(space, v_profile, "v", require_monotone)
-    _check_profile(space, w_profile, "w", require_monotone)
-    needs_q = variant in ("potential", "potential-basepoint", "distance-potential")
-    if needs_q:
+    vr = _check_profile(space, v_profile, "v", require_monotone)
+    wr = _check_profile(space, w_profile, "w", require_monotone)
+    if variant in ("potential", "potential-basepoint", "distance-potential"):
         if alpha is None or q is None:
             raise DomainError(f"variant {variant!r} needs alpha and q")
         if not 0.0 < alpha < 1.0:
@@ -466,38 +481,14 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
         if alpha >= 1.0 / float(p.values.max()):
             warnings.warn("order leaves the sufficient regime (alpha >= 1/p_max); "
                           "functional evaluated anyway", stacklevel=2)
-        out_exp = q.values
-    else:
-        out_exp = p.values
 
-    dre = space.radial_distances()
-    vr = np.asarray(v_profile(dre), dtype=float)
-    wr = np.asarray(w_profile(dre), dtype=float)
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
     le = local_exponents(space, p, a)
-    log_mu, log_v = np.log(space.mu), _log(vr)
-    muB0 = space.muB0
-    d0 = space.d0
-    p_conj_x0 = float(p.values[space.x0] / (p.values[space.x0] - 1.0))
-
-    if variant in ("potential", "potential-basepoint"):
-        log_denom = np.where(muB0 > 0, (1.0 - alpha) * _log_positive(muB0), np.inf)
-    elif variant == "distance-potential":
-        log_denom = np.where(d0 > 0, (1.0 - alpha) * _log_positive(d0), np.inf)
-    else:
-        log_denom = np.where(muB0 > 0, _log_positive(muB0), np.inf)
-    log_O = out_exp * (log_v - log_denom) + log_mu
-
-    if variant in ("potential-basepoint", "maximal-basepoint"):
-        e = np.full(space.n, p_conj_x0)
-    elif variant == "distance-potential":
-        e = conjugate(le.ball_min).values
-    else:
-        e = conjugate(le.ball_min_capped).values
-
-    return _sup_functional(space, f"radial-{variant}", log_O, True,
-                           _pow_inner(np.log(wr), -e, log_mu), out_exp / e)
+    s, log_D, e0 = _BALL_HALVES[variant.removesuffix("-basepoint")](space, p, q, alpha, le)
+    if variant.endswith("-basepoint"):
+        e0 = np.full(space.n, float(p.values[space.x0] / (p.values[space.x0] - 1.0)))
+    return _ball_half(space, f"radial-{variant}", s, _log(vr), log_D, _log(wr), -e0)
 
 
 def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -513,7 +504,7 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     the functionals are evaluated for any order field in (0, 1).
     """
     vv = _nonneg(space, v, "v")
-    _check_profile(space, w_profile, "w", require_monotone)
+    wr = _check_profile(space, w_profile, "w", require_monotone)
     p_min = float(p.values.min())
     if not np.all(alpha.values > 1.0 / p_min):
         warnings.warn("order field leaves the stated regime (min order <= 1/p_min); "
@@ -522,27 +513,16 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     e0 = conjugate(le.ball_min).values
     e1 = conjugate(le.tail_min).values
     muB0 = space.muB0
-    dre = space.radial_distances()
-    wr = np.asarray(w_profile(dre), dtype=float)
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
     av = alpha.values
-    log_mu, log_v, log_wr = np.log(space.mu), _log(vv), np.log(wr)
-
-    log_O1 = np.where(muB0 > 0, q.values * (log_v + (av - 1.0) * _log_positive(muB0))
-                      + log_mu, -np.inf)
-    r1 = _sup_functional(space, "variable-order-ball", log_O1, True,
-                         _pow_inner(log_wr, -e0, log_mu), q.values / e0)
-
+    log_v, log_wr = _log(vv), _log(wr)
     # log muB0 = +inf at the basepoint keeps it out of the tail integrand
-    log_muB0 = np.where(muB0 > 0, _log_positive(muB0), np.inf)
-
-    def inner2(xs):
-        return -e1[xs, None] * (log_wr + (1.0 - av[xs, None]) * log_muB0) + log_mu
-
-    r2 = _sup_functional(space, "variable-order-tail", q.values * log_v + log_mu, False,
-                         inner2, q.values / e1)
-    return r1, r2
+    log_muB0 = _log_power(muB0, 1.0)
+    return (_ball_half(space, "variable-order-ball", q.values, log_v,
+                       _log_power(muB0, 1.0 - av), log_wr, -e0),
+            _tail_half(space, "variable-order-tail", q.values, log_v,
+                       lambda xs: log_wr + (1.0 - av[xs, None]) * log_muB0, -e1))
 
 
 def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
@@ -559,19 +539,12 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     le = local_exponents(space, p, a)
-    e0 = conjugate(le.ball_min_capped).values
-    e1 = conjugate(le.tail_min_capped).values
-    muB0 = space.muB0
-    log_mu, log_v, log_w = np.log(space.mu), _log(vv), np.log(wv)
-
-    log_O1 = np.where(muB0 > 0, p.values * (log_v - _log_positive(muB0)) + log_mu, -np.inf)
-    r1 = _sup_functional(space, "maximal-ball", log_O1, True,
-                         _pow_inner(log_w, -e0, log_mu), p.values / e0)
-
+    s, log_D, e0 = _BALL_HALVES["maximal"](space, p, None, None, le)
+    log_v, log_w = _log(vv), _log(wv)
+    e1 = conjugate(le.tail_min).values
     # w muB0 is zero at the basepoint: an atom, and outside the tail region
-    r2 = _sup_functional(space, "maximal-tail", p.values * log_v + log_mu, False,
-                         _pow_inner(log_w + _log(muB0), -e1, log_mu), p.values / e1)
-    return r1, r2
+    return (_ball_half(space, "maximal-ball", s, log_v, log_D, log_w, -e0),
+            _tail_half(space, "maximal-tail", s, log_v, log_w + _log(space.muB0), -e1))
 
 
 def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFunction,

@@ -110,15 +110,14 @@ class LocalExponents:
     ball_min(x)  : min of p over the closed ball of radius d0(x)
     tail_min(x)  : min of p over {y : d0(x) <= d0(y) <= a}; for x beyond a,
                    where that set is empty, the tail value, else p(x)
-    *_capped     : the same, spliced to the constant tail value beyond
-                   radius a (identical to the plain versions when the
-                   diameter is finite, where a is forced to L).
+    ball_min_capped(x) : ball_min spliced to the constant tail value beyond
+                   radius a (identical to ball_min when the diameter is
+                   finite, where a is forced to L).
     """
 
     ball_min: PointFunction
     tail_min: PointFunction
     ball_min_capped: PointFunction
-    tail_min_capped: PointFunction
     cap_radius: float
     tail_value: Optional[float]
 
@@ -171,13 +170,12 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     tail_min = np.empty_like(tail_min_sorted)
     tail_min[order] = tail_min_sorted
 
-    # tail_min beyond a is already the tail value
+    # tail_min beyond a is already the tail value; only ball_min is spliced
     ball_capped = ball_min
     if space.infinite_diameter and p_c is not None:
         ball_capped = np.where(space.d0 > a, p_c, ball_min)
     mk = lambda v: PointFunction(v, "exponent")
-    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), mk(tail_min),
-                          float(a), p_c)
+    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), float(a), p_c)
 
 
 def sobolev_exponent(p: PointFunction, alpha: PointFunction) -> PointFunction:

@@ -1,10 +1,11 @@
 """The operators under study: Hardy-type transforms, the centered maximal
 function, ball and distance potentials, and truncated singular integrals.
 
-All of them are pure per-point sums over the space; the non-atomic diagonal
-of the continuum is handled by excluding y = x (potentials) or by the
-truncation radius (singular integrals), and refinement studies are expected
-to confirm the exclusion is harmless.
+Each one maps a (P, n) block of test functions, one per row, to the block
+of their images.  All of them are pure per-point sums over the space; the
+non-atomic diagonal of the continuum is handled by excluding y = x
+(potentials) or by the truncation radius (singular integrals), and
+refinement studies are expected to confirm the exclusion is harmless.
 """
 from __future__ import annotations
 
@@ -20,19 +21,12 @@ from .exponents import PointFunction
 from .space import DiscreteSpace, _a1, _sorted_row_blocks
 
 __all__ = [
-    "OperatorOutput",
     "KernelSpec",
-    "hardy_transform",
     "hardy_transforms",
-    "hardy_tail_transform",
     "hardy_tail_transforms",
-    "maximal_function",
     "maximal_functions",
-    "ball_potential",
     "ball_potentials",
-    "distance_potential",
     "distance_potentials",
-    "singular_integral",
     "singular_integrals",
     "kernel_regularity_check",
     "hilbert_kernel",
@@ -42,21 +36,6 @@ __all__ = [
     "table_modulus",
     "kernel_from_spec",
 ]
-
-
-@dataclass(frozen=True)
-class OperatorOutput:
-    """Values of an operator applied to one test function.  ``skipped``
-    counts off-diagonal pairs a kernel could not weigh; no operator here
-    skips any (see ``ball_potentials``)."""
-
-    values: PointFunction
-    truncation_eps: Optional[float] = None
-    skipped: int = 0
-
-
-def _as_output(values: np.ndarray, eps: Optional[float] = None) -> OperatorOutput:
-    return OperatorOutput(PointFunction(values, "test"), eps)
 
 
 def _rows(space: DiscreteSpace, rows) -> np.ndarray:
@@ -101,33 +80,25 @@ def _hardy(space: DiscreteSpace, v: PointFunction, w: PointFunction, rows,
 
 def hardy_transforms(space: DiscreteSpace, v: PointFunction, w: PointFunction,
                      rows) -> np.ndarray:
-    """``hardy_transform`` of each row of a (P, n) block."""
-    return _hardy(space, v, w, rows, below=True)
-
-
-def hardy_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
-                    f: PointFunction) -> OperatorOutput:
-    """v(x) * sum of f w mu over the open ball {y : d0(y) < d0(x)}.
+    """Forward Hardy transform of each row f of a (P, n) block:
+    v(x) * sum of f w mu over the open ball {y : d0(y) < d0(x)}.
 
     At the basepoint the ball is empty, so the value there is 0.
     """
-    return _as_output(hardy_transforms(space, v, w, f.values[None, :])[0])
+    return _hardy(space, v, w, rows, below=True)
 
 
 def hardy_tail_transforms(space: DiscreteSpace, v: PointFunction, w: PointFunction,
                           rows) -> np.ndarray:
-    """``hardy_tail_transform`` of each row of a (P, n) block."""
+    """Tail Hardy transform of each row f of a (P, n) block:
+    v(x) * sum of f w mu over the tail {y : d0(y) > d0(x)}."""
     return _hardy(space, v, w, rows, below=False)
 
 
-def hardy_tail_transform(space: DiscreteSpace, v: PointFunction, w: PointFunction,
-                         f: PointFunction) -> OperatorOutput:
-    """v(x) * sum of f w mu over the tail {y : d0(y) > d0(x)}."""
-    return _as_output(hardy_tail_transforms(space, v, w, f.values[None, :])[0])
-
-
 def maximal_functions(space: DiscreteSpace, rows) -> np.ndarray:
-    """``maximal_function`` of each row of a (P, n) block.
+    """Centered maximal function of each row f of a (P, n) block: per point,
+    the largest ball average of |f| over the radius sweep (each distinct
+    distance, plus the whole space).
 
     One sweep over sorted positions per block of centers serves every row:
     at step j, each center x adds |f| mu at the j-th point of its sorted row
@@ -151,12 +122,6 @@ def maximal_functions(space: DiscreteSpace, rows) -> np.ndarray:
     return out.T.copy()
 
 
-def maximal_function(space: DiscreteSpace, f: PointFunction) -> OperatorOutput:
-    """Centered maximal function: per point, the largest ball average of |f|
-    over the radius sweep (each distinct distance, plus the whole space)."""
-    return _as_output(maximal_functions(space, f.values[None, :])[0])
-
-
 def _potential(space: DiscreteSpace, alpha: PointFunction, rows, tables) -> np.ndarray:
     """Each row of a (P, n) block through the kernel table**(alpha(x) - 1),
     built once per call from ``tables``, the pairs (first row, block of the
@@ -172,30 +137,22 @@ def _potential(space: DiscreteSpace, alpha: PointFunction, rows, tables) -> np.n
 
 
 def ball_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndarray:
-    """``ball_potential`` of each row of a (P, n) block.  The open ball
+    """Ball potential of each row f of a (P, n) block: kernel
+    (mu B(x, d(x,y)))**(alpha(x) - 1), diagonal excluded.  The open ball
     B(x, d(x, y)) holds x for y != x, so its measure is 0 only on the
-    diagonal."""
+    diagonal, and no off-diagonal pair is skipped."""
     return _potential(space, alpha, rows, ((blk.start, blk.open_measure())
                                            for blk in _sorted_row_blocks(space)))
 
 
-def ball_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
-    """Potential with kernel (mu B(x, d(x,y)))**(alpha(x) - 1), diagonal excluded."""
-    return _as_output(ball_potentials(space, alpha, f.values[None, :])[0])
-
-
 def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.ndarray:
-    """``distance_potential`` of each row of a (P, n) block."""
-    return _potential(space, alpha, rows, [(0, space.dist)])
-
-
-def distance_potential(space: DiscreteSpace, alpha: PointFunction, f: PointFunction) -> OperatorOutput:
-    """Potential with kernel d(x, y)**(alpha(x) - 1), diagonal excluded.
+    """Distance potential of each row f of a (P, n) block: kernel
+    d(x, y)**(alpha(x) - 1), diagonal excluded.
 
     Meant for spaces whose measure is upper Ahlfors 1-regular, where it is
     pointwise comparable to the ball potential.
     """
-    return _as_output(distance_potentials(space, alpha, f.values[None, :])[0])
+    return _potential(space, alpha, rows, [(0, space.dist)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +229,14 @@ def table_modulus(ts, vals) -> Callable[[np.ndarray], np.ndarray]:
 
 def singular_integrals(space: DiscreteSpace, kernel: KernelSpec, rows,
                        eps: float) -> np.ndarray:
-    """``singular_integral`` of each row of a (P, n) block, the truncated
-    kernel built once per call."""
+    """Truncated singular integral of each row f of a (P, n) block: sum over
+    {y : d(x, y) > eps} of k(x, y) f(y) mu(y), the truncated kernel built
+    once per call.  The principal value is approached by shrinking eps."""
     if eps <= 0:
         raise DomainError("truncation radius must be positive")
     table = np.array([kernel.row(space, x) for x in range(space.n)], dtype=float)
     table[space.dist <= eps] = 0.0
     return _apply_kernel(table, _rows(space, rows) * space.mu)
-
-
-def singular_integral(space: DiscreteSpace, kernel: KernelSpec, f: PointFunction,
-                      eps: float) -> OperatorOutput:
-    """Truncated singular integral: sum over {y : d(x, y) > eps} of
-    k(x, y) f(y) mu(y).  The principal value is approached by shrinking eps."""
-    return _as_output(singular_integrals(space, kernel, f.values[None, :], eps)[0], eps=eps)
 
 
 def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pairs: int,

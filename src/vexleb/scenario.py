@@ -14,7 +14,7 @@ import numpy as np
 
 from . import conditions as cond
 from . import operators as ops
-from .errors import PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
 from .space import DiscreteSpace, geometry_constants, space_from_spec
@@ -29,10 +29,9 @@ class Operator(NamedTuple):
 
 
 def _singular(m: "Materialized", rows: np.ndarray) -> np.ndarray:
-    kernel = ops.kernel_from_spec(m.scenario.params.get("kernel", {"type": "hilbert"}))
     pos = m.space.d0[m.space.d0 > 0]
     eps = float(m.scenario.params.get("eps", 2.0 * pos.min() if pos.size else 1.0))
-    return ops.singular_integrals(m.space, kernel, rows, eps)
+    return ops.singular_integrals(m.space, m.kernel, rows, eps)
 
 
 # Table entries reach ``ops`` and ``cond`` through the module when called, so
@@ -240,10 +239,13 @@ class Scenario:
             raise ValidationError(
                 f"scenario.compose_hardy: must be true or false, got {compose_hardy!r}")
         params = dict(_mapping(data, "params"))
-        for key in ("A", "a1", "r", "eps"):
-            if key in params and not _is_number(params[key]):
-                raise ValidationError(
-                    f"scenario.params.{key}: must be a number, got {params[key]!r}")
+        # the reverse-doubling factor A and the Muckenhoupt exponent r exceed
+        # 1; the quasi-triangle constant a1 and the truncation radius eps are
+        # positive
+        for key, bound in (("A", 1), ("a1", 0), ("r", 1), ("eps", 0)):
+            if key in params and not (_is_number(params[key]) and params[key] > bound):
+                raise ValidationError(f"scenario.params.{key}: must be a number above "
+                                      f"{bound}, got {params[key]!r}")
         if not isinstance(params.get("require_monotone", False), bool):
             raise ValidationError("scenario.params.require_monotone: must be true or false, "
                                   f"got {params['require_monotone']!r}")
@@ -318,6 +320,14 @@ class Materialized:
         self.q = self.p if self.alpha is None or self.p is None \
             else sobolev_exponent(self.p, self.alpha)
         self._build_weights()
+        self.kernel = None
+        if scenario.operator == "singular":
+            self.kernel = ops.kernel_from_spec(scenario.params.get("kernel", {"type": "hilbert"}))
+            try:
+                # a kernel that cannot weigh this space fails on its first row
+                self.kernel.row(space, space.x0)
+            except DomainError as exc:
+                raise ValidationError(f"scenario.params.kernel: {exc}") from None
 
     def _field(self, where: str, spec: Optional[dict]) -> Optional[PointFunction]:
         if spec is None:

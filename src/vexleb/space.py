@@ -564,6 +564,8 @@ def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0,
     """
     if A <= 1:
         raise DomainError("scale factor A must exceed 1")
+    if a1 <= 0:
+        raise DomainError("quasi-triangle constant must be positive")
     dx = float(space.d0[x] if 0 <= x < space.n else -1.0)
     if dx < 0:
         raise DomainError(f"point id {x} out of range")

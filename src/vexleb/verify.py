@@ -18,7 +18,7 @@ from .conditions import classify_trend
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
 from .norms import luxemburg_norm, luxemburg_norms
-from .operators import ball_potential, hardy_transform, maximal_function
+from .operators import ball_potentials, hardy_transforms, maximal_functions
 from .space import DiscreteSpace
 
 __all__ = [
@@ -207,7 +207,7 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         return luxemburg_norm(space, expo, PointFunction(vals, "test")).value
 
     if variant == "hardy":
-        Hf = hardy_transform(space, ones, ones, PointFunction(f_ball, "test")).values.values
+        Hf = hardy_transforms(space, ones, ones, f_ball[None, :])[0]
         num, den = lux(q_pf, v.values * Hf), lux(p_pf, w.values * f_ball)
         cond = float(((v.values ** q_const * mu)[tail & (d0 <= space.L_eff)]).sum()
                      * inner_ball ** (q_const / pp))
@@ -219,8 +219,7 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
     if variant == "potential-ball":
         if alpha <= 0:
             raise DomainError("ball-potential probe needs q > p")
-        Tf = ball_potential(space, _const(space, alpha, "alpha"),
-                            PointFunction(f_ball, "test")).values.values
+        Tf = ball_potentials(space, _const(space, alpha, "alpha"), f_ball[None, :])[0]
         num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f_ball)
         cond = float(((v.values[outer] * muB0[outer] ** (alpha - 1.0)) ** q_const
                       * mu[outer]).sum() * inner_ball ** (q_const / pp))
@@ -231,8 +230,7 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
             raise DomainError("tail-potential probe needs q > p")
         safe = np.where(muB0 > 0, muB0, np.inf)
         f = w.values ** (-pp) * safe ** ((alpha - 1.0) * (pp - 1.0)) * tail
-        Tf = ball_potential(space, _const(space, alpha, "alpha"),
-                            PointFunction(f, "test")).values.values
+        Tf = ball_potentials(space, _const(space, alpha, "alpha"), f[None, :])[0]
         num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f)
         inner = float((((w.values[outer] * muB0[outer] ** (1.0 - alpha)) ** (-pp))
                        * mu[outer]).sum())
@@ -240,7 +238,7 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         return (0.0 if den == 0 else num / den), cond
 
     # maximal: q = p
-    Mf = maximal_function(space, PointFunction(f_ball, "test")).values.values
+    Mf = maximal_functions(space, f_ball[None, :])[0]
     num, den = lux(p_pf, v.values * Mf), lux(p_pf, w.values * f_ball)
     cond = float(((v.values[outer] / muB0[outer]) ** p_const * mu[outer]).sum()
                  * inner_ball ** (p_const / pp))

@@ -161,9 +161,9 @@ def test_c06_potential_closed_forms():
     n = 2**10
     sp = vx.uniform_grid(n)
     al = const(n, 0.5, "alpha")
-    one = const(n, 1.0, "test")
-    t0 = vx.ball_potential(sp, al, one).values.values[0]
-    i0 = vx.distance_potential(sp, al, one).values.values[0]
+    one = np.ones((1, n))
+    t0 = vx.ball_potentials(sp, al, one)[0, 0]
+    i0 = vx.distance_potentials(sp, al, one)[0, 0]
     assert t0 == pytest.approx(2.0, rel=0.03)
     assert i0 == pytest.approx(2.0, rel=0.03)
     report(6, f"ball potential {t0:.4f}, distance potential {i0:.4f} (target 2)")
@@ -172,14 +172,13 @@ def test_c06_potential_closed_forms():
 def test_c07_singular_integral_principal_value():
     n = 2**12 + 1  # 2^12 cells: 0.25 and 0.5 are grid points, grid symmetric
     sp = vx.uniform_grid(n)
-    one = const(n, 1.0, "test")
+    one = np.ones((1, n))
     h = 1.0 / (n - 1)
     kernel = vx.hilbert_kernel()
     i25 = int(round(0.25 * (n - 1)))
     i50 = int(round(0.5 * (n - 1)))
     assert sp.coords[i25] == 0.25 and sp.coords[i50] == 0.5
-    vals = [vx.singular_integral(sp, kernel, one, eps).values.values
-            for eps in (4 * h, 2 * h, h)]
+    vals = [vx.singular_integrals(sp, kernel, one, eps)[0] for eps in (4 * h, 2 * h, h)]
     assert vals[-1][i25] == pytest.approx(np.log(1.0 / 3.0), abs=1e-2)
     assert abs(vals[-1][i50]) <= 1e-6
     report(7, f"K1(0.25) = {vals[-1][i25]:.6f} (ln(1/3) = {np.log(1/3):.6f}), "

@@ -168,6 +168,14 @@ class TestRun:
         ("params.require_monotone", {"params": {"require_monotone": "false"}}),
         ("params.a1", {"params": {"a1": True}}),
         ("params.r", {"params": {"r": [2]}}),
+        ("params.A", {"params": {"A": 0.5}}),
+        ("params.r", {"params": {"r": 0}, "conditions": ["muckenhoupt"]}),
+        ("params.eps", {"params": {"eps": -1}, "operator": "singular", "conditions": []}),
+        ("params.a1", {"params": {"a1": 0}, "conditions": ["annulus-comparison"]}),
+        ("params.a1", {"params": {"a1": -1}, "conditions": ["annulus-comparison"]}),
+        ("params.kernel", {"params": {"kernel": {"type": "explicit-table",
+                                                 "table": [[0.0, 1.0], [1.0, 0.0]]}},
+                           "operator": "singular", "conditions": []}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

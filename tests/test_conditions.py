@@ -578,24 +578,6 @@ class TestTrendRule:
         assert vx.classify_trend(series) == "undecided"
 
 
-class TestRadialPointwiseAgreement:
-    def test_radial_equals_composed_pointwise(self):
-        # composing the profiles into pointwise fields and running the
-        # pointwise pair must reproduce the radial functional exactly
-        pair = vx.power_weight_pair(2.0, 0.25, 0.25)
-        n = 128
-        sp = vx.uniform_grid(n)
-        p = const(n, 2.0)
-        q = const(n, 4.0)
-        radial = vx.radial_condition(sp, p, pair.v_profile, pair.w_profile,
-                                     "potential", alpha=0.25, q=q)
-        dre = sp.radial_distances()
-        v = vx.PointFunction(pair.v_profile(dre), "weight")
-        w = vx.PointFunction(pair.w_profile(dre), "weight")
-        ball, _ = vx.potential_conditions(sp, p, q, v, w, 0.25)
-        assert radial.value == pytest.approx(ball.value, rel=1e-12)
-
-
 class TestVariableOrderExtras:
     def test_constant_fields_high_order_finite(self):
         # p = 1.5 with order 0.6 sits inside the stated regime (0.6 < 1/1.5
@@ -748,7 +730,7 @@ def every_functional(sp, p, q, v, w, al, a, b):
     safe = np.where(muB0 > 0, muB0, 1.0)
     dsafe = np.where(d0 > 0, d0, 1.0)
     le = vx.local_exponents(sp, p)
-    eb, et = vx.conjugate(le.ball_min_capped).values, vx.conjugate(le.tail_min_capped).values
+    eb, et = vx.conjugate(le.ball_min_capped).values, vx.conjugate(le.tail_min).values
     eB, eT = vx.conjugate(le.ball_min).values, vx.conjugate(le.tail_min).values
     pc0 = np.full(sp.n, P[x0] / (P[x0] - 1.0))
     vprof, wprof = (lambda t: np.asarray(t) ** a), (lambda t: np.asarray(t) ** b)
@@ -840,3 +822,35 @@ class TestBlockPathAgainstLoops:
             assert np.array_equal(rep.curve[mids], rep.curve[mids - 1]), rep.name
             j = int(rep.curve.argmax())
             assert rep.value == rep.curve[j] and rep.argmax_t == ts[j] and knots[j]
+
+
+class TestRadialPointwiseAgreement:
+    @given(small_spaces(), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_radial_equals_composed_pointwise(self, sp, seed, p_varies, a, b):
+        # each radial variant is the ball half of its pair on the composed
+        # fields v(d0), w(d0), and the variable-order ball half at constant
+        # order is the potential ball half: their curves agree exactly
+        rng = np.random.default_rng(seed)
+        n = sp.n
+        p = vx.PointFunction(rng.uniform(1.3, 3.0, n) if p_varies else np.full(n, 2.2),
+                             "exponent")
+        alpha = 0.5 / p.values.max()
+        al = vx.PointFunction(np.full(n, alpha), "alpha")
+        q = vx.sobolev_exponent(p, al)
+        vprof, wprof = (lambda t: np.asarray(t) ** a), (lambda t: np.asarray(t) ** b)
+        dre = sp.radial_distances()
+        v = vx.PointFunction(vprof(dre), "weight")
+        w = vx.PointFunction(wprof(dre), "weight")
+        balls = {"potential": vx.potential_conditions(sp, p, q, v, w, alpha)[0],
+                 "distance-potential": vx.distance_potential_conditions(sp, p, q, v, w, al)[0],
+                 "maximal": vx.maximal_singular_conditions(sp, p, v, w)[0]}
+        for variant, ball in balls.items():
+            radial = vx.radial_condition(sp, p, vprof, wprof, variant, alpha=alpha, q=q)
+            assert np.array_equal(radial.curve, ball.curve), variant
+        with warnings.catch_warnings():
+            # a constant order may leave the stated regime 1/p_min < alpha
+            warnings.simplefilter("ignore")
+            order_ball, _ = vx.variable_order_conditions(sp, p, q, v, wprof, al)
+        assert np.array_equal(order_ball.curve, balls["potential"].curve)

@@ -140,7 +140,7 @@ class TestLocalExponents:
     def test_constant_field(self):
         sp = vx.uniform_grid(32)
         le = vx.local_exponents(sp, const(32, 2.0))
-        for f in (le.ball_min, le.tail_min, le.ball_min_capped, le.tail_min_capped):
+        for f in (le.ball_min, le.tail_min, le.ball_min_capped):
             assert np.allclose(f.values, 2.0)
 
     def test_increasing_profile(self):

@@ -509,6 +509,16 @@ class TestComparisonAnnulus:
         # L = 1 on the unit grid: both branches coincide
         assert plain.tolist() == scaled.tolist()
 
+    @pytest.mark.parametrize("a1", [0.0, -1.0])
+    def test_rejects_nonpositive_quasi_triangle_constant(self, a1):
+        # as radial_partition does: a1 = 0 divides by zero, a1 < 0 empties
+        # every annulus but the basepoint's
+        sp = vx.uniform_grid(16)
+        with pytest.raises(DomainError, match="quasi-triangle"):
+            vx.comparison_annulus(sp, 3, 2.0, a1=a1)
+        with pytest.raises(DomainError, match="quasi-triangle"):
+            vx.radial_partition(sp, 2.0, 0, a1=a1)
+
 
 class TestSpaceValidation:
     def test_rejects_nonzero_diagonal(self):
