@@ -81,6 +81,9 @@ class ConditionReport:
     resolution: int
     finite_hint: Optional[bool] = None
     meta: dict = field(default_factory=dict)
+    # log of the sup, kept where ``value`` overflowed to inf (None: not a
+    # sweep functional)
+    log_value: Optional[float] = None
 
 
 def finite_hint(values: Sequence[float]) -> Optional[bool]:
@@ -268,12 +271,15 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
             vals[(k >= c[:, None]) if forward else (k < c[:, None])] = -np.inf
             log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], _log_col_sums(vals))
 
-    curve = np.exp(log_curve)[np.searchsorted(knots, ts, side="right") - 1]
+    log_curve = log_curve[np.searchsorted(knots, ts, side="right") - 1]
+    # a value beyond the float range is inf; its log is kept
+    with np.errstate(over="ignore"):
+        curve = np.exp(log_curve)
     j = int(curve.argmax())
     meta = dict(meta or {})
     meta["skipped_inner"] = skipped
     return ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve,
-                           resolution=space.n, meta=meta)
+                           resolution=space.n, meta=meta, log_value=float(log_curve.max()))
 
 
 def _ordering_check(name: str, lower: PointFunction, upper: PointFunction):
@@ -375,7 +381,7 @@ _BALL_HALVES = {
     "potential": lambda space, p, q, alpha, le: (
         q.values, _log_power(space.muB0, 1.0 - alpha), conjugate(le.ball_min_capped).values),
     "distance-potential": lambda space, p, q, alpha, le: (
-        q.values, _log_power(space.d0, 1.0 - alpha), conjugate(le.ball_min).values),
+        q.values, _log_power(space.d0, 1.0 - alpha), conjugate(le.ball_min_capped).values),
     "maximal": lambda space, p, q, alpha, le: (
         p.values, _log_power(space.muB0, 1.0), conjugate(le.ball_min_capped).values),
 }
@@ -510,7 +516,7 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
         warnings.warn("order field leaves the stated regime (min order <= 1/p_min); "
                       "functionals evaluated anyway", stacklevel=2)
     le = local_exponents(space, p, a)
-    e0 = conjugate(le.ball_min).values
+    e0 = conjugate(le.ball_min_capped).values
     e1 = conjugate(le.tail_min).values
     muB0 = space.muB0
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):

@@ -118,7 +118,6 @@ class LocalExponents:
     ball_min: PointFunction
     tail_min: PointFunction
     ball_min_capped: PointFunction
-    cap_radius: float
     tail_value: Optional[float]
 
 
@@ -175,7 +174,7 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     if space.infinite_diameter and p_c is not None:
         ball_capped = np.where(space.d0 > a, p_c, ball_min)
     mk = lambda v: PointFunction(v, "exponent")
-    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), float(a), p_c)
+    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), p_c)
 
 
 def sobolev_exponent(p: PointFunction, alpha: PointFunction) -> PointFunction:
@@ -260,7 +259,7 @@ def class_check(space: DiscreteSpace, p: PointFunction, cls: str, N: float = 1.0
         excluded = 0
         for blk in _sorted_row_blocks(space, *rows):
             x = slice(blk.start, blk.start + blk.ds.shape[0])
-            d = space.dist[x]
+            d = blk.d
             gate = blk.open_measure() if cls == "log-holder" else d
             near = (d > 0) & (d <= b)
             admissible = near & (gate > 0) & (gate < 1)

@@ -9,7 +9,7 @@ refinement studies are expected to confirm the exclusion is harmless.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from numbers import Real
 from typing import Callable, Optional
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
-from .space import DiscreteSpace, _a1, _sorted_row_blocks
+from .space import DiscreteSpace, _a1, _row_blocks, _sorted_row_blocks
 
 __all__ = [
     "KernelSpec",
@@ -152,7 +152,7 @@ def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.
     Meant for spaces whose measure is upper Ahlfors 1-regular, where it is
     pointwise comparable to the ball potential.
     """
-    return _potential(space, alpha, rows, [(0, space.dist)])
+    return _potential(space, alpha, rows, _row_blocks(space))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +163,15 @@ def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.
 class KernelSpec:
     """A kernel on off-diagonal pairs plus its claimed regularity data.
 
-    ``row(space, x)`` returns the vector k(x, .); entries at d(x, .) = 0 are
-    unused (the truncation removes them).  ``omega`` is the smoothness
-    modulus on (0, inf); ``cz_c`` and ``s`` are the claimed size constant and
-    a boundedness exponent, carried for reporting.
+    ``row(space, x)`` returns the vector k(x, .) and ``col(space, x)`` the
+    vector k(., x); entries at distance 0 are unused (the truncation removes
+    them).  ``omega`` is the smoothness modulus on (0, inf); ``cz_c`` and
+    ``s`` are the claimed size constant and a boundedness exponent, carried
+    for reporting.
     """
 
     row: Callable[[DiscreteSpace, int], np.ndarray]
+    col: Callable[[DiscreteSpace, int], np.ndarray]
     omega: Callable[[np.ndarray], np.ndarray]
     cz_c: float = 1.0
     s: float = 2.0
@@ -186,29 +188,33 @@ def hilbert_kernel() -> KernelSpec:
         with np.errstate(divide="ignore"):
             return np.where(diff != 0, 1.0 / np.where(diff != 0, diff, 1.0), 0.0)
 
-    return KernelSpec(row, power_modulus(1.0), cz_c=2.0, s=2.0, name="hilbert")
+    # antisymmetric: y - x and 1 / -t round to exactly -(x - y) and -(1 / t)
+    return KernelSpec(row, lambda space, x: -row(space, x), power_modulus(1.0),
+                      cz_c=2.0, s=2.0, name="hilbert")
 
 
 def power_dist_kernel(exponent: float) -> KernelSpec:
     """k(x, y) = d(x, y)**exponent (positive, distance-driven)."""
 
-    def row(space: DiscreteSpace, x: int) -> np.ndarray:
-        d = space.d_from(x)
+    def power(d: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(d > 0, d ** exponent, 0.0)
 
-    return KernelSpec(row, power_modulus(1.0), name=f"power-dist({exponent:g})")
+    return KernelSpec(lambda space, x: power(space.d_from(x)),
+                      lambda space, x: power(space.cols(x, x + 1)[0]),
+                      power_modulus(1.0), name=f"power-dist({exponent:g})")
 
 
 def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
     k = np.asarray(matrix, dtype=float)
 
-    def row(space: DiscreteSpace, x: int) -> np.ndarray:
+    def table(space: DiscreteSpace) -> np.ndarray:
         if k.shape != (space.n, space.n):
             raise DomainError("kernel table does not match the space")
-        return k[x]
+        return k
 
-    return KernelSpec(row, omega or power_modulus(1.0), name="explicit")
+    return KernelSpec(lambda space, x: table(space)[x], lambda space, x: table(space)[:, x],
+                      omega or power_modulus(1.0), name="explicit")
 
 
 def power_modulus(a: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -235,7 +241,8 @@ def singular_integrals(space: DiscreteSpace, kernel: KernelSpec, rows,
     if eps <= 0:
         raise DomainError("truncation radius must be positive")
     table = np.array([kernel.row(space, x) for x in range(space.n)], dtype=float)
-    table[space.dist <= eps] = 0.0
+    for start, d in _row_blocks(space):
+        table[start:start + len(d)][d <= eps] = 0.0
     return _apply_kernel(table, _rows(space, rows) * space.mu)
 
 
@@ -259,10 +266,6 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     n = space.n
 
     @cache
-    def krow(x: int) -> np.ndarray:
-        return kernel.row(space, x)
-
-    @cache
     def open_measure(x: int) -> np.ndarray:
         return next(_sorted_row_blocks(space, x, x + 1)).open_measure()[0]
 
@@ -273,7 +276,8 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
         yy = ys[xs == x]
         yy = yy[space.d_from(x)[yy] > 0]
         if yy.size:
-            size_c = max(size_c, float(np.max(np.abs(krow(x)[yy]) * open_measure(x)[yy])))
+            size_c = max(size_c, float(np.max(np.abs(kernel.row(space, x)[yy])
+                                              * open_measure(x)[yy])))
 
     smooth_c = 0.0
     x1s = rng.integers(0, n, sample_pairs)
@@ -287,12 +291,10 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
         gate &= d2 > 0
         if not gate.any():
             continue
-        m2 = open_measure(x2)
-        num = np.abs(krow(x1) - krow(x2))
-        # transposed differences k(y, x1) - k(y, x2), gathered column-wise
-        col1 = np.array([krow(y)[x1] for y in np.flatnonzero(gate)])
-        col2 = np.array([krow(y)[x2] for y in np.flatnonzero(gate)])
-        quot = (num[gate] + np.abs(col1 - col2)) * m2[gate] / kernel.omega(dx / d2[gate])
+        num = np.abs(kernel.row(space, x1) - kernel.row(space, x2))[gate]
+        # transposed differences k(y, x1) - k(y, x2)
+        num += np.abs(kernel.col(space, x1)[gate] - kernel.col(space, x2)[gate])
+        quot = num * open_measure(x2)[gate] / kernel.omega(dx / d2[gate])
         quot = quot[np.isfinite(quot)]
         if quot.size:
             smooth_c = max(smooth_c, float(quot.max()))
@@ -339,5 +341,4 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
         k = explicit_kernel(np.asarray(spec["table"], dtype=float))
     else:
         raise ValidationError(f"unknown kernel type {ktype!r}")
-    return KernelSpec(k.row, omega, cz_c=_number(spec, "cz_c", k.cz_c),
-                      s=_number(spec, "s", k.s), name=k.name)
+    return replace(k, omega=omega, cz_c=_number(spec, "cz_c", k.cz_c), s=_number(spec, "s", k.s))

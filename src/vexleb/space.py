@@ -1,12 +1,22 @@
 """Discretized quasimetric measure spaces and their geometric constants.
 
-A space is a finite point set with a (possibly asymmetric) distance table
-and a positive weight per point.  Every geometric query here is a pure read:
-balls, annuli, the radial partition around the basepoint, and estimates of
-the quasi-triangle, doubling, reverse-doubling and Ahlfors-regularity
-constants.  Constants are reported as estimates together with the attaining
-configuration, never as booleans: at a fixed resolution only the estimate is
-observable, finiteness is a refinement trend.
+A space is a finite point set with a (possibly asymmetric) distance and a
+positive weight per point.  A table-backed space stores its distances as an
+(n, n) table ``dist``; a line space (``uniform_grid``, ``cantor_space``, a
+``euclidean1d`` spec) stores only its coordinates and computes
+d(x, y) = |coords[x] - coords[y]| a block of rows at a time, so it holds no
+(n, n) array.  Every distance read goes through ``DiscreteSpace.rows`` (a
+block of rows), ``cols`` (a transposed block of columns) or ``pairs`` (a
+gather of single entries), which slice the table or compute from the
+coordinates with the same float operation per entry, so both kinds give the
+same values bit for bit.
+
+Every geometric query here is a pure read: balls, annuli, the radial
+partition around the basepoint, and estimates of the quasi-triangle,
+doubling, reverse-doubling and Ahlfors-regularity constants.  Constants are
+reported as estimates together with the attaining configuration, never as
+booleans: at a fixed resolution only the estimate is observable, finiteness
+is a refinement trend.
 
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
 block at a time, each row sorted once, and every sweep, ball measure and
@@ -54,10 +64,11 @@ class DiscreteSpace:
 
     Parameters
     ----------
-    dist : (n, n) array
+    dist : (n, n) array or None
         Nonnegative distance table, zero exactly on the diagonal.  Symmetry
         and the triangle inequality are *not* assumed; their defect is what
-        ``geometry_constants`` estimates.
+        ``geometry_constants`` estimates.  ``None`` makes a line space:
+        d(x, y) = |coords[x] - coords[y]|, computed on each read.
     mu : (n,) array
         Strictly positive measure weight per point.
     x0 : int
@@ -66,11 +77,12 @@ class DiscreteSpace:
         Nominal diameter.  ``inf`` marks a truncated model of an unbounded
         space; then ``trunc_radius`` gives the radius actually represented.
     coords : (n,) array, optional
-        Coordinate labels (used by coordinate kernels such as the Hilbert
-        kernel); purely informational otherwise.
+        Coordinates of a line space (finite and distinct); with a table,
+        coordinate labels read only by coordinate kernels such as the
+        Hilbert kernel.
     """
 
-    dist: np.ndarray
+    dist: Optional[np.ndarray]
     mu: np.ndarray
     x0: int = 0
     L: float = np.inf
@@ -79,24 +91,16 @@ class DiscreteSpace:
     labels: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        dist = np.asarray(self.dist, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "mu", mu)
         if self.coords is not None:
             object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        n = dist.shape[0]
-        if dist.ndim != 2 or dist.shape != (n, n):
-            raise ValidationError("distance table must be square")
+        if self.dist is None:
+            n = self._check_coords()
+        else:
+            n = self._check_table()
         if mu.shape != (n,):
             raise ValidationError("mu must have one weight per point")
-        if not np.all(np.isfinite(dist)) or np.any(dist < 0):
-            raise ValidationError("distances must be finite and nonnegative")
-        if np.any(np.diag(dist) != 0.0):
-            raise ValidationError("dist(x, x) must be 0")
-        # with a zero diagonal and no negative entry, only the diagonal may be 0
-        if dist.size - np.count_nonzero(dist) != n:
-            raise ValidationError("dist(x, y) = 0 with x != y violates separation")
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
             raise ValidationError("point weights must be positive and finite")
         if not (0 <= self.x0 < n):
@@ -104,13 +108,64 @@ class DiscreteSpace:
         if np.isinf(self.L) and self.trunc_radius is None:
             raise ValidationError("infinite-diameter model requires trunc_radius")
 
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
+    def _check_coords(self) -> int:
+        """Size of a line space whose coordinates are finite and distinct."""
+        c = self.coords
+        if c is None:
+            raise ValidationError("a space needs a distance table or coordinates")
+        if c.ndim != 1:
+            raise ValidationError("coordinates must form one vector")
+        s = np.sort(c)
+        # the largest distance is finite only if every distance is
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = s[-1] - s[0] if c.size else 0.0
+        if not np.isfinite(span):
+            raise ValidationError("distances must be finite and nonnegative")
+        if np.any(s[1:] == s[:-1]):
+            raise ValidationError("dist(x, y) = 0 with x != y violates separation")
+        return c.size
+
+    def _check_table(self) -> int:
+        dist = np.asarray(self.dist, dtype=float)
+        object.__setattr__(self, "dist", dist)
+        n = dist.shape[0]
+        if dist.ndim != 2 or dist.shape != (n, n):
+            raise ValidationError("distance table must be square")
+        if not np.all(np.isfinite(dist)) or np.any(dist < 0):
+            raise ValidationError("distances must be finite and nonnegative")
+        if np.any(np.diag(dist) != 0.0):
+            raise ValidationError("dist(x, x) must be 0")
+        # with a zero diagonal and no negative entry, only the diagonal may be 0
+        if dist.size - np.count_nonzero(dist) != n:
+            raise ValidationError("dist(x, y) = 0 with x != y violates separation")
+        return n
 
     @property
-    def total_measure(self) -> float:
-        return float(self.mu.sum())
+    def n(self) -> int:
+        return self.mu.shape[0]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, n) block of d(x, y) for x in start:stop: a view
+        of the table (not to be written), or computed from the coordinates."""
+        if self.dist is not None:
+            return self.dist[start:stop]
+        block = np.subtract.outer(self.coords[start:stop], self.coords)
+        return np.abs(block, out=block)
+
+    def cols(self, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, n) block of d(y, x) for x in start:stop, the
+        transposed column block.  On the line it is the row block: x - y and
+        y - x round to the same magnitude."""
+        if self.dist is None:
+            return self.rows(start, stop)
+        # copied first: read transposed in place, it strides across the table
+        return np.ascontiguousarray(self.dist[:, start:stop]).T
+
+    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """d(xs[i], ys[i]) for each i."""
+        if self.dist is None:
+            return np.abs(self.coords[xs] - self.coords[ys])
+        return self.dist[xs, ys]
 
     @property
     def infinite_diameter(self) -> bool:
@@ -151,12 +206,14 @@ class DiscreteSpace:
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):
             raise DomainError(f"point id {center} out of range")
-        return self.dist[center]
+        return self.rows(center, center + 1)[0]
 
-    @property
+    @cached_property
     def d0(self) -> np.ndarray:
-        """Distances from the basepoint."""
-        return self.dist[self.x0]
+        """Distances from the basepoint (read-only)."""
+        d0 = self.rows(self.x0, self.x0 + 1)[0]
+        d0.flags.writeable = False
+        return d0
 
     def radial_distances(self) -> np.ndarray:
         """Distances from the basepoint with the zero at the basepoint floored
@@ -225,6 +282,7 @@ class _SortedRows(NamedTuple):
     """A block of distance rows, each sorted once.
 
     start  : id of the block's first row
+    d      : (b, n) the rows as read, unsorted
     order  : (b, n) stable ascending order of each row
     ds     : (b, n) the sorted distances
     prefix : (b, n + 1) mu summed over the first k points of that order
@@ -232,6 +290,7 @@ class _SortedRows(NamedTuple):
     """
 
     start: int
+    d: np.ndarray
     order: np.ndarray
     ds: np.ndarray
     prefix: np.ndarray
@@ -250,33 +309,35 @@ class _SortedRows(NamedTuple):
         return out
 
 
-def _sorted_row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
-    """Rows ``first`` up to ``stop`` (default: all) of the distance table in
-    blocks of ``_BLOCK_ROWS``, each row sorted once."""
-    n = space.n
-    stop = n if stop is None else stop
+def _row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
+    """(start, rows) for the distance rows ``first`` up to ``stop`` (default:
+    all) in blocks of ``_BLOCK_ROWS``."""
+    stop = space.n if stop is None else stop
     for start in range(first, stop, _BLOCK_ROWS):
-        d = space.dist[start:min(start + _BLOCK_ROWS, stop)]
+        yield start, space.rows(start, min(start + _BLOCK_ROWS, stop))
+
+
+def _sorted_row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
+    """Distance rows ``first`` up to ``stop`` (default: all) in blocks of
+    ``_BLOCK_ROWS``, each row sorted once."""
+    n = space.n
+    for start, d in _row_blocks(space, first, stop):
         order = np.argsort(d, axis=1, kind="stable")
         ds = np.take_along_axis(d, order, axis=1)
         prefix = np.zeros((d.shape[0], n + 1))
         np.cumsum(space.mu[order], axis=1, out=prefix[:, 1:])
         ends = np.ones(ds.shape, dtype=bool)
         np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
-        yield _SortedRows(start, order, ds, prefix, ends)
+        yield _SortedRows(start, d, order, ds, prefix, ends)
 
 
 def _a0(space: DiscreteSpace):
     """Quasi-symmetry constant sup d(x, y) / d(y, x) and its first attaining
     pair in row-major order, one block of rows at a time."""
-    d = space.dist
     a0, a0_pair = -np.inf, (0, 0)
-    for start in range(0, space.n, _BLOCK_ROWS):
+    for start, d in _row_blocks(space):
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the column block is copied first: reading it transposed in
-            # place strides across the whole table
-            ratios = (d[start:start + _BLOCK_ROWS]
-                      / np.ascontiguousarray(d[:, start:start + _BLOCK_ROWS]).T)
+            ratios = d / space.cols(start, start + len(d))
         ratios[~np.isfinite(ratios)] = 0.0
         j = int(ratios.argmax())
         if ratios.flat[j] > a0:
@@ -289,11 +350,11 @@ def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
     """Quasi-triangle constant sup d(x, y) / (d(x, z) + d(z, y)) and its
     attaining triple: exhaustive up to ``EXHAUSTIVE_TRIPLE_LIMIT`` points,
     over the first ``sample_triples`` seeded random triples beyond."""
-    d = space.dist
     n = space.n
     a1 = 0.0
     a1_triple = (0, 0, 0)
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
+        d = space.rows(0, n)
         hops = np.empty((n, n))
         two_hop = np.empty(n)
         for x in range(n):
@@ -306,15 +367,14 @@ def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
                 z = int(np.argmin(d[x] + d[:, y]))
                 a1, a1_triple = float(r[y]), (x, y, z)
     else:
-        flat = d.ravel()
         rng = np.random.default_rng(seed)
         remaining = sample_triples
         chunk = 200_000
         while remaining > 0:
             m = min(chunk, remaining)
             xs, ys, zs = (rng.integers(0, n, m) for _ in range(3))
-            denom = np.take(flat, xs * n + zs) + np.take(flat, zs * n + ys)
-            r = np.divide(np.take(flat, xs * n + ys), denom, out=np.full(m, -np.inf),
+            denom = space.pairs(xs, zs) + space.pairs(zs, ys)
+            r = np.divide(space.pairs(xs, ys), denom, out=np.full(m, -np.inf),
                           where=denom > 0)
             j = int(r.argmax())
             if r[j] > a1:
@@ -580,20 +640,13 @@ def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0,
 # generators
 
 
-def _line_distances(coords: np.ndarray) -> np.ndarray:
-    """|coords[x] - coords[y]| as one (n, n) table, built in place."""
-    dist = np.subtract.outer(coords, coords)
-    return np.abs(dist, out=dist)
-
-
 def uniform_grid(n: int) -> DiscreteSpace:
     """Uniform n-point grid on [0, 1] (both endpoints included) with equal
     weights 1/n."""
     if n < 2:
         raise DomainError("grid needs at least 2 points")
-    coords = np.linspace(0.0, 1.0, n)
-    dist = _line_distances(coords)
-    return DiscreteSpace(dist=dist, mu=np.full(n, 1.0 / n), x0=0, L=1.0, coords=coords)
+    return DiscreteSpace(dist=None, mu=np.full(n, 1.0 / n), x0=0, L=1.0,
+                         coords=np.linspace(0.0, 1.0, n))
 
 
 def cantor_space(depth: int) -> DiscreteSpace:
@@ -603,9 +656,8 @@ def cantor_space(depth: int) -> DiscreteSpace:
         raise DomainError("depth must be at least 1")
     bits = (np.arange(2**depth)[:, None] >> np.arange(depth)) & 1
     coords = np.sort((2.0 * bits / 3.0 ** (np.arange(depth) + 1)).sum(axis=1))
-    dist = _line_distances(coords)
     mu = np.full(coords.size, 2.0 ** (-depth))
-    return DiscreteSpace(dist=dist, mu=mu, x0=0, L=1.0, coords=coords)
+    return DiscreteSpace(dist=None, mu=mu, x0=0, L=1.0, coords=coords)
 
 
 def explicit_space(dist, mu, x0: int = 0, L: float = np.inf,
@@ -649,10 +701,10 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     if any("coord" in p for p in points):
         coords = np.array([float(p["coord"]) for p in points])
     metric = spec.get("metric", "explicit")
+    dist = None
     if metric == "euclidean1d":
         if coords is None:
             raise ValidationError("space.points: euclidean1d metric needs coords")
-        dist = _line_distances(coords)
     elif metric == "explicit":
         if "dist" not in spec:
             raise ValidationError("space.dist: required for explicit metric")
@@ -675,7 +727,7 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     L = np.inf if L_spec == "inf" else float(L_spec)
     trunc = spec.get("trunc_radius")
     if np.isinf(L) and trunc is None:
-        trunc = float(dist.max())
+        trunc = float(dist.max() if dist is not None else np.ptp(coords))
     return DiscreteSpace(dist=dist, mu=mu, x0=x0, L=L,
                          trunc_radius=None if trunc is None else float(trunc),
                          coords=coords, labels=[str(i) for i in ids])

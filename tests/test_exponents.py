@@ -30,7 +30,7 @@ def reference_sweep_radii(space, center, r_cap):
 def reference_muB_pair_matrix(space):
     out = np.empty((space.n, space.n))
     for x in range(space.n):
-        d = space.dist[x]
+        d = space.d_from(x)
         order = np.argsort(d, kind="stable")
         prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
         out[x] = prefix[np.searchsorted(d[order], d, side="left")]
@@ -61,7 +61,7 @@ def reference_class_check(space, p, cls, N=1.0, at=None, b=None):
             if vals[j] > best:
                 best, wit = float(vals[j]), (x, float(radii[ok][j]))
         return vx.ClassReport(cls, best, float(b), wit, excluded=excluded)
-    d = space.dist
+    d = space.rows(0, space.n)
     gate = reference_muB_pair_matrix(space) if cls == "log-holder" else d
     near = (d > 0) & (d <= b)
     if at is not None:
@@ -230,7 +230,7 @@ class TestClassCheck:
         p = vx.PointFunction(2.0 + sp.coords, "exponent")
         rep = vx.class_check(sp, p, "log-holder-distance", b=0.5)
         brute = 0.0
-        d = sp.dist
+        d = sp.rows(0, sp.n)
         dp = np.abs(p.values[:, None] - p.values[None, :])
         ok = (d > 0) & (d <= 0.5) & (d < 1)
         brute = float(np.max(dp[ok] * (-np.log(d[ok]))))
@@ -245,7 +245,7 @@ class TestClassCheck:
         best = 0.0
         for x in range(sp.n):
             for y in range(sp.n):
-                dxy = sp.dist[x, y]
+                dxy = sp.d_from(x)[y]
                 if not 0 < dxy <= 0.4:
                     continue
                 m = vx.ball(sp, x, dxy).measure
@@ -282,7 +282,7 @@ class TestClassCheck:
         vx.class_check(sp, p, "log-holder", at=at)
         assert "ball_index" not in vars(sp)
         assert [name for name, value in vars(sp).items()
-                if any(a.size >= sp.n * sp.n for a in held_arrays(value))] == ["dist"]
+                if any(a.size >= sp.n * sp.n for a in held_arrays(value))] == []
 
     def test_log_profile_stable_under_refinement(self):
         vals = []

@@ -24,7 +24,7 @@ def reference_maximal(space, f):
     out = np.empty(space.n)
     absf_mu = np.abs(f) * space.mu
     for x in range(space.n):
-        d = space.dist[x]
+        d = space.d_from(x)
         order = np.argsort(d, kind="stable")
         ds = d[order]
         num = np.cumsum(absf_mu[order])
@@ -41,7 +41,7 @@ def reference_ball_potential(space, alpha, f):
     skipped = 0
     fmu = f * space.mu
     for x in range(space.n):
-        d = space.dist[x]
+        d = space.d_from(x)
         order = np.argsort(d, kind="stable")
         prefix = np.concatenate([[0.0], np.cumsum(space.mu[order])])
         m = prefix[np.searchsorted(d[order], d, side="left")]
@@ -58,7 +58,7 @@ def reference_kernel_constants(space, kernel, pairs, seed, a1):
     rng = np.random.default_rng(seed)
     xs, ys, x1s, x2s = (rng.integers(0, space.n, pairs) for _ in range(4))
     k = np.array([kernel.row(space, x) for x in range(space.n)])
-    d = space.dist
+    d = space.rows(0, space.n)
 
     def open_ball(x, r):
         return vx.ball(space, x, r, closed=False).measure
@@ -142,7 +142,8 @@ def block_operators(sp, rng):
     alpha = vx.PointFunction(rng.uniform(0.05, 0.95, sp.n), "alpha")
     table = rng.uniform(-1.0, 1.0, (sp.n, sp.n))
     kernel, abs_kernel = vx.explicit_kernel(table), vx.explicit_kernel(np.abs(table))
-    eps = 0.25 * float(np.median(sp.dist[sp.dist > 0]))
+    d = sp.rows(0, sp.n)
+    eps = 0.25 * float(np.median(d[d > 0]))
 
     return [
         ("hardy", lambda F: vx.hardy_transforms(sp, v, w, F), None),
@@ -364,7 +365,7 @@ class TestPotentials:
             for y in range(n):
                 if y == x:
                     continue
-                m = vx.ball(sp, x, sp.dist[x, y]).measure
+                m = vx.ball(sp, x, sp.d_from(x)[y]).measure
                 total += f[y] * m ** (al.values[x] - 1) * sp.mu[y]
             assert out[x] == pytest.approx(total, rel=1e-12)
 
@@ -496,6 +497,34 @@ class TestKernelChecks:
         assert out == pytest.approx((1.9980468750000002, 7.9921875, 0.6931471805593149),
                                     rel=1e-12)
         assert peak < 15e6
+
+    def test_keeps_no_kernel_rows(self):
+        # k(y, x1) and k(y, x2) come from the kernel's column reader: the
+        # whole rows of every gated y, once kept, were 8.4 MB of a 12.8 MB peak
+        sp = vx.uniform_grid(1024)
+        tracemalloc.start()
+        try:
+            out = vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 200, a1=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == (1.9980468750000002, 7.9921875, 0.6931471805593149)
+        assert peak < sp.n * sp.n * 8
+
+    @pytest.mark.parametrize("table", [False, True], ids=["line", "asymmetric-table"])
+    @pytest.mark.parametrize("make", [
+        vx.hilbert_kernel, lambda: vx.power_dist_kernel(-0.5),
+        lambda: vx.explicit_kernel(np.random.default_rng(1).uniform(-1, 1, (8, 8)))],
+        ids=["hilbert", "power-dist", "explicit"])
+    def test_columns_are_transposed_rows(self, make, table):
+        sp = vx.cantor_space(3)
+        if table:
+            d = sp.rows(0, sp.n) * np.random.default_rng(2).uniform(1.0, 2.0, (8, 8))
+            sp = vx.explicit_space(d, sp.mu, L=1.0, coords=sp.coords)
+        kernel = make()
+        rows = np.array([kernel.row(sp, x) for x in range(sp.n)])
+        for x in range(sp.n):
+            assert np.array_equal(kernel.col(sp, x), rows[:, x])
 
     def test_table_modulus(self):
         om = vx.table_modulus([0.0, 1.0], [0.0, 2.0])

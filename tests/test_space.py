@@ -10,7 +10,7 @@ from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1, _sorted_row_
 
 
 def brute_ball(space, center, r, closed=False):
-    d = space.dist[center]
+    d = space.d_from(center)
     return set(np.flatnonzero(d <= r if closed else d < r).tolist())
 
 
@@ -20,7 +20,7 @@ JITTER = 1e-9
 
 
 def sorted_row(space, x):
-    d = space.dist[x]
+    d = space.d_from(x)
     order = np.argsort(d, kind="stable")
     return d[order], np.concatenate([[0.0], np.cumsum(space.mu[order])])
 
@@ -94,7 +94,7 @@ def reference_ahlfors(space, q):
 
 def reference_annuli_nonempty(space, A):
     for x in range(space.n):
-        ds = np.unique(space.dist[x])
+        ds = np.unique(space.d_from(x))
         ds = ds[(ds > 0) & (ds <= space.L_eff)]
         if ds.size >= 2 and np.any(ds[1:] > A * ds[:-1] * (1 + 1e-12)):
             return False
@@ -104,7 +104,7 @@ def reference_annuli_nonempty(space, A):
 def reference_quasi(space, seed, sample_triples):
     """a0 from the full table d / d.T; a1 with one n x n temporary per center,
     or over the seeded triples with 2-D gathers."""
-    d, n = space.dist, space.n
+    d, n = space.rows(0, space.n), space.n
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = d / d.T
     ratios[~np.isfinite(ratios)] = 0.0
@@ -198,7 +198,7 @@ def sorted_row_spaces(draw):
 # The sorted rows and basepoint ball measures as built before every row sort
 # read the shared row blocks: one full-table sort, one basepoint sort.
 def reference_ball_index(space):
-    dist, mu, n = space.dist, space.mu, space.n
+    dist, mu, n = space.rows(0, space.n), space.mu, space.n
     order = np.argsort(dist, axis=1, kind="stable")
     ds = np.take_along_axis(dist, order, axis=1)
     prefix = np.zeros((n, n + 1))
@@ -258,7 +258,8 @@ class TestSharedSortedRows:
         assert np.array_equal(sp.muB0, blk.open_measure()[sp.x0 - blk.start])
 
     def test_space_keeps_no_square_table(self):
-        # every reader of sorted rows reduces row blocks; only dist is n x n
+        # every reader of sorted rows reduces row blocks; a line space keeps
+        # no n x n array at all
         sp = vx.uniform_grid(2 * _BLOCK_ROWS + 5)
         n = sp.n
         rows = np.random.default_rng(0).uniform(-1, 1, (3, n))
@@ -269,7 +270,7 @@ class TestSharedSortedRows:
         for at in (None, 3):
             vx.class_check(sp, p, "log-holder", at=at)
         assert [name for name, value in vars(sp).items()
-                if any(a.size >= n * n for a in held_arrays(value))] == ["dist"]
+                if any(a.size >= n * n for a in held_arrays(value))] == []
 
     def test_basepoint_arrays_are_read_only(self):
         sp = vx.uniform_grid(16)
@@ -288,7 +289,7 @@ class TestBall:
         sp = vx.uniform_grid(16)
         b = vx.ball(sp, 3, 5.0)
         assert b.members.size == 16
-        assert b.measure == pytest.approx(sp.total_measure)
+        assert b.measure == pytest.approx(sp.mu.sum())
 
     def test_grid_half_ball_measure(self):
         sp = vx.uniform_grid(1024)
@@ -298,7 +299,7 @@ class TestBall:
 
     def test_closed_flag(self):
         sp = vx.uniform_grid(9)
-        r = sp.dist[0, 4]
+        r = sp.d_from(0)[4]
         assert set(vx.ball(sp, 0, r, closed=True).members.tolist()) == brute_ball(sp, 0, r, True)
         assert set(vx.ball(sp, 0, r).members.tolist()) == brute_ball(sp, 0, r, False)
 
@@ -369,7 +370,7 @@ class TestGeometryConstants:
     def test_sampler_honours_sample_triples(self):
         # a smaller budget reads the first triples of the same seeded stream
         sp = vx.uniform_grid(520)
-        d, n = sp.dist, sp.n
+        d, n = sp.rows(0, sp.n), sp.n
         rng = np.random.default_rng(0)
         xs, ys, zs = (rng.integers(0, n, 1000) for _ in range(3))
         denom = d[xs, zs] + d[zs, ys]
@@ -545,6 +546,17 @@ class TestSpaceValidation:
         with pytest.raises(ValidationError, match=message):
             vx.DiscreteSpace(dist=np.array(dist), mu=np.full(len(dist), 0.5), x0=0, L=2.0)
 
+    @pytest.mark.parametrize("coords, message", [
+        ([0.0, 1.0, -0.0], "separation"),
+        ([0.0, np.nan, 1.0], "finite"),
+        ([-1e308, 0.0, 1e308], "finite"),
+        ([[0.0, 1.0, 2.0]], "one vector"),
+        (None, "table or coordinates"),
+    ])
+    def test_each_coordinate_check_names_its_fault(self, coords, message):
+        with pytest.raises(ValidationError, match=message):
+            vx.DiscreteSpace(dist=None, mu=np.full(3, 0.5), x0=0, L=2.0, coords=coords)
+
     def test_infinite_needs_truncation(self):
         with pytest.raises(ValidationError):
             vx.DiscreteSpace(dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -567,7 +579,7 @@ class TestSpaceFromSpec:
         }
         sp = vx.space_from_spec(spec)
         assert sp.x0 == 1
-        assert sp.dist[0, 2] == pytest.approx(1.0)
+        assert sp.d_from(0)[2] == pytest.approx(1.0)
 
     def test_lebesgue_grid_rule(self):
         spec = {"points": [{"id": i, "coord": i / 3} for i in range(4)],
