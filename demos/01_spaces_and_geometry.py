@@ -34,21 +34,3 @@ gc = vx.geometry_constants(cantor)
 print(f"\nCantor approximation, depth 8 ({cantor.n} points)")
 print(f"  Ahlfors at q = log2/log3: c1 = {c1:.4f}, c2 = {c2:.4f}")
 print(f"  doubling constant = {gc.doubling_c:.4f}, annuli nonempty: {gc.annuli_nonempty}")
-
-# the radial partition around the basepoint: cover and dyadic shells
-part = vx.radial_partition(grid, A=2.0, k=-1, a1=1.0)
-print("\nradial partition at k = -1 (A = 2):")
-print(f"  inner |I1| = {part.inner.size}, middle |I2| = {part.middle.size},"
-      f" outer |I3| = {part.outer.size}")
-print(f"  shell E_-1 holds distances ({grid.d0[part.shell].min():.4f},"
-      f" {grid.d0[part.shell].max():.4f}], measure {grid.mu[part.shell].sum():.4f}")
-
-# shells tile the punctured space and track the ball measures
-ratios = []
-for k in range(-6, 0):
-    p = vx.radial_partition(grid, 2.0, k, a1=1.0)
-    mb = vx.ball(grid, 0, 2.0**k).measure
-    if p.shell.size:
-        ratios.append(grid.mu[p.shell].sum() / mb)
-print(f"  shell-to-ball measure ratios over k = -6..-1: "
-      f"{', '.join(f'{r:.3f}' for r in ratios)}")

@@ -21,10 +21,8 @@ from .conditions import (
     hardy_tail_condition,
     log_adjusted_weight_pair,
     maximal_singular_conditions,
-    maximal_to_hardy_weights,
     muckenhoupt_ar,
     potential_conditions,
-    potential_to_hardy_weights,
     power_weight_pair,
     radial_condition,
     variable_order_conditions,
@@ -63,7 +61,6 @@ from .space import (
     BallView,
     DiscreteSpace,
     GeometryReport,
-    RadialPartition,
     ahlfors_regularity,
     ball,
     cantor_space,
@@ -71,7 +68,6 @@ from .space import (
     doubling_reverse_doubling,
     explicit_space,
     geometry_constants,
-    radial_partition,
     space_from_spec,
     uniform_grid,
 )

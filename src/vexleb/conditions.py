@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _sorted_row_blocks, ahlfors_regularity, comparison_annulus
+from .space import DiscreteSpace, _sorted_row_blocks, comparison_annulus
 
 __all__ = [
     "ConditionReport",
@@ -62,8 +62,6 @@ __all__ = [
     "muckenhoupt_ar",
     "power_weight_pair",
     "log_adjusted_weight_pair",
-    "potential_to_hardy_weights",
-    "maximal_to_hardy_weights",
     "RADIAL_VARIANTS",
 ]
 
@@ -79,7 +77,6 @@ class ConditionReport:
     ts: np.ndarray
     curve: np.ndarray
     resolution: int
-    finite_hint: Optional[bool] = None
     meta: dict = field(default_factory=dict)
     # log of the sup, kept where ``value`` overflowed to inf (None: not a
     # sweep functional)
@@ -191,8 +188,7 @@ def _log_col_sums(vals: np.ndarray) -> np.ndarray:
 
 
 def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
-                    forward: bool, inner, gamma: np.ndarray,
-                    meta: Optional[dict] = None) -> ConditionReport:
+                    forward: bool, inner, gamma: np.ndarray) -> ConditionReport:
     """Evaluate one sup-functional over the sweep, in logs.
 
     ``forward`` selects the outer region {t < d0 <= L} with the inner sum
@@ -276,10 +272,8 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     with np.errstate(over="ignore"):
         curve = np.exp(log_curve)
     j = int(curve.argmax())
-    meta = dict(meta or {})
-    meta["skipped_inner"] = skipped
-    return ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve,
-                           resolution=space.n, meta=meta, log_value=float(log_curve.max()))
+    return ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve, resolution=space.n,
+                           meta={"skipped_inner": skipped}, log_value=float(log_curve.max()))
 
 
 def _ordering_check(name: str, lower: PointFunction, upper: PointFunction):
@@ -316,23 +310,22 @@ def _pow_inner(log_w, e: np.ndarray, log_mu: np.ndarray):
 
 
 def _ball_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
-               log_D, log_w: np.ndarray, e: np.ndarray,
-               meta: Optional[dict] = None) -> ConditionReport:
+               log_D, log_w: np.ndarray, e: np.ndarray) -> ConditionReport:
     """The ball half (module docstring) from log v, log D and log w.  Where
     log D is +inf (D = 0), x drops out of the outer sum."""
     log_mu = np.log(space.mu)
     log_O = np.where(log_D < np.inf, s * (log_v - log_D) + log_mu, -np.inf)
     return _sup_functional(space, name, log_O, True, _pow_inner(log_w, e, log_mu),
-                           s / np.abs(e), meta=meta)
+                           s / np.abs(e))
 
 
 def _tail_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
-               log_w, e: np.ndarray, meta: Optional[dict] = None) -> ConditionReport:
+               log_w, e: np.ndarray) -> ConditionReport:
     """The tail half (module docstring) from log v and log w, which may
     depend on x (see ``_pow_inner``)."""
     log_mu = np.log(space.mu)
     return _sup_functional(space, name, s * log_v + log_mu, False,
-                           _pow_inner(log_w, e, log_mu), s / np.abs(e), meta=meta)
+                           _pow_inner(log_w, e, log_mu), s / np.abs(e))
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -418,21 +411,18 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     """Distance-potential pair for variable order (upper Ahlfors 1-regular
     spaces): the ball part uses base (v / d0**(1-alpha(x)))**q with inner
     w**(-e0(x)); the tail part uses inner (w(y) d0(y)**(1-alpha(y)))**(-e1(x)).
-    Returns (ball_report, tail_report); the space's upper-Ahlfors constant is
-    attached to both reports' meta.
+    Returns (ball_report, tail_report).
     """
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(alpha.values, p)
-    c1, _, _, _ = ahlfors_regularity(space, 1.0)
-    meta = {"ahlfors_upper_c1": c1}
     le = local_exponents(space, p, a)
     s, log_D, e0 = _BALL_HALVES["distance-potential"](space, p, q, alpha.values, le)
     log_v, log_w = _log(vv), _log(wv)
     e1 = conjugate(le.tail_min).values
     # a base of +inf keeps the basepoint atom out of the tail
-    return (_ball_half(space, "distance-ball", s, log_v, log_D, log_w, -e0, meta=meta),
-            _tail_half(space, "distance-tail", s, log_v, log_w + log_D, -e1, meta=meta))
+    return (_ball_half(space, "distance-ball", s, log_v, log_D, log_w, -e0),
+            _tail_half(space, "distance-tail", s, log_v, log_w + log_D, -e1))
 
 
 def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
@@ -554,7 +544,7 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
 
 
 def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFunction,
-                              A: float, a1: float = 1.0, use_l_factor: bool = False):
+                              A: float, a1: float = 1.0):
     """Comparability of v over the distance-comparable annulus with w at the
     point: b1 = sup_x max(v on F_x) / w(x), b2 = sup_x v(x) / min(w on F_x).
     Points with empty annuli are skipped and counted."""
@@ -563,7 +553,7 @@ def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFu
     b1 = b2 = 0.0
     skipped = 0
     for x in range(space.n):
-        members, _ = comparison_annulus(space, x, A, a1=a1, use_l_factor=use_l_factor)
+        members, _ = comparison_annulus(space, x, A, a1=a1)
         if members.size == 0:
             skipped += 1
             continue
@@ -658,33 +648,3 @@ def log_adjusted_weight_pair(p_conj_at_base: float, L: float) -> ProfilePair:
         return t ** g * np.log(2.0 * L / t)
 
     return ProfilePair(v, w, True, 0.0)
-
-
-def potential_to_hardy_weights(space: DiscreteSpace, v: PointFunction,
-                               w: PointFunction, alpha: float):
-    """Compose the outer-weight potential inequality into Hardy form:
-    (v muB0**(alpha-1), 1/w).  The basepoint's zero ball measure is floored
-    to half its own weight (its quadrature cell)."""
-    vv = _nonneg(space, v, "v")
-    wv = _positive(space, w, "w")
-    muB0 = np.maximum(space.muB0, 0.5 * space.mu[space.x0])
-    return (PointFunction(vv * muB0 ** (alpha - 1.0), "weight"),
-            PointFunction(1.0 / wv, "weight"))
-
-
-def maximal_to_hardy_weights(space: DiscreteSpace, v: PointFunction, w: PointFunction):
-    """Compose the outer-weight maximal/singular inequality into Hardy form.
-
-    Returns ``((v/muB0, 1/w), (v, 1/(w muB0)))``: the first pair drives the
-    forward transform, the second the tail transform.  Evaluating the Hardy
-    functionals on these pairs reproduces the directly evaluated
-    maximal/singular pair exactly (the floored basepoint values never enter
-    the regions).
-    """
-    vv = _nonneg(space, v, "v")
-    wv = _positive(space, w, "w")
-    muB0 = np.maximum(space.muB0, 0.5 * space.mu[space.x0])
-    forward = (PointFunction(np.where(vv > 0, vv / muB0, 0.0), "test"),
-               PointFunction(1.0 / wv, "weight"))
-    tail = (v, PointFunction(1.0 / (wv * muB0), "weight"))
-    return forward, tail

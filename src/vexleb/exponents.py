@@ -109,8 +109,9 @@ class LocalExponents:
 
     ball_min(x)  : min of p over the closed ball of radius d0(x)
     tail_min(x)  : min of p over {y : d0(x) <= d0(y) <= a}; for x beyond a,
-                   where that set is empty, the tail value, else p(x)
-    ball_min_capped(x) : ball_min spliced to the constant tail value beyond
+                   where that set is empty, the constant value of p beyond
+                   a, else p(x)
+    ball_min_capped(x) : ball_min spliced to the constant value of p beyond
                    radius a (identical to ball_min when the diameter is
                    finite, where a is forced to L).
     """
@@ -118,7 +119,6 @@ class LocalExponents:
     ball_min: PointFunction
     tail_min: PointFunction
     ball_min_capped: PointFunction
-    tail_value: Optional[float]
 
 
 def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] = None) -> LocalExponents:
@@ -174,7 +174,7 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     if space.infinite_diameter and p_c is not None:
         ball_capped = np.where(space.d0 > a, p_c, ball_min)
     mk = lambda v: PointFunction(v, "exponent")
-    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped), p_c)
+    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped))
 
 
 def sobolev_exponent(p: PointFunction, alpha: PointFunction) -> PointFunction:
@@ -192,7 +192,6 @@ class ClassReport:
     constant_c: float
     radius_b: float
     worst_witness: tuple
-    satisfied_hint: Optional[bool] = None
     excluded: int = 0
 
 

@@ -13,7 +13,7 @@ largest entry and mu(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -50,17 +50,6 @@ class NormResult:
     converged: bool = True
 
 
-def _subset_mask(space: DiscreteSpace, subset) -> Optional[np.ndarray]:
-    if subset is None:
-        return None
-    idx = np.asarray(subset)
-    if idx.dtype == bool:
-        return idx
-    mask = np.zeros(space.n, dtype=bool)
-    mask[idx] = True
-    return mask
-
-
 def _powered(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """|f|**p mu entrywise; zero values give 0."""
     fv = np.abs(fv)
@@ -85,25 +74,20 @@ def _modular_moment(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray):
     return total, terms.sum(axis=-1)
 
 
-def modular(space: DiscreteSpace, p: PointFunction, f: PointFunction, subset=None) -> float:
-    """sum over the subset of |f(x)|**p(x) mu(x); zero values contribute 0."""
+def modular(space: DiscreteSpace, p: PointFunction, f: PointFunction) -> float:
+    """sum of |f(x)|**p(x) mu(x); zero values contribute 0.  The modular over
+    a set is that of f set to 0 outside it."""
     if p.kind != "exponent":
         raise DomainError("modular needs an exponent field")
-    mask = _subset_mask(space, subset)
-    fv, pv, mu = f.values, p.values, space.mu
-    if mask is not None:
-        fv, pv, mu = fv[mask], pv[mask], mu[mask]
-    return float(_modular_arrays(fv, pv, mu))
+    return float(_modular_arrays(f.values, p.values, space.mu))
 
 
-def luxemburg_norm(space: DiscreteSpace, p: PointFunction, f: PointFunction,
-                   subset=None) -> NormResult:
+def luxemburg_norm(space: DiscreteSpace, p: PointFunction, f: PointFunction) -> NormResult:
     """Smallest lambda with modular(f / lambda) <= 1, to relative tolerance 1e-10."""
-    return luxemburg_norms(space, p, f.values[None, :], subset)[0]
+    return luxemburg_norms(space, p, f.values[None, :])[0]
 
 
-def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray,
-                    subset=None) -> List[NormResult]:
+def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) -> List[NormResult]:
     """``luxemburg_norm`` of each row of a (P, n) block of finite values.
 
     Each row starts at lambda = max |f|, where every |f / lambda| <= 1, so
@@ -127,10 +111,7 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray,
         raise DomainError(f"norm rows must form a (P, {space.n}) block")
     if not np.all(np.isfinite(fv)):
         raise DomainError("norm rows must be finite everywhere")
-    mask = _subset_mask(space, subset)
     pv, mu = p.values, space.mu
-    if mask is not None:
-        fv, pv, mu = fv[:, mask], pv[mask], mu[mask]
     results = [NormResult(0.0, 0.0, 0, (0.0, 0.0))] * len(fv)
     live = np.flatnonzero(np.any(fv != 0, axis=1))
     if not live.size:
@@ -181,12 +162,13 @@ def holder_check(space: DiscreteSpace, p: PointFunction, f: PointFunction,
 
         sum_E |f g| mu  <=  (1/p_min(E) + 1/p'_min(E)) ||f||_{p,E} ||g||_{p',E}
 
+    E is ``subset``, as point ids or a mask; all points by default.
     Returns (lhs, rhs, holds) with a 1e-9 relative slack on the comparison.
     """
     if p.kind != "exponent":
         raise DomainError("Hoelder check needs an exponent field")
-    mask = _subset_mask(space, subset)
-    full = np.ones(space.n, dtype=bool) if mask is None else mask
+    full = np.zeros(space.n, dtype=bool)
+    full[slice(None) if subset is None else subset] = True
     lhs = float((np.abs(f.values * g.values) * space.mu)[full].sum())
     pc = conjugate(p)
     p_min, _ = extrema_over(space, p, np.flatnonzero(full))

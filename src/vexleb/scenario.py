@@ -152,12 +152,12 @@ class Scenario:
     resolutions: List[int]
     seed: int
     params: dict = field(default_factory=dict)
-    compose_hardy: bool = False
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ValidationError("scenario must be a mapping")
+        _known_keys(data, "scenario", _SCENARIO_KEYS)
         name = data.get("name", "scenario")
         # the name becomes the report's file name inside --out-dir
         if not isinstance(name, str) or not name or "/" in name or "\\" in name:
@@ -234,11 +234,8 @@ class Scenario:
         seed = data.get("seed", 0)
         if not isinstance(seed, Integral) or isinstance(seed, bool):
             raise ValidationError(f"scenario.seed: must be an integer, got {seed!r}")
-        compose_hardy = data.get("compose_hardy", False)
-        if not isinstance(compose_hardy, bool):
-            raise ValidationError(
-                f"scenario.compose_hardy: must be true or false, got {compose_hardy!r}")
         params = dict(_mapping(data, "params"))
+        _known_keys(params, "scenario.params", _PARAM_KEYS)
         # the reverse-doubling factor A and the Muckenhoupt exponent r exceed
         # 1; the quasi-triangle constant a1 and the truncation radius eps are
         # positive
@@ -258,7 +255,7 @@ class Scenario:
             name=name, space_spec=space_spec, p_spec=exps.get("p"),
             alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
             operator=operator, conditions=conds, resolutions=resolutions,
-            seed=int(seed), params=params, compose_hardy=compose_hardy,
+            seed=int(seed), params=params,
         )
 
     def to_dict(self) -> dict:
@@ -281,8 +278,6 @@ class Scenario:
             out["operator"] = self.operator
         if self.params:
             out["params"] = self.params
-        if self.compose_hardy:
-            out["compose_hardy"] = True
         return out
 
     def materialize(self, n: Optional[int] = None) -> "Materialized":
@@ -292,12 +287,27 @@ class Scenario:
                 space_spec["n"] = int(n)
             elif space_spec["generator"] == "cantor":
                 space_spec["depth"] = max(1, int(np.log2(max(2, int(n)))))
-        space = space_from_spec(space_spec)
+        try:
+            space = space_from_spec(space_spec)
+        except ValidationError as exc:
+            raise ValidationError(f"scenario.{exc}") from None
         return Materialized(self, space)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# every key a scenario file and its params may set
+_SCENARIO_KEYS = ("name", "space", "exponents", "weights", "operator", "conditions",
+                  "resolutions", "seed", "params")
+_PARAM_KEYS = ("A", "a1", "r", "eps", "require_monotone", "kernel")
+
+
+def _known_keys(data: dict, where: str, known: tuple):
+    unknown = [f"{where}.{key}" for key in data if key not in known]
+    if unknown:
+        raise ValidationError(f"{', '.join(unknown)}: unknown key(s), expected one of {known}")
 
 
 def _mapping(data: dict, key: str) -> dict:
@@ -352,11 +362,6 @@ class Materialized:
             self.w = self._field("weights.w", sc.w_spec)
             self.v_profile = None if sc.v_spec is None else radial_profile(space, sc.v_spec)
             self.w_profile = None if sc.w_spec is None else radial_profile(space, sc.w_spec)
-        if sc.compose_hardy:
-            if self.v is None or self.w is None or self.alpha is None:
-                raise ValidationError("compose_hardy needs v, w and alpha")
-            self.v, self.w = cond.potential_to_hardy_weights(
-                self.space, self.v, self.w, self.alpha0)
 
     @cached_property
     def _weights(self):

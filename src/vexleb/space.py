@@ -11,12 +11,11 @@ gather of single entries), which slice the table or compute from the
 coordinates with the same float operation per entry, so both kinds give the
 same values bit for bit.
 
-Every geometric query here is a pure read: balls, annuli, the radial
-partition around the basepoint, and estimates of the quasi-triangle,
-doubling, reverse-doubling and Ahlfors-regularity constants.  Constants are
-reported as estimates together with the attaining configuration, never as
-booleans: at a fixed resolution only the estimate is observable, finiteness
-is a refinement trend.
+Every geometric query here is a pure read: balls, annuli, and estimates of
+the quasi-triangle, doubling, reverse-doubling and Ahlfors-regularity
+constants.  Constants are reported as estimates together with the attaining
+configuration, never as booleans: at a fixed resolution only the estimate is
+observable, finiteness is a refinement trend.
 
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
 block at a time, each row sorted once, and every sweep, ball measure and
@@ -31,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from numbers import Real
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,12 +41,10 @@ __all__ = [
     "DiscreteSpace",
     "BallView",
     "GeometryReport",
-    "RadialPartition",
     "ball",
     "geometry_constants",
     "doubling_reverse_doubling",
     "ahlfors_regularity",
-    "radial_partition",
     "comparison_annulus",
     "uniform_grid",
     "cantor_space",
@@ -88,7 +86,6 @@ class DiscreteSpace:
     L: float = np.inf
     trunc_radius: Optional[float] = None
     coords: Optional[np.ndarray] = None
-    labels: Optional[Sequence[str]] = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -195,13 +192,6 @@ class DiscreteSpace:
         """Open-ball measures mu B(x0, d0(x)) per point, 0 at the basepoint
         (read-only)."""
         return self._basepoint_row[1]
-
-    @cached_property
-    def _geometry_sweeps(self) -> dict:
-        """Results of the doubling/Ahlfors row sweep by (A, q), kept on first
-        use: ``geometry_constants`` and the distance-potential functionals
-        ask for the same sweep.  Each result is a tuple of floats and tuples."""
-        return {}
 
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):
@@ -450,15 +440,12 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     balls are read at the last position of each tie group, open balls at the
     first, and each estimate is evaluated where its balls are read.  Each
     keeps the witness of the first center and then the first radius that
-    attains it, as a loop over the centers in order would.  The result is
-    kept on the space, so a second call with the same (A, q) reads it back.
+    attains it, as a loop over the centers in order would.
     """
     if A <= 1:
         raise DomainError("reverse-doubling factor must exceed 1")
     if q <= 0:
         raise DomainError("Ahlfors exponent must be positive")
-    if (A, q) in space._geometry_sweeps:
-        return space._geometry_sweeps[A, q]
     n = space.n
     L = space.L_eff
     cap = L / A
@@ -513,9 +500,7 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
         if annuli:
             annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
                                 & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
-    result = (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
-    space._geometry_sweeps[A, q] = result
-    return result
+    return (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
 
 
 def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):
@@ -562,64 +547,11 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     )
 
 
-@dataclass(frozen=True)
-class RadialPartition:
-    """The three-way radial cover around the basepoint at scale index k, plus
-    the dyadic shell between radii A^k R and A^{k+1} R.
-
-    inner   : points with d0 <  A^{k-1} R / a1
-    middle  : points with A^{k-1} R / a1 <= d0 <= A^{k+2} R a1
-    outer   : points with d0 >= A^{k+2} R a1
-    shell   : points with A^k R < d0 <= A^{k+1} R
-
-    inner | middle | outer covers the space exactly; shells are pairwise
-    disjoint across k and cover every point with 0 < d0 <= R.
-    """
-
-    k: int
-    inner: np.ndarray
-    middle: np.ndarray
-    outer: np.ndarray
-    shell: np.ndarray
-    collapsed: bool
-
-
-def radial_partition(space: DiscreteSpace, A: float, k: int, a1: float = 1.0) -> RadialPartition:
-    """Radial cover and dyadic shell at scale index ``k``.
-
-    ``A`` must exceed 1 (the reverse-doubling factor); ``a1`` is the
-    quasi-triangle constant (pass the estimate from ``geometry_constants``,
-    or 1 for a metric space).
-
-    The shell is taken half-open, ``(A^k R, A^{k+1} R]``: on a discrete space
-    this makes shells exactly disjoint while changing each by a boundary
-    sphere only.
-    """
-    if A <= 1:
-        raise DomainError("scale factor A must exceed 1")
-    if a1 <= 0:
-        raise DomainError("quasi-triangle constant must be positive")
-    R = 1.0 if space.infinite_diameter else space.L_eff
-    d0 = space.d0
-    r_in = A ** (k - 1) * R / a1
-    r_out = A ** (k + 2) * R * a1
-    inner = d0 < r_in
-    outer = d0 >= r_out
-    middle = (d0 >= r_in) & (d0 <= r_out)
-    shell = (d0 > A**k * R) & (d0 <= A ** (k + 1) * R)
-    collapsed = (not middle.any()) or inner.all() or outer.all()
-    idx = np.flatnonzero
-    return RadialPartition(k, idx(inner), idx(middle), idx(outer), idx(shell), collapsed)
-
-
-def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0,
-                       use_l_factor: bool = False):
+def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0):
     """Annulus of points comparable in basepoint-distance to ``x``:
     {y : d0(x) / (A^2 a1) <= d0(y) <= A^2 a1 d0(x)}.
 
-    ``use_l_factor=True`` multiplies both bounds by L_eff (the alternative
-    finite-diameter scaling; with L = 1 the two coincide).  Returns
-    ``(member indices, degenerate)`` where degenerate flags x at the
+    Returns ``(member indices, degenerate)`` where degenerate flags x at the
     basepoint (the annulus collapses to the zero-distance set).
     """
     if A <= 1:
@@ -629,9 +561,8 @@ def comparison_annulus(space: DiscreteSpace, x: int, A: float, a1: float = 1.0,
     dx = float(space.d0[x] if 0 <= x < space.n else -1.0)
     if dx < 0:
         raise DomainError(f"point id {x} out of range")
-    scale = space.L_eff if use_l_factor else 1.0
-    lo = dx * scale / (A**2 * a1)
-    hi = A**2 * a1 * scale * dx
+    lo = dx / (A**2 * a1)
+    hi = A**2 * a1 * dx
     members = np.flatnonzero((space.d0 >= lo) & (space.d0 <= hi))
     return members, dx == 0.0
 
@@ -669,6 +600,13 @@ def explicit_space(dist, mu, x0: int = 0, L: float = np.inf,
                          trunc_radius=trunc_radius, coords=coords)
 
 
+def _number(value, where: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real) or (positive and not value > 0):
+        kind = "positive number" if positive else "number"
+        raise ValidationError(f"{where}: must be a {kind}, got {value!r}")
+    return float(value)
+
+
 def space_from_spec(spec: dict) -> DiscreteSpace:
     """Build a space from its structured description.
 
@@ -676,10 +614,11 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     ``{"generator": "cantor", "depth": 6}``.  Explicit form:
     ``{"points": [{"id": 0, "coord": 0.0}, ...], "metric": "euclidean1d" |
     "explicit", "dist": row-major table, "mu": [...] | "lebesgue-grid",
-    "x0": id, "L": number | "inf", "trunc_radius": number}``.
+    "x0": id, "L": number | "inf", "trunc_radius": number}``.  Every
+    malformed field raises a ValidationError that names it.
     """
     if not isinstance(spec, dict):
-        raise ValidationError("space spec must be a mapping")
+        raise ValidationError("space: must be a mapping")
     gen = spec.get("generator")
     if gen is not None:
         if gen in ("uniform-grid", "uniform_grid"):
@@ -693,13 +632,14 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
         raise ValidationError(f"space.generator: unknown generator {gen!r}")
 
     points = spec.get("points")
-    if points is None:
-        raise ValidationError("space.points: required for explicit spaces")
+    if not isinstance(points, list) or not points \
+            or not all(isinstance(p, dict) for p in points):
+        raise ValidationError(f"space.points: must be a nonempty list of mappings, got {points!r}")
     n = len(points)
     ids = [p.get("id", i) for i, p in enumerate(points)]
     coords = None
     if any("coord" in p for p in points):
-        coords = np.array([float(p["coord"]) for p in points])
+        coords = np.array([_number(p.get("coord"), "space.points: coord") for p in points])
     metric = spec.get("metric", "explicit")
     dist = None
     if metric == "euclidean1d":
@@ -708,7 +648,10 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     elif metric == "explicit":
         if "dist" not in spec:
             raise ValidationError("space.dist: required for explicit metric")
-        dist = np.asarray(spec["dist"], dtype=float).reshape(n, n)
+        try:
+            dist = np.asarray(spec["dist"], dtype=float).reshape(n, n)
+        except (TypeError, ValueError):
+            raise ValidationError(f"space.dist: must list {n} x {n} numbers row by row") from None
     else:
         raise ValidationError(f"space.metric: unknown metric {metric!r}")
     mu_spec = spec.get("mu", "lebesgue-grid")
@@ -717,17 +660,27 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
             raise ValidationError(f"space.mu: unknown rule {mu_spec!r}")
         mu = np.full(n, 1.0 / n)
     else:
-        mu = np.asarray(mu_spec, dtype=float)
+        mu = np.array([_number(m, "space.mu") for m in mu_spec]) \
+            if isinstance(mu_spec, (list, tuple, np.ndarray)) else None
+        if mu is None or mu.shape != (n,) or np.any(mu <= 0) or not np.all(np.isfinite(mu)):
+            raise ValidationError(f"space.mu: must list {n} positive finite weights, "
+                                  f"got {mu_spec!r}")
     x0_id = spec.get("x0", ids[0])
     try:
         x0 = ids.index(x0_id)
     except ValueError:
         raise ValidationError(f"space.x0: id {x0_id!r} not among points") from None
     L_spec = spec.get("L", "inf")
-    L = np.inf if L_spec == "inf" else float(L_spec)
+    L = np.inf if L_spec == "inf" else _number(L_spec, "space.L", positive=True)
     trunc = spec.get("trunc_radius")
-    if np.isinf(L) and trunc is None:
-        trunc = float(dist.max() if dist is not None else np.ptp(coords))
-    return DiscreteSpace(dist=dist, mu=mu, x0=x0, L=L,
-                         trunc_radius=None if trunc is None else float(trunc),
-                         coords=coords, labels=[str(i) for i in ids])
+    if trunc is not None:
+        trunc = _number(trunc, "space.trunc_radius", positive=True)
+    elif np.isinf(L):
+        # an infinite span is refused with the coordinates below
+        with np.errstate(over="ignore"):
+            trunc = float(dist.max() if dist is not None else np.ptp(coords))
+    try:
+        return DiscreteSpace(dist=dist, mu=mu, x0=x0, L=L, trunc_radius=trunc, coords=coords)
+    except ValidationError as exc:
+        # the weights are checked above: the coordinates or the table are at fault
+        raise ValidationError(f"space.{'points' if dist is None else 'dist'}: {exc}") from None

@@ -14,7 +14,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .conditions import classify_trend
+from .conditions import (classify_trend, hardy_condition, maximal_singular_conditions,
+                         potential_conditions)
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
 from .norms import luxemburg_norm, luxemburg_norms
@@ -173,17 +174,21 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
     Returns (probe_ratio, condition_value_at_t).  The probe is the conjugate
     weight function cut at the ball (or its tail companion); for a condition
     whose value diverges under refinement, the probe ratio must diverge too.
+    The condition value is the curve of the functional the variant names,
+    with cap radius L_eff, read at the last sweep knot <= t.
 
     Variants:
       "hardy"          f = w**-p' on {d0 <= t}; ratio ||v H f||_q / ||w f||_p
                        with H the unweighted forward Hardy sum; condition is
-                       the hardy functional of (v, 1/w) at t.
+                       ``hardy_condition`` of (v, 1/w).
       "potential-ball" the same f through the ball potential of order
-                       alpha = 1/p - 1/q; condition is the ball part at t.
+                       alpha = 1/p - 1/q; condition is the ball half of
+                       ``potential_conditions``.
       "potential-tail" f = w**-p' muB0**((alpha-1)(p'-1)) on {d0 > t};
-                       condition is the tail part at t.
+                       condition is the tail half.
       "maximal"        the ball probe through the maximal function with
-                       q = p; condition is the maximal ball part at t.
+                       q = p; condition is the ball half of
+                       ``maximal_singular_conditions``.
     """
     if variant not in PROBE_VARIANTS:
         raise DomainError(f"unknown probe variant {variant!r}")
@@ -191,58 +196,37 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
         raise DomainError("need constant exponents 1 < p <= q")
     if np.any(w.values <= 0):
         raise DomainError("probe weight must be positive on its support")
+    if t < 0:
+        raise DomainError(f"cut t must be nonnegative, got {t!r}")
 
-    mu = space.mu
-    d0 = space.d0
+    a = space.L_eff
     pp = p_const / (p_const - 1.0)
-    head = d0 <= t
-    tail = ~head
+    head = space.d0 <= t
     p_pf, q_pf = _const(space, p_const), _const(space, q_const)
-    ones = _const(space, 1.0, "weight")
-    # the ball probe and its inner sum, shared by all but the tail variant
-    f_ball = w.values ** (-pp) * head
-    inner_ball = float((w.values ** (-pp) * mu)[head].sum())
-
-    def lux(expo, vals):
-        return luxemburg_norm(space, expo, PointFunction(vals, "test")).value
-
-    if variant == "hardy":
-        Hf = hardy_transforms(space, ones, ones, f_ball[None, :])[0]
-        num, den = lux(q_pf, v.values * Hf), lux(p_pf, w.values * f_ball)
-        cond = float(((v.values ** q_const * mu)[tail & (d0 <= space.L_eff)]).sum()
-                     * inner_ball ** (q_const / pp))
-        return (0.0 if den == 0 else num / den), cond
-
+    wf = PointFunction(w.values, "weight")
     alpha = 1.0 / p_const - 1.0 / q_const
-    muB0 = space.muB0
-    outer = tail & (d0 <= space.L_eff) & (muB0 > 0)
-    if variant == "potential-ball":
-        if alpha <= 0:
-            raise DomainError("ball-potential probe needs q > p")
-        Tf = ball_potentials(space, _const(space, alpha, "alpha"), f_ball[None, :])[0]
-        num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f_ball)
-        cond = float(((v.values[outer] * muB0[outer] ** (alpha - 1.0)) ** q_const
-                      * mu[outer]).sum() * inner_ball ** (q_const / pp))
-        return (0.0 if den == 0 else num / den), cond
-
-    if variant == "potential-tail":
-        if alpha <= 0:
-            raise DomainError("tail-potential probe needs q > p")
-        safe = np.where(muB0 > 0, muB0, np.inf)
-        f = w.values ** (-pp) * safe ** ((alpha - 1.0) * (pp - 1.0)) * tail
-        Tf = ball_potentials(space, _const(space, alpha, "alpha"), f[None, :])[0]
-        num, den = lux(q_pf, v.values * Tf), lux(p_pf, w.values * f)
-        inner = float((((w.values[outer] * muB0[outer] ** (1.0 - alpha)) ** (-pp))
-                       * mu[outer]).sum())
-        cond = float(((v.values ** q_const * mu)[head]).sum() * inner ** (q_const / pp))
-        return (0.0 if den == 0 else num / den), cond
-
-    # maximal: q = p
-    Mf = maximal_functions(space, f_ball[None, :])[0]
-    num, den = lux(p_pf, v.values * Mf), lux(p_pf, w.values * f_ball)
-    cond = float(((v.values[outer] / muB0[outer]) ** p_const * mu[outer]).sum()
-                 * inner_ball ** (p_const / pp))
-    return (0.0 if den == 0 else num / den), cond
+    if variant.startswith("potential") and alpha <= 0:
+        raise DomainError(f"{variant} probe needs q > p")
+    f = w.values ** (-pp) * head
+    if variant == "hardy":
+        ones = _const(space, 1.0, "weight")
+        out = hardy_transforms(space, ones, ones, f[None, :])
+        rep = hardy_condition(space, p_pf, q_pf, v, PointFunction(1.0 / w.values, "weight"), a=a)
+    elif variant == "maximal":
+        q_pf = p_pf
+        out = maximal_functions(space, f[None, :])
+        rep = maximal_singular_conditions(space, p_pf, v, wf, a=a)[0]
+    else:
+        half = int(variant == "potential-tail")
+        if half:
+            muB0 = np.where(space.muB0 > 0, space.muB0, np.inf)
+            f = w.values ** (-pp) * muB0 ** ((alpha - 1.0) * (pp - 1.0)) * ~head
+        out = ball_potentials(space, _const(space, alpha, "alpha"), f[None, :])
+        rep = potential_conditions(space, p_pf, q_pf, v, wf, alpha, a=a)[half]
+    num = luxemburg_norm(space, q_pf, PointFunction(v.values * out[0], "test")).value
+    den = luxemburg_norm(space, p_pf, PointFunction(w.values * f, "test")).value
+    value = float(rep.curve[np.searchsorted(rep.ts, t, side="right") - 1])
+    return (0.0 if den == 0 else num / den), value
 
 
 @dataclass

@@ -58,6 +58,17 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="bogus"):
             load_scenario(write_scenario(tmp_path, bad))
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"condtions": ["hardy"], "seeed": 1}, ["scenario.condtions", "scenario.seeed"]),
+        ({"params": {"A": 2.0, "AA": 3.0, "kernl": {}}},
+         ["scenario.params.AA", "scenario.params.kernl"]),
+    ])
+    def test_unknown_keys_named(self, tmp_path, capsys, changes, named):
+        path = write_scenario(tmp_path, dict(MINIMAL, **changes))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in named)
+
     def test_golden_log_pair_parses_to_profiles(self):
         sc = load_scenario(SCENARIOS / "log_pair_maximal.json")
         mat = sc.materialize(64)
@@ -176,6 +187,22 @@ class TestRun:
         ("params.kernel", {"params": {"kernel": {"type": "explicit-table",
                                                  "table": [[0.0, 1.0], [1.0, 0.0]]}},
                            "operator": "singular", "conditions": []}),
+        ("space.points", {"space": {"points": 5}}),
+        ("space.points", {"space": {"points": [{"coord": "a"}, {"coord": 1.0}],
+                                    "metric": "euclidean1d"}}),
+        ("space.dist", {"space": {"points": [{"id": 0}, {"id": 1}], "dist": [0.0, 1.0, 1.0]}}),
+        ("space.L", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                               "metric": "euclidean1d", "L": "big"}}),
+        ("space.trunc_radius", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                                          "metric": "euclidean1d", "trunc_radius": "x"}}),
+        ("space.mu", {"space": {"points": [{"coord": 0.0}, {"coord": 0.5}, {"coord": 1.0}],
+                                "metric": "euclidean1d", "mu": [-1, 1, 1]}}),
+        ("space.points", {"space": {"points": [{"coord": -1e308}, {"coord": 1e308}],
+                                    "metric": "euclidean1d"}}),
+        ("space.L", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                               "metric": "euclidean1d", "L": -1}}),
+        ("space.trunc_radius", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                                          "metric": "euclidean1d", "trunc_radius": -1}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

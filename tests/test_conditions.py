@@ -219,13 +219,19 @@ class TestDistancePotentialConditions:
         assert 1.0 / factor <= ratio <= factor
 
     def test_reports_ahlfors_constant(self):
-        n = 64
-        sp = vx.uniform_grid(n)
-        b, _ = vx.distance_potential_conditions(sp, const(n, 3.0), const(n, 6.0),
-                                                const(n, 1.0, "weight"),
-                                                const(n, 1.0, "weight"),
-                                                const(n, 1 / 6, "alpha"))
-        assert b.meta["ahlfors_upper_c1"] == pytest.approx(2.0, abs=0.1)
+        # the upper Ahlfors constant the pair assumes is the geometry
+        # report's, at the same resolution
+        sc = vx.Scenario.from_dict({
+            "space": {"generator": "uniform-grid", "n": 64},
+            "exponents": {"p": {"kind": "exponent", "expr": "const 3"},
+                          "alpha": {"kind": "alpha", "expr": "const 0.16666666666666666"}},
+            "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                        "w": {"kind": "weight", "expr": "const 1"}},
+            "conditions": ["distance-ball", "distance-tail"],
+        })
+        mat = sc.materialize()
+        assert np.isfinite(mat.evaluate_conditions()["distance-ball"].value)
+        assert mat.geometry_summary()["ahlfors_c1"] == pytest.approx(2.0, abs=0.1)
 
 
 class TestRadialCondition:
@@ -535,15 +541,6 @@ class TestWeightFamilies:
         assert pair.v_profile(t)[0] == pytest.approx(0.5)
         assert pair.w_profile(t)[0] == pytest.approx(0.5 * np.log(8.0))
 
-    def test_hardy_composition(self):
-        n = 64
-        sp = vx.uniform_grid(n)
-        dre = sp.radial_distances()
-        v = vx.PointFunction(dre**0.25, "weight")
-        w = vx.PointFunction(dre**0.25, "weight")
-        v1, w1 = vx.potential_to_hardy_weights(sp, v, w, 0.25)
-        assert np.all(v1.values > 0) and np.all(np.isfinite(v1.values))
-        assert np.allclose(w1.values, dre**-0.25)
 
 
 class TestFunctionalInvariants:
@@ -641,9 +638,14 @@ class TestHardyCompositionRoutes:
         v = vx.PointFunction(rng.uniform(0.2, 1.5, n), "weight")
         w = vx.PointFunction(rng.uniform(0.2, 1.5, n), "weight")
         direct_ball, direct_tail = vx.maximal_singular_conditions(sp, p, v, w)
-        (vf, wf), (vt, wt) = vx.maximal_to_hardy_weights(sp, v, w)
+        # the basepoint's zero ball measure, floored to half its own
+        # weight, never enters the regions
+        muB0 = np.maximum(sp.muB0, 0.5 * sp.mu[sp.x0])
+        vf = vx.PointFunction(v.values / muB0, "test")
+        wf = vx.PointFunction(1.0 / w.values, "weight")
+        wt = vx.PointFunction(1.0 / (w.values * muB0), "weight")
         via_ball = vx.hardy_condition(sp, p, p, vf, wf)
-        via_tail = vx.hardy_tail_condition(sp, p, p, vt, wt)
+        via_tail = vx.hardy_tail_condition(sp, p, p, v, wt)
         assert via_ball.value == pytest.approx(direct_ball.value, rel=1e-12)
         assert via_tail.value == pytest.approx(direct_tail.value, rel=1e-12)
 
@@ -658,7 +660,9 @@ class TestHardyCompositionRoutes:
         v = vx.PointFunction(rng.uniform(0.2, 1.5, n), "weight")
         w = vx.PointFunction(rng.uniform(0.2, 1.5, n), "weight")
         direct_ball, _ = vx.potential_conditions(sp, p, q, v, w, alpha)
-        v1, w1 = vx.potential_to_hardy_weights(sp, v, w, alpha)
+        muB0 = np.maximum(sp.muB0, 0.5 * sp.mu[sp.x0])
+        v1 = vx.PointFunction(v.values * muB0 ** (alpha - 1.0), "weight")
+        w1 = vx.PointFunction(1.0 / w.values, "weight")
         via_ball = vx.hardy_condition(sp, p, q, v1, w1)
         assert via_ball.value == pytest.approx(direct_ball.value, rel=1e-12)
 

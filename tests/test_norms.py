@@ -59,10 +59,10 @@ class TestModular:
         assert vx.modular(sp, p, f) == pytest.approx(4.0 * vx.modular(sp, p, g), rel=1e-12)
 
     def test_subset(self):
+        # the modular over a set is that of f set to 0 outside it
         sp = vx.uniform_grid(10)
-        f = const(10, 1.0, "test")
-        half = np.arange(5)
-        assert vx.modular(sp, const(10, 3.0), f, half) == pytest.approx(0.5)
+        f = vx.PointFunction(np.arange(10) < 5, "test")
+        assert vx.modular(sp, const(10, 3.0), f) == pytest.approx(0.5)
 
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.booleans())
@@ -163,9 +163,9 @@ class TestLuxemburgNorm:
 
 
 class TestBatchedNorms:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_rows_equal_single_norms(self, seed, rows, variable_p, use_subset):
+    def test_rows_equal_single_norms(self, seed, rows, variable_p):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         sp = random_space(rng, n)
@@ -174,11 +174,10 @@ class TestBatchedNorms:
         block = rng.uniform(0, 1, (rows, n)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
         block[rng.uniform(size=(rows, n)) < 0.4] = 0.0
         block[rng.uniform(size=rows) < 0.3] = 0.0
-        subset = rng.uniform(size=n) < 0.6 if use_subset else None
-        batched = vx.luxemburg_norms(sp, p, block, subset)
+        batched = vx.luxemburg_norms(sp, p, block)
         assert len(batched) == rows
         for row, res in zip(block, batched):
-            assert res == vx.luxemburg_norm(sp, p, vx.PointFunction(row, "test"), subset)
+            assert res == vx.luxemburg_norm(sp, p, vx.PointFunction(row, "test"))
 
     def test_all_zero_rows(self):
         sp = vx.uniform_grid(8)
@@ -195,13 +194,12 @@ class TestBatchedNorms:
 
 
 class TestNewtonBracket:
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
            st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=6),
            st.sampled_from([0.0, 100.0]))
-    @example(seed=5101, variable_p=True, use_subset=False, scales=[0.0], mu_decades=100.0)
+    @example(seed=5101, variable_p=True, scales=[0.0], mu_decades=100.0)
     @settings(max_examples=150, deadline=None)
-    def test_bracket_tolerance_and_homogeneity(self, seed, variable_p, use_subset, scales,
-                                               mu_decades):
+    def test_bracket_tolerance_and_homogeneity(self, seed, variable_p, scales, mu_decades):
         # weights spread over mu_decades orders of magnitude and entries
         # over up to 30 push Newton targets out of the bracket
         from vexleb.norms import MAX_ITERS
@@ -216,38 +214,22 @@ class TestNewtonBracket:
         block = rng.uniform(0, 1, (rows, n)) ** rng.uniform(1, 30) \
             * 10.0 ** np.array(scales)[:, None]
         block[rng.uniform(size=(rows, n)) < 0.4] = 0.0
-        subset = rng.uniform(size=n) < 0.6 if use_subset else None
         c = 10.0 ** rng.uniform(-3, 3)
-        results = vx.luxemburg_norms(sp, p, block, subset)
-        scaled = vx.luxemburg_norms(sp, p, c * block, subset)
+        results = vx.luxemburg_norms(sp, p, block)
+        scaled = vx.luxemburg_norms(sp, p, c * block)
         for row, res, res_c in zip(block, results, scaled):
             if res.value == 0.0:
                 continue
             lo, hi = res.bracket
             assert res.value == hi
-            at_hi = vx.modular(sp, p, vx.PointFunction(row / hi, "test"), subset)
+            at_hi = vx.modular(sp, p, vx.PointFunction(row / hi, "test"))
             assert at_hi == res.modular_at_value
-            assert at_hi <= 1.0 < vx.modular(sp, p, vx.PointFunction(row / lo, "test"), subset)
+            assert at_hi <= 1.0 < vx.modular(sp, p, vx.PointFunction(row / lo, "test"))
             assert hi - lo <= 1e-10 * hi and res.converged
             assert res_c.value == pytest.approx(c * res.value, rel=1e-9)
             assert res.bisection_iters < MAX_ITERS
             if not variable_p:
                 assert res.bisection_iters <= 4
-
-
-class TestSubsetNorms:
-    def test_subset_equals_masked(self):
-        rng = np.random.default_rng(21)
-        n = 48
-        sp = vx.uniform_grid(n)
-        p = vx.PointFunction(rng.uniform(1.2, 4.0, n), "exponent")
-        f = vx.PointFunction(rng.uniform(0, 2, n), "test")
-        members = vx.ball(sp, 0, 0.4).members
-        sub = vx.luxemburg_norm(sp, p, f, members).value
-        masked = np.zeros(n)
-        masked[members] = f.values[members]
-        full = vx.luxemburg_norm(sp, p, vx.PointFunction(masked, "test")).value
-        assert sub == pytest.approx(full, rel=1e-12)
 
 
 class TestNormModularBracket:

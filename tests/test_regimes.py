@@ -69,7 +69,6 @@ class TestTruncatedInfiniteModel:
         sp, p, cap = truncated_infinite_model()
         le = vx.local_exponents(sp, p, a=cap)
         beyond = sp.d0 > cap
-        assert le.tail_value == 3.0
         assert np.all(le.ball_min_capped.values[beyond] == 3.0)
         assert np.all(le.tail_min.values[beyond] == 3.0)
 
@@ -80,12 +79,6 @@ class TestTruncatedInfiniteModel:
         rep = vx.hardy_condition(sp, p, q, one, one, a=cap)
         assert np.isfinite(rep.value) and rep.value > 0
 
-    def test_partition_uses_unit_scale(self):
-        # with infinite diameter the shells sit at (A^k, A^{k+1}] directly
-        sp, _, _ = truncated_infinite_model()
-        part = vx.radial_partition(sp, 2.0, 0, a1=1.0)
-        assert sp.d0[part.shell].min() > 1.0
-        assert sp.d0[part.shell].max() <= 2.0
 
 
 class TestTieHeavySpaces:

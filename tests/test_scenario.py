@@ -3,6 +3,7 @@ import pytest
 
 import vexleb as vx
 from vexleb import conditions
+from vexleb import space as space_module
 from vexleb.scenario import CONDITIONS
 
 PAIR_FUNCTIONALS = ("potential_conditions", "distance_potential_conditions",
@@ -63,3 +64,19 @@ def test_radial_profile_is_the_field_at_radial_distances(expr):
     assert np.array_equal(mat.v_profile(t), mat.v.values)
     assert np.array_equal(mat.w_profile(t), mat.w.values)
     assert np.isfinite(mat.evaluate_conditions()["radial-maximal"].value)
+
+
+def test_geometry_sweep_runs_once_per_resolution(monkeypatch):
+    # the distance pair and the geometry report share one row sweep
+    calls = []
+    sweep = space_module._geometry_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(space_module, "_geometry_sweep", counted)
+    mat = sweep_scenario(["distance-ball", "distance-tail"]).materialize()
+    mat.evaluate_conditions()
+    mat.geometry_summary()
+    assert len(calls) == 1

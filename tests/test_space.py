@@ -425,62 +425,6 @@ class TestAhlfors:
         assert 0.3 <= c2 <= c1 <= 4.0
 
 
-class TestRadialPartition:
-    def test_shell_at_k_minus_one(self):
-        sp = vx.uniform_grid(1024)
-        part = vx.radial_partition(sp, 2.0, -1, a1=1.0)
-        lo, hi = sp.d0[part.shell].min(), sp.d0[part.shell].max()
-        assert 0.5 < lo <= 0.502 and hi == pytest.approx(1.0)
-        assert sp.mu[part.shell].sum() == pytest.approx(0.5, abs=2 / 1024)
-
-    def test_inner_set(self):
-        sp = vx.uniform_grid(1024)
-        part = vx.radial_partition(sp, 2.0, -1, a1=1.0)
-        # inner radius 2^-2 * 1 / 1 = 0.25
-        assert np.all(sp.d0[part.inner] < 0.25)
-        assert sp.d0[part.inner].max() >= 0.25 - 2 / 1024
-
-    def test_cover_is_exact(self):
-        sp = vx.uniform_grid(257)
-        for k in (-3, -1, 0, 2):
-            part = vx.radial_partition(sp, 2.0, k, a1=1.0)
-            union = np.union1d(np.union1d(part.inner, part.middle), part.outer)
-            assert union.size == sp.n
-
-    def test_shells_disjoint_and_cover(self):
-        sp = vx.uniform_grid(200)
-        shells = [vx.radial_partition(sp, 2.0, k, a1=1.0).shell for k in range(-20, 1)]
-        flat = np.concatenate(shells)
-        assert flat.size == np.unique(flat).size
-        covered = set(flat.tolist())
-        expected = set(np.flatnonzero((sp.d0 > 0) & (sp.d0 <= sp.L_eff)).tolist())
-        assert covered == expected
-
-    def test_shell_inside_middle(self):
-        sp = vx.uniform_grid(128)
-        for k in (-4, -2, -1):
-            part = vx.radial_partition(sp, 2.0, k, a1=1.0)
-            assert set(part.shell.tolist()) <= set(part.middle.tolist())
-
-    def test_shell_vs_ball_measure_equivalence(self):
-        # the shell between radii A^k and A^{k+1} has measure comparable to
-        # the ball at A^k, uniformly over nonempty scales
-        sp = vx.uniform_grid(1024)
-        ratios = []
-        for k in range(-7, 0):
-            part = vx.radial_partition(sp, 2.0, k, a1=1.0)
-            mb = vx.ball(sp, 0, 2.0**k * 1.0).measure
-            if part.shell.size and mb > 0:
-                ratios.append(sp.mu[part.shell].sum() / mb)
-        c = max(max(ratios), 1 / min(ratios))
-        assert c <= 1.5
-
-    def test_collapse_flag(self):
-        sp = vx.uniform_grid(64)
-        part = vx.radial_partition(sp, 2.0, 8, a1=1.0)
-        assert part.collapsed
-
-
 class TestComparisonAnnulus:
     def test_direct_substitution(self):
         sp = vx.uniform_grid(512)
@@ -502,23 +446,13 @@ class TestComparisonAnnulus:
             members, _ = vx.comparison_annulus(sp, x, 2.0, a1=1.0)
             assert x in set(members.tolist())
 
-    def test_l_factor_branch(self):
-        sp = vx.uniform_grid(64)
-        x = 32
-        plain, _ = vx.comparison_annulus(sp, x, 2.0, use_l_factor=False)
-        scaled, _ = vx.comparison_annulus(sp, x, 2.0, use_l_factor=True)
-        # L = 1 on the unit grid: both branches coincide
-        assert plain.tolist() == scaled.tolist()
-
     @pytest.mark.parametrize("a1", [0.0, -1.0])
     def test_rejects_nonpositive_quasi_triangle_constant(self, a1):
-        # as radial_partition does: a1 = 0 divides by zero, a1 < 0 empties
-        # every annulus but the basepoint's
+        # a1 = 0 divides by zero, a1 < 0 empties every annulus but the
+        # basepoint's
         sp = vx.uniform_grid(16)
         with pytest.raises(DomainError, match="quasi-triangle"):
             vx.comparison_annulus(sp, 3, 2.0, a1=a1)
-        with pytest.raises(DomainError, match="quasi-triangle"):
-            vx.radial_partition(sp, 2.0, 0, a1=a1)
 
 
 class TestSpaceValidation:

@@ -98,9 +98,9 @@ class TestEmpiricalRatio:
             seen.append(rows.copy())
             return rows
 
-        def recording_norms(space, p, rows, subset=None):
+        def recording_norms(space, p, rows):
             normed.append(rows.copy())
-            return luxemburg_norms(space, p, rows, subset)
+            return luxemburg_norms(space, p, rows)
 
         luxemburg_norms = verify.luxemburg_norms
         monkeypatch.setattr(verify, "luxemburg_norms", recording_norms)
@@ -233,6 +233,78 @@ class TestNecessityProbe:
         with pytest.raises(DomainError):
             vx.necessity_probe(sp, "nope", 2.0, 2.0, const(8, 1.0, "weight"),
                                const(8, 1.0, "weight"), 0.5)
+
+
+def hand_sum(sp, variant, p, q, v, w, t):
+    """The condition value at cut t as the former hand-written sums; equal
+    to the functional's curve for 0 <= t <= L."""
+    mu, d0, L = sp.mu, sp.d0, sp.L_eff
+    pp = p / (p - 1.0)
+    head = d0 <= t
+    tail = ~head
+    inner_ball = float((w ** (-pp) * mu)[head].sum())
+    if variant == "hardy":
+        return float((v ** q * mu)[tail & (d0 <= L)].sum() * inner_ball ** (q / pp))
+    alpha = 1.0 / p - 1.0 / q
+    muB0 = sp.muB0
+    outer = tail & (d0 <= L) & (muB0 > 0)
+    if variant == "potential-ball":
+        return float(((v[outer] * muB0[outer] ** (alpha - 1.0)) ** q * mu[outer]).sum()
+                     * inner_ball ** (q / pp))
+    if variant == "potential-tail":
+        inner = float(((w[outer] * muB0[outer] ** (1.0 - alpha)) ** (-pp) * mu[outer]).sum())
+        return float((v ** q * mu)[head].sum() * inner ** (q / pp))
+    return float(((v[outer] / muB0[outer]) ** p * mu[outer]).sum() * inner_ball ** (p / pp))
+
+
+def functional_curve(sp, variant, p, q, v, w):
+    """The report of the functional a necessity probe reads its value from."""
+    n, a = sp.n, sp.L_eff
+    P, Q = const(n, p), const(n, q)
+    vf = vx.PointFunction(v, "weight")
+    if variant == "hardy":
+        return vx.hardy_condition(sp, P, Q, vf, vx.PointFunction(1.0 / w, "weight"), a=a)
+    wf = vx.PointFunction(w, "weight")
+    if variant == "maximal":
+        return vx.maximal_singular_conditions(sp, P, vf, wf, a=a)[0]
+    half = 0 if variant == "potential-ball" else 1
+    return vx.potential_conditions(sp, P, Q, vf, wf, 1.0 / p - 1.0 / q, a=a)[half]
+
+
+def line_beyond_L():
+    # a euclidean1d line whose points run past its nominal diameter L = 1
+    return vx.space_from_spec({"points": [{"coord": c} for c in np.linspace(0.0, 2.0, 41)],
+                               "metric": "euclidean1d", "L": 1.0})
+
+
+class TestNecessityProbeReadsTheCurve:
+    @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(48), lambda: vx.cantor_space(5),
+                                      line_beyond_L], ids=["grid", "cantor", "line-beyond-L"])
+    @pytest.mark.parametrize("variant", vx.verify.PROBE_VARIANTS)
+    def test_condition_is_the_curve_value_at_t(self, make, variant):
+        sp = make()
+        n, L = sp.n, sp.L_eff
+        rng = np.random.default_rng(3)
+        v, w = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+        p, q = 2.0, 3.0
+        rep = functional_curve(sp, variant, p, q, v, w)
+        d = np.unique(sp.d0[sp.d0 <= L])
+        between = 0.25 * d[3] + 0.75 * d[4]
+        for t in (0.0, between, 0.37, L, 1.5 * L):
+            # the probe's w is any positive field, here a test function
+            _, cond = vx.necessity_probe(sp, variant, p, q, vx.PointFunction(v, "test"),
+                                         vx.PointFunction(w, "test"), t)
+            expected = rep.curve[np.searchsorted(rep.ts, t, side="right") - 1]
+            assert cond == pytest.approx(expected, rel=1e-12)
+            if t <= L:
+                assert cond == pytest.approx(hand_sum(sp, variant, p, q, v, w, t), rel=1e-12)
+
+    @pytest.mark.parametrize("variant", vx.verify.PROBE_VARIANTS)
+    def test_negative_cut_rejected(self, variant):
+        sp = vx.uniform_grid(16)
+        one = const(16, 1.0, "weight")
+        with pytest.raises(DomainError, match="cut"):
+            vx.necessity_probe(sp, variant, 2.0, 3.0, one, one, -0.1)
 
 
 class TestRefinementStudy:
