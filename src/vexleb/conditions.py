@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _sorted_row_blocks, comparison_annulus
+from .space import DiscreteSpace, _distinct, _sorted_row_blocks, comparison_annulus
 
 __all__ = [
     "ConditionReport",
@@ -114,10 +114,10 @@ def t_sweep(space: DiscreteSpace) -> np.ndarray:
     """Sweep knots: 0, the distinct basepoint distances within [0, L],
     midpoints between consecutive ones, and L itself."""
     L = space.L_eff
-    d = np.unique(space.d0)
+    d = _distinct(space.d0)
     d = d[d <= L]
     mids = 0.5 * (d[:-1] + d[1:]) if d.size > 1 else np.array([])
-    return np.unique(np.concatenate([[0.0], d, mids, [L]]))
+    return _distinct(np.concatenate([[0.0], d, mids, [L]]))
 
 
 def _nonneg(space, f: PointFunction, what: str) -> np.ndarray:
@@ -223,7 +223,7 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     ds = d0[order]
     n_in = int(np.count_nonzero(capped))  # inner sums run over the first n_in in order
     ts = t_sweep(space)
-    knots = np.unique(np.concatenate([[0.0], ds[ds <= L], [L]]))
+    knots = _distinct(np.concatenate([[0.0], ds[ds <= L], [L]]))
     T = knots.size
     # the inner sum at knot k holds the first head_count[k] points (forward)
     # or the capped points after them
@@ -430,7 +430,7 @@ def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
     """The profile at the radial distances, once it is nonnegative and
     finite (and nondecreasing if required) on the swept grid."""
     ts = t_sweep(space)
-    grid = np.unique(np.append(ts[ts > 0], 2.0 * space.L_eff))
+    grid = _distinct(np.append(ts[ts > 0], 2.0 * space.L_eff))
     vals = np.asarray(profile(grid), dtype=float)
     if np.any(vals < 0) or not np.all(np.isfinite(vals)):
         j = int(np.flatnonzero((vals < 0) | ~np.isfinite(vals))[0])

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
-from .space import DiscreteSpace, _a1, _row_blocks, _sorted_row_blocks
+from .space import (DiscreteSpace, _distinct, _quasi_constants, _row_blocks,
+                    _sorted_row_blocks)
 
 __all__ = [
     "KernelSpec",
@@ -257,11 +258,13 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
                / omega(d(x2,x1) / d(x2,y))
     dini_sum : sum over j = 1..40 of omega(2**-j) log 2, the dyadic proxy of
                the integral of omega(t)/t over (0, 1).
+    ``a1`` defaults to the space's quasi-triangle constant: 1 on a line
+    space, the exhaustive or seed-0 sampled search on a table.
     """
     if sample_pairs < 1:
         raise DomainError("need at least one sampled pair")
     if a1 is None:
-        a1, _ = _a1(space)
+        _, _, a1, _ = _quasi_constants(space)
     rng = np.random.default_rng(seed)
     n = space.n
 
@@ -272,7 +275,7 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     size_c = 0.0
     xs = rng.integers(0, n, sample_pairs)
     ys = rng.integers(0, n, sample_pairs)
-    for x in np.unique(xs):
+    for x in _distinct(xs):
         yy = ys[xs == x]
         yy = yy[space.d_from(x)[yy] > 0]
         if yy.size:

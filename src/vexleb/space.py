@@ -15,7 +15,10 @@ Every geometric query here is a pure read: balls, annuli, and estimates of
 the quasi-triangle, doubling, reverse-doubling and Ahlfors-regularity
 constants.  Constants are reported as estimates together with the attaining
 configuration, never as booleans: at a fixed resolution only the estimate is
-observable, finiteness is a refinement trend.
+observable, finiteness is a refinement trend.  The exception is exact: on a
+line space |x - y| is a metric, so the asymmetry and quasi-triangle
+constants are a0 = a1 = 1 and are not searched; on a table they are
+searched, exhaustively or over seeded triples.
 
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
 block at a time, each row sorted once, and every sweep, ball measure and
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -299,6 +302,16 @@ class _SortedRows(NamedTuple):
         return out
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct entries of NaN-free ``values``, flattened: what
+    ``np.unique`` returns, by its own sort-and-compare, without the
+    ``numpy.ma`` import that ``np.unique`` makes on its first call."""
+    s = np.sort(values, axis=None)
+    keep = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
     """(start, rows) for the distance rows ``first`` up to ``stop`` (default:
     all) in blocks of ``_BLOCK_ROWS``."""
@@ -371,6 +384,16 @@ def _a1(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
                 a1, a1_triple = float(r[j]), (int(xs[j]), int(ys[j]), int(zs[j]))
             remaining -= m
     return a1, a1_triple
+
+
+def _quasi_constants(space: DiscreteSpace, seed: int = 0, sample_triples: int = 10**6):
+    """(a0, a0_pair, a1, a1_triple).  A line space's distance |x - y| is a
+    metric, so a0 = a1 = 1 exactly, attained by the pair (0, 1) and the
+    triple (0, 1, 0) since fl(0 + d) = d; a table is searched by ``_a0`` and
+    ``_a1``."""
+    if space.dist is None:
+        return 1.0, (0, 1), 1.0, (0, 1, 0)
+    return (*_a0(space), *_a1(space, seed, sample_triples))
 
 
 # distance tables carry float noise (twice a stored distance need not equal
@@ -530,11 +553,15 @@ def ahlfors_regularity(space: DiscreteSpace, exponent_q: float = 1.0):
 
 def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: float = 1.0,
                        seed: int = 0, sample_triples: int = 10**6) -> GeometryReport:
-    """Estimate all geometric constants of the space in one report."""
+    """Estimate all geometric constants of the space in one report.
+
+    A line space reports a0 = a1 = 1 exactly, the values of its metric; a
+    table-backed space has them searched, and only there do ``seed`` and
+    ``sample_triples`` apply (to the triple sampler past
+    ``EXHAUSTIVE_TRIPLE_LIMIT`` points)."""
     if space.n < 2:
         raise DomainError("need at least 2 points")
-    a0, a0_pair = _a0(space)
-    a1, a1_triple = _a1(space, seed, sample_triples)
+    a0, a0_pair, a1, a1_triple = _quasi_constants(space, seed, sample_triples)
     doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent)
     doubling_c, rdc_B, dbl_wit, rdc_wit = doubling
     c1, c2, _, _ = ahlfors
@@ -607,11 +634,22 @@ def _number(value, where: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _count(spec: dict, key: str, least: int, gen: str) -> int:
+    """A generator's size field: an integer (not a bool) of at least ``least``."""
+    if key not in spec:
+        raise ValidationError(f"space.{key}: required for {gen}")
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"space.{key}: must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def space_from_spec(spec: dict) -> DiscreteSpace:
     """Build a space from its structured description.
 
     Generators: ``{"generator": "uniform-grid", "n": 64}`` or
-    ``{"generator": "cantor", "depth": 6}``.  Explicit form:
+    ``{"generator": "cantor", "depth": 6}``, with an integer ``n >= 2`` or
+    ``depth >= 1``.  Explicit form:
     ``{"points": [{"id": 0, "coord": 0.0}, ...], "metric": "euclidean1d" |
     "explicit", "dist": row-major table, "mu": [...] | "lebesgue-grid",
     "x0": id, "L": number | "inf", "trunc_radius": number}``.  Every
@@ -622,13 +660,9 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     gen = spec.get("generator")
     if gen is not None:
         if gen in ("uniform-grid", "uniform_grid"):
-            if "n" not in spec:
-                raise ValidationError("space.n: required for uniform-grid")
-            return uniform_grid(int(spec["n"]))
+            return uniform_grid(_count(spec, "n", 2, gen))
         if gen == "cantor":
-            if "depth" not in spec:
-                raise ValidationError("space.depth: required for cantor")
-            return cantor_space(int(spec["depth"]))
+            return cantor_space(_count(spec, "depth", 1, gen))
         raise ValidationError(f"space.generator: unknown generator {gen!r}")
 
     points = spec.get("points")

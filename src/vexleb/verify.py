@@ -20,7 +20,7 @@ from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
 from .norms import luxemburg_norm, luxemburg_norms
 from .operators import ball_potentials, hardy_transforms, maximal_functions
-from .space import DiscreteSpace
+from .space import DiscreteSpace, _distinct
 
 __all__ = [
     "NormEstimate",
@@ -71,11 +71,11 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     if trials < 1:
         raise DomainError("need at least one trial")
     d0 = space.d0
-    radii = np.unique(d0)
+    radii = _distinct(d0)
     if radii.size > _MAX_BALL_PROBES:
         qs = np.linspace(0.0, 1.0, _MAX_BALL_PROBES)
         radii = np.quantile(radii, qs, method="nearest")
-        radii = np.unique(radii)
+        radii = _distinct(radii)
     dre = space.radial_distances()
 
     probes: List[np.ndarray] = []

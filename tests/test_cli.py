@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -269,3 +272,18 @@ class TestGoldenScenarios:
     def test_golden_files_load(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.json")
         assert sc.name == name
+
+    @pytest.mark.parametrize("name", ["hardy_unit", "hardy_divergent",
+                                      "power_pair_bounded", "log_pair_maximal",
+                                      "geometry_only"])
+    def test_run_imports_no_masked_arrays(self, name, tmp_path):
+        # np.unique imports numpy.ma on its first call, 15-35 ms per process
+        code = ("import sys, warnings; warnings.simplefilter('ignore');"
+                "from vexleb.cli import load_scenario, run;"
+                f"code = run(load_scenario({str(SCENARIOS / (name + '.json'))!r}), "
+                f"{str(tmp_path)!r}, resolutions=[32, 48, 64], seed=0);"
+                "print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(vx.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.split() == ["0", "False"]

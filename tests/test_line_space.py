@@ -33,15 +33,22 @@ def scenario(**entries):
     })
 
 
+# a line space reports a0 = a1 = 1 exactly, where a table is searched: the
+# searched a1 may exceed 1 by rounding
+EXACT_QUASI = {"a0": 1.0, "a0_pair": (0, 1), "a1": 1.0, "a1_triple": (0, 1, 0)}
+A1_ROUNDING = 4 * 2.0**-52
+
+
 def results(sp) -> dict:
-    """The geometry report, every condition functional and the empirical
-    ratio of every operator at seed 0 on ``sp``, each rendered with every
-    float at 17 significant digits."""
+    """The geometry report without a1 and its triple, every condition
+    functional and the empirical ratio of every operator at seed 0 on
+    ``sp``, each rendered with every float at 17 significant digits."""
     with warnings.catch_warnings():
         # the order field leaves the variable-order regime
         warnings.simplefilter("ignore", UserWarning)
         reports = Materialized(scenario(conditions=list(CONDITIONS)), sp).evaluate_conditions()
-    out = {"geometry": vars(vx.geometry_constants(sp))}
+    geometry = vars(vx.geometry_constants(sp))
+    out = {"geometry": {k: v for k, v in geometry.items() if k not in ("a1", "a1_triple")}}
     for tag, rep in reports.items():
         out[tag] = [rep.value, rep.log_value, rep.argmax_t, rep.curve, rep.meta]
     for tag in OPERATORS:
@@ -59,16 +66,29 @@ line_spaces = st.one_of(
     st.builds(vx.cantor_space, st.integers(1, 7)))
 
 
+def permuted_line(n, seed):
+    """An ``euclidean1d`` space on n shuffled, unevenly spaced coordinates
+    with uneven weights."""
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(np.cumsum(rng.uniform(0.01, 1.0, n)))
+    return vx.space_from_spec({"points": [{"coord": c} for c in coords],
+                               "metric": "euclidean1d",
+                               "mu": rng.uniform(0.1, 1.0, n).tolist(), "L": "inf"})
+
+
 class TestLineSpace:
     @given(line_spaces)
     @settings(max_examples=20, deadline=None)
     def test_equals_table_backed_copy(self, sp):
+        # every value but a1 bit for bit; a1 is exact on the line
         assert sp.dist is None
         line, table = results(sp), results(as_table(sp))
         assert [key for key in line if line[key] != table[key]] == []
+        g = vars(vx.geometry_constants(sp))
+        assert {key: g[key] for key in EXACT_QUASI} == EXACT_QUASI
 
     def test_unsorted_coordinates(self):
-        # past the exhaustive limit a1 is read from sampled pairs
+        # past the exhaustive limit the table's a1 is read from sampled triples
         n = EXHAUSTIVE_TRIPLE_LIMIT + 9
         coords = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, n))
         sp = vx.space_from_spec({"points": [{"coord": c} for c in coords],
@@ -78,7 +98,33 @@ class TestLineSpace:
             stop = min(start + _BLOCK_ROWS + 7, n)
             assert np.array_equal(sp.rows(start, stop), table.rows(start, stop))
             assert np.array_equal(sp.cols(start, stop), table.cols(start, stop))
-        assert vars(vx.geometry_constants(sp)) == vars(vx.geometry_constants(table))
+        line, searched = vars(vx.geometry_constants(sp)), vars(vx.geometry_constants(table))
+        assert {key: line[key] for key in EXACT_QUASI} == EXACT_QUASI
+        assert searched["a1"] <= 1.0 + A1_ROUNDING
+        for key in ("a1", "a1_triple"):
+            del line[key], searched[key]
+        assert line == searched
+
+    @given(st.one_of(
+        line_spaces,
+        st.builds(vx.uniform_grid, st.sampled_from([EXHAUSTIVE_TRIPLE_LIMIT - 1,
+                                                    EXHAUSTIVE_TRIPLE_LIMIT])),
+        st.builds(vx.cantor_space, st.sampled_from([8, 9])),
+        st.tuples(st.integers(2, EXHAUSTIVE_TRIPLE_LIMIT), st.integers(0, 2**32 - 1)).map(
+            lambda args: permuted_line(*args))))
+    @settings(max_examples=12, deadline=None)
+    def test_exact_quasi_constants_are_the_searched_supremum(self, sp):
+        # the table-backed copy's exhaustive search finds a0 = 1 and a1 = 1 up
+        # to rounding, so the exact values a line space reports are the suprema
+        assert sp.n <= EXHAUSTIVE_TRIPLE_LIMIT
+        g = vx.geometry_constants(as_table(sp))
+        assert (g.a0, g.a0_pair) == (1.0, (0, 1))
+        assert 1.0 <= g.a1 <= 1.0 + A1_ROUNDING
+
+    def test_kernel_check_takes_the_exact_a1(self):
+        sp = vx.uniform_grid(96)
+        assert vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 200) \
+            == vx.kernel_regularity_check(sp, vx.hilbert_kernel(), 200, a1=1.0)
 
     def test_holds_no_square_table(self):
         # neither the geometry report nor a Hardy ratio study at 2048 points

@@ -137,7 +137,11 @@ def reference_quasi(space, seed, sample_triples):
 
 
 def reference_report(space, A, q, seed=0, sample_triples=10**6):
-    a0, a0_pair, a1, a1_triple = reference_quasi(space, seed, sample_triples)
+    if space.dist is None:
+        # |x - y| is a metric: a0 = a1 = 1, attained at (0, 1) and (0, 1, 0)
+        a0, a0_pair, a1, a1_triple = 1.0, (0, 1), 1.0, (0, 1, 0)
+    else:
+        a0, a0_pair, a1, a1_triple = reference_quasi(space, seed, sample_triples)
     doubling_c, rdc_B, dbl_wit, rdc_wit = reference_doubling(space, A)
     c1, c2, _, _ = reference_ahlfors(space, q)
     return vx.GeometryReport(
@@ -380,8 +384,9 @@ class TestGeometryConstants:
         assert _a1(sp, 0, 1000) == expected
 
     def test_sampled_path_matches_exhaustive(self):
-        # n just above the exhaustive limit uses the seeded sampler
-        sp = vx.uniform_grid(520)
+        # a table of n just above the exhaustive limit uses the seeded sampler
+        c = vx.uniform_grid(520).coords
+        sp = vx.explicit_space(np.abs(c[:, None] - c[None, :]), np.full(520, 1 / 520), 0, 1.0)
         g = vx.geometry_constants(sp, sample_triples=200_000)
         assert g.a0 == pytest.approx(1.0)
         assert 0.99 <= g.a1 <= 1.0 + 1e-9
@@ -537,6 +542,21 @@ class TestSpaceFromSpec:
         assert sp.dist[0, 2] == 3.0 and sp.dist[1, 0] == 2.0
         # the worst asymmetry in the table is d(1,0)/d(0,1) = 2
         assert vx.geometry_constants(sp).a0 == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"generator": "uniform-grid", "n": "abc"}, "space.n"),
+        ({"generator": "uniform-grid", "n": 2.5}, "space.n"),
+        ({"generator": "uniform-grid", "n": None}, "space.n"),
+        ({"generator": "uniform-grid", "n": True}, "space.n"),
+        ({"generator": "uniform-grid", "n": 1}, "space.n"),
+        ({"generator": "cantor", "depth": "3"}, "space.depth"),
+        ({"generator": "cantor", "depth": 0}, "space.depth"),
+        ({"generator": "cantor", "depth": 2.0}, "space.depth"),
+    ])
+    def test_generator_sizes_name_their_field(self, spec, field):
+        # an integer that is not a bool: n >= 2, depth >= 1
+        with pytest.raises(ValidationError, match=field):
+            vx.space_from_spec(spec)
 
     def test_unknown_metric_names_field(self):
         with pytest.raises(ValidationError, match="metric"):
