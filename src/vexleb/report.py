@@ -13,6 +13,9 @@ import numpy as np
 __all__ = ["to_json_text", "write_json", "write_csv", "fmt_float"]
 
 
+_FLOATS = (float, np.floating)
+
+
 def fmt_float(x: float) -> str:
     if x != x:
         return "NaN"
@@ -70,13 +73,22 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row: float cells as ``fmt_float`` prints them, others by
+    ``str``.  Each row is printed by one %-format per row of cell types; a
+    row holding inf or NaN, which "%.17g" spells otherwise, is printed cell
+    by cell."""
     lines = [",".join(header)]
+    formats = {}
     for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, (float, np.floating)):
-                cells.append(fmt_float(float(c)))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                ["%.17g" if issubclass(k, _FLOATS) else "%s" for k in kinds])
+        line = fmt % row
+        if "inf" in line or "nan" in line:
+            line = ",".join([fmt_float(float(c)) if isinstance(c, _FLOATS) else str(c)
+                             for c in row])
+        lines.append(line)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

@@ -17,7 +17,7 @@ from . import operators as ops
 from .errors import DomainError, PreconditionError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
-from .space import DiscreteSpace, geometry_constants, space_from_spec
+from .space import DiscreteSpace, _generator, geometry_constants, space_from_spec
 from .verify import NormEstimate, empirical_ratio
 
 __all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
@@ -165,6 +165,12 @@ class Scenario:
         if data.get("space") is None:
             raise ValidationError("scenario.space: required")
         space_spec = _mapping(data, "space")
+        if space_spec.get("generator") is not None:
+            # checked here: materialize replaces the size with the resolution
+            try:
+                _generator(space_spec)
+            except ValidationError as exc:
+                raise ValidationError(f"scenario.{exc}") from None
         exps = _mapping(data, "exponents")
         weights = _mapping(data, "weights")
         pair = None

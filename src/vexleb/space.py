@@ -402,44 +402,40 @@ _RADIUS_JITTER = 1e-9
 
 
 def _jittered_measures(ds: np.ndarray, prefix: np.ndarray, at: np.ndarray,
-                       side: str) -> np.ndarray:
-    """Ball measures at the radii ``ds`` of the positions ``at``, jittered:
-    the closed ball B[x, r (1 + jitter)] at the tie groups' ends ("right"),
-    the open ball B(x, r (1 - jitter)) at their starts ("left").
+                       side: str, stop: int) -> np.ndarray:
+    """Ball measures at the radii ``ds`` of the positions ``at`` among the
+    first ``stop`` columns, jittered: the closed ball B[x, r (1 + jitter)]
+    at the tie groups' ends ("right"), the open ball B(x, r (1 - jitter)) at
+    their starts ("left").  A (b, stop) array, possibly a view of ``prefix``.
 
     A ball ends at its tie group's bound unless near-ties within the jitter
     lie past it.  One near-tie is stepped over in the whole block at once;
     the rare positions with more are searched row by row.
     """
-    more = np.zeros_like(at)
+    n = ds.shape[1]
+    more = np.zeros_like(at[:, :stop])
     if side == "right":
-        t = ds * (1.0 + _RADIUS_JITTER)
-        near = at[:, :-1] & (ds[:, 1:] <= t[:, :-1])
+        t = ds[:, :stop] * (1.0 + _RADIUS_JITTER)
+        s1 = min(stop, n - 1)
+        near = at[:, :s1] & (ds[:, 1:s1 + 1] <= t[:, :s1])
         if not near.any():
-            return prefix[:, 1:]
-        m = prefix[:, 1:].copy()
-        m[:, :-1] = np.where(near, prefix[:, 2:], m[:, :-1])
-        more[:, :-2] = near[:, :-1] & (ds[:, 2:] <= t[:, :-2])
+            return prefix[:, 1:stop + 1]
+        m = prefix[:, 1:stop + 1].copy()
+        m[:, :s1] = np.where(near, prefix[:, 2:s1 + 2], m[:, :s1])
+        s2 = min(stop, n - 2)
+        more[:, :s2] = near[:, :s2] & (ds[:, 2:s2 + 2] <= t[:, :s2])
     else:
-        t = ds * (1.0 - _RADIUS_JITTER)
-        near = at[:, 1:] & (ds[:, :-1] >= t[:, 1:])
+        t = ds[:, :stop] * (1.0 - _RADIUS_JITTER)
+        near = at[:, 1:stop] & (ds[:, :stop - 1] >= t[:, 1:])
         if not near.any():
-            return prefix[:, :-1]
-        m = prefix[:, :-1].copy()
-        m[:, 1:] = np.where(near, prefix[:, :-2], m[:, 1:])
-        more[:, 2:] = near[:, 1:] & (ds[:, :-2] >= t[:, 2:])
+            return prefix[:, :stop]
+        m = prefix[:, :stop].copy()
+        m[:, 1:] = np.where(near, prefix[:, :stop - 1], m[:, 1:])
+        more[:, 2:] = near[:, 1:] & (ds[:, :stop - 2] >= t[:, 2:])
     for i in np.flatnonzero(more.any(axis=1)):
         k = np.flatnonzero(more[i])
         m[i, k] = prefix[i, np.searchsorted(ds[i], t[i, k], side=side)]
     return m
-
-
-def _measures_at(ds: np.ndarray, prefix: np.ndarray, t: np.ndarray, side: str) -> np.ndarray:
-    """``prefix[i, np.searchsorted(ds[i], t[i], side)]`` for each row ``i``."""
-    out = np.empty(t.shape)
-    for i in range(ds.shape[0]):
-        prefix[i].take(np.searchsorted(ds[i], t[i], side=side), out=out[i])
-    return out
 
 
 def _first_max(block: np.ndarray, last: np.ndarray):
@@ -464,6 +460,16 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     first, and each estimate is evaluated where its balls are read.  Each
     keeps the witness of the first center and then the first radius that
     attains it, as a loop over the centers in order would.
+
+    The two ball searches of each row block read only the columns that can
+    still change an estimate.  Doubling reads the first k_2 columns, where
+    k_2 - 1 is the block's largest column holding a row's first closed
+    radius r with 2r (1 + jitter) >= the row's largest distance: from there
+    on B[x, 2r] is the whole space and B[x, r] only grows, so no later ratio
+    of the row is larger, and a later tie never replaces the first maximum.
+    Reverse doubling reads the positive distances r <= L_eff / A, a prefix
+    of each sorted row, and nothing in a block where every such prefix is
+    empty.  Values and witnesses are those of the full sweep, bit for bit.
     """
     if A <= 1:
         raise DomainError("reverse-doubling factor must exceed 1")
@@ -477,44 +483,61 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     annuli = True
     for blk in _sorted_row_blocks(space):
         ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
+        b = ds.shape[0]
         positive = ds > 0
-
-        # doubling over closed balls B[x, r], B[x, 2r], at the tie groups' ends
-        swept = ends & positive
-        m_r = _jittered_measures(ds, prefix, swept, "right")
-        m_2r = _measures_at(ds, prefix, 2.0 * ds * (1.0 + _RADIUS_JITTER), "right")
-        ratios = np.divide(m_2r, m_r, out=np.full(ds.shape, -np.inf), where=swept)
-        j = int(ratios.argmax())
-        if ratios.flat[j] > doubling_c:
-            doubling_c, dbl_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
-
-        # reverse doubling over open balls B(x, r), B(x, A r) for r <= L_eff / A,
-        # at the tie groups' starts
+        closed = ends & positive
         swept = positive.copy()
         swept[:, 1:] &= ends[:, :-1]
-        m_open = _jittered_measures(ds, prefix, swept, "left")
-        m_A = _measures_at(ds, prefix, A * ds * (1.0 - _RADIUS_JITTER), "left")
-        ratios = np.divide(m_A, m_open, out=np.full(ds.shape, np.inf),
-                           where=swept & (ds <= cap))
-        j = int(ratios.argmin())
-        if ratios.flat[j] < rdc_B:
-            rdc_B, rdc_wit = float(ratios.flat[j]), (start + j // n, float(ds.flat[j]))
+        small = ds <= cap
+
+        # the columns the searches read (see above): doubling's first k_2,
+        # reverse doubling's 1 to k_A - 1 (column 0 is the center)
+        t_2 = 2.0 * ds * (1.0 + _RADIUS_JITTER)
+        k_2 = int((closed & (t_2 >= ds[:, -1:])).argmax(axis=1).max()) + 1
+        k_A = int(np.count_nonzero(small, axis=1).max())
+        t_A = A * ds[:, 1:k_A] * (1.0 - _RADIUS_JITTER)
+        dbl, rdc = np.empty((b, k_2)), np.empty(t_A.shape)
+        for i in range(b):
+            prefix[i].take(ds[i].searchsorted(t_2[i, :k_2], side="right"), out=dbl[i])
+            prefix[i].take(ds[i].searchsorted(t_A[i], side="left"), out=rdc[i])
+
+        # doubling over closed balls B[x, r], B[x, 2r], at the tie groups' ends:
+        # mu B[x, 2r] / mu B[x, r] in place
+        np.divide(dbl, _jittered_measures(ds, prefix, closed, "right", k_2), out=dbl)
+        np.putmask(dbl, ~closed[:, :k_2], -np.inf)
+        i, k = divmod(int(dbl.argmax()), k_2)
+        if dbl[i, k] > doubling_c:
+            doubling_c, dbl_wit = float(dbl[i, k]), (start + i, float(ds[i, k]))
+
+        # reverse doubling over open balls B(x, r), B(x, A r) for r <= L_eff / A,
+        # at the tie groups' starts: mu B(x, A r) / mu B(x, r) in place
+        m_open = _jittered_measures(ds, prefix, swept, "left", n)
+        if k_A > 1:
+            np.divide(rdc, m_open[:, 1:k_A], out=rdc)
+            np.putmask(rdc, ~(swept[:, 1:k_A] & small[:, 1:k_A]), np.inf)
+            i, k = divmod(int(rdc.argmin()), k_A - 1)
+            if rdc[i, k] < rdc_B:
+                rdc_B, rdc_wit = float(rdc[i, k]), (start + i, float(ds[i, k + 1]))
 
         # Ahlfors over the same open balls, each row followed by one ball past
         # its largest distance (the whole space)
         whole = ds[:, -1] * (1.0 + 1e-6)
-        m_whole = prefix[np.arange(ds.shape[0]),
+        m_whole = prefix[np.arange(b),
                          (ds < (whole * (1.0 - _RADIUS_JITTER))[:, None]).sum(axis=1)]
         ok_whole = swept.any(axis=1)
-        ratios = np.divide(m_open, ds**q, out=np.full(ds.shape, -np.inf), where=swept)
+        ratios = ds**q
+        # column 0 divides the empty ball at the center by 0; it is masked
+        with np.errstate(invalid="ignore"):
+            np.divide(m_open, ratios, out=ratios)
+        np.putmask(ratios, ~swept, -np.inf)
         ratios_whole = np.divide(m_whole, whole**q, out=np.full(whole.shape, -np.inf),
                                  where=ok_whole)
         value, i, k = _first_max(ratios, ratios_whole)
         if value > c1:
             c1, w1 = float(value), (start + i, float(ds[i, k] if k < n else whole[i]))
-        ratios[~(swept & (ds <= L))] = np.inf
+        np.putmask(ratios, ~(swept & (ds <= L)), np.inf)
         ratios_whole[~(ok_whole & (whole <= L))] = np.inf
-        value, i, k = _first_max(-ratios, -ratios_whole)
+        value, i, k = _first_max(np.negative(ratios, out=ratios), -ratios_whole)
         if -value < c2:
             c2, w2 = float(-value), (start + i, float(ds[i, k] if k < n else whole[i]))
 
@@ -644,6 +667,17 @@ def _count(spec: dict, key: str, least: int, gen: str) -> int:
     return int(value)
 
 
+def _generator(spec: dict):
+    """(builder, size) of a generator spec, its size field checked; no space
+    is built."""
+    gen = spec["generator"]
+    if gen in ("uniform-grid", "uniform_grid"):
+        return uniform_grid, _count(spec, "n", 2, gen)
+    if gen == "cantor":
+        return cantor_space, _count(spec, "depth", 1, gen)
+    raise ValidationError(f"space.generator: unknown generator {gen!r}")
+
+
 def space_from_spec(spec: dict) -> DiscreteSpace:
     """Build a space from its structured description.
 
@@ -657,13 +691,9 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     """
     if not isinstance(spec, dict):
         raise ValidationError("space: must be a mapping")
-    gen = spec.get("generator")
-    if gen is not None:
-        if gen in ("uniform-grid", "uniform_grid"):
-            return uniform_grid(_count(spec, "n", 2, gen))
-        if gen == "cantor":
-            return cantor_space(_count(spec, "depth", 1, gen))
-        raise ValidationError(f"space.generator: unknown generator {gen!r}")
+    if spec.get("generator") is not None:
+        build, size = _generator(spec)
+        return build(size)
 
     points = spec.get("points")
     if not isinstance(points, list) or not points \

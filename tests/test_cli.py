@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.cli import emit_report, load_scenario, main, run
@@ -206,6 +207,10 @@ class TestRun:
                                "metric": "euclidean1d", "L": -1}}),
         ("space.trunc_radius", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
                                           "metric": "euclidean1d", "trunc_radius": -1}}),
+        # resolutions replace a generator's size, which is checked all the same
+        ("space.n", {"space": {"generator": "uniform-grid", "n": "abc"}}),
+        ("space.n", {"space": {"generator": "uniform_grid", "n": 1}}),
+        ("space.depth", {"space": {"generator": "cantor", "depth": "x"}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
@@ -263,6 +268,33 @@ class TestEmitReport:
         from vexleb.errors import DomainError
         with pytest.raises(DomainError):
             emit_report({}, "json", tmp_path)
+
+
+def per_cell_csv(header, rows):
+    """write_csv's bytes as one formatter call per cell gave them."""
+    from vexleb.report import fmt_float
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt_float(float(c)) if isinstance(c, (float, np.floating))
+                              else str(c) for c in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+CSV_CELLS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308]),
+    st.floats(-1e-307, 1e-307), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.integers(-5, 5).map(np.int64), st.booleans(), st.none(),
+    st.sampled_from(["inf", "nan", "-Infinity", "a%s", "%.17g", "condition:hardy"]), st.text())
+
+
+class TestWriteCsv:
+    @given(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_per_cell_formatting(self, tmp_path_factory, rows):
+        from vexleb.report import write_csv
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        write_csv(path, ["a", "b"], iter(rows))
+        assert path.read_bytes() == per_cell_csv(["a", "b"], rows)
 
 
 class TestGoldenScenarios:

@@ -177,14 +177,38 @@ def tied_spaces(draw, sizes, modes=("ties", "near-ties", "on searched radii")):
 
 
 @st.composite
+def line_spaces(draw, sizes, below_neighbours=False):
+    """``euclidean1d`` specs with unsorted coordinates on a lattice of
+    quarter steps (many tied distances) and uneven weights.  With
+    ``below_neighbours`` the diameter is infinite and truncated so that
+    L_eff / A lies below every nearest-neighbour distance for A >= 1.5: no
+    center has a radius to sweep for reverse doubling."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(sizes)
+    coords = rng.permutation(np.cumsum(rng.integers(1, 4, n) * 0.25))
+    spec = {"metric": "euclidean1d", "mu": rng.uniform(0.1, 1.0, n).tolist(),
+            "points": [{"id": i, "coord": float(c)} for i, c in enumerate(coords)]}
+    if below_neighbours:
+        spec["trunc_radius"] = draw(st.sampled_from([0.1, 0.25, 0.37]))
+    else:
+        spec["L"] = draw(st.sampled_from(["inf", float(np.ptp(coords)) * 0.6]))
+    return vx.space_from_spec(spec)
+
+
+@st.composite
 def geometry_spaces(draw):
-    kind = draw(st.sampled_from(["grid", "cantor", "tied", "tied", "block edge"]))
+    kind = draw(st.sampled_from(["grid", "cantor", "tied", "tied", "block edge", "line",
+                                 "no reverse-doubling radius"]))
     if kind == "grid":
         return vx.uniform_grid(draw(st.integers(2, 90)))
     if kind == "cantor":
         return vx.cantor_space(draw(st.integers(1, 7)))
     if kind == "tied":
         return draw(tied_spaces(st.integers(2, 40)))
+    if kind == "line":
+        return draw(line_spaces(st.integers(_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 2)))
+    if kind == "no reverse-doubling radius":
+        return draw(line_spaces(st.integers(2, 40), below_neighbours=True))
     edges = [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
     return draw(tied_spaces(st.sampled_from(edges)))
 
@@ -346,6 +370,27 @@ class TestGeometryAgainstPerCenterLoops:
     def test_distances_on_searched_radii(self, sp, A):
         # the searched radii are rounded as the loops round them
         assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+
+    def test_largest_ratio_just_short_of_the_whole_space(self):
+        # From 0, B[0, 0.96] takes the heavy point 3 and B[0, 1.0] is the
+        # whole space: the sup sits at r = 0.48, the last radius read in row
+        # 0.  Every other row reaches the whole space from its first radius.
+        dist = np.array([[0.0, 0.46, 0.48, 0.94, 1.0],
+                         [0.7, 0.0, 0.8, 0.6, 1.0],
+                         [0.7, 0.8, 0.0, 0.6, 1.0],
+                         [0.6, 0.7, 0.8, 0.0, 1.0],
+                         [0.7, 0.8, 1.0, 0.6, 0.0]])
+        sp = vx.explicit_space(dist, [1.0, 1.0, 1.0, 100.0, 1.0], 0, 1.0)
+        got = vx.doubling_reverse_doubling(sp)
+        assert got[0] == 103 / 3 and got[2] == (0, 0.48)
+        assert repr(got) == repr(reference_doubling(sp, 2.0))
+
+    @given(line_spaces(st.integers(2, 40), below_neighbours=True), st.sampled_from([1.5, 3.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_no_radius_below_the_cap(self, sp, A):
+        # L_eff / A under every nearest-neighbour distance: nothing to sweep
+        assert sp.L_eff / A < np.diff(np.sort(sp.coords)).min()
+        assert vx.doubling_reverse_doubling(sp, A)[1::2] == (np.inf, ())
 
     def test_single_point(self):
         sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
