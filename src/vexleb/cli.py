@@ -89,9 +89,16 @@ def emit_report(results: dict, fmt: str, out_dir, curves=None, study=None):
     if fmt in ("json", "both"):
         write_json(out / f"{name}.json", results)
     if fmt in ("csv", "both"):
+        # the reports of one memoized evaluation share their arrays: each
+        # shared curve is formatted once and its bytes copied
+        written = {}
         for cname, rep in (curves or {}).items():
-            write_csv(out / f"{name}_{cname}.csv", ["t", "value"],
-                      zip(rep.ts.tolist(), rep.curve.tolist()))
+            path, key = out / f"{name}_{cname}.csv", (id(rep.ts), id(rep.curve))
+            if key in written:
+                path.write_bytes(written[key])
+            else:
+                written[key] = write_csv(path, ["t", "value"],
+                                         zip(rep.ts.tolist(), rep.curve.tolist()))
         if study is not None:
             rows = []
             for i, n in enumerate(study.resolutions):

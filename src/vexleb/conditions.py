@@ -18,16 +18,24 @@ consistency identities hold exactly on discrete data.
 
 Every functional is evaluated in logs.  Each one hands the sweep evaluator
 (``_sup_functional``) its outer bases and the log of its inner integrand,
-log base * exponent + log mu: one array when the exponent is constant, else
-a callable giving the rows of a block of outer points.  Inner sums are
-row-max-scaled cumsums in basepoint order (tail sums reversed cumsums), and
-the outer sum is a max-scaled exp-sum per sweep step over blocks of outer
-points, so an exponent near 1 (conjugate near infinity) or weights near
-1e+-200 neither overflow nor collapse to 0.  The curve is evaluated once per
-step, at the knots 0, the distinct distances and L, and each midpoint
-repeats the knot below it.  Only true atoms, a zero base under a negative
-exponent, are dropped from an inner sum; ``meta["skipped_inner"]`` counts
-them.
+exponent * log base + log mu, as data: the pair (e, log base) of the
+exponent per outer point and the log base per inner point, one array when
+the exponent is constant.  A variable order enters the base per outer point
+(log w(y) + (1 - alpha(x)) log muB0(y)); a constant one is folded into the
+base.  Inner sums are row-max-scaled cumsums in basepoint order (tail sums
+reversed cumsums), and the outer sum is a max-scaled exp-sum per sweep step
+over blocks of outer points, so an exponent near 1 (conjugate near
+infinity) or weights near 1e+-200 neither overflow nor collapse to 0.  The
+curve is evaluated once per step, at the knots 0, the distinct distances
+and L, and each midpoint repeats the knot below it.  Only true atoms, a
+zero base under a negative exponent, are dropped from an inner sum;
+``meta["skipped_inner"]`` counts them.
+
+On radial weight pairs several conditions are one computation (a radial
+variant and the ball half it restates, the potential and variable-order
+halves at constant order).  Each evaluation is memoized on its space, keyed
+on the bytes it reads, so a repeat costs the key and returns the first
+report's curve under its own name.
 
 Values are reported with the full per-t curve and the attaining t.
 Finiteness is a refinement trend, never a boolean at one resolution; see
@@ -36,14 +44,14 @@ Finiteness is a refinement trend, never a boolean at one resolution; see
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _distinct, _sorted_row_blocks, comparison_annulus
+from .space import DiscreteSpace, _distinct, _sorted_row_blocks
 
 __all__ = [
     "ConditionReport",
@@ -187,6 +195,12 @@ def _log_col_sums(vals: np.ndarray) -> np.ndarray:
         return np.log(vals.sum(axis=0)) + m
 
 
+def _flat(a: np.ndarray) -> bool:
+    """Whether ``a`` is constant to the relative tolerance under which its
+    first entry stands for all of it."""
+    return np.ptp(a) <= 1e-13 * max(1.0, abs(float(a[0])))
+
+
 def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
                     forward: bool, inner, gamma: np.ndarray) -> ConditionReport:
     """Evaluate one sup-functional over the sweep, in logs.
@@ -195,11 +209,13 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     over {d0 <= t}; otherwise the outer region is {d0 <= t} and the inner
     sum runs over {t < d0 <= L}.  ``log_outer`` is log O(x), the outer base
     times mu (-inf where O is 0).  ``inner`` is the log-integrand of the
-    inner sum, log of (integrand times mu): an array when it does not depend
-    on the outer point x, else a callable taking a block of outer indices xs
-    to a (len(xs), n) array.  ``gamma`` is the per-x outer power applied to
-    the inner sum W_x(t).  The curve at t is the sum over the outer region
-    of exp(log O(x) + gamma(x) log W_x(t)), so neither a weight raised to a
+    inner sum, log of (integrand times mu), given as data: an array when it
+    does not depend on the outer point x; a pair (e, base) for the rows
+    e[x] base[y] + log mu[y], one array when e is constant; or
+    (e, base, coef, extra) for the rows e[x] (base[y] + coef[x] extra[y])
+    + log mu[y].  ``gamma`` is the per-x outer power applied to the inner
+    sum W_x(t).  The curve at t is the sum over the outer region of
+    exp(log O(x) + gamma(x) log W_x(t)), so neither a weight raised to a
     large power nor a sum of such terms overflows or underflows before the
     result itself would.
 
@@ -213,7 +229,15 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     ``t_sweep`` lies in the same half-open regions as the knot below it, so
     its entry is that knot's.  Outer points are taken in blocks sorted by
     where their region starts; each block reads only the knots its points
-    reach and only the inner entries summed at those knots.
+    reach, and builds its inner rows only over the columns summed at those
+    knots, already in basepoint order.
+
+    Evaluations are memoized on the space, keyed on the bytes they read:
+    ``forward``, log O, gamma at the outer points evaluated (its first entry
+    where W**gamma factors out) and the inner data on the columns the sums
+    read (a tail never reads the basepoint's).  A repeat returns a report
+    under its own name with a copy of ``meta``, sharing the first report's
+    ``ts`` and ``curve``, which are read-only.
     """
     L = space.L_eff
     d0 = space.d0
@@ -222,58 +246,103 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     order = space.radial_order
     ds = d0[order]
     n_in = int(np.count_nonzero(capped))  # inner sums run over the first n_in in order
-    ts = t_sweep(space)
     knots = _distinct(np.concatenate([[0.0], ds[ds <= L], [L]]))
     T = knots.size
     # the inner sum at knot k holds the first head_count[k] points (forward)
-    # or the capped points after them
+    # or the capped points after them: all read columns order[lo:hi]
     head_count = np.searchsorted(ds, knots, side="right")
+    lo, hi = (0, int(head_count[-1])) if forward else (int(head_count[0]), n_in)
+    cols = order[lo:hi]
     # x is outer at knot k when forward: k < cut(x); else k >= cut(x)
     cut = np.searchsorted(knots, d0, side="left")
     gamma = np.asarray(gamma, dtype=float)
+    log_mu = np.log(space.mu)
+
+    xs = np.flatnonzero(log_O > -np.inf)
+    xs = xs[np.argsort(cut[xs], kind="stable")]
+    # the outer points of some knot, the only ones evaluated by blocks
+    live = xs[cut[xs] > 0] if forward else xs[cut[xs] < T]
+    if isinstance(inner, tuple) and len(inner) == 2 and _flat(inner[0]):
+        inner = inner[0][0] * inner[1] + log_mu
+    if isinstance(inner, np.ndarray):
+        shared = inner[cols]
+        # W**gamma factors out of the outer sum
+        factored = _flat(gamma)
+        key = ("shared", forward, log_O.tobytes(), shared.tobytes(), factored,
+               (gamma[:1] if factored else gamma[live]).tobytes())
+    else:
+        shared, factored = None, False
+        e, base, *term = inner
+        coef, extra = term or (None, None)
+        base, log_mu = base[cols], log_mu[cols]
+        key = ("rows", forward, log_O.tobytes(), gamma[live].tobytes(), e[live].tobytes(),
+               base.tobytes())
+        if coef is not None:
+            extra = extra[cols]
+            key += (coef[live].tobytes(), extra.tobytes())
+    memo = space._sup_memo
+    first = memo.get(key)
+    if first is not None:
+        return replace(first, name=name, meta=dict(first.meta))
     skipped = 0
 
     def log_W(r: np.ndarray, k0: int, k1: int) -> np.ndarray:
-        """log W at knots k0..k1-1 from log-integrand rows in point order."""
+        """log W at knots k0..k1-1 from log-integrand rows over the columns
+        they sum, in basepoint order; the atoms of ``r`` are zeroed."""
         nonlocal skipped
-        lo, hi = (0, head_count[k1 - 1]) if forward else (head_count[k0], n_in)
-        r = r[:, order[lo:hi]]
         for i in np.flatnonzero(r.max(axis=1, initial=-np.inf) == np.inf):
             atoms = r[i] == np.inf
             skipped += int(atoms.sum())
             r[i, atoms] = -np.inf
-        return _log_partial_sums(r, head_count[k0:k1] - lo, forward)
+        start = lo if forward else head_count[k0]
+        return _log_partial_sums(r, head_count[k0:k1] - start, forward)
 
-    xs = np.flatnonzero(log_O > -np.inf)
-    xs = xs[np.argsort(cut[xs], kind="stable")]
-    shared = log_W(inner[None, :], 0, T)[0] if isinstance(inner, np.ndarray) else None
-    if shared is not None and np.ptp(gamma) <= 1e-13 * max(1.0, abs(float(gamma[0]))):
-        # W**gamma factors out: the outer sums per knot are partial sums over
-        # the outer points in cut order
+    if shared is not None:
+        shared = log_W(shared[None, :], 0, T)[0]
+    if factored:
+        # the outer sums per knot are partial sums over the outer points in
+        # cut order
         at = np.searchsorted(cut[xs], np.arange(T), side="right")
         log_R = _log_partial_sums(log_O[xs][None, :], at, not forward)[0]
         log_curve = float(gamma[0]) * shared + log_R
     else:
         log_curve = np.full(T, -np.inf)
-        xs = xs[cut[xs] > 0] if forward else xs[cut[xs] < T]
         B = max(1, _BLOCK_ELEMS // max(space.n, T))
-        for s in range(0, xs.size, B):
-            blk = xs[s:s + B]
+        for s in range(0, live.size, B):
+            blk = live[s:s + B]
             c = cut[blk]
             k0, k1 = (0, int(c[-1])) if forward else (int(c[0]), T)
-            W = shared[None, k0:k1] if shared is not None else log_W(inner(blk), k0, k1)
-            vals = log_O[blk, None] + gamma[blk, None] * W
+            if shared is not None:
+                vals = shared[k0:k1] * gamma[blk, None]
+            else:
+                # the columns summed at knots k0..k1-1, as positions in cols
+                a, b = (0, head_count[k1 - 1]) if forward else (head_count[k0] - lo, hi - lo)
+                if coef is None:
+                    r = e[blk, None] * base[a:b]
+                else:
+                    r = coef[blk, None] * extra[a:b]
+                    r += base[a:b]
+                    r *= e[blk, None]
+                r += log_mu[a:b]
+                vals = log_W(r, k0, k1)
+                vals *= gamma[blk, None]
+            vals += log_O[blk, None]
             k = np.arange(k0, k1)
-            vals[(k >= c[:, None]) if forward else (k < c[:, None])] = -np.inf
+            np.putmask(vals, (k >= c[:, None]) if forward else (k < c[:, None]), -np.inf)
             log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], _log_col_sums(vals))
 
+    ts = t_sweep(space)
     log_curve = log_curve[np.searchsorted(knots, ts, side="right") - 1]
     # a value beyond the float range is inf; its log is kept
     with np.errstate(over="ignore"):
         curve = np.exp(log_curve)
+    ts.flags.writeable = curve.flags.writeable = False
     j = int(curve.argmax())
-    return ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve, resolution=space.n,
-                           meta={"skipped_inner": skipped}, log_value=float(log_curve.max()))
+    report = ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve,
+                             resolution=space.n, meta={"skipped_inner": skipped},
+                             log_value=float(log_curve.max()))
+    memo[key] = replace(report, meta=dict(report.meta))
+    return report
 
 
 def _ordering_check(name: str, lower: PointFunction, upper: PointFunction):
@@ -295,37 +364,22 @@ def _log_power(x: np.ndarray, power) -> np.ndarray:
     return np.where(x > 0, power * np.log(np.where(x > 0, x, 1.0)), np.inf)
 
 
-def _pow_inner(log_w, e: np.ndarray, log_mu: np.ndarray):
-    """Log-integrand e(x) log w + log mu of the inner sum of w**e(x) mu: an
-    array when neither e nor w depends on x, else a callable taking a block
-    of outer indices xs to a (len(xs), n) array.  ``log_w`` is an array, or
-    such a callable when w depends on x.  A zero base (log w = -inf) under a
-    negative exponent gives +inf, an atom the sweep evaluator zeroes and
-    counts."""
-    if callable(log_w):
-        return lambda xs: e[xs, None] * log_w(xs) + log_mu
-    if np.ptp(e) <= 1e-13 * max(1.0, abs(float(e[0]))):
-        return e[0] * log_w + log_mu
-    return lambda xs: e[xs, None] * log_w + log_mu
-
-
 def _ball_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
                log_D, log_w: np.ndarray, e: np.ndarray) -> ConditionReport:
     """The ball half (module docstring) from log v, log D and log w.  Where
     log D is +inf (D = 0), x drops out of the outer sum."""
     log_mu = np.log(space.mu)
     log_O = np.where(log_D < np.inf, s * (log_v - log_D) + log_mu, -np.inf)
-    return _sup_functional(space, name, log_O, True, _pow_inner(log_w, e, log_mu),
-                           s / np.abs(e))
+    return _sup_functional(space, name, log_O, True, (e, log_w), s / np.abs(e))
 
 
 def _tail_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
-               log_w, e: np.ndarray) -> ConditionReport:
-    """The tail half (module docstring) from log v and log w, which may
-    depend on x (see ``_pow_inner``)."""
+               log_w: np.ndarray, e: np.ndarray, order_term=()) -> ConditionReport:
+    """The tail half (module docstring) from log v and log w; an
+    ``order_term`` (coef, extra) adds coef[x] extra[y] to log w(y)."""
     log_mu = np.log(space.mu)
-    return _sup_functional(space, name, s * log_v + log_mu, False,
-                           _pow_inner(log_w, e, log_mu), s / np.abs(e))
+    return _sup_functional(space, name, s * log_v + log_mu, False, (e, log_w, *order_term),
+                           s / np.abs(e))
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -515,10 +569,14 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     log_v, log_wr = _log(vv), _log(wr)
     # log muB0 = +inf at the basepoint keeps it out of the tail integrand
     log_muB0 = _log_power(muB0, 1.0)
-    return (_ball_half(space, "variable-order-ball", q.values, log_v,
-                       _log_power(muB0, 1.0 - av), log_wr, -e0),
-            _tail_half(space, "variable-order-tail", q.values, log_v,
-                       lambda xs: log_wr + (1.0 - av[xs, None]) * log_muB0, -e1))
+    ball = _ball_half(space, "variable-order-ball", q.values, log_v,
+                      _log_power(muB0, 1.0 - av), log_wr, -e0)
+    if np.all(av == av[0]):
+        # a constant order is part of log w(y), the same float operations
+        return ball, _tail_half(space, "variable-order-tail", q.values, log_v,
+                                log_wr + (1.0 - av[0]) * log_muB0, -e1)
+    return ball, _tail_half(space, "variable-order-tail", q.values, log_v, log_wr, -e1,
+                            (1.0 - av, log_muB0))
 
 
 def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
@@ -543,23 +601,54 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
             _tail_half(space, "maximal-tail", s, log_v, log_w + _log(space.muB0), -e1))
 
 
+def _range_reduce(ufunc, vals: np.ndarray, starts: np.ndarray,
+                  stops: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(vals[starts[i]:stops[i]])`` for each i, every range
+    nonempty, from a sparse table: row k holds the reductions of the windows
+    of length 2**k, and a range reduces the two such windows at its ends,
+    k = floor(log2(length))."""
+    n = vals.size
+    table = np.empty((n.bit_length(), n))
+    table[0] = vals
+    for k in range(1, table.shape[0]):
+        h = 1 << (k - 1)
+        ufunc(table[k - 1, :n - 2 * h + 1], table[k - 1, h:n - h + 1],
+              out=table[k, :n - 2 * h + 1])
+    k = np.frexp(stops - starts)[1] - 1
+    return ufunc(table[k, starts], table[k, stops - np.left_shift(1, k)])
+
+
 def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFunction,
                               A: float, a1: float = 1.0):
     """Comparability of v over the distance-comparable annulus with w at the
-    point: b1 = sup_x max(v on F_x) / w(x), b2 = sup_x v(x) / min(w on F_x).
-    Points with empty annuli are skipped and counted."""
+    point: b1 = sup_x max(v on F_x) / w(x), b2 = sup_x v(x) / min(w on F_x),
+    F_x the ``comparison_annulus`` of x.  Points with empty annuli are
+    skipped and counted.
+
+    Each annulus is a range of the basepoint order, found by one search
+    per end; its extrema are read from sparse tables."""
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
-    b1 = b2 = 0.0
-    skipped = 0
-    for x in range(space.n):
-        members, _ = comparison_annulus(space, x, A, a1=a1)
-        if members.size == 0:
-            skipped += 1
-            continue
-        b1 = max(b1, float(vv[members].max() / wv[x]))
-        b2 = max(b2, float(vv[x] / wv[members].min()))
-    return b1, b2, skipped
+    if A <= 1:
+        raise DomainError("scale factor A must exceed 1")
+    if a1 <= 0:
+        raise DomainError("quasi-triangle constant must be positive")
+    order = space.radial_order
+    d0 = space.d0
+    ds = d0[order]
+    scale = A**2 * a1
+    hi_d = scale * d0
+    starts = np.searchsorted(ds, d0 / scale, side="left")
+    stops = np.searchsorted(ds, hi_d, side="right")
+    # a NaN bound holds no point, though it sorts past every distance
+    xs = np.flatnonzero((stops > starts) & ~np.isnan(hi_d))
+    starts, stops = starts[xs], stops[xs]
+    r1 = _range_reduce(np.maximum, vv[order], starts, stops) / wv[xs]
+    r2 = vv[xs] / _range_reduce(np.minimum, wv[order], starts, stops)
+    # a running max from 0 that a NaN ratio never replaces
+    b1 = float(np.max(r1, initial=0.0, where=r1 > 0))
+    b2 = float(np.max(r2, initial=0.0, where=r2 > 0))
+    return b1, b2, space.n - xs.size
 
 
 def muckenhoupt_ar(space: DiscreteSpace, w: PointFunction, r: float) -> float:

@@ -72,11 +72,11 @@ def write_json(path: Path, obj) -> None:
     path.write_bytes((to_json_text(obj) + "\n").encode("utf-8"))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     """One line per row: float cells as ``fmt_float`` prints them, others by
     ``str``.  Each row is printed by one %-format per row of cell types; a
     row holding inf or NaN, which "%.17g" spells otherwise, is printed cell
-    by cell."""
+    by cell.  Returns the bytes written."""
     lines = [",".join(header)]
     formats = {}
     for row in rows:
@@ -91,4 +91,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
             line = ",".join([fmt_float(float(c)) if isinstance(c, _FLOATS) else str(c)
                              for c in row])
         lines.append(line)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data

@@ -196,6 +196,12 @@ class DiscreteSpace:
         (read-only)."""
         return self._basepoint_row[1]
 
+    @cached_property
+    def _sup_memo(self) -> dict:
+        """The sup-functional reports evaluated on this space, keyed on the
+        bytes each evaluation read (see ``conditions._sup_functional``)."""
+        return {}
+
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):
             raise DomainError(f"point id {center} out of range")
@@ -521,9 +527,14 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
 
         # Ahlfors over the same open balls, each row followed by one ball past
         # its largest distance (the whole space)
+        # its open ball holds every point unless the jittered radius does not
+        # pass the largest distance (0, or subnormal); only those rows count
         whole = ds[:, -1] * (1.0 + 1e-6)
-        m_whole = prefix[np.arange(b),
-                         (ds < (whole * (1.0 - _RADIUS_JITTER))[:, None]).sum(axis=1)]
+        bound = whole * (1.0 - _RADIUS_JITTER)
+        inside = np.full(b, n)
+        few = np.flatnonzero(bound <= ds[:, -1])
+        inside[few] = (ds[few] < bound[few, None]).sum(axis=1)
+        m_whole = prefix[np.arange(b), inside]
         ok_whole = swept.any(axis=1)
         ratios = ds**q
         # column 0 divides the empty ball at the center by 0; it is masked

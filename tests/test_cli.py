@@ -264,6 +264,20 @@ class TestEmitReport:
         text = to_json_text({"x": 0.25, "y": [1, 2.5]})
         assert '"x": 0.25' in text
 
+    def test_each_condition_csv_is_its_own_curve(self, tmp_path):
+        # several tags of this scenario share one evaluation's curve, which
+        # is formatted once and copied to each of their files
+        from vexleb.report import write_csv
+        sc = load_scenario(SCENARIOS.parent / "perfbench" / "scenarios" / "condition_sweep.json")
+        with pytest.warns(UserWarning):
+            assert run(sc, tmp_path / "out", resolutions=[128]) == 0
+            reports = sc.materialize(128).evaluate_conditions()
+        assert len({id(rep.curve) for rep in reports.values()}) < len(reports)
+        for tag, rep in reports.items():
+            want = write_csv(tmp_path / "want.csv", ["t", "value"],
+                             zip(rep.ts.tolist(), rep.curve.tolist()))
+            assert (tmp_path / "out" / f"condition_sweep_{tag}.csv").read_bytes() == want, tag
+
     def test_empty_results_rejected(self, tmp_path):
         from vexleb.errors import DomainError
         with pytest.raises(DomainError):

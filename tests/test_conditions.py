@@ -880,3 +880,157 @@ class TestRadialPointwiseAgreement:
             warnings.simplefilter("ignore")
             order_ball, _ = vx.variable_order_conditions(sp, p, q, v, wprof, al)
         assert np.array_equal(order_ball.curve, balls["potential"].curve)
+
+
+class TestAnnulusAgainstLoop:
+    @given(tied_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([1.01, 1.2, 2.0, 3.0]),
+           st.sampled_from([0.3, 1.0, 2.5]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_point_annulus_loop(self, sp, seed, A, a1, zeros):
+        rng = np.random.default_rng(seed)
+        vv = rng.uniform(0.0, 5.0, sp.n)
+        if zeros:
+            vv[rng.uniform(size=sp.n) < 0.5] = 0.0
+        wv = rng.uniform(0.01, 5.0, sp.n)
+        b1 = b2 = 0.0
+        skipped = 0
+        for x in range(sp.n):
+            members, _ = vx.comparison_annulus(sp, x, A, a1=a1)
+            if members.size == 0:
+                skipped += 1
+                continue
+            b1 = max(b1, float(vv[members].max() / wv[x]))
+            b2 = max(b2, float(vv[x] / wv[members].min()))
+        got = vx.annulus_weight_comparison(sp, vx.PointFunction(vv, "test"),
+                                           vx.PointFunction(wv, "weight"), A, a1)
+        assert repr(got) == repr((b1, b2, skipped))
+
+    @pytest.mark.parametrize("A, a1", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0)])
+    def test_bad_scale_rejected(self, A, a1):
+        sp = vx.uniform_grid(8)
+        one = const(8, 1.0, "weight")
+        with pytest.raises(DomainError):
+            vx.annulus_weight_comparison(sp, one, one, A, a1)
+
+
+CONDITION_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" \
+    / "condition_sweep.json"
+SUP_TAGS = [t for t in json.loads(CONDITION_SWEEP.read_text())["conditions"]
+            if t not in ("annulus-comparison", "muckenhoupt")]
+# each coinciding tag and the tag first evaluated with the same bytes
+COINCIDING = {"radial-potential": "potential-ball",
+              "radial-potential-basepoint": "potential-ball",
+              "variable-order-ball": "potential-ball",
+              "radial-maximal": "maximal-ball",
+              "radial-maximal-basepoint": "maximal-ball",
+              "radial-distance-potential": "distance-ball",
+              "variable-order-tail": "potential-tail"}
+
+
+def sweep_reports(tags, n=256):
+    """The condition-sweep scenario's reports of ``tags`` on a new space,
+    with that space."""
+    data = json.loads(CONDITION_SWEEP.read_text())
+    data["conditions"] = list(tags)
+    mat = vx.Scenario.from_dict(data).materialize(n)
+    with warnings.catch_warnings():
+        # the scenario's variable-order regime warning is expected
+        warnings.simplefilter("ignore")
+        return mat.evaluate_conditions(), mat.space
+
+
+def assert_same_report(got, want):
+    assert got.name == want.name and got.resolution == want.resolution
+    assert repr((got.value, got.argmax_t, got.log_value)) \
+        == repr((want.value, want.argmax_t, want.log_value))
+    assert got.ts.tobytes() == want.ts.tobytes()
+    assert got.curve.tobytes() == want.curve.tobytes()
+    assert got.meta == want.meta
+
+
+class TestSupMemo:
+    def test_coinciding_tags_equal_fresh_evaluations(self):
+        reports, _ = sweep_reports(SUP_TAGS)
+        for tag, first in COINCIDING.items():
+            rep = reports[tag]
+            # a memo hit: the first report's arrays under its own name
+            assert rep.curve is reports[first].curve and rep.ts is reports[first].ts
+            assert rep.meta is not reports[first].meta
+            fresh, _ = sweep_reports([tag])
+            assert_same_report(rep, fresh[tag])
+
+    def test_sweep_evaluates_each_distinct_functional_once(self):
+        reports, space = sweep_reports(SUP_TAGS)
+        assert len(space._sup_memo) == 8
+        assert len({id(reports[t].curve) for t in SUP_TAGS}) == 8
+
+    def test_power_pair_tags_share_one_evaluation(self):
+        sc = vx.Scenario.from_dict(json.loads((SCENARIOS / "power_pair_bounded.json").read_text()))
+        mat = sc.materialize(128)
+        reports = mat.evaluate_conditions()
+        assert reports["radial-potential"].curve is reports["potential-ball"].curve
+        # the potential pair also evaluates its tail half, which no tag reports
+        assert len(mat.space._sup_memo) == 2
+
+    def test_shared_arrays_are_read_only(self):
+        reports, _ = sweep_reports(["potential-ball", "radial-potential"])
+        for rep in reports.values():
+            for arr in (rep.ts, rep.curve):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        reports["radial-potential"].meta["skipped_inner"] = -1
+        assert reports["potential-ball"].meta == {"skipped_inner": 0}
+
+    def test_one_ulp_change_is_evaluated_afresh(self):
+        space = lambda: vx.cantor_space(6)
+        sp, x = space(), 40
+        rng = np.random.default_rng(7)
+        p = vx.PointFunction(rng.uniform(2.0, 3.0, sp.n), "exponent")
+        q = vx.PointFunction(p.values + 1.0, "exponent")
+        v = vx.PointFunction(rng.uniform(0.5, 2.0, sp.n), "weight")
+        w = vx.PointFunction(rng.uniform(0.5, 2.0, sp.n), "weight")
+
+        def nudged(f, at):
+            vals = f.values.copy()
+            vals[at] = np.nextafter(vals[at], 0.0)
+            return vx.PointFunction(vals, f.kind)
+
+        vx.potential_conditions(sp, p, q, v, w, 0.1)
+        p_down = vx.PointFunction(np.nextafter(p.values, 0.0), "exponent")
+        cases = [(p, q, nudged(v, x), w, 0.1), (p, q, v, nudged(w, x), 0.1),
+                 (p_down, q, v, w, 0.1), (p, q, v, w, 0.12)]
+        for args in cases:
+            seen = len(sp._sup_memo)
+            got = vx.potential_conditions(sp, *args)
+            # a half whose logs round to the same bytes is a hit, and equal
+            # to its evaluation on a new space as every half is
+            assert len(sp._sup_memo) > seen
+            fresh = vx.potential_conditions(space(), *args)
+            for half in (0, 1):
+                assert_same_report(got[half], fresh[half])
+
+    def test_non_constant_order_field_keeps_its_values(self):
+        sp = vx.uniform_grid(48)
+        d0 = sp.d0
+        p = vx.PointFunction(2.0 + 0.5 * d0, "exponent")
+        q = vx.PointFunction(p.values + 1.0, "exponent")
+        v = vx.PointFunction(sp.radial_distances() ** 0.3, "weight")
+        wprof = lambda t: np.asarray(t) ** 0.25
+        al = vx.PointFunction(0.55 + 0.1 * d0, "alpha")
+        ball, tail = vx.variable_order_conditions(sp, p, q, v, wprof, al)
+        # the values before the inner integrands became data
+        assert repr((ball.value, ball.argmax_t, ball.log_value, float(ball.curve.sum()))) \
+            == repr((0.9817581158147337, 0.40425531914893614, -0.018410318876512566,
+                     64.90717828737843))
+        assert repr((tail.value, tail.argmax_t, tail.log_value, float(tail.curve.sum()))) \
+            == repr((0.09420633528175176, 0.3404255319148936, -2.3622678461394555,
+                     5.098407089957363))
+        # an order constant everywhere but at one point is not folded, and
+        # differs from the constant order
+        vals = np.full(sp.n, 0.6)
+        const_tail = vx.variable_order_conditions(sp, p, q, v, wprof,
+                                                  vx.PointFunction(vals, "alpha"))[1]
+        vals[30] = 0.65
+        varied = vx.variable_order_conditions(sp, p, q, v, wprof,
+                                              vx.PointFunction(vals, "alpha"))[1]
+        assert varied.curve.tobytes() != const_tail.curve.tobytes()

@@ -392,6 +392,29 @@ class TestGeometryAgainstPerCenterLoops:
         assert sp.L_eff / A < np.diff(np.sort(sp.coords)).min()
         assert vx.doubling_reverse_doubling(sp, A)[1::2] == (np.inf, ())
 
+    @pytest.mark.parametrize("A, q", [(2.0, 1.0), (1.5, 0.5), (3.0, 1.0)])
+    def test_subnormal_largest_distances(self, A, q):
+        # the whole-space radius 1.000001 d rounds back to a subnormal largest
+        # distance d, so that row's ball is counted: on a line of subnormal
+        # coordinates for every row, in an asymmetric table for rows 0 and 2
+        # of one block whose rows 1 and 3 have normal largest distances (its
+        # asymmetry d(x, y) / d(y, x) overflows, so a0 is not asked for).
+        # The measures are small enough that mu B / r**q stays finite.
+        tiny = 5e-324
+        line = vx.DiscreteSpace(None, np.array([1.0, 2.0, 3.0, 0.5, 1.5]) * 1e-30, 2, 1e-320,
+                                coords=np.array([0.0, 1.0, 3.0, 4.0, 9.0]) * tiny)
+        dist = np.array([[0.0, 2.0, 1.0, 3.0],
+                         [0.5, 0.0, 1.5, 0.25],
+                         [3.0, 1.0, 0.0, 2.0],
+                         [0.75, 1.25, 0.5, 0.0]])
+        dist[[0, 2]] *= tiny
+        table = vx.explicit_space(dist, np.array([1.0, 0.3, 2.0, 0.7]) * 1e-30, 0, 1.0)
+        assert repr(vx.geometry_constants(line, A=A, ahlfors_exponent=q)) \
+            == repr(reference_report(line, A, q))
+        for sp in (line, table):
+            assert repr(vx.ahlfors_regularity(sp, q)) == repr(reference_ahlfors(sp, q))
+            assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+
     def test_single_point(self):
         sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
         assert vx.ahlfors_regularity(sp, 1.0) == reference_ahlfors(sp, 1.0) == (0.0, np.inf, (), ())
