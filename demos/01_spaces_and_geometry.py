@@ -29,8 +29,8 @@ print(f"\nsquared-distance grid: a1 = {vx.geometry_constants(squared).a1:.4f}  (
 
 cantor = vx.cantor_space(8)
 q = np.log(2) / np.log(3)
-c1, c2, _, _ = vx.ahlfors_regularity(cantor, q)
-gc = vx.geometry_constants(cantor)
+gc = vx.geometry_constants(cantor, ahlfors_exponent=q)
 print(f"\nCantor approximation, depth 8 ({cantor.n} points)")
-print(f"  Ahlfors at q = log2/log3: c1 = {c1:.4f}, c2 = {c2:.4f}")
+print(f"  Ahlfors at q = log2/log3: c1 = {gc.ahlfors_upper_c1:.4f} at (center, r) = "
+      f"{gc.ahlfors_upper_witness}, c2 = {gc.ahlfors_lower_c2:.4f} at {gc.ahlfors_lower_witness}")
 print(f"  doubling constant = {gc.doubling_c:.4f}, annuli nonempty: {gc.annuli_nonempty}")

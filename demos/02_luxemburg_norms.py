@@ -44,5 +44,9 @@ for scale in (0.05, 5.0):
 
 g = vx.PointFunction(rng.uniform(-1, 1, n), "test")
 h = vx.PointFunction(rng.uniform(-1, 1, n), "test")
-lhs, rhs, ok = vx.holder_check(sp, p, g, h)
-print(f"\nHoelder on random data: integral {lhs:.4f} <= bound {rhs:.4f}: {ok}")
+# Hoelder: sum |g h| mu <= (1/p_min + 1/p'_min) ||g||_p ||h||_p'
+pc = vx.conjugate(p)
+lhs = (np.abs(g.values * h.values) * sp.mu).sum()
+rhs = (1 / p.values.min() + 1 / pc.values.min()) \
+    * vx.luxemburg_norm(sp, p, g).value * vx.luxemburg_norm(sp, pc, h).value
+print(f"\nHoelder on random data: integral {lhs:.4f} <= bound {rhs:.4f}: {lhs <= rhs}")

@@ -34,12 +34,11 @@ from .exponents import (
     PointFunction,
     class_check,
     conjugate,
-    extrema_over,
     field_from_spec,
     local_exponents,
     sobolev_exponent,
 )
-from .norms import NormResult, holder_check, luxemburg_norm, luxemburg_norms, modular
+from .norms import NormResult, luxemburg_norm, luxemburg_norms, modular
 from .operators import (
     KernelSpec,
     ball_potentials,
@@ -61,11 +60,9 @@ from .space import (
     BallView,
     DiscreteSpace,
     GeometryReport,
-    ahlfors_regularity,
     ball,
     cantor_space,
     comparison_annulus,
-    doubling_reverse_doubling,
     explicit_space,
     geometry_constants,
     space_from_spec,

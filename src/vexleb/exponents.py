@@ -1,8 +1,8 @@
 """Exponent and weight fields on a discrete space.
 
 Exponent fields p(.) live in (1, inf), order fields in (0, 1), weights are
-strictly positive.  This module computes local extrema over sets, pointwise
-conjugates, the basepoint-local exponents used by the Hardy-type conditions,
+strictly positive.  This module computes pointwise conjugates, the
+basepoint-local exponents used by the Hardy-type conditions,
 the fractional-order target exponent, and the sup-constants of the
 oscillation and log-Hoelder regularity classes.
 
@@ -26,7 +26,6 @@ __all__ = [
     "PointFunction",
     "ClassReport",
     "LocalExponents",
-    "extrema_over",
     "conjugate",
     "local_exponents",
     "sobolev_exponent",
@@ -76,24 +75,6 @@ def _check_len(space: DiscreteSpace, *fields: PointFunction):
     for f in fields:
         if len(f) != space.n:
             raise DomainError("field length does not match the space")
-
-
-def extrema_over(space: DiscreteSpace, p: PointFunction, subset=None):
-    """(min, max) of the field over the subset of point ids (all points when
-    subset is None).  An empty subset is a domain error."""
-    _check_len(space, p)
-    if subset is None:
-        vals = p.values
-    else:
-        idx = np.asarray(subset)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        if idx.size == 0:
-            raise DomainError("extrema over an empty set are undefined")
-        vals = p.values[idx]
-    if vals.size == 0:
-        raise DomainError("extrema over an empty set are undefined")
-    return float(vals.min()), float(vals.max())
 
 
 def conjugate(p: PointFunction) -> PointFunction:

@@ -1,4 +1,4 @@
-"""Modular, Luxemburg norm, and the norm inequalities they satisfy.
+"""The modular and the Luxemburg norm.
 
 The modular of f is sum |f(x)|**p(x) mu(x); the norm is the smallest lambda
 with modular(f / lambda) <= 1.  Variable exponents admit no closed form.  In
@@ -18,10 +18,10 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError
-from .exponents import PointFunction, conjugate, extrema_over
+from .exponents import PointFunction
 from .space import DiscreteSpace
 
-__all__ = ["NormResult", "modular", "luxemburg_norm", "luxemburg_norms", "holder_check"]
+__all__ = ["NormResult", "modular", "luxemburg_norm", "luxemburg_norms"]
 
 REL_TOL = 1e-10
 MAX_ITERS = 200
@@ -154,27 +154,3 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
                                   (float(lo[j]), float(hi[j])),
                                   converged=bool(hi[j] - lo[j] <= REL_TOL * hi[j]))
     return results
-
-
-def holder_check(space: DiscreteSpace, p: PointFunction, f: PointFunction,
-                 g: PointFunction, subset=None):
-    """Evaluate both sides of the variable-exponent Hoelder inequality on a set:
-
-        sum_E |f g| mu  <=  (1/p_min(E) + 1/p'_min(E)) ||f||_{p,E} ||g||_{p',E}
-
-    E is ``subset``, as point ids or a mask; all points by default.
-    Returns (lhs, rhs, holds) with a 1e-9 relative slack on the comparison.
-    """
-    if p.kind != "exponent":
-        raise DomainError("Hoelder check needs an exponent field")
-    full = np.zeros(space.n, dtype=bool)
-    full[slice(None) if subset is None else subset] = True
-    lhs = float((np.abs(f.values * g.values) * space.mu)[full].sum())
-    pc = conjugate(p)
-    p_min, _ = extrema_over(space, p, np.flatnonzero(full))
-    pc_min, _ = extrema_over(space, pc, np.flatnonzero(full))
-    fE = PointFunction(np.where(full, f.values, 0.0), "test")
-    gE = PointFunction(np.where(full, g.values, 0.0), "test")
-    rhs = (1.0 / p_min + 1.0 / pc_min) \
-        * luxemburg_norm(space, p, fE).value * luxemburg_norm(space, pc, gE).value
-    return lhs, float(rhs), bool(lhs <= rhs * (1.0 + 1e-9))

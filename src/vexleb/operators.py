@@ -162,21 +162,16 @@ def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel on off-diagonal pairs plus its claimed regularity data.
+    """A kernel on off-diagonal pairs plus its smoothness modulus.
 
     ``row(space, x)`` returns the vector k(x, .) and ``col(space, x)`` the
     vector k(., x); entries at distance 0 are unused (the truncation removes
-    them).  ``omega`` is the smoothness modulus on (0, inf); ``cz_c`` and
-    ``s`` are the claimed size constant and a boundedness exponent, carried
-    for reporting.
+    them).  ``omega`` is the smoothness modulus on (0, inf).
     """
 
     row: Callable[[DiscreteSpace, int], np.ndarray]
     col: Callable[[DiscreteSpace, int], np.ndarray]
     omega: Callable[[np.ndarray], np.ndarray]
-    cz_c: float = 1.0
-    s: float = 2.0
-    name: str = "kernel"
 
 
 def hilbert_kernel() -> KernelSpec:
@@ -190,8 +185,7 @@ def hilbert_kernel() -> KernelSpec:
             return np.where(diff != 0, 1.0 / np.where(diff != 0, diff, 1.0), 0.0)
 
     # antisymmetric: y - x and 1 / -t round to exactly -(x - y) and -(1 / t)
-    return KernelSpec(row, lambda space, x: -row(space, x), power_modulus(1.0),
-                      cz_c=2.0, s=2.0, name="hilbert")
+    return KernelSpec(row, lambda space, x: -row(space, x), power_modulus(1.0))
 
 
 def power_dist_kernel(exponent: float) -> KernelSpec:
@@ -203,7 +197,7 @@ def power_dist_kernel(exponent: float) -> KernelSpec:
 
     return KernelSpec(lambda space, x: power(space.d_from(x)),
                       lambda space, x: power(space.cols(x, x + 1)[0]),
-                      power_modulus(1.0), name=f"power-dist({exponent:g})")
+                      power_modulus(1.0))
 
 
 def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
@@ -215,7 +209,7 @@ def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
         return k
 
     return KernelSpec(lambda space, x: table(space)[x], lambda space, x: table(space)[:, x],
-                      omega or power_modulus(1.0), name="explicit")
+                      omega or power_modulus(1.0))
 
 
 def power_modulus(a: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -317,12 +311,17 @@ def _number(spec: dict, key: str, default=None) -> float:
 def kernel_from_spec(spec: dict) -> KernelSpec:
     """Kernel spec: {"type": "hilbert" | "explicit-table" | "power-dist",
     "exponent": g, "table": [[...]], "omega": {"type": "power", "a": 1.0} |
-    {"type": "table", "t": [...], "value": [...]}}."""
+    {"type": "table", "t": [...], "value": [...]}}.  Any other key, at the
+    top level or under "omega", is refused by name."""
     if not isinstance(spec, dict):
         raise ValidationError("kernel spec must be a mapping")
     omega_spec = spec.get("omega", {"type": "power", "a": 1.0})
     if not isinstance(omega_spec, dict):
         raise ValidationError(f"omega: must be a mapping, got {omega_spec!r}")
+    unknown = [key for key in spec if key not in ("type", "exponent", "table", "omega")]
+    unknown += [f"omega.{key}" for key in omega_spec if key not in ("type", "a", "t", "value")]
+    if unknown:
+        raise ValidationError(f"unknown key(s) {', '.join(map(str, unknown))}")
     if omega_spec.get("type") == "power":
         omega = power_modulus(_number(omega_spec, "a", 1.0))
     elif omega_spec.get("type") == "table":
@@ -344,4 +343,4 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
         k = explicit_kernel(np.asarray(spec["table"], dtype=float))
     else:
         raise ValidationError(f"unknown kernel type {ktype!r}")
-    return replace(k, omega=omega, cz_c=_number(spec, "cz_c", k.cz_c), s=_number(spec, "s", k.s))
+    return replace(k, omega=omega)

@@ -46,8 +46,6 @@ __all__ = [
     "GeometryReport",
     "ball",
     "geometry_constants",
-    "doubling_reverse_doubling",
-    "ahlfors_regularity",
     "comparison_annulus",
     "uniform_grid",
     "cantor_space",
@@ -270,6 +268,8 @@ class GeometryReport:
     a1_triple: tuple = ()
     doubling_witness: tuple = ()
     rdc_witness: tuple = ()
+    ahlfors_upper_witness: tuple = ()
+    ahlfors_lower_witness: tuple = ()
 
 
 # rows sorted together: a block holds a few (block, n) arrays, never an
@@ -342,12 +342,13 @@ def _sorted_row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int]
 
 def _a0(space: DiscreteSpace):
     """Quasi-symmetry constant sup d(x, y) / d(y, x) and its first attaining
-    pair in row-major order, one block of rows at a time."""
+    pair in row-major order, one block of rows at a time.  A ratio that
+    overflows is an infinite a0; only the diagonal's 0 / 0 is masked."""
     a0, a0_pair = -np.inf, (0, 0)
     for start, d in _row_blocks(space):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             ratios = d / space.cols(start, start + len(d))
-        ratios[~np.isfinite(ratios)] = 0.0
+        ratios[np.isnan(ratios)] = 0.0
         j = int(ratios.argmax())
         if ratios.flat[j] > a0:
             a0 = float(ratios.flat[j])
@@ -457,9 +458,9 @@ def _first_max(block: np.ndarray, last: np.ndarray):
 
 def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     """Doubling, reverse doubling, Ahlfors regularity and the annulus test in
-    one pass over the sorted row blocks: returns the tuples of
-    ``doubling_reverse_doubling`` and ``ahlfors_regularity`` and whether no
-    annulus is empty.
+    one pass over the sorted row blocks: returns (doubling_c, rdc_B,
+    doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
+    whether no annulus is empty.
 
     The swept radii of a center are its distinct positive distances.  Closed
     balls are read at the last position of each tie group, open balls at the
@@ -560,34 +561,17 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     return (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
 
 
-def doubling_reverse_doubling(space: DiscreteSpace, A_candidate: float = 2.0):
-    """Doubling sup and reverse-doubling inf over the distinct-distance sweep.
-
-    ``doubling_c = sup mu B(x, 2r) / mu B(x, r)`` with closed balls (the
-    quadrature reading of the continuum ball; open balls at atom scale would
-    inflate the sup by pure atom effects);
-    ``rdc_B = inf mu B(x, A r) / mu B(x, r)`` with open balls over radii
-    ``r <= L_eff / A`` (open balls keep the swept annulus nonempty, closed
-    ones collapse it at the boundary radii).
-    Every swept ball holds its center, so no ratio divides by 0.
-    """
-    doubling, _, _ = _geometry_sweep(space, A_candidate, 1.0)
-    if space.n < 2:
-        raise DomainError("need at least 2 points for doubling estimates")
-    return doubling
-
-
-def ahlfors_regularity(space: DiscreteSpace, exponent_q: float = 1.0):
-    """Upper/lower Ahlfors constants over open balls at the distinct
-    distances (plus the whole-space ball): c1 = sup mu B(x,r)/r^q,
-    c2 = inf of the same ratio restricted to r <= L_eff."""
-    _, ahlfors, _ = _geometry_sweep(space, 2.0, exponent_q)
-    return ahlfors
-
-
 def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: float = 1.0,
                        seed: int = 0, sample_triples: int = 10**6) -> GeometryReport:
     """Estimate all geometric constants of the space in one report.
+
+    ``doubling_c = sup mu B[x, 2r] / mu B[x, r]`` over closed balls,
+    ``rdc_B = inf mu B(x, A r) / mu B(x, r)`` over open balls with
+    r <= L_eff / A, and the Ahlfors c1 = sup, c2 = inf of mu B(x, r) / r^q
+    over open balls and the whole space, c2 only for r <= L_eff (the module
+    docstring gives each reading's reason).  Every swept ball holds its
+    center, so no ratio divides by 0.  Each witness is the first
+    (center, radius) attaining its estimate.
 
     A line space reports a0 = a1 = 1 exactly, the values of its metric; a
     table-backed space has them searched, and only there do ``seed`` and
@@ -598,13 +582,14 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     a0, a0_pair, a1, a1_triple = _quasi_constants(space, seed, sample_triples)
     doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent)
     doubling_c, rdc_B, dbl_wit, rdc_wit = doubling
-    c1, c2, _, _ = ahlfors
+    c1, c2, w1, w2 = ahlfors
     return GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=ahlfors_exponent,
         annuli_nonempty=annuli_nonempty,
         a0_pair=a0_pair, a1_triple=a1_triple,
         doubling_witness=dbl_wit, rdc_witness=rdc_wit,
+        ahlfors_upper_witness=w1, ahlfors_lower_witness=w2,
     )
 
 

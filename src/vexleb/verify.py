@@ -45,7 +45,6 @@ class NormEstimate:
     best_f: Optional[PointFunction]
     method: str
     trials: int
-    history: List[float] = field(default_factory=list)
     discarded: int = 0
     converged: bool = True
 
@@ -139,18 +138,16 @@ def power_iteration_pq(space: DiscreteSpace, kernel: np.ndarray, p_const: float,
     f = np.ones(space.n)
     f /= norm(f, p_const)
     sigma_prev, sigma = -1.0, 0.0
-    history = []
     it = 0
     for it in range(1, iters + 1):
         u = k @ (f * mu)
         nu = norm(u, q_const)
         if nu == 0.0:
-            return NormEstimate(0.0, PointFunction(f, "test"), "power-iteration", it, history)
+            return NormEstimate(0.0, PointFunction(f, "test"), "power-iteration", it)
         sigma = nu / norm(f, p_const)
-        history.append(sigma)
         if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return NormEstimate(float(sigma), PointFunction(f, "test"),
-                                "power-iteration", it, history)
+                                "power-iteration", it)
         sigma_prev = sigma
         h = (u / nu) ** (q_const - 1.0)
         z = k.T @ (h * mu)
@@ -160,7 +157,7 @@ def power_iteration_pq(space: DiscreteSpace, kernel: np.ndarray, p_const: float,
             break
         f /= nf
     return NormEstimate(float(sigma), PointFunction(f, "test"), "power-iteration",
-                        it, history, converged=False)
+                        it, converged=False)
 
 
 def _const(space, value, kind="exponent"):

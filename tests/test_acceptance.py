@@ -92,8 +92,12 @@ def test_c03_bracket_and_holder_sweeps():
         p = vx.PointFunction(rng.uniform(1.1, 5.0, n), "exponent")
         f = vx.PointFunction(rng.uniform(-3, 3, n), "test")
         g = vx.PointFunction(rng.uniform(-3, 3, n), "test")
-        lhs, rhs, holds = vx.holder_check(sp, p, f, g)
-        assert holds, (lhs, rhs)
+        # sum |f g| mu <= (1/p_min + 1/p'_min) ||f||_p ||g||_p'
+        pc = vx.conjugate(p)
+        lhs = float((np.abs(f.values * g.values) * sp.mu).sum())
+        rhs = (1.0 / p.values.min() + 1.0 / pc.values.min()) \
+            * vx.luxemburg_norm(sp, p, f).value * vx.luxemburg_norm(sp, pc, g).value
+        assert lhs <= rhs * (1.0 + 1e-9), (lhs, rhs)
     report(3, f"{bracket_checked} bracket + 1000 Hoelder instances, zero violations")
 
 

@@ -24,6 +24,24 @@ def random_space(rng, n):
     return vx.explicit_space(dist, mu, 0, 1.0, coords=coords)
 
 
+def holder_sides(space, p, f, g, subset=None):
+    """Both sides of the variable-exponent Hoelder inequality on a set E,
+    the ``subset`` of point ids (all points by default):
+
+        sum_E |f g| mu  <=  (1/p_min(E) + 1/p'_min(E)) ||f||_{p,E} ||g||_{p',E}
+
+    where a norm over E is that of the function set to 0 outside it."""
+    E = np.zeros(space.n, dtype=bool)
+    E[slice(None) if subset is None else subset] = True
+    pc = vx.conjugate(p)
+    lhs = float((np.abs(f.values * g.values) * space.mu)[E].sum())
+    fE = vx.PointFunction(np.where(E, f.values, 0.0), "test")
+    gE = vx.PointFunction(np.where(E, g.values, 0.0), "test")
+    rhs = (1.0 / p.values[E].min() + 1.0 / pc.values[E].min()) \
+        * vx.luxemburg_norm(space, p, fE).value * vx.luxemburg_norm(space, pc, gE).value
+    return lhs, float(rhs)
+
+
 def lambda_scan_norm(space, p, f, lo=1e-6, hi=1e3, steps=200_000):
     """Independent oracle: geometric scan for the smallest lambda with
     modular <= 1, refined once around the crossing."""
@@ -260,16 +278,16 @@ class TestHolder:
     def test_extremal_pair(self):
         sp = vx.uniform_grid(32)
         one = const(32, 1.0, "test")
-        lhs, rhs, holds = vx.holder_check(sp, const(32, 2.0), one, one)
+        lhs, rhs = holder_sides(sp, const(32, 2.0), one, one)
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(1.0)
-        assert holds
+        assert lhs <= rhs * (1.0 + 1e-9)
 
     def test_zero_partner(self):
         sp = vx.uniform_grid(32)
         f = vx.PointFunction(np.arange(32, dtype=float), "test")
-        lhs, rhs, holds = vx.holder_check(sp, const(32, 3.0), f, const(32, 0.0, "test"))
-        assert lhs == 0.0 and holds
+        lhs, rhs = holder_sides(sp, const(32, 3.0), f, const(32, 0.0, "test"))
+        assert lhs == 0.0 and lhs <= rhs
 
     def test_random_sweep(self):
         rng = np.random.default_rng(9)
@@ -279,12 +297,12 @@ class TestHolder:
             p = vx.PointFunction(rng.uniform(1.1, 5.0, n), "exponent")
             f = vx.PointFunction(rng.uniform(-2, 2, n), "test")
             g = vx.PointFunction(rng.uniform(-2, 2, n), "test")
-            _, _, holds = vx.holder_check(sp, p, f, g)
-            assert holds
+            lhs, rhs = holder_sides(sp, p, f, g)
+            assert lhs <= rhs * (1.0 + 1e-9)
 
     def test_subset(self):
         sp = vx.uniform_grid(20)
         members = vx.ball(sp, 0, 0.5).members
         f = vx.PointFunction(np.ones(20), "test")
-        lhs, rhs, holds = vx.holder_check(sp, const(20, 2.0), f, f, members)
-        assert holds and lhs <= rhs
+        lhs, rhs = holder_sides(sp, const(20, 2.0), f, f, members)
+        assert lhs <= rhs

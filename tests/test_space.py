@@ -105,9 +105,10 @@ def reference_quasi(space, seed, sample_triples):
     """a0 from the full table d / d.T; a1 with one n x n temporary per center,
     or over the seeded triples with 2-D gathers."""
     d, n = space.rows(0, space.n), space.n
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # only the diagonal's 0 / 0 is masked: an overflowing ratio is a0 = inf
+    with np.errstate(invalid="ignore", over="ignore"):
         ratios = d / d.T
-    ratios[~np.isfinite(ratios)] = 0.0
+    ratios[np.isnan(ratios)] = 0.0
     a0_pair = tuple(int(i) for i in np.unravel_index(int(ratios.argmax()), ratios.shape))
     a1, a1_triple = 0.0, (0, 0, 0)
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
@@ -143,13 +144,14 @@ def reference_report(space, A, q, seed=0, sample_triples=10**6):
     else:
         a0, a0_pair, a1, a1_triple = reference_quasi(space, seed, sample_triples)
     doubling_c, rdc_B, dbl_wit, rdc_wit = reference_doubling(space, A)
-    c1, c2, _, _ = reference_ahlfors(space, q)
+    c1, c2, w1, w2 = reference_ahlfors(space, q)
     return vx.GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=q,
         annuli_nonempty=reference_annuli_nonempty(space, A),
         a0_pair=a0_pair, a1_triple=a1_triple,
-        doubling_witness=dbl_wit, rdc_witness=rdc_wit)
+        doubling_witness=dbl_wit, rdc_witness=rdc_wit,
+        ahlfors_upper_witness=w1, ahlfors_lower_witness=w2)
 
 
 @st.composite
@@ -354,8 +356,6 @@ class TestGeometryAgainstPerCenterLoops:
         # repr: the same values and the same Python types
         got = vx.geometry_constants(sp, A=A, ahlfors_exponent=q)
         assert repr(got) == repr(reference_report(sp, A, q))
-        assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
-        assert repr(vx.ahlfors_regularity(sp, q)) == repr(reference_ahlfors(sp, q))
 
     @given(tied_spaces(st.integers(EXHAUSTIVE_TRIPLE_LIMIT + 1, EXHAUSTIVE_TRIPLE_LIMIT + 8)),
            st.integers(0, 2**32 - 1))
@@ -369,7 +369,9 @@ class TestGeometryAgainstPerCenterLoops:
     @settings(max_examples=200, deadline=None)
     def test_distances_on_searched_radii(self, sp, A):
         # the searched radii are rounded as the loops round them
-        assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+        g = vx.geometry_constants(sp, A=A)
+        got = (g.doubling_c, g.rdc_B, g.doubling_witness, g.rdc_witness)
+        assert repr(got) == repr(reference_doubling(sp, A))
 
     def test_largest_ratio_just_short_of_the_whole_space(self):
         # From 0, B[0, 0.96] takes the heavy point 3 and B[0, 1.0] is the
@@ -381,8 +383,9 @@ class TestGeometryAgainstPerCenterLoops:
                          [0.6, 0.7, 0.8, 0.0, 1.0],
                          [0.7, 0.8, 1.0, 0.6, 0.0]])
         sp = vx.explicit_space(dist, [1.0, 1.0, 1.0, 100.0, 1.0], 0, 1.0)
-        got = vx.doubling_reverse_doubling(sp)
-        assert got[0] == 103 / 3 and got[2] == (0, 0.48)
+        g = vx.geometry_constants(sp)
+        assert g.doubling_c == 103 / 3 and g.doubling_witness == (0, 0.48)
+        got = (g.doubling_c, g.rdc_B, g.doubling_witness, g.rdc_witness)
         assert repr(got) == repr(reference_doubling(sp, 2.0))
 
     @given(line_spaces(st.integers(2, 40), below_neighbours=True), st.sampled_from([1.5, 3.0]))
@@ -390,15 +393,15 @@ class TestGeometryAgainstPerCenterLoops:
     def test_no_radius_below_the_cap(self, sp, A):
         # L_eff / A under every nearest-neighbour distance: nothing to sweep
         assert sp.L_eff / A < np.diff(np.sort(sp.coords)).min()
-        assert vx.doubling_reverse_doubling(sp, A)[1::2] == (np.inf, ())
+        g = vx.geometry_constants(sp, A=A)
+        assert (g.rdc_B, g.rdc_witness) == (np.inf, ())
 
     @pytest.mark.parametrize("A, q", [(2.0, 1.0), (1.5, 0.5), (3.0, 1.0)])
     def test_subnormal_largest_distances(self, A, q):
         # the whole-space radius 1.000001 d rounds back to a subnormal largest
         # distance d, so that row's ball is counted: on a line of subnormal
         # coordinates for every row, in an asymmetric table for rows 0 and 2
-        # of one block whose rows 1 and 3 have normal largest distances (its
-        # asymmetry d(x, y) / d(y, x) overflows, so a0 is not asked for).
+        # of one block whose rows 1 and 3 have normal largest distances.
         # The measures are small enough that mu B / r**q stays finite.
         tiny = 5e-324
         line = vx.DiscreteSpace(None, np.array([1.0, 2.0, 3.0, 0.5, 1.5]) * 1e-30, 2, 1e-320,
@@ -409,15 +412,16 @@ class TestGeometryAgainstPerCenterLoops:
                          [0.75, 1.25, 0.5, 0.0]])
         dist[[0, 2]] *= tiny
         table = vx.explicit_space(dist, np.array([1.0, 0.3, 2.0, 0.7]) * 1e-30, 0, 1.0)
-        assert repr(vx.geometry_constants(line, A=A, ahlfors_exponent=q)) \
-            == repr(reference_report(line, A, q))
         for sp in (line, table):
-            assert repr(vx.ahlfors_regularity(sp, q)) == repr(reference_ahlfors(sp, q))
-            assert repr(vx.doubling_reverse_doubling(sp, A)) == repr(reference_doubling(sp, A))
+            assert repr(vx.geometry_constants(sp, A=A, ahlfors_exponent=q)) \
+                == repr(reference_report(sp, A, q))
+        # d(1, 0) / d(0, 1) = 0.5 / 1e-323 overflows: the asymmetry is infinite,
+        # first attained at (1, 0)
+        g = vx.geometry_constants(table, A=A, ahlfors_exponent=q)
+        assert g.a0 == np.inf and g.a0_pair == (1, 0)
 
     def test_single_point(self):
         sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
-        assert vx.ahlfors_regularity(sp, 1.0) == reference_ahlfors(sp, 1.0) == (0.0, np.inf, (), ())
         with pytest.raises(DomainError):
             vx.geometry_constants(sp)
 
@@ -463,17 +467,18 @@ class TestGeometryConstants:
 class TestDoublingReverseDoubling:
     def test_grid_doubling_near_two(self):
         for n in (128, 512):
-            d, _, _, _ = vx.doubling_reverse_doubling(vx.uniform_grid(n), 2.0)
+            d = vx.geometry_constants(vx.uniform_grid(n), A=2.0).doubling_c
             assert abs(d - 2.0) <= 4.0 / n
 
     def test_single_point_errors(self):
         sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
         with pytest.raises(DomainError):
-            vx.doubling_reverse_doubling(sp, 2.0)
+            vx.geometry_constants(sp, A=2.0)
 
     def test_grid_reverse_doubling_above_one(self):
         sp = vx.uniform_grid(256)
-        _, rdc, _, wit = vx.doubling_reverse_doubling(sp, 2.0)
+        g = vx.geometry_constants(sp, A=2.0)
+        rdc, wit = g.rdc_B, g.rdc_witness
         assert rdc > 1.0
         # minimum attained near the middle of the interval at a large radius
         x, r = wit
@@ -482,20 +487,21 @@ class TestDoublingReverseDoubling:
 
 class TestAhlfors:
     def test_grid_exponent_one(self):
-        c1, c2, _, _ = vx.ahlfors_regularity(vx.uniform_grid(512), 1.0)
+        g = vx.geometry_constants(vx.uniform_grid(512), ahlfors_exponent=1.0)
+        c1, c2 = g.ahlfors_upper_c1, g.ahlfors_lower_c2
         assert c1 == pytest.approx(2.0, abs=0.02)
         assert c2 == pytest.approx(1.0, abs=0.02)
 
     def test_two_point_space_no_failure(self):
         sp = vx.explicit_space([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], 0, 1.0)
-        c1, c2, _, _ = vx.ahlfors_regularity(sp, 1.0)
-        assert np.isfinite(c1) and np.isfinite(c2)
+        g = vx.geometry_constants(sp, ahlfors_exponent=1.0)
+        assert np.isfinite(g.ahlfors_upper_c1) and np.isfinite(g.ahlfors_lower_c2)
 
     def test_cantor_measure(self):
         sp = vx.cantor_space(8)
         q = np.log(2) / np.log(3)
-        c1, c2, _, _ = vx.ahlfors_regularity(sp, q)
-        assert 0.3 <= c2 <= c1 <= 4.0
+        g = vx.geometry_constants(sp, ahlfors_exponent=q)
+        assert 0.3 <= g.ahlfors_lower_c2 <= g.ahlfors_upper_c1 <= 4.0
 
 
 class TestComparisonAnnulus:
