@@ -180,11 +180,6 @@ class TestRun:
         ("params.A", {"params": {"A": "x"}}),
         ("params.kernel", {"params": {"kernel": {"type": "power-dist", "exponent": "x"}}}),
         ("params.kernel", {"params": {"kernel": {"type": "hilbert", "omega": 5}}}),
-        # unknown kernel keys are refused, not ignored
-        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "size_c": 2.0}}}),
-        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "s": 2.0}}}),
-        ("params.kernel", {"params": {"kernel": {"type": "hilbert",
-                                                 "omega": {"type": "power", "b": 1.0}}}}),
         ("params.require_monotone", {"params": {"require_monotone": "false"}}),
         ("params.a1", {"params": {"a1": True}}),
         ("params.r", {"params": {"r": [2]}}),
@@ -216,6 +211,11 @@ class TestRun:
         ("space.n", {"space": {"generator": "uniform-grid", "n": "abc"}}),
         ("space.n", {"space": {"generator": "uniform_grid", "n": 1}}),
         ("space.depth", {"space": {"generator": "cantor", "depth": "x"}}),
+        # unknown kernel keys are refused, not ignored
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "size_c": 2.0}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "s": 2.0}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert",
+                                                 "omega": {"type": "power", "b": 1.0}}}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
