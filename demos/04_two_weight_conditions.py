@@ -28,7 +28,10 @@ print(f"with w(y) = y: {rep.value:.6f} at t = {rep.argmax_t:.4f}"
 
 pair = vx.power_weight_pair(p_value=2.0, alpha=0.25, beta=0.25)
 print(f"\npower pair at p = 2, order 1/4, beta = 1/4: minimal gamma = {pair.gamma_min}")
-print(f"  beta = 0.6 instead: {vx.power_weight_pair(2.0, 0.25, 0.6).reason}")
+try:
+    vx.power_weight_pair(2.0, 0.25, 0.6)
+except vx.PreconditionError as exc:
+    print(f"  beta = 0.6 instead: {exc}")
 q4 = vx.PointFunction.constant(n, 4.0, "exponent")
 rep = vx.radial_condition(sp, p2, pair.v_profile, pair.w_profile, "potential",
                           alpha=0.25, q=q4)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, PreconditionError, ValidationError
 from .report import write_csv, write_json
-from .scenario import Scenario
+from .scenario import Scenario, _resolutions
 from .verify import refinement_study
 
 __all__ = ["load_scenario", "run", "emit_report", "main"]
@@ -44,11 +44,11 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
     """Execute one scenario and write its reports.  Returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if resolutions:
-        scenario.resolutions = [int(r) for r in resolutions]
     if seed is not None:
         scenario.seed = int(seed)
     try:
+        if resolutions:
+            scenario.resolutions = _resolutions(resolutions, "--resolutions")
         study = None
         if len(scenario.resolutions) >= 3 and (scenario.conditions or scenario.operator):
             # the report's geometry and conditions are the study's finest resolution

@@ -10,9 +10,10 @@ with W_x(R) the sum over y in R of w(y)**e(x) mu(y).  Between the Hardy,
 potential, maximal and singular conditions only the outer power s, the ball
 factor D and the local exponent e change (e is plus or minus the conjugate
 of a basepoint-local minimum of the exponent field); ``_ball_half`` and
-``_tail_half`` evaluate them all.  The sup is discretized over the distinct
-basepoint distances plus midpoints, which samples every step of the
-piecewise-constant curve exactly; region boundaries use the half-open
+``_tail_half`` evaluate them all, and ``_pair`` builds each (ball, tail)
+pair from its row of one table, ``_PAIRS``.  The sup is discretized over
+the distinct basepoint distances plus midpoints, which samples every step
+of the piecewise-constant curve exactly; region boundaries use the half-open
 convention {d0 <= t} / {t < d0} throughout, so mirror and constant-order
 consistency identities hold exactly on discrete data.
 
@@ -213,11 +214,12 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     does not depend on the outer point x; a pair (e, base) for the rows
     e[x] base[y] + log mu[y], one array when e is constant; or
     (e, base, coef, extra) for the rows e[x] (base[y] + coef[x] extra[y])
-    + log mu[y].  ``gamma`` is the per-x outer power applied to the inner
-    sum W_x(t).  The curve at t is the sum over the outer region of
-    exp(log O(x) + gamma(x) log W_x(t)), so neither a weight raised to a
-    large power nor a sum of such terms overflows or underflows before the
-    result itself would.
+    + log mu[y], where a coef that is exactly constant is folded into the
+    base as base + coef[0] * extra.  ``gamma`` is the per-x outer power
+    applied to the inner sum W_x(t).  The curve at t is the sum over the
+    outer region of exp(log O(x) + gamma(x) log W_x(t)), so neither a weight
+    raised to a large power nor a sum of such terms overflows or underflows
+    before the result itself would.
 
     Inner entries of +inf are the atoms of a zero base under a negative
     exponent (the basepoint of a singular integrand): they are zeroed and
@@ -262,6 +264,8 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     xs = xs[np.argsort(cut[xs], kind="stable")]
     # the outer points of some knot, the only ones evaluated by blocks
     live = xs[cut[xs] > 0] if forward else xs[cut[xs] < T]
+    if isinstance(inner, tuple) and len(inner) == 4 and np.all(inner[2] == inner[2][0]):
+        inner = (inner[0], inner[1] + inner[2][0] * inner[3])
     if isinstance(inner, tuple) and len(inner) == 2 and _flat(inner[0]):
         inner = inner[0][0] * inner[1] + log_mu
     if isinstance(inner, np.ndarray):
@@ -368,8 +372,7 @@ def _ball_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray
                log_D, log_w: np.ndarray, e: np.ndarray) -> ConditionReport:
     """The ball half (module docstring) from log v, log D and log w.  Where
     log D is +inf (D = 0), x drops out of the outer sum."""
-    log_mu = np.log(space.mu)
-    log_O = np.where(log_D < np.inf, s * (log_v - log_D) + log_mu, -np.inf)
+    log_O = np.where(log_D < np.inf, s * (log_v - log_D) + np.log(space.mu), -np.inf)
     return _sup_functional(space, name, log_O, True, (e, log_w), s / np.abs(e))
 
 
@@ -377,9 +380,8 @@ def _tail_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray
                log_w: np.ndarray, e: np.ndarray, order_term=()) -> ConditionReport:
     """The tail half (module docstring) from log v and log w; an
     ``order_term`` (coef, extra) adds coef[x] extra[y] to log w(y)."""
-    log_mu = np.log(space.mu)
-    return _sup_functional(space, name, s * log_v + log_mu, False, (e, log_w, *order_term),
-                           s / np.abs(e))
+    return _sup_functional(space, name, s * log_v + np.log(space.mu), False,
+                           (e, log_w, *order_term), s / np.abs(e))
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -421,17 +423,30 @@ def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
             f"order must lie in (0, 1/p_max) = (0, {1.0 / p_plus:.6g})")
 
 
-# The ball half of each pair with a radial variant, as (outer power s, log D,
-# e0) from (space, p, q, order alpha, local exponents); its inner exponent is
-# -e0.  The pair and its radial variants read the half from here.
-_BALL_HALVES = {
-    "potential": lambda space, p, q, alpha, le: (
-        q.values, _log_power(space.muB0, 1.0 - alpha), conjugate(le.ball_min_capped).values),
-    "distance-potential": lambda space, p, q, alpha, le: (
-        q.values, _log_power(space.d0, 1.0 - alpha), conjugate(le.ball_min_capped).values),
-    "maximal": lambda space, p, q, alpha, le: (
-        p.values, _log_power(space.muB0, 1.0), conjugate(le.ball_min_capped).values),
+# Each (ball, tail) pair as (outer power s, log D, coef, extra) from (space, p,
+# q, order alpha): the ball half divides v by D, and the tail's inner log base
+# is log w(y) + coef(x) extra(y).  Radial variants read their ball half here.
+_PAIRS = {
+    "potential": lambda space, p, q, alpha: (
+        q.values, _log_power(space.muB0, 1.0 - alpha), 1.0 - alpha, _log_power(space.muB0, 1.0)),
+    "distance-potential": lambda space, p, q, alpha: (
+        q.values, (log_D := _log_power(space.d0, 1.0 - alpha)), 1.0, log_D),
+    "maximal": lambda space, p, q, alpha: (
+        p.values, (log_D := _log_power(space.muB0, 1.0)), 1.0, log_D),
 }
+
+
+def _pair(space: DiscreteSpace, kind: str, prefix: str, p: PointFunction, q, alpha,
+          v: np.ndarray, w: np.ndarray, a: Optional[float]):
+    """The reports ``prefix``-ball and ``prefix``-tail of the ``_PAIRS`` row
+    ``kind`` on weight values v, w (the tail never reads the basepoint)."""
+    s, log_D, coef, extra = _PAIRS[kind](space, p, q, alpha)
+    le = local_exponents(space, p, a)
+    log_v, log_w = _log(v), _log(w)
+    return (_ball_half(space, f"{prefix}-ball", s, log_v, log_D, log_w,
+                       -conjugate(le.ball_min_capped).values),
+            _tail_half(space, f"{prefix}-tail", s, log_v, log_w, -conjugate(le.tail_min).values,
+                       (np.broadcast_to(coef, space.n), extra)))
 
 
 def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -450,13 +465,7 @@ def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(np.array([alpha]), p)
-    le = local_exponents(space, p, a)
-    s, log_D, e0 = _BALL_HALVES["potential"](space, p, q, alpha, le)
-    log_v, log_w = _log(vv), _log(wv)
-    e1 = conjugate(le.tail_min).values
-    return (_ball_half(space, "potential-ball", s, log_v, log_D, log_w, -e0),
-            _tail_half(space, "potential-tail", s, log_v,
-                       log_w + (1.0 - alpha) * _log(space.muB0), -e1))
+    return _pair(space, "potential", "potential", p, q, alpha, vv, wv, a)
 
 
 def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -470,13 +479,7 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(alpha.values, p)
-    le = local_exponents(space, p, a)
-    s, log_D, e0 = _BALL_HALVES["distance-potential"](space, p, q, alpha.values, le)
-    log_v, log_w = _log(vv), _log(wv)
-    e1 = conjugate(le.tail_min).values
-    # a base of +inf keeps the basepoint atom out of the tail
-    return (_ball_half(space, "distance-ball", s, log_v, log_D, log_w, -e0),
-            _tail_half(space, "distance-tail", s, log_v, log_w + log_D, -e1))
+    return _pair(space, "distance-potential", "distance", p, q, alpha.values, vv, wv, a)
 
 
 def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
@@ -534,8 +537,8 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
 
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
-    le = local_exponents(space, p, a)
-    s, log_D, e0 = _BALL_HALVES[variant.removesuffix("-basepoint")](space, p, q, alpha, le)
+    s, log_D, _, _ = _PAIRS[variant.removesuffix("-basepoint")](space, p, q, alpha)
+    e0 = conjugate(local_exponents(space, p, a).ball_min_capped).values  # validates p
     if variant.endswith("-basepoint"):
         e0 = np.full(space.n, float(p.values[space.x0] / (p.values[space.x0] - 1.0)))
     return _ball_half(space, f"radial-{variant}", s, _log(vr), log_D, _log(wr), -e0)
@@ -559,24 +562,9 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
     if not np.all(alpha.values > 1.0 / p_min):
         warnings.warn("order field leaves the stated regime (min order <= 1/p_min); "
                       "functionals evaluated anyway", stacklevel=2)
-    le = local_exponents(space, p, a)
-    e0 = conjugate(le.ball_min_capped).values
-    e1 = conjugate(le.tail_min).values
-    muB0 = space.muB0
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
-    av = alpha.values
-    log_v, log_wr = _log(vv), _log(wr)
-    # log muB0 = +inf at the basepoint keeps it out of the tail integrand
-    log_muB0 = _log_power(muB0, 1.0)
-    ball = _ball_half(space, "variable-order-ball", q.values, log_v,
-                      _log_power(muB0, 1.0 - av), log_wr, -e0)
-    if np.all(av == av[0]):
-        # a constant order is part of log w(y), the same float operations
-        return ball, _tail_half(space, "variable-order-tail", q.values, log_v,
-                                log_wr + (1.0 - av[0]) * log_muB0, -e1)
-    return ball, _tail_half(space, "variable-order-tail", q.values, log_v, log_wr, -e1,
-                            (1.0 - av, log_muB0))
+    return _pair(space, "potential", "variable-order", p, q, alpha.values, vv, wr, a)
 
 
 def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
@@ -592,13 +580,7 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
     """
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
-    le = local_exponents(space, p, a)
-    s, log_D, e0 = _BALL_HALVES["maximal"](space, p, None, None, le)
-    log_v, log_w = _log(vv), _log(wv)
-    e1 = conjugate(le.tail_min).values
-    # w muB0 is zero at the basepoint: an atom, and outside the tail region
-    return (_ball_half(space, "maximal-ball", s, log_v, log_D, log_w, -e0),
-            _tail_half(space, "maximal-tail", s, log_v, log_w + _log(space.muB0), -e1))
+    return _pair(space, "maximal", "maximal", p, None, None, vv, wv, a)
 
 
 def _range_reduce(ufunc, vals: np.ndarray, starts: np.ndarray,
@@ -681,22 +663,20 @@ def muckenhoupt_ar(space: DiscreteSpace, w: PointFunction, r: float) -> float:
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """A radial weight pair (v, w) with its admissibility data."""
+    """A radial weight pair (v, w) and the least power of v the pair allows."""
 
     v_profile: Callable[[np.ndarray], np.ndarray]
     w_profile: Callable[[np.ndarray], np.ndarray]
-    admissible: bool
     gamma_min: float
-    reason: str = ""
 
 
 def power_weight_pair(p_value: float, alpha: float, beta: float,
                       gamma: Optional[float] = None) -> ProfilePair:
     """Power pair v(t) = t**g, w(t) = t**beta for a constant exponent.
 
-    Requires 0 <= beta < 1/p'; the smallest admissible g is
-    max(0, 1 - alpha - 1/q - (-beta + 1/p')) with q = p/(1 - alpha p).
-    When gamma is omitted the minimal one is used.
+    Requires 0 <= beta < 1/p' and g at least max(0, 1 - alpha - 1/q -
+    (-beta + 1/p')) with q = p/(1 - alpha p), else ``PreconditionError``;
+    when gamma is omitted that minimum is used.
     """
     if p_value <= 1:
         raise DomainError("exponent must exceed 1")
@@ -706,15 +686,14 @@ def power_weight_pair(p_value: float, alpha: float, beta: float,
     q_value = p_value / (1.0 - alpha * p_value)
     gamma_min = max(0.0, 1.0 - alpha - 1.0 / q_value - (-beta + 1.0 / p_conj))
     if not 0 <= beta < 1.0 / p_conj:
-        return ProfilePair(lambda t: np.asarray(t) ** 0.0, lambda t: np.asarray(t) ** 0.0,
-                           False, gamma_min,
-                           reason=f"beta={beta:g} outside [0, 1/p') = [0, {1.0 / p_conj:g})")
+        raise PreconditionError(f"weight pair inadmissible: beta={beta:g} outside "
+                                f"[0, 1/p') = [0, {1.0 / p_conj:g})")
     g = gamma_min if gamma is None else float(gamma)
     if g < gamma_min - 1e-12:
-        return ProfilePair(lambda t: np.asarray(t) ** g, lambda t: np.asarray(t) ** beta,
-                           False, gamma_min, reason=f"gamma={g:g} below minimum {gamma_min:g}")
+        raise PreconditionError(
+            f"weight pair inadmissible: gamma={g:g} below minimum {gamma_min:g}")
     return ProfilePair(lambda t: np.asarray(t, dtype=float) ** g,
-                       lambda t: np.asarray(t, dtype=float) ** beta, True, gamma_min)
+                       lambda t: np.asarray(t, dtype=float) ** beta, gamma_min)
 
 
 def log_adjusted_weight_pair(p_conj_at_base: float, L: float) -> ProfilePair:
@@ -729,11 +708,8 @@ def log_adjusted_weight_pair(p_conj_at_base: float, L: float) -> ProfilePair:
         raise DomainError("L must be positive")
     g = 1.0 / p_conj_at_base
 
-    def v(t):
-        return np.asarray(t, dtype=float) ** g
-
     def w(t):
         t = np.asarray(t, dtype=float)
         return t ** g * np.log(2.0 * L / t)
 
-    return ProfilePair(v, w, True, 0.0)
+    return ProfilePair(lambda t: np.asarray(t, dtype=float) ** g, w, 0.0)

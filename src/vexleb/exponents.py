@@ -105,16 +105,18 @@ class LocalExponents:
 def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] = None) -> LocalExponents:
     """Running minima of p along the basepoint-distance ordering.
 
-    On a finite-diameter space ``a`` is forced to the diameter.  On a
-    truncated infinite model ``a`` is required and p must be constant beyond
-    radius a (checked; the offending point is reported).
+    On a finite-diameter space ``a`` is forced to the diameter; on a
+    truncated infinite model it defaults to the truncation radius, and p
+    must be constant beyond radius a (checked; the offending point is named).
     """
     _check_len(space, p)
     if p.kind != "exponent":
         raise DomainError("local exponents are defined for exponent fields")
     p_c = None
+    if a is None or not space.infinite_diameter:
+        a = space.L_eff
     if space.infinite_diameter:
-        if a is None or a <= 0:
+        if a <= 0:
             raise PreconditionError("truncated infinite model needs a positive cap radius a")
         tail = space.d0 > a
         if tail.any():
@@ -124,8 +126,6 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
             if bad.size:
                 raise PreconditionError(
                     "exponent must be constant beyond the cap radius", witness=int(bad[0]))
-    else:
-        a = space.L_eff
 
     order = space.radial_order
     ds = space.d0[order]

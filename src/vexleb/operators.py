@@ -308,39 +308,47 @@ def _number(spec: dict, key: str, default=None) -> float:
     return float(value)
 
 
+# the keys each kernel type and each modulus type reads besides "type"; a
+# spec's type is looked up by comparison, as it may be any JSON value
+_KERNEL_KEYS = {"hilbert": (), "power-dist": ("exponent",), "explicit-table": ("table",)}
+_MODULUS_KEYS = {"power": ("a",), "table": ("t", "value")}
+
+
 def kernel_from_spec(spec: dict) -> KernelSpec:
     """Kernel spec: {"type": "hilbert" | "explicit-table" | "power-dist",
     "exponent": g, "table": [[...]], "omega": {"type": "power", "a": 1.0} |
-    {"type": "table", "t": [...], "value": [...]}}.  Any other key, at the
-    top level or under "omega", is refused by name."""
+    {"type": "table", "t": [...], "value": [...]}}.  A key the named kernel
+    or modulus type does not read is refused by name."""
     if not isinstance(spec, dict):
         raise ValidationError("kernel spec must be a mapping")
     omega_spec = spec.get("omega", {"type": "power", "a": 1.0})
     if not isinstance(omega_spec, dict):
         raise ValidationError(f"omega: must be a mapping, got {omega_spec!r}")
-    unknown = [key for key in spec if key not in ("type", "exponent", "table", "omega")]
-    unknown += [f"omega.{key}" for key in omega_spec if key not in ("type", "a", "t", "value")]
+    ktype, otype = spec.get("type"), omega_spec.get("type")
+    if ktype not in tuple(_KERNEL_KEYS):
+        raise ValidationError(f"unknown kernel type {ktype!r}")
+    if otype not in tuple(_MODULUS_KEYS):
+        raise ValidationError(f"unknown modulus type {otype!r}")
+    unknown = [key for key in spec if key not in ("type", "omega", *_KERNEL_KEYS[ktype])]
+    unknown += [f"omega.{key}" for key in omega_spec
+                if key not in ("type", *_MODULUS_KEYS[otype])]
     if unknown:
-        raise ValidationError(f"unknown key(s) {', '.join(map(str, unknown))}")
-    if omega_spec.get("type") == "power":
+        raise ValidationError(f"unknown key(s) {', '.join(map(str, unknown))} "
+                              f"(kernel type {ktype!r}, modulus type {otype!r})")
+    if otype == "power":
         omega = power_modulus(_number(omega_spec, "a", 1.0))
-    elif omega_spec.get("type") == "table":
+    else:
         if "t" not in omega_spec or "value" not in omega_spec:
             raise ValidationError("table modulus needs 't' and 'value'")
         omega = table_modulus(omega_spec["t"], omega_spec["value"])
-    else:
-        raise ValidationError(f"unknown modulus type {omega_spec.get('type')!r}")
-    ktype = spec.get("type")
     if ktype == "hilbert":
         k = hilbert_kernel()
     elif ktype == "power-dist":
         if "exponent" not in spec:
             raise ValidationError("power-dist kernel needs 'exponent'")
         k = power_dist_kernel(_number(spec, "exponent"))
-    elif ktype == "explicit-table":
+    else:
         if "table" not in spec:
             raise ValidationError("explicit-table kernel needs 'table'")
         k = explicit_kernel(np.asarray(spec["table"], dtype=float))
-    else:
-        raise ValidationError(f"unknown kernel type {ktype!r}")
     return replace(k, omega=omega)

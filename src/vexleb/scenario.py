@@ -14,7 +14,7 @@ import numpy as np
 
 from . import conditions as cond
 from . import operators as ops
-from .errors import DomainError, PreconditionError, ValidationError
+from .errors import DomainError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
 from .space import DiscreteSpace, _generator, geometry_constants, space_from_spec
@@ -228,15 +228,7 @@ class Scenario:
                 raise ValidationError("scenario.weights.v: required by the listed conditions")
             if w_spec is None:
                 raise ValidationError("scenario.weights.w: required by the listed conditions")
-        resolutions = data.get("resolutions", [64, 256, 1024])
-        if not isinstance(resolutions, (list, tuple)) or not resolutions \
-                or not all(isinstance(r, Integral) and not isinstance(r, bool)
-                           for r in resolutions):
-            raise ValidationError(
-                f"scenario.resolutions: must be a list of integers, got {resolutions!r}")
-        resolutions = [int(r) for r in resolutions]
-        if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-            raise ValidationError("scenario.resolutions: must be strictly increasing")
+        resolutions = _resolutions(data.get("resolutions", [64, 256, 1024]), "scenario.resolutions")
         seed = data.get("seed", 0)
         if not isinstance(seed, Integral) or isinstance(seed, bool):
             raise ValidationError(f"scenario.seed: must be an integer, got {seed!r}")
@@ -310,6 +302,17 @@ _SCENARIO_KEYS = ("name", "space", "exponents", "weights", "operator", "conditio
 _PARAM_KEYS = ("A", "a1", "r", "eps", "require_monotone", "kernel")
 
 
+def _resolutions(resolutions, where: str) -> List[int]:
+    """Checked ``resolutions``: nonempty, integers, strictly increasing."""
+    if not isinstance(resolutions, (list, tuple)) or not resolutions \
+            or not all(isinstance(r, Integral) and not isinstance(r, bool) for r in resolutions):
+        raise ValidationError(f"{where}: must be a list of integers, got {resolutions!r}")
+    resolutions = [int(r) for r in resolutions]
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ValidationError(f"{where}: must be strictly increasing")
+    return resolutions
+
+
 def _known_keys(data: dict, where: str, known: tuple):
     unknown = [f"{where}.{key}" for key in data if key not in known]
     if unknown:
@@ -357,8 +360,6 @@ class Materialized:
         sc, space = self.scenario, self.space
         if sc.pair is not None:
             pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
-            if not pair.admissible:
-                raise PreconditionError(f"weight pair inadmissible: {pair.reason}")
             self.v_profile, self.w_profile = pair.v_profile, pair.w_profile
             dre = space.radial_distances()
             self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")

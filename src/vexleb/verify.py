@@ -196,7 +196,6 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
     if t < 0:
         raise DomainError(f"cut t must be nonnegative, got {t!r}")
 
-    a = space.L_eff
     pp = p_const / (p_const - 1.0)
     head = space.d0 <= t
     p_pf, q_pf = _const(space, p_const), _const(space, q_const)
@@ -208,18 +207,18 @@ def necessity_probe(space: DiscreteSpace, variant: str, p_const: float, q_const:
     if variant == "hardy":
         ones = _const(space, 1.0, "weight")
         out = hardy_transforms(space, ones, ones, f[None, :])
-        rep = hardy_condition(space, p_pf, q_pf, v, PointFunction(1.0 / w.values, "weight"), a=a)
+        rep = hardy_condition(space, p_pf, q_pf, v, PointFunction(1.0 / w.values, "weight"))
     elif variant == "maximal":
         q_pf = p_pf
         out = maximal_functions(space, f[None, :])
-        rep = maximal_singular_conditions(space, p_pf, v, wf, a=a)[0]
+        rep = maximal_singular_conditions(space, p_pf, v, wf)[0]
     else:
         half = int(variant == "potential-tail")
         if half:
             muB0 = np.where(space.muB0 > 0, space.muB0, np.inf)
             f = w.values ** (-pp) * muB0 ** ((alpha - 1.0) * (pp - 1.0)) * ~head
         out = ball_potentials(space, _const(space, alpha, "alpha"), f[None, :])
-        rep = potential_conditions(space, p_pf, q_pf, v, wf, alpha, a=a)[half]
+        rep = potential_conditions(space, p_pf, q_pf, v, wf, alpha)[half]
     num = luxemburg_norm(space, q_pf, PointFunction(v.values * out[0], "test")).value
     den = luxemburg_norm(space, p_pf, PointFunction(w.values * f, "test")).value
     value = float(rep.curve[np.searchsorted(rep.ts, t, side="right") - 1])

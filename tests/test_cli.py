@@ -128,6 +128,27 @@ class TestRun:
             assert ((tmp_path / "o" / f"beyond_{tag}.csv").read_bytes()
                     == (tmp_path / "o" / f"inside_{tag}.csv").read_bytes())
 
+    def test_explicit_space_without_L(self, tmp_path):
+        # without L the space is a truncated infinite model whose cap radius
+        # is its largest distance: it reads as the same space with L = 2
+        coords = [0.0, 0.5, 1.0, 2.0]
+        space = {"points": [{"id": i, "coord": c} for i, c in enumerate(coords)],
+                 "metric": "euclidean1d", "mu": [0.25] * 4}
+        for name, extra in (("capped", {}), ("finite", {"L": 2.0})):
+            data = dict(MINIMAL, name=name, conditions=["hardy", "hardy-tail"], resolutions=[4],
+                        space=dict(space, **extra))
+            path = write_scenario(tmp_path, data, f"{name}.json")
+            assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+        def conditions(name):
+            rep = json.loads((tmp_path / "o" / f"{name}.json").read_text())
+            return [(c["name"], c["value"], c["argmax_t"]) for c in rep["conditions"]]
+
+        assert conditions("capped") == conditions("finite")
+        for tag in ("hardy", "hardy-tail"):
+            assert ((tmp_path / "o" / f"capped_{tag}.csv").read_bytes()
+                    == (tmp_path / "o" / f"finite_{tag}.csv").read_bytes())
+
     def test_geometry_only_exit_zero(self, tmp_path):
         data = {"space": {"generator": "uniform-grid", "n": 32},
                 "conditions": [], "resolutions": [16, 32]}
@@ -144,6 +165,13 @@ class TestRun:
         assert code == 0
         rep = json.loads((tmp_path / "o" / "s.json").read_text())
         assert rep["meta"]["seed"] == 7
+
+    @pytest.mark.parametrize("resolutions", ["1024,256,64", "64,64,128"])
+    def test_bad_resolutions_option_named(self, tmp_path, capsys, resolutions):
+        path = write_scenario(tmp_path, MINIMAL)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--resolutions", resolutions]) == 2
+        assert "--resolutions: must be strictly increasing" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -216,6 +244,19 @@ class TestRun:
         ("params.kernel", {"params": {"kernel": {"type": "hilbert", "s": 2.0}}}),
         ("params.kernel", {"params": {"kernel": {"type": "hilbert",
                                                  "omega": {"type": "power", "b": 1.0}}}}),
+        # so are the keys the named type never reads
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "exponent": 2}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert", "table": [[0]]}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "power-dist", "exponent": 1,
+                                                 "table": [[0]]}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "explicit-table", "table": [[0]],
+                                                 "exponent": 1}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert",
+                                                 "omega": {"type": "power", "a": 1.0,
+                                                           "t": [0.5]}}}}),
+        ("params.kernel", {"params": {"kernel": {"type": "hilbert",
+                                                 "omega": {"type": "table", "t": [1.0],
+                                                           "value": [1.0], "a": 1.0}}}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

@@ -524,16 +524,37 @@ class TestMuckenhoupt:
         assert got == pytest.approx(best, rel=1e-12)
 
 
+class TestHardyAdjoint:
+    @given(tied_spaces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_tail_transform_is_the_adjoint(self, sp, seed):
+        # sum (H_{v,w} F) G mu = sum F (H*_{w,v} G) mu: the forward sum over
+        # {d0(y) < d0(x)} is the tail sum over {d0(x) > d0(y)} read from y
+        rng = np.random.default_rng(seed)
+        v, w = (vx.PointFunction(rng.uniform(0.1, 10.0, sp.n), "weight") for _ in range(2))
+        F, G = rng.uniform(0.0, 1.0, (2, 3, sp.n)) * (rng.uniform(size=(2, 3, sp.n)) < 0.8)
+        lhs = (vx.hardy_transforms(sp, v, w, F) * G * sp.mu).sum(axis=1)
+        rhs = (F * vx.hardy_tail_transforms(sp, w, v, G) * sp.mu).sum(axis=1)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=0.0)
+
+
 class TestWeightFamilies:
     def test_power_pair_gamma_formula(self):
         pair = vx.power_weight_pair(2.0, 0.25, 0.25)
-        assert pair.admissible
         assert pair.gamma_min == pytest.approx(
             max(0.0, 1 - 0.25 - 0.25 - (-0.25 + 0.5)))
 
     def test_power_pair_beta_gate(self):
-        pair = vx.power_weight_pair(2.0, 0.25, 0.6)
-        assert not pair.admissible and "beta" in pair.reason
+        with pytest.raises(PreconditionError, match="inadmissible: beta=0.6"):
+            vx.power_weight_pair(2.0, 0.25, 0.6)
+
+    def test_power_pair_gamma_gate(self):
+        # the smallest admissible gamma is 0.25; the gate allows 1e-12 below it
+        for gamma in (0.25 - 1e-13, 0.3):
+            pair = vx.power_weight_pair(2.0, 0.25, 0.25, gamma=gamma)
+            assert pair.v_profile(np.array([0.5]))[0] == pytest.approx(0.5**gamma)
+        with pytest.raises(PreconditionError, match="inadmissible: gamma=0.2 below minimum 0.25"):
+            vx.power_weight_pair(2.0, 0.25, 0.25, gamma=0.2)
 
     def test_log_pair_profiles(self):
         pair = vx.log_adjusted_weight_pair(2.0, 1.0)
