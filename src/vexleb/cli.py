@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DomainError, PreconditionError, ValidationError
-from .report import write_csv, write_json
+from .report import fmt_float, write_csv, write_json
 from .scenario import Scenario, _resolutions
 from .verify import refinement_study
 
@@ -90,15 +90,18 @@ def emit_report(results: dict, fmt: str, out_dir, curves=None, study=None):
         write_json(out / f"{name}.json", results)
     if fmt in ("csv", "both"):
         # the reports of one memoized evaluation share their arrays: each
-        # shared curve is formatted once and its bytes copied
-        written = {}
+        # shared curve is formatted once and its bytes copied, and each
+        # shared sweep grid is formatted once, as the text write_csv prints
+        written, t_text = {}, {}
         for cname, rep in (curves or {}).items():
             path, key = out / f"{name}_{cname}.csv", (id(rep.ts), id(rep.curve))
             if key in written:
                 path.write_bytes(written[key])
-            else:
-                written[key] = write_csv(path, ["t", "value"],
-                                         zip(rep.ts.tolist(), rep.curve.tolist()))
+                continue
+            if id(rep.ts) not in t_text:
+                t_text[id(rep.ts)] = [fmt_float(t) for t in rep.ts.tolist()]
+            written[key] = write_csv(path, ["t", "value"],
+                                     zip(t_text[id(rep.ts)], rep.curve.tolist()))
         if study is not None:
             rows = []
             for i, n in enumerate(study.resolutions):

@@ -121,12 +121,9 @@ def classify_trend(values: Sequence[float]) -> str:
 
 def t_sweep(space: DiscreteSpace) -> np.ndarray:
     """Sweep knots: 0, the distinct basepoint distances within [0, L],
-    midpoints between consecutive ones, and L itself."""
-    L = space.L_eff
-    d = _distinct(space.d0)
-    d = d[d <= L]
-    mids = 0.5 * (d[:-1] + d[1:]) if d.size > 1 else np.array([])
-    return _distinct(np.concatenate([[0.0], d, mids, [L]]))
+    midpoints between consecutive ones, and L itself.  Built once per space
+    and read-only: every report on the space shares it."""
+    return space._sweep
 
 
 def _nonneg(space, f: PointFunction, what: str) -> np.ndarray:
@@ -146,20 +143,25 @@ def _positive(space, f: PointFunction, what: str) -> np.ndarray:
 # outer points per block: B * max(n, knots) stays at or below this many
 # elements, so a block's temporaries are a few MB at any resolution
 _BLOCK_ELEMS = 2**17
+_TINY = np.finfo(float).tiny
 
 
-def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool) -> np.ndarray:
+def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool,
+                      m: Optional[np.ndarray] = None) -> np.ndarray:
     """Logs of the partial sums of exp(r) along each row of ``r`` (no entry
     +inf), read at positions ``at``: the sum over the first ``at`` entries
-    (head) or over the entries from ``at`` on (tail).
+    (head) or over the entries from ``at`` on (tail).  ``m``, if given, is
+    the row maxima of ``r``; it is overwritten.
 
     Each row is scaled by its maximum before the exp and the cumsum; a tail
     is its own reversed cumsum, never a total minus a head, which would
-    cancel.  A row whose running sum underflowed to 0 after a finite entry
-    is recomputed alone by ``np.logaddexp.accumulate``.
+    cancel.  A row whose running sum fell below the normal floats after a
+    finite entry (it underflowed to 0 or to a subnormal number that has
+    lost digits) is recomputed alone by ``np.logaddexp.accumulate``.
     """
     b, n = r.shape
-    m = r.max(axis=1, initial=-np.inf)
+    if m is None:
+        m = r.max(axis=1, initial=-np.inf)
     m[m == -np.inf] = 0.0
     csum = np.zeros((b, n + 1))
     terms = csum[:, 1:] if head else csum[:, :-1]
@@ -168,13 +170,17 @@ def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool) -> np.ndarray:
     if not head:
         terms = terms[:, ::-1]
     np.cumsum(terms, axis=1, out=terms)
+    out = csum[:, at]
     with np.errstate(divide="ignore"):
-        out = np.log(csum[:, at]) + m[:, None]
-    # the zeros of a running sum are its first entries; they are exact only
-    # where every term summed so far is exp(-inf)
-    zeros = n - np.count_nonzero(terms, axis=1)
-    for i in np.flatnonzero(zeros):
-        seen = r[i, :zeros[i]] if head else r[i, n - zeros[i]:]
+        np.log(out, out=out)
+    out += m[:, None]
+    # a running sum of nonnegative terms never decreases, so its entries
+    # below the smallest normal float are its first ones, and only a row
+    # starting there holds any; such an entry is exact only where every term
+    # summed so far is exp(-inf), else it underflowed to 0 or lost digits
+    for i in np.flatnonzero(terms[:, 0] < _TINY) if n else ():
+        low = np.count_nonzero(terms[i] < _TINY)
+        seen = r[i, :low] if head else r[i, n - low:]
         if np.any(seen > -np.inf):
             lsum = np.full(n + 1, -np.inf)
             if head:
@@ -294,12 +300,14 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
         """log W at knots k0..k1-1 from log-integrand rows over the columns
         they sum, in basepoint order; the atoms of ``r`` are zeroed."""
         nonlocal skipped
-        for i in np.flatnonzero(r.max(axis=1, initial=-np.inf) == np.inf):
+        m = r.max(axis=1, initial=-np.inf)
+        for i in np.flatnonzero(m == np.inf):
             atoms = r[i] == np.inf
             skipped += int(atoms.sum())
             r[i, atoms] = -np.inf
+            m[i] = r[i].max()
         start = lo if forward else head_count[k0]
-        return _log_partial_sums(r, head_count[k0:k1] - start, forward)
+        return _log_partial_sums(r, head_count[k0:k1] - start, forward, m)
 
     if shared is not None:
         shared = log_W(shared[None, :], 0, T)[0]
@@ -331,8 +339,11 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
                 vals = log_W(r, k0, k1)
                 vals *= gamma[blk, None]
             vals += log_O[blk, None]
-            k = np.arange(k0, k1)
-            np.putmask(vals, (k >= c[:, None]) if forward else (k < c[:, None]), -np.inf)
+            # only the knots between the block's first and last cut hold a
+            # point outside its region
+            k = np.arange(c[0], c[-1])
+            np.putmask(vals[:, c[0] - k0:c[-1] - k0],
+                       (k >= c[:, None]) if forward else (k < c[:, None]), -np.inf)
             log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], _log_col_sums(vals))
 
     ts = t_sweep(space)
@@ -340,7 +351,7 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     # a value beyond the float range is inf; its log is kept
     with np.errstate(over="ignore"):
         curve = np.exp(log_curve)
-    ts.flags.writeable = curve.flags.writeable = False
+    curve.flags.writeable = False
     j = int(curve.argmax())
     report = ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve,
                              resolution=space.n, meta={"skipped_inner": skipped},
@@ -683,8 +694,9 @@ def power_weight_pair(p_value: float, alpha: float, beta: float,
     if not 0 < alpha < 1.0 / p_value:
         raise DomainError("order must lie in (0, 1/p)")
     p_conj = p_value / (p_value - 1.0)
-    q_value = p_value / (1.0 - alpha * p_value)
-    gamma_min = max(0.0, 1.0 - alpha - 1.0 / q_value - (-beta + 1.0 / p_conj))
+    # 1/q = 1/p - alpha and 1/p + 1/p' = 1, so the minimum's second term is
+    # 1 - alpha - (1/p - alpha) + beta - (1 - 1/p) = beta, taken exactly
+    gamma_min = max(0.0, beta)
     if not 0 <= beta < 1.0 / p_conj:
         raise PreconditionError(f"weight pair inadmissible: beta={beta:g} outside "
                                 f"[0, 1/p') = [0, {1.0 / p_conj:g})")

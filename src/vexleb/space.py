@@ -195,6 +195,18 @@ class DiscreteSpace:
         return self._basepoint_row[1]
 
     @cached_property
+    def _sweep(self) -> np.ndarray:
+        """The radii of every condition sweep on this space (read-only; see
+        ``conditions.t_sweep``)."""
+        L = self.L_eff
+        d = _distinct(self.d0)
+        d = d[d <= L]
+        mids = 0.5 * (d[:-1] + d[1:]) if d.size > 1 else np.array([])
+        ts = _distinct(np.concatenate([[0.0], d, mids, [L]]))
+        ts.flags.writeable = False
+        return ts
+
+    @cached_property
     def _sup_memo(self) -> dict:
         """The sup-functional reports evaluated on this space, keyed on the
         bytes each evaluation read (see ``conditions._sup_functional``)."""
@@ -714,6 +726,8 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
             raise ValidationError(f"space.dist: must list {n} x {n} numbers row by row") from None
     else:
         raise ValidationError(f"space.metric: unknown metric {metric!r}")
+    if n < 2:
+        raise ValidationError(f"space.points: need at least 2 points, got {n}")
     mu_spec = spec.get("mu", "lebesgue-grid")
     if isinstance(mu_spec, str):
         if mu_spec != "lebesgue-grid":

@@ -257,6 +257,10 @@ class TestRun:
         ("params.kernel", {"params": {"kernel": {"type": "hilbert",
                                                  "omega": {"type": "table", "t": [1.0],
                                                            "value": [1.0], "a": 1.0}}}}),
+        # an explicit space of one point has no geometry to report
+        ("space.points", {"space": {"points": [{"id": 0, "coord": 0.0}],
+                                    "metric": "euclidean1d", "mu": [1.0]},
+                          "resolutions": [4]}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
@@ -323,6 +327,20 @@ class TestEmitReport:
             want = write_csv(tmp_path / "want.csv", ["t", "value"],
                              zip(rep.ts.tolist(), rep.curve.tolist()))
             assert (tmp_path / "out" / f"condition_sweep_{tag}.csv").read_bytes() == want, tag
+
+    def test_shared_t_column_keeps_float_bytes(self, tmp_path):
+        # the t column of a shared sweep grid is formatted once, as text; each
+        # file still reads as if its floats were written, inf and NaN included
+        from vexleb.report import write_csv
+        ts = np.array([0.0, 0.1, 1 / 3, np.inf, np.nan])
+        curves = {f"c{i}": vx.ConditionReport(f"c{i}", 0.0, 0.0, ts, curve, 8) for i, curve in
+                  enumerate([np.array([1.0, 0.2, np.inf, 5e-324, np.nan]),
+                             np.array([-np.inf, 2.5, 1e300, 0.0, 7.0])])}
+        emit_report({"meta": {"name": "r"}}, "csv", tmp_path / "out", curves=curves)
+        for cname, rep in curves.items():
+            want = write_csv(tmp_path / "want.csv", ["t", "value"],
+                             zip(rep.ts.tolist(), rep.curve.tolist()))
+            assert (tmp_path / "out" / f"r_{cname}.csv").read_bytes() == want, cname
 
     def test_empty_results_rejected(self, tmp_path):
         from vexleb.errors import DomainError

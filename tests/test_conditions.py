@@ -1,12 +1,14 @@
 import json
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vexleb as vx
+from vexleb import conditions
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
 
@@ -544,6 +546,15 @@ class TestWeightFamilies:
         assert pair.gamma_min == pytest.approx(
             max(0.0, 1 - 0.25 - 0.25 - (-0.25 + 0.5)))
 
+    @pytest.mark.parametrize("p_value, alpha, beta", [
+        (3.0, 0.1, 0.0), (2.0, 0.25, 0.25), (3.0, 0.2, 0.5), (1.5, 0.6, 0.3)])
+    def test_power_pair_gamma_min_is_beta(self, p_value, alpha, beta):
+        # 1 - alpha - 1/q - (-beta + 1/p') is beta exactly, not up to rounding
+        pair = vx.power_weight_pair(p_value, alpha, beta)
+        assert repr(pair.gamma_min) == repr(beta)
+        t = np.array([0.5, 1.0, 2.0])
+        assert pair.v_profile(t).tobytes() == (t**beta).tobytes()
+
     def test_power_pair_beta_gate(self):
         with pytest.raises(PreconditionError, match="inadmissible: beta=0.6"):
             vx.power_weight_pair(2.0, 0.25, 0.6)
@@ -745,6 +756,45 @@ class TestLogDomain:
             assert got.log_value == pytest.approx(q_val * log_s + np.log(base.value), abs=1e-9)
 
 
+def accumulated_partial_sums(r, at, head):
+    """``conditions._log_partial_sums`` by ``np.logaddexp.accumulate``, one
+    row at a time."""
+    b, n = r.shape
+    lsum = np.full((b, n + 1), -np.inf)
+    for i in range(b):
+        if head:
+            lsum[i, 1:] = np.logaddexp.accumulate(r[i])
+        else:
+            lsum[i, :-1] = np.logaddexp.accumulate(r[i, ::-1])[::-1]
+    return lsum[:, at]
+
+
+class TestLogPartialSums:
+    @given(st.integers(1, 5), st.integers(0, 12), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 30.0, 400.0, 2000.0]), st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    # the head entry -744 underflows to a subnormal once its row is scaled by
+    # its maximum 0
+    @example(b=1, n=2, head=True, seed=0, spread=0.0, holes=0.0)
+    def test_equals_logaddexp_accumulate(self, b, n, head, seed, spread, holes):
+        # spreads of 400 and 2000 put entries more than 745 below their row's
+        # maximum, where the scaled terms underflow; holes are -inf entries
+        # (all of a row at 1.0), and n = 0 is a block with no columns
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-spread, spread, (b, n))
+        r[rng.uniform(size=(b, n)) < holes] = -np.inf
+        if spread == 0.0 and n == 2:
+            r[0] = [-744.0, 0.0]
+        at = np.sort(rng.integers(0, n + 1, rng.integers(0, 2 * n + 3)))
+        want = accumulated_partial_sums(r, at, head)
+        got = conditions._log_partial_sums(r.copy(), at, head)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        # given row maxima change nothing
+        given_max = conditions._log_partial_sums(r.copy(), at, head,
+                                                 r.max(axis=1, initial=-np.inf))
+        assert given_max.tobytes() == got.tobytes()
+
+
 def plain_curve(space, O, inner, gamma, forward):
     """The sweep curve by a per-t, per-x loop in the direct domain; inner(x)
     is the integrand times mu at every point, and its infinite entries (the
@@ -843,32 +893,48 @@ def small_spaces(draw):
                              L=draw(st.sampled_from([1.25, 1.5])))
 
 
+def check_every_functional(sp, seed, p_varies, q_varies, a, b):
+    """Every sweep functional on random fields equals its plain loop."""
+    rng = np.random.default_rng(seed)
+    n = sp.n
+    p = vx.PointFunction(rng.uniform(1.3, 3.0, n) if p_varies else np.full(n, 2.2),
+                         "exponent")
+    q = vx.PointFunction(p.values + (rng.uniform(0.0, 1.0, n) if q_varies else 0.5),
+                         "exponent")
+    v = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
+    w = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
+    al = vx.PointFunction(rng.uniform(0.05, 0.95, n) / p.values.max(), "alpha")
+    ts = t_sweep(sp)
+    L = sp.L_eff
+    knots = np.isin(ts, np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
+    for rep, O, inner, gamma, forward in every_functional(sp, p, q, v, w, al, a, b):
+        assert np.array_equal(rep.ts, ts)
+        np.testing.assert_allclose(rep.curve, plain_curve(sp, O, inner, gamma, forward),
+                                   rtol=1e-12, atol=0, err_msg=rep.name)
+        # a midpoint lies in the same half-open regions as the knot below it
+        mids = np.flatnonzero(~knots)
+        assert np.array_equal(rep.curve[mids], rep.curve[mids - 1]), rep.name
+        j = int(rep.curve.argmax())
+        assert rep.value == rep.curve[j] and rep.argmax_t == ts[j] and knots[j]
+
+
 class TestBlockPathAgainstLoops:
     @given(small_spaces(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
            st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.3]))
     @settings(max_examples=40, deadline=None)
     def test_every_functional_equals_plain_loop(self, sp, seed, p_varies, q_varies, a, b):
-        rng = np.random.default_rng(seed)
-        n = sp.n
-        p = vx.PointFunction(rng.uniform(1.3, 3.0, n) if p_varies else np.full(n, 2.2),
-                             "exponent")
-        q = vx.PointFunction(p.values + (rng.uniform(0.0, 1.0, n) if q_varies else 0.5),
-                             "exponent")
-        v = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
-        w = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
-        al = vx.PointFunction(rng.uniform(0.05, 0.95, n) / p.values.max(), "alpha")
-        ts = t_sweep(sp)
+        check_every_functional(sp, seed, p_varies, q_varies, a, b)
+
+    @given(small_spaces(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.3]), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_small_blocks_equal_plain_loop(self, sp, seed, p_varies, q_varies, a, b, per_block):
+        # every space above fits one block; here each block holds 1-3 outer
+        # points, so a block's knots and mask bounds fall inside the sweep
         L = sp.L_eff
-        knots = np.isin(ts, np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
-        for rep, O, inner, gamma, forward in every_functional(sp, p, q, v, w, al, a, b):
-            assert np.array_equal(rep.ts, ts)
-            np.testing.assert_allclose(rep.curve, plain_curve(sp, O, inner, gamma, forward),
-                                       rtol=1e-12, atol=0, err_msg=rep.name)
-            # a midpoint lies in the same half-open regions as the knot below it
-            mids = np.flatnonzero(~knots)
-            assert np.array_equal(rep.curve[mids], rep.curve[mids - 1]), rep.name
-            j = int(rep.curve.argmax())
-            assert rep.value == rep.curve[j] and rep.argmax_t == ts[j] and knots[j]
+        knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
+        with mock.patch.object(conditions, "_BLOCK_ELEMS", per_block * max(sp.n, knots.size)):
+            check_every_functional(sp, seed, p_varies, q_varies, a, b)
 
 
 class TestRadialPointwiseAgreement:
