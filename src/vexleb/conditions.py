@@ -644,28 +644,76 @@ def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFu
     return b1, b2, space.n - xs.size
 
 
+class _Muckenhoupt:
+    """The Muckenhoupt functional as a consumer of sorted row blocks: each
+    call reads one ``_SortedRows`` block and raises ``value`` to the sup over
+    the closed balls centered in it (see ``muckenhoupt_ar``)."""
+
+    def __init__(self, space: DiscreteSpace, w: PointFunction, r: float):
+        if r <= 1:
+            raise DomainError("Muckenhoupt exponent must exceed 1")
+        wv = _positive(space, w, "w")
+        rp = r / (r - 1.0)
+        self.r = r
+        with np.errstate(over="ignore", under="ignore"):
+            self.wmu = wv * space.mu
+            self.wrmu = wv ** (1.0 - rp) * space.mu
+        # a term outside the normal floats overflowed or lost digits; then
+        # every row is evaluated in logs
+        self.in_range = all(_TINY <= t.min() and t.max() < np.inf
+                            for t in (self.wmu, self.wrmu))
+        log_w, log_mu = np.log(wv), np.log(space.mu)
+        self.log_terms = (log_w + log_mu, (1.0 - rp) * log_w + log_mu)
+        self.value = 0.0
+
+    def __call__(self, blk) -> None:
+        # the averages over the ball up to every sorted position; the closed
+        # balls are those ending a tie group
+        cmu = blk.prefix[:, 1:]
+        if self.in_range:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals, avg_wr = self.wmu.take(blk.order), self.wrmu.take(blk.order)
+                for sums in (vals, avg_wr):
+                    np.cumsum(sums, axis=1, out=sums)
+                    sums /= cmu
+                avg_wr **= self.r - 1.0
+                vals *= avg_wr
+            row_max = np.max(vals, axis=1, where=blk.ends, initial=0.0)
+            # a ball sum that overflowed leaves its row inf or NaN
+            logs = np.flatnonzero(~np.isfinite(row_max))
+        else:
+            row_max, logs = np.zeros(len(cmu)), np.arange(len(cmu))
+        if logs.size:
+            row_max[logs] = self._log_rows(blk, logs)
+        self.value = max(self.value, float(row_max.max()))
+
+    def _log_rows(self, blk, rows: np.ndarray) -> np.ndarray:
+        """The row sups of ``rows`` of the block, every ball sum in logs."""
+        order = blk.order[rows]
+        at = np.arange(1, order.shape[1] + 1)
+        log_mu = np.log(blk.prefix[rows, 1:])
+        log_w, log_wr = (_log_partial_sums(t[order], at, True) - log_mu
+                         for t in self.log_terms)
+        with np.errstate(over="ignore"):
+            vals = np.exp(log_w + (self.r - 1.0) * log_wr)
+        return np.max(vals, axis=1, where=blk.ends[rows], initial=0.0)
+
+
 def muckenhoupt_ar(space: DiscreteSpace, w: PointFunction, r: float) -> float:
-    """Muckenhoupt constant: sup over centered balls of
-    (avg of w) * (avg of w**(1-r'))**(r-1)."""
-    if r <= 1:
-        raise DomainError("Muckenhoupt exponent must exceed 1")
-    wv = _positive(space, w, "w")
-    rp = r / (r - 1.0)
-    best = 0.0
-    wmu = wv * space.mu
-    wrmu = wv ** (1.0 - rp) * space.mu
+    """Muckenhoupt constant: sup over centered closed balls of
+    (avg of w) * (avg of w**(1-r'))**(r-1), the balls of each center read at
+    its distinct distances from its sorted distance row.
+
+    Where a term w mu or w**(1-r') mu, or a ball sum of them, leaves the
+    normal floats, the rows it reaches are evaluated in logs, each scaled by
+    its largest term as in ``_log_partial_sums``; every other row keeps the
+    bits of the plain float evaluation.  A scenario evaluates the same block
+    consumer inside its geometry sweep (``Materialized``), so one run sorts
+    each distance row once."""
+    sup = _Muckenhoupt(space, w, r)
     for blk in _sorted_row_blocks(space):
-        # closed balls at each distinct distance: the ends of the tie groups
-        b, n = blk.ds.shape
-        ends = np.flatnonzero(blk.ends)
-        rows = ends // n
-        cmu = blk.prefix.ravel()[ends + rows + 1]
-        cw = np.cumsum(wmu[blk.order], axis=1).ravel()[ends]
-        cwr = np.cumsum(wrmu[blk.order], axis=1).ravel()[ends]
-        vals = (cw / cmu) * (cwr / cmu) ** (r - 1.0)
-        row_max = np.maximum.reduceat(vals, np.searchsorted(rows, np.arange(b)))
-        best = max(best, *row_max.tolist())
-    return best
+        sup(blk)
+    return sup.value
 
 
 # ---------------------------------------------------------------------------

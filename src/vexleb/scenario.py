@@ -77,10 +77,9 @@ def _annulus(m: "Materialized"):
 
 
 def _muckenhoupt(m: "Materialized"):
-    r = float(m.scenario.params.get("r", 2.0))
-    val = cond.muckenhoupt_ar(m.space, m.w, r)
-    return cond.ConditionReport("muckenhoupt", val, 0.0, np.array([0.0]), np.array([val]),
-                                m.space.n, meta={"r": r})
+    sup = m._sorted_pass[1]
+    return cond.ConditionReport("muckenhoupt", sup.value, 0.0, np.array([0.0]),
+                                np.array([sup.value]), m.space.n, meta={"r": sup.r})
 
 
 # the functionals of (ball, tail) pairs, each shared by the pair's two tags
@@ -412,8 +411,22 @@ class Materialized:
         return empirical_ratio(self.space, op, self.p, self.q, v, w,
                                trials=8, seed=self.scenario.seed)
 
+    @cached_property
+    def _sorted_pass(self):
+        """(geometry report, evaluated Muckenhoupt functional or None) from
+        one pass over the sorted distance rows: the Muckenhoupt functional,
+        when the scenario lists it, reads the blocks the geometry sweep sorts,
+        whichever of the two is asked for first."""
+        params = self.scenario.params
+        sup = None
+        if "muckenhoupt" in self.scenario.conditions:
+            sup = cond._Muckenhoupt(self.space, self.w, float(params.get("r", 2.0)))
+        g = geometry_constants(self.space, A=float(params.get("A", 2.0)),
+                               _consumers=() if sup is None else (sup,))
+        return g, sup
+
     def geometry_summary(self) -> dict:
-        g = geometry_constants(self.space, A=float(self.scenario.params.get("A", 2.0)))
+        g = self._sorted_pass[0]
         return {"n": self.space.n, "a0": g.a0, "a1": g.a1,
                 "doubling_c": g.doubling_c, "rdc_B": g.rdc_B,
                 "ahlfors_c1": g.ahlfors_upper_c1, "ahlfors_c2": g.ahlfors_lower_c2,

@@ -23,8 +23,11 @@ searched, exhaustively or over seeded triples.
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
 block at a time, each row sorted once, and every sweep, ball measure and
 basepoint order (``radial_order``, ``muB0``) is read from its blocks, so no
-(n, n) table of sorted rows is kept.  Radius sweeps use the sorted distinct
-distances seen from each center.  Sup-type estimates (doubling) read closed balls there, inf-type estimates
+(n, n) table of sorted rows is kept.  The geometry sweep hands each block
+to the block consumers it is given, so a scenario's Muckenhoupt functional
+reads the rows the geometry sorts: one materialization sorts each row once.
+Radius sweeps use the sorted distinct distances seen from each center.
+Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
 collapse the swept annulus while open balls at atom scale inflate ratios, so
 each estimator takes the reading that matches its continuum quantity.
@@ -468,11 +471,13 @@ def _first_max(block: np.ndarray, last: np.ndarray):
     return last[i], i, block.shape[1]
 
 
-def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
+def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
     """Doubling, reverse doubling, Ahlfors regularity and the annulus test in
     one pass over the sorted row blocks: returns (doubling_c, rdc_B,
     doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
-    whether no annulus is empty.
+    whether no annulus is empty.  Each of ``consumers`` is called with every
+    ``_SortedRows`` block, which it must not write, so a functional of the
+    same balls sorts no row again.
 
     The swept radii of a center are its distinct positive distances.  Closed
     balls are read at the last position of each tie group, open balls at the
@@ -501,6 +506,8 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
     dbl_wit, rdc_wit, w1, w2 = (), (), (), ()
     annuli = True
     for blk in _sorted_row_blocks(space):
+        for consume in consumers:
+            consume(blk)
         ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
         b = ds.shape[0]
         positive = ds > 0
@@ -574,7 +581,8 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float):
 
 
 def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: float = 1.0,
-                       seed: int = 0, sample_triples: int = 10**6) -> GeometryReport:
+                       seed: int = 0, sample_triples: int = 10**6, *,
+                       _consumers=()) -> GeometryReport:
     """Estimate all geometric constants of the space in one report.
 
     ``doubling_c = sup mu B[x, 2r] / mu B[x, r]`` over closed balls,
@@ -588,11 +596,12 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     A line space reports a0 = a1 = 1 exactly, the values of its metric; a
     table-backed space has them searched, and only there do ``seed`` and
     ``sample_triples`` apply (to the triple sampler past
-    ``EXHAUSTIVE_TRIPLE_LIMIT`` points)."""
+    ``EXHAUSTIVE_TRIPLE_LIMIT`` points).  ``_consumers`` is private: the
+    block consumers the sweep hands its sorted rows (``_geometry_sweep``)."""
     if space.n < 2:
         raise DomainError("need at least 2 points")
     a0, a0_pair, a1, a1_triple = _quasi_constants(space, seed, sample_triples)
-    doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent)
+    doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent, _consumers)
     doubling_c, rdc_B, dbl_wit, rdc_wit = doubling
     c1, c2, w1, w2 = ahlfors
     return GeometryReport(

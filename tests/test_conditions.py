@@ -464,6 +464,23 @@ def reference_muckenhoupt(space, w, r):
     return best
 
 
+def log_domain_muckenhoupt(space, w, r):
+    """The Muckenhoupt constant as a plain loop over centers and their
+    distinct radii, every average taken in logs."""
+    rp = r / (r - 1.0)
+    log_w, log_mu = np.log(w), np.log(space.mu)
+    best = -np.inf
+    for x in range(space.n):
+        d = space.d_from(x)
+        for rad in np.unique(d):
+            ball = d <= rad
+            log_m = np.logaddexp.reduce(log_mu[ball])
+            avg_w = np.logaddexp.reduce(log_w[ball] + log_mu[ball]) - log_m
+            avg_wr = np.logaddexp.reduce((1.0 - rp) * log_w[ball] + log_mu[ball]) - log_m
+            best = max(best, avg_w + (r - 1.0) * avg_wr)
+    return float(np.exp(best))
+
+
 @st.composite
 def tied_spaces(draw):
     """A uniform grid, a Cantor set or an asymmetric table with tied distances,
@@ -506,6 +523,44 @@ class TestMuckenhoupt:
         sp = vx.uniform_grid(16)
         with pytest.raises(DomainError):
             vx.muckenhoupt_ar(sp, const(16, 1.0, "weight"), 1.0)
+
+    def test_overflowing_weight_power_is_evaluated_in_logs(self):
+        # w = d0^3 at r = 1.01: w**(1 - r') = d0^-300 overflows near the basepoint
+        sc = vx.Scenario.from_dict({
+            "name": "overflow", "space": {"generator": "uniform-grid", "n": 256},
+            "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+            "weights": {"v": {"kind": "weight", "expr": "power-of-dist(x0, 3)"},
+                        "w": {"kind": "weight", "expr": "power-of-dist(x0, 3)"}},
+            "conditions": ["muckenhoupt"], "params": {"r": 1.01}})
+        mat = sc.materialize(256)
+        got = mat.evaluate_conditions()["muckenhoupt"].value
+        assert np.isfinite(got) and got > 1.0
+        assert got == vx.muckenhoupt_ar(mat.space, mat.w, 1.01)
+        assert got == pytest.approx(log_domain_muckenhoupt(mat.space, mat.w.values, 1.01),
+                                    rel=1e-12)
+
+    @given(tied_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([1.01, 1.2, 3.0]),
+           st.sampled_from([1e-200, 1e-5, 1e5, 1e200]))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_weight_out_of_range_equals_log_loop(self, sp, seed, r, scale):
+        # the constant does not change when w is scaled, since
+        # (r' - 1)(r - 1) = 1; a scale that takes w**(1 - r') or w mu out
+        # of the normal floats sends every row to logs
+        w = np.random.default_rng(seed).uniform(0.5, 2.0, sp.n)
+        got = vx.muckenhoupt_ar(sp, vx.PointFunction(scale * w, "weight"), r)
+        assert got == pytest.approx(log_domain_muckenhoupt(sp, scale * w, r), rel=1e-12)
+        assert got == pytest.approx(vx.muckenhoupt_ar(sp, vx.PointFunction(w, "weight"), r),
+                                    rel=1e-12)
+
+    def test_overflowing_ball_sum_is_evaluated_in_logs(self):
+        # every term is a normal float, but the ball sums of w mu overflow
+        rng = np.random.default_rng(7)
+        sp = vx.explicit_space(rng.integers(1, 6, (40, 40)) / 4.0 * (1 - np.eye(40)),
+                               rng.uniform(0.5, 1.0, 40))
+        w = rng.uniform(0.2, 1.0, 40) * 1e308
+        got = vx.muckenhoupt_ar(sp, vx.PointFunction(w, "weight"), 3.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(log_domain_muckenhoupt(sp, w, 3.0), rel=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(4)

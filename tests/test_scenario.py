@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
+from test_space import line_spaces, tied_spaces
 from vexleb import conditions
 from vexleb import space as space_module
-from vexleb.scenario import CONDITIONS
+from vexleb.scenario import CONDITIONS, Materialized
+from vexleb.space import _BLOCK_ROWS
 
 PAIR_FUNCTIONALS = ("potential_conditions", "distance_potential_conditions",
                     "variable_order_conditions", "maximal_singular_conditions")
@@ -80,3 +83,66 @@ def test_geometry_sweep_runs_once_per_resolution(monkeypatch):
     mat.evaluate_conditions()
     mat.geometry_summary()
     assert len(calls) == 1
+
+
+@st.composite
+def shared_pass_cases(draw):
+    """A line space, a tied table or a grid whose size puts a row block edge
+    just before or after a multiple of ``_BLOCK_ROWS``, with a scenario
+    listing ``muckenhoupt`` over random weights on it."""
+    sizes = st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    sp = draw(st.one_of(line_spaces(sizes), tied_spaces(sizes), sizes.map(vx.uniform_grid)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.01, 10.0, sp.n) * draw(st.sampled_from([1.0, 1e-5]))
+    sc = vx.Scenario.from_dict({
+        "name": "shared", "space": {"generator": "uniform-grid", "n": 2},
+        "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+        "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                    "w": {"kind": "weight", "values": w.tolist()}},
+        "conditions": ["muckenhoupt", "annulus-comparison"],
+        "params": {"r": draw(st.sampled_from([1.01, 1.5, 2.0, 3.7])),
+                   "A": draw(st.sampled_from([1.5, 2.0, 3.0]))}})
+    return sc, sp
+
+
+@given(shared_pass_cases())
+@settings(max_examples=40, deadline=None)
+def test_shared_pass_equals_separate_calls(case):
+    # the geometry report and the Muckenhoupt value of one shared pass are
+    # those of separate geometry_constants and muckenhoupt_ar calls, bit for
+    # bit, whichever the materialization is asked for first
+    sc, sp = case
+    r, A = sc.params["r"], sc.params["A"]
+    for geometry_first in (True, False):
+        mat = Materialized(sc, sp)
+        if geometry_first:
+            geometry, reports = mat.geometry_summary(), mat.evaluate_conditions()
+        else:
+            reports = mat.evaluate_conditions()
+            geometry = mat.geometry_summary()
+        report = vx.geometry_constants(sp, A=A)
+        assert repr(mat._sorted_pass[0]) == repr(report)
+        assert geometry["doubling_c"] == report.doubling_c
+        assert repr(reports["muckenhoupt"].value) == repr(vx.muckenhoupt_ar(sp, mat.w, r))
+
+
+@pytest.mark.parametrize("geometry_first", [True, False])
+def test_muckenhoupt_reads_the_geometry_sweep_blocks(monkeypatch, geometry_first):
+    # one full sorted-row pass serves the geometry report and the Muckenhoupt
+    # value; the basepoint row is sorted on its own
+    full = []
+    blocks = space_module._sorted_row_blocks
+
+    def counted(space, first=0, stop=None):
+        if first == 0 and stop is None:
+            full.append(space.n)
+        return blocks(space, first, stop)
+
+    monkeypatch.setattr(space_module, "_sorted_row_blocks", counted)
+    monkeypatch.setattr(conditions, "_sorted_row_blocks", counted)
+    mat = sweep_scenario(["muckenhoupt", "annulus-comparison", "hardy"]).materialize()
+    if geometry_first:
+        mat.geometry_summary()
+    mat.evaluate_conditions()
+    mat.geometry_summary()
+    assert full == [mat.space.n]
