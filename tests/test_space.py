@@ -309,6 +309,108 @@ class TestSharedSortedRows:
                 shared[1] = 0
 
 
+@st.composite
+def basepoint_spaces(draw):
+    """(space, cap radius a or None, exponent field): tied tables with the
+    basepoint anywhere (ties at the basepoint distance), Cantor sets, and
+    truncated infinite line models on a lattice whose cap radius a lies below
+    the truncation radius.  On an infinite model p is constant beyond a."""
+    kind = draw(st.sampled_from(["tied", "cantor", "truncated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = None
+    if kind == "tied":
+        sp = draw(tied_spaces(st.integers(2, 40)))
+        sp = dataclasses.replace(sp, x0=draw(st.integers(0, sp.n - 1)))
+    elif kind == "cantor":
+        sp = vx.cantor_space(draw(st.integers(1, 6)))
+    else:
+        n = draw(st.integers(2, 40))
+        coords = rng.permutation(np.cumsum(rng.integers(1, 4, n) * 0.25))
+        trunc = float(np.ptp(coords)) * draw(st.sampled_from([0.5, 1.0]))
+        sp = vx.explicit_space(np.abs(coords[:, None] - coords[None, :]),
+                               rng.uniform(0.1, 1.0, n), int(rng.integers(0, n)), np.inf,
+                               trunc_radius=trunc, coords=coords)
+        a = trunc * draw(st.sampled_from([0.3, 0.6, 0.9]))
+    cap = sp.L_eff if a is None else a
+    values = rng.uniform(1.2, 4.0, sp.n)
+    if sp.infinite_diameter:
+        values[sp.d0 > cap] = 2.5
+    return sp, a, vx.PointFunction(values, "exponent")
+
+
+def basepoint_loop_order(sp):
+    """Point ids by basepoint distance, ties by id: a plain stable sort."""
+    return sorted(range(sp.n), key=lambda y: (sp.d0[y], y))
+
+
+class TestBasepointRowReaders:
+    """Every reader of the sorted basepoint row against a plain loop over the
+    points, bit for bit."""
+
+    @given(basepoint_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_local_exponents_equal_loop(self, case):
+        sp, a, p = case
+        d0, pv = sp.d0, p.values
+        cap = sp.L_eff if a is None or not sp.infinite_diameter else a
+        beyond = [y for y in range(sp.n) if d0[y] > cap]
+        p_c = pv[beyond[0]] if sp.infinite_diameter and beyond else None
+        le = vx.local_exponents(sp, p, a)
+        for x in range(sp.n):
+            ball_min = min(pv[y] for y in range(sp.n) if d0[y] <= d0[x])
+            ring = [pv[y] for y in range(sp.n) if d0[x] <= d0[y] <= cap]
+            tail_min = min(ring) if ring else (pv[x] if p_c is None else p_c)
+            capped = p_c if p_c is not None and d0[x] > cap else ball_min
+            assert le.ball_min.values[x] == ball_min
+            assert le.tail_min.values[x] == tail_min
+            assert le.ball_min_capped.values[x] == capped
+
+    @given(basepoint_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_muB0_equals_loop_and_ball(self, case):
+        sp = case[0]
+        order = basepoint_loop_order(sp)
+        for x in range(sp.n):
+            inside, total = [], 0.0
+            for y in order:
+                if sp.d0[y] < sp.d0[x]:
+                    inside.append(y)
+                    total += sp.mu[y]
+            assert sp.muB0[x] == total
+            # ``ball`` sums its members in id order with numpy's pairwise
+            # sum, so its measure agrees to rounding, its members exactly
+            b = vx.ball(sp, sp.x0, sp.d0[x])
+            assert np.array_equal(b.members, np.sort(inside))
+            assert sp.muB0[x] == pytest.approx(b.measure, rel=1e-12, abs=0.0)
+
+    @given(basepoint_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_hardy_transforms_equal_loop(self, case):
+        sp, _, _ = case
+        rng = np.random.default_rng(sp.n)
+        f = rng.uniform(-1.0, 2.0, (2, sp.n))
+        v, w = (vx.PointFunction(rng.uniform(0.1, 3.0, sp.n), "weight") for _ in range(2))
+        fwd = vx.hardy_transforms(sp, v, w, f)
+        tail = vx.hardy_tail_transforms(sp, v, w, f)
+        order = basepoint_loop_order(sp)
+        for k in range(2):
+            terms = [(y, f[k, y] * w.values[y] * sp.mu[y]) for y in order]
+            total = 0.0
+            for _, term in terms:
+                total += term
+            for x in range(sp.n):
+                below = upto = 0.0
+                for y, term in terms:
+                    if sp.d0[y] < sp.d0[x]:
+                        below += term
+                    if sp.d0[y] <= sp.d0[x]:
+                        upto += term
+                assert fwd[k, x] == below * v.values[x]
+                # the tail is the total less the closed ball, both summed
+                # along the basepoint order
+                assert tail[k, x] == (total - upto) * v.values[x]
+
+
 class TestBall:
     def test_zero_radius_open_is_empty(self):
         sp = vx.uniform_grid(16)
