@@ -261,11 +261,31 @@ class TestRun:
         ("space.points", {"space": {"points": [{"id": 0, "coord": 0.0}],
                                     "metric": "euclidean1d", "mu": [1.0]},
                           "resolutions": [4]}),
+        # the probe generator takes no negative seed
+        ("seed", {"seed": -3}),
+        # a field whose values leave its domain is named
+        ("exponents.p", {"exponents": {"p": {"kind": "exponent", "expr": "const 0.5"}}}),
+        ("weights.w", {"weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                   "w": {"kind": "weight", "expr": "const 0"}}}),
+        ("weights.pair", {"weights": {"pair": {"family": "log-pair", "L": 0.1}}}),
+        ("weights.pair", {"weights": {"pair": {"family": "log-pair", "L": -1}}}),
+        ("exponents.alpha", {"exponents": {"p": {"kind": "exponent", "expr": "const 2"},
+                                           "alpha": {"kind": "alpha", "expr": "const 0.6"}}}),
+        # so is one whose expression overflows
+        ("weights.v", {"weights": {"v": {"kind": "weight", "expr": "power-of-dist(x0, -400)"},
+                                   "w": {"kind": "weight", "expr": "const 1"}}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
         assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"scenario.{field}" in capsys.readouterr().err
+
+    def test_negative_seed_option_exit_two(self, tmp_path, capsys):
+        args = ["run", str(SCENARIOS / "hardy_unit.json"), "--seed", "-1",
+                "--resolutions", "16,32,64", "--out-dir", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "hardy_unit.json").exists()
 
     @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..\\escaped", ""])
     def test_name_leaving_out_dir_exit_two(self, tmp_path, capsys, name):
