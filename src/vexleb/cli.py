@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, PreconditionError, ValidationError
 from .report import fmt_float, write_csv, write_json
-from .scenario import Scenario, _resolutions
+from .scenario import Scenario, _resolutions, _seed
 from .verify import refinement_study
 
 __all__ = ["load_scenario", "run", "emit_report", "main"]
@@ -44,9 +44,9 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
     """Execute one scenario and write its reports.  Returns the exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is not None:
-        scenario.seed = int(seed)
     try:
+        if seed is not None:
+            scenario.seed = _seed(seed, "--seed")
         if resolutions:
             scenario.resolutions = _resolutions(resolutions, "--resolutions")
         study = None

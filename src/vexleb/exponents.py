@@ -336,4 +336,7 @@ def field_from_spec(space: DiscreteSpace, spec: dict) -> PointFunction:
         return PointFunction(values, kind)
     entry, params = parsed
     t = space.radial_distances() if entry.radial else space.d0
-    return PointFunction(entry.value(t, space.L_eff, *params), kind)
+    # a value beyond the floats is refused as not finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = entry.value(t, space.L_eff, *params)
+    return PointFunction(values, kind)

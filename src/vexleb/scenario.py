@@ -5,6 +5,7 @@ given resolution.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -166,10 +167,8 @@ class Scenario:
         space_spec = _mapping(data, "space")
         if space_spec.get("generator") is not None:
             # checked here: materialize replaces the size with the resolution
-            try:
+            with _naming(""):
                 _generator(space_spec)
-            except ValidationError as exc:
-                raise ValidationError(f"scenario.{exc}") from None
         exps = _mapping(data, "exponents")
         weights = _mapping(data, "weights")
         pair = None
@@ -178,10 +177,8 @@ class Scenario:
         parsed = {}
         for where, spec in (("exponents.p", exps.get("p")), ("exponents.alpha", exps.get("alpha")),
                             ("weights.v", v_spec), ("weights.w", w_spec)):
-            try:
+            with _naming(where):
                 parsed[where] = None if spec is None else parse_field_spec(spec)
-            except ValidationError as exc:
-                raise ValidationError(f"scenario.{where}: {exc}") from None
         radial_weights = all(f is not None and f[0].radial
                              for f in (parsed["weights.v"], parsed["weights.w"]))
         if "pair" in weights:
@@ -228,9 +225,7 @@ class Scenario:
             if w_spec is None:
                 raise ValidationError("scenario.weights.w: required by the listed conditions")
         resolutions = _resolutions(data.get("resolutions", [64, 256, 1024]), "scenario.resolutions")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, Integral) or isinstance(seed, bool):
-            raise ValidationError(f"scenario.seed: must be an integer, got {seed!r}")
+        seed = _seed(data.get("seed", 0), "scenario.seed")
         params = dict(_mapping(data, "params"))
         _known_keys(params, "scenario.params", _PARAM_KEYS)
         # the reverse-doubling factor A and the Muckenhoupt exponent r exceed
@@ -244,10 +239,8 @@ class Scenario:
             raise ValidationError("scenario.params.require_monotone: must be true or false, "
                                   f"got {params['require_monotone']!r}")
         if "kernel" in params:
-            try:
+            with _naming("params.kernel", ValueError):
                 ops.kernel_from_spec(params["kernel"])
-            except ValueError as exc:
-                raise ValidationError(f"scenario.params.kernel: {exc}") from None
         return cls(
             name=name, space_spec=space_spec, p_spec=exps.get("p"),
             alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
@@ -284,15 +277,31 @@ class Scenario:
                 space_spec["n"] = int(n)
             elif space_spec["generator"] == "cantor":
                 space_spec["depth"] = max(1, int(np.log2(max(2, int(n)))))
-        try:
+        with _naming(""):
             space = space_from_spec(space_spec)
-        except ValidationError as exc:
-            raise ValidationError(f"scenario.{exc}") from None
         return Materialized(self, space)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _seed(seed, where: str) -> int:
+    """A checked seed: a nonnegative integer, as the probe generator takes."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"{where}: must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+@contextmanager
+def _naming(where: str, errors=(ValidationError, DomainError)):
+    """Re-raise ``errors`` from the body as a ValidationError under
+    ``scenario.<where>``; with ``where`` empty the message names its own
+    field (``space.n: ...``)."""
+    try:
+        yield
+    except errors as exc:
+        raise ValidationError(f"scenario.{where}{': ' if where else ''}{exc}") from None
 
 
 # every key a scenario file and its params may set
@@ -335,34 +344,32 @@ class Materialized:
         self.p = self._field("exponents.p", scenario.p_spec)
         self.alpha = self._field("exponents.alpha", scenario.alpha_spec)
         self.alpha0 = None if self.alpha is None else float(self.alpha.values[space.x0])
-        self.q = self.p if self.alpha is None or self.p is None \
-            else sobolev_exponent(self.p, self.alpha)
+        with _naming("exponents.alpha"):
+            self.q = self.p if self.alpha is None or self.p is None \
+                else sobolev_exponent(self.p, self.alpha)
         self._build_weights()
         self.kernel = None
         if scenario.operator == "singular":
             self.kernel = ops.kernel_from_spec(scenario.params.get("kernel", {"type": "hilbert"}))
-            try:
-                # a kernel that cannot weigh this space fails on its first row
+            # a kernel that cannot weigh this space fails on its first row
+            with _naming("params.kernel"):
                 self.kernel.row(space, space.x0)
-            except DomainError as exc:
-                raise ValidationError(f"scenario.params.kernel: {exc}") from None
 
     def _field(self, where: str, spec: Optional[dict]) -> Optional[PointFunction]:
         if spec is None:
             return None
-        try:
+        with _naming(where):
             return field_from_spec(self.space, spec)
-        except ValidationError as exc:
-            raise ValidationError(f"scenario.{where}: {exc}") from None
 
     def _build_weights(self):
         sc, space = self.scenario, self.space
         if sc.pair is not None:
-            pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
+            with _naming("weights.pair"), np.errstate(over="ignore", invalid="ignore"):
+                pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
+                dre = space.radial_distances()
+                self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")
+                self.w = PointFunction(np.asarray(pair.w_profile(dre), dtype=float), "weight")
             self.v_profile, self.w_profile = pair.v_profile, pair.w_profile
-            dre = space.radial_distances()
-            self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")
-            self.w = PointFunction(np.asarray(pair.w_profile(dre), dtype=float), "weight")
         else:
             self.v = self._field("weights.v", sc.v_spec)
             self.w = self._field("weights.w", sc.w_spec)
