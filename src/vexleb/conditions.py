@@ -9,9 +9,10 @@ condition, sup over t in [0, L] of
 with W_x(R) the sum over y in R of w(y)**e(x) mu(y).  Between the Hardy,
 potential, maximal and singular conditions only the outer power s, the ball
 factor D and the local exponent e change (e is plus or minus the conjugate
-of a basepoint-local minimum of the exponent field); ``_ball_half`` and
-``_tail_half`` evaluate them all, and ``_pair`` builds each (ball, tail)
-pair from its row of one table, ``_PAIRS``.  The sup is discretized over
+of a basepoint-local minimum of the exponent field), so each condition is a
+row of one table, ``_PAIRS``, and one builder, ``_half``, evaluates every
+half from its row: Hardy's is s = q, D = 1, e = +p' with no tail factor,
+the others take e = -p'.  The sup is discretized over
 the distinct basepoint distances plus midpoints, which samples every step
 of the piecewise-constant curve exactly; region boundaries use the half-open
 convention {d0 <= t} / {t < d0} throughout, so mirror and constant-order
@@ -251,8 +252,7 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     d0 = space.d0
     capped = d0 <= L * (1 + 1e-12)
     log_O = np.where(capped, log_outer, -np.inf)
-    order = space.radial_order
-    ds = d0[order]
+    order, ds = space._basepoint_row[:2]
     n_in = int(np.count_nonzero(capped))  # inner sums run over the first n_in in order
     knots = _distinct(np.concatenate([[0.0], ds[ds <= L], [L]]))
     T = knots.size
@@ -379,20 +379,45 @@ def _log_power(x: np.ndarray, power) -> np.ndarray:
     return np.where(x > 0, power * np.log(np.where(x > 0, x, 1.0)), np.inf)
 
 
-def _ball_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
-               log_D, log_w: np.ndarray, e: np.ndarray) -> ConditionReport:
-    """The ball half (module docstring) from log v, log D and log w.  Where
-    log D is +inf (D = 0), x drops out of the outer sum."""
-    log_O = np.where(log_D < np.inf, s * (log_v - log_D) + np.log(space.mu), -np.inf)
-    return _sup_functional(space, name, log_O, True, (e, log_w), s / np.abs(e))
+# Each condition's row from (space, p, q, order alpha): the outer power s,
+# log D (the ball half divides v by D), the sign of e, and the tail's order
+# term (coef, extra), which adds coef(x) extra(y) to log w(y) (None: none).
+_PAIRS = {
+    "hardy": lambda space, p, q, alpha: (q.values, 0.0, 1.0, None),
+    "potential": lambda space, p, q, alpha: (
+        q.values, _log_power(space.muB0, 1.0 - alpha), -1.0,
+        (1.0 - alpha, _log_power(space.muB0, 1.0))),
+    "distance-potential": lambda space, p, q, alpha: (
+        q.values, (log_D := _log_power(space.d0, 1.0 - alpha)), -1.0, (1.0, log_D)),
+    "maximal": lambda space, p, q, alpha: (
+        p.values, (log_D := _log_power(space.muB0, 1.0)), -1.0, (1.0, log_D)),
+}
 
 
-def _tail_half(space: DiscreteSpace, name: str, s: np.ndarray, log_v: np.ndarray,
-               log_w: np.ndarray, e: np.ndarray, order_term=()) -> ConditionReport:
-    """The tail half (module docstring) from log v and log w; an
-    ``order_term`` (coef, extra) adds coef[x] extra[y] to log w(y)."""
-    return _sup_functional(space, name, s * log_v + np.log(space.mu), False,
-                           (e, log_w, *order_term), s / np.abs(e))
+def _half(space: DiscreteSpace, kind: str, name: str, p: PointFunction, q, alpha,
+          v: np.ndarray, w: np.ndarray, local: PointFunction, tail: bool = False):
+    """The ball or tail half (module docstring) of the ``_PAIRS`` row
+    ``kind`` on weight values v, w, with |e| the conjugate of the local
+    minimum ``local`` of p.  Where D is 0 (log D = +inf), x drops out of the
+    ball half's outer sum."""
+    s, log_D, sign, term = _PAIRS[kind](space, p, q, alpha)
+    conj = conjugate(local).values
+    inner = (sign * conj, _log(w))
+    if tail:
+        log_D = 0.0
+        if term is not None:
+            inner += (np.broadcast_to(term[0], space.n), term[1])
+    log_O = np.where(log_D < np.inf, s * (_log(v) - log_D) + np.log(space.mu), -np.inf)
+    return _sup_functional(space, name, log_O, not tail, inner, s / conj)
+
+
+def _pair(space: DiscreteSpace, kind: str, prefix: str, p: PointFunction, q, alpha,
+          v: np.ndarray, w: np.ndarray, a: Optional[float]):
+    """The reports ``prefix``-ball and ``prefix``-tail of the ``_PAIRS`` row
+    ``kind``: e from the capped ball and the tail minima of p."""
+    le = local_exponents(space, p, a)
+    return (_half(space, kind, f"{prefix}-ball", p, q, alpha, v, w, le.ball_min_capped),
+            _half(space, kind, f"{prefix}-tail", p, q, alpha, v, w, le.tail_min, tail=True))
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -408,10 +433,9 @@ def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
     """
     vv = _nonneg(space, v, "v")
     wv = _nonneg(space, w, "w")
-    le = local_exponents(space, p, a)
-    _ordering_check("hardy condition", le.ball_min_capped, q)
-    return _ball_half(space, "hardy", q.values, _log(vv), 0.0, _log(wv),
-                      conjugate(le.ball_min_capped).values)
+    local = local_exponents(space, p, a).ball_min_capped
+    _ordering_check("hardy condition", local, q)
+    return _half(space, "hardy", "hardy", p, q, None, vv, wv, local)
 
 
 def hardy_tail_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -421,10 +445,9 @@ def hardy_tail_condition(space: DiscreteSpace, p: PointFunction, q: PointFunctio
     {t < d0 <= L}, with e the conjugate of the tail-minimum of p."""
     vv = _nonneg(space, v, "v")
     wv = _nonneg(space, w, "w")
-    le = local_exponents(space, p, a)
-    _ordering_check("hardy tail condition", le.tail_min, q)
-    return _tail_half(space, "hardy-tail", q.values, _log(vv), _log(wv),
-                      conjugate(le.tail_min).values)
+    local = local_exponents(space, p, a).tail_min
+    _ordering_check("hardy tail condition", local, q)
+    return _half(space, "hardy", "hardy-tail", p, q, None, vv, wv, local, tail=True)
 
 
 def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
@@ -432,32 +455,6 @@ def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
     if np.any(alpha_vals <= 0) or np.any(alpha_vals >= 1.0 / p_plus):
         raise DomainError(
             f"order must lie in (0, 1/p_max) = (0, {1.0 / p_plus:.6g})")
-
-
-# Each (ball, tail) pair as (outer power s, log D, coef, extra) from (space, p,
-# q, order alpha): the ball half divides v by D, and the tail's inner log base
-# is log w(y) + coef(x) extra(y).  Radial variants read their ball half here.
-_PAIRS = {
-    "potential": lambda space, p, q, alpha: (
-        q.values, _log_power(space.muB0, 1.0 - alpha), 1.0 - alpha, _log_power(space.muB0, 1.0)),
-    "distance-potential": lambda space, p, q, alpha: (
-        q.values, (log_D := _log_power(space.d0, 1.0 - alpha)), 1.0, log_D),
-    "maximal": lambda space, p, q, alpha: (
-        p.values, (log_D := _log_power(space.muB0, 1.0)), 1.0, log_D),
-}
-
-
-def _pair(space: DiscreteSpace, kind: str, prefix: str, p: PointFunction, q, alpha,
-          v: np.ndarray, w: np.ndarray, a: Optional[float]):
-    """The reports ``prefix``-ball and ``prefix``-tail of the ``_PAIRS`` row
-    ``kind`` on weight values v, w (the tail never reads the basepoint)."""
-    s, log_D, coef, extra = _PAIRS[kind](space, p, q, alpha)
-    le = local_exponents(space, p, a)
-    log_v, log_w = _log(v), _log(w)
-    return (_ball_half(space, f"{prefix}-ball", s, log_v, log_D, log_w,
-                       -conjugate(le.ball_min_capped).values),
-            _tail_half(space, f"{prefix}-tail", s, log_v, log_w, -conjugate(le.tail_min).values,
-                       (np.broadcast_to(coef, space.n), extra)))
 
 
 def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -548,11 +545,11 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
 
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
-    s, log_D, _, _ = _PAIRS[variant.removesuffix("-basepoint")](space, p, q, alpha)
-    e0 = conjugate(local_exponents(space, p, a).ball_min_capped).values  # validates p
+    local = local_exponents(space, p, a).ball_min_capped  # validates p
     if variant.endswith("-basepoint"):
-        e0 = np.full(space.n, float(p.values[space.x0] / (p.values[space.x0] - 1.0)))
-    return _ball_half(space, f"radial-{variant}", s, _log(vr), log_D, _log(wr), -e0)
+        local = PointFunction.constant(space.n, p.values[space.x0], "exponent")
+    return _half(space, variant.removesuffix("-basepoint"), f"radial-{variant}", p, q, alpha,
+                 vr, wr, local)
 
 
 def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -626,9 +623,8 @@ def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFu
         raise DomainError("scale factor A must exceed 1")
     if a1 <= 0:
         raise DomainError("quasi-triangle constant must be positive")
-    order = space.radial_order
+    order, ds = space._basepoint_row[:2]
     d0 = space.d0
-    ds = d0[order]
     scale = A**2 * a1
     hi_d = scale * d0
     starts = np.searchsorted(ds, d0 / scale, side="left")

@@ -127,35 +127,19 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
                 raise PreconditionError(
                     "exponent must be constant beyond the cap radius", witness=int(bad[0]))
 
-    order = space.radial_order
-    ds = space.d0[order]
-    pv = p.values[order]
-
-    # closed-ball prefix minima; equal distances share one closed ball
-    prefix = np.minimum.accumulate(pv)
-    # index of the last element of each point's tie group
-    group_end = np.searchsorted(ds, ds, side="right") - 1
-    ball_min_sorted = prefix[group_end]
-    ball_min = np.empty_like(ball_min_sorted)
-    ball_min[order] = ball_min_sorted
-
-    # suffix minima restricted to d0 <= a, from each tie group's start
-    masked = np.where(ds <= a, pv, np.inf)
-    suffix = np.full(ds.size + 1, np.inf)
-    suffix[:-1] = np.minimum.accumulate(masked[::-1])[::-1]
-    group_start = np.searchsorted(ds, ds, side="left")
-    tail_min_sorted = suffix[group_start]
-    fallback = pv if p_c is None else p_c
-    tail_min_sorted = np.where(np.isinf(tail_min_sorted), fallback, tail_min_sorted)
-    tail_min = np.empty_like(tail_min_sorted)
-    tail_min[order] = tail_min_sorted
+    row = space._basepoint_row
+    pv = p.values[row.order]
+    # each point reads the minimum over its closed ball, order[:upto], and
+    # over the points from its tie group on with d0 <= a, order[below:]
+    ball_min = np.minimum.accumulate(pv)[row.upto - 1]
+    suffix = np.full(pv.size + 1, np.inf)
+    suffix[:-1] = np.minimum.accumulate(np.where(row.ds <= a, pv, np.inf)[::-1])[::-1]
+    tail_min = suffix[row.below]
+    tail_min = np.where(np.isinf(tail_min), p.values if p_c is None else p_c, tail_min)
 
     # tail_min beyond a is already the tail value; only ball_min is spliced
-    ball_capped = ball_min
-    if space.infinite_diameter and p_c is not None:
-        ball_capped = np.where(space.d0 > a, p_c, ball_min)
-    mk = lambda v: PointFunction(v, "exponent")
-    return LocalExponents(mk(ball_min), mk(tail_min), mk(ball_capped))
+    capped = ball_min if p_c is None else np.where(space.d0 > a, p_c, ball_min)
+    return LocalExponents(*(PointFunction(v, "exponent") for v in (ball_min, tail_min, capped)))
 
 
 def sobolev_exponent(p: PointFunction, alpha: PointFunction) -> PointFunction:

@@ -66,15 +66,13 @@ def _hardy(space: DiscreteSpace, v: PointFunction, w: PointFunction, rows,
     cumsum along the basepoint order for the whole block."""
     integrand = _rows(space, rows) * w.values
     integrand *= space.mu
-    d0 = space.d0
-    order = space.radial_order
-    ds = d0[order]
+    row = space._basepoint_row
     csum = np.zeros((len(integrand), space.n + 1))
-    np.cumsum(integrand[:, order], axis=1, out=csum[:, 1:])
+    np.cumsum(integrand[:, row.order], axis=1, out=csum[:, 1:])
     if below:
-        out = csum[:, np.searchsorted(ds, d0, side="left")]
+        out = csum[:, row.below]
     else:
-        out = csum[:, -1:] - csum[:, np.searchsorted(ds, d0, side="right")]
+        out = csum[:, -1:] - csum[:, row.upto]
     out *= v.values
     return out
 

@@ -22,10 +22,14 @@ searched, exhaustively or over seeded triples.
 
 Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
 block at a time, each row sorted once, and every sweep, ball measure and
-basepoint order (``radial_order``, ``muB0``) is read from its blocks, so no
-(n, n) table of sorted rows is kept.  The geometry sweep hands each block
-to the block consumers it is given, so a scenario's Muckenhoupt functional
-reads the rows the geometry sorts: one materialization sorts each row once.
+basepoint order is read from its blocks, so no (n, n) table of sorted rows
+is kept.  The basepoint's row is sorted and its tie groups searched once
+per space (``_basepoint_row``): ``muB0``, the local exponents, the Hardy
+transforms and the condition sweeps read their balls around x0 from its
+order, sorted distances and per-point counts.  The geometry sweep hands each
+block to the block consumers it is given, so a scenario's Muckenhoupt
+functional reads the rows the geometry sorts: one materialization sorts
+each row once.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -178,24 +182,29 @@ class DiscreteSpace:
         return float(self.trunc_radius) if self.infinite_diameter else float(self.L)
 
     @cached_property
-    def _basepoint_row(self):
-        """The basepoint's row, sorted once: its order and ball measures."""
+    def _basepoint_row(self) -> "_BasepointRow":
+        """The basepoint's row, sorted once, with its tie groups searched
+        once (read-only arrays)."""
         row = next(_sorted_row_blocks(self, self.x0, self.x0 + 1))
-        order, measures = row.order[0], row.open_measure()[0]
-        order.flags.writeable = measures.flags.writeable = False
-        return order, measures
+        ds, d0 = row.ds[0], row.d[0]
+        below = ds.searchsorted(d0, "left")
+        out = _BasepointRow(row.order[0], ds, below, ds.searchsorted(d0, "right"),
+                            row.prefix[0, below])
+        for a in out:
+            a.flags.writeable = False
+        return out
 
-    @cached_property
+    @property
     def radial_order(self) -> np.ndarray:
         """Point ids in stable ascending order of d0 (read-only): the order
         behind the radial regions {d0 <= t} and {t < d0}."""
-        return self._basepoint_row[0]
+        return self._basepoint_row.order
 
-    @cached_property
+    @property
     def muB0(self) -> np.ndarray:
         """Open-ball measures mu B(x0, d0(x)) per point, 0 at the basepoint
         (read-only)."""
-        return self._basepoint_row[1]
+        return self._basepoint_row.muB0
 
     @cached_property
     def _sweep(self) -> np.ndarray:
@@ -290,6 +299,16 @@ class GeometryReport:
 # rows sorted together: a block holds a few (block, n) arrays, never an
 # (n, n) one
 _BLOCK_ROWS = 64
+
+
+class _BasepointRow(NamedTuple):
+    """The basepoint's distance row, sorted once, and its tie groups."""
+
+    order: np.ndarray  # point ids in stable ascending order of d0
+    ds: np.ndarray     # d0 in that order
+    below: np.ndarray  # per point x, how many lie strictly closer to x0
+    upto: np.ndarray   # per point x, how many lie at most as far
+    muB0: np.ndarray   # mu B(x0, d0(x)): mu summed over order[:below[x]]
 
 
 class _SortedRows(NamedTuple):
