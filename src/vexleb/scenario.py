@@ -18,7 +18,7 @@ from . import operators as ops
 from .errors import DomainError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
-from .space import DiscreteSpace, _generator, geometry_constants, space_from_spec
+from .space import _GENERATORS, DiscreteSpace, _generator, geometry_constants, space_from_spec
 from .verify import NormEstimate, empirical_ratio
 
 __all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
@@ -272,11 +272,9 @@ class Scenario:
 
     def materialize(self, n: Optional[int] = None) -> "Materialized":
         space_spec = dict(self.space_spec)
-        if n is not None and "generator" in space_spec:
-            if space_spec["generator"] in ("uniform-grid", "uniform_grid"):
-                space_spec["n"] = int(n)
-            elif space_spec["generator"] == "cantor":
-                space_spec["depth"] = max(1, int(np.log2(max(2, int(n)))))
+        if n is not None and space_spec.get("generator") in tuple(_GENERATORS):
+            _, key, _, size = _GENERATORS[space_spec["generator"]]
+            space_spec[key] = size(n)
         with _naming(""):
             space = space_from_spec(space_spec)
         return Materialized(self, space)
@@ -396,27 +394,18 @@ class Materialized:
             out[tag] = result if entry.half is None else result[entry.half]
         return out
 
-    def operator_closure(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """The scenario's operator as a map from a (P, n) block of test
-        functions to its (P, n) block of values, or None without one."""
-        tag = self.scenario.operator
-        if tag is None:
-            return None
-        apply = OPERATORS[tag].apply
-        return lambda rows: apply(self, rows)
-
     def evaluate_ratio(self) -> Optional[NormEstimate]:
         """The empirical norm ratio of the scenario's operator, or None
         without an operator or p."""
-        op = self.operator_closure()
-        if op is None or self.p is None:
+        if self.scenario.operator is None or self.p is None:
             return None
+        op = OPERATORS[self.scenario.operator]
         v, w = self._weights
-        if OPERATORS[self.scenario.operator].weighted:
+        if op.weighted:
             # weights live inside the transform; the ratio is ||T f||_q / ||f||_p
             v = w = PointFunction.constant(self.space.n, 1.0, "weight")
-        return empirical_ratio(self.space, op, self.p, self.q, v, w,
-                               trials=8, seed=self.scenario.seed)
+        return empirical_ratio(self.space, lambda rows: op.apply(self, rows), self.p, self.q,
+                               v, w, trials=8, seed=self.scenario.seed)
 
     @cached_property
     def _sorted_pass(self):

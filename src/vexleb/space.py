@@ -693,25 +693,28 @@ def _number(value, where: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _count(spec: dict, key: str, least: int, gen: str) -> int:
-    """A generator's size field: an integer (not a bool) of at least ``least``."""
-    if key not in spec:
-        raise ValidationError(f"space.{key}: required for {gen}")
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValidationError(f"space.{key}: must be an integer >= {least}, got {value!r}")
-    return int(value)
+# each generator by name (looked up by comparison: a spec may hold any JSON
+# value): builder, size key, least size, and the size a resolution n sets
+_GENERATORS = {
+    "uniform-grid": (uniform_grid, "n", 2, int),
+    "uniform_grid": (uniform_grid, "n", 2, int),
+    "cantor": (cantor_space, "depth", 1, lambda n: max(1, int(np.log2(max(2, int(n)))))),
+}
 
 
 def _generator(spec: dict):
-    """(builder, size) of a generator spec, its size field checked; no space
-    is built."""
+    """(builder, size) of a generator spec, its size field checked to be an
+    integer (not a bool) of at least the least size; no space is built."""
     gen = spec["generator"]
-    if gen in ("uniform-grid", "uniform_grid"):
-        return uniform_grid, _count(spec, "n", 2, gen)
-    if gen == "cantor":
-        return cantor_space, _count(spec, "depth", 1, gen)
-    raise ValidationError(f"space.generator: unknown generator {gen!r}")
+    if gen not in tuple(_GENERATORS):
+        raise ValidationError(f"space.generator: unknown generator {gen!r}")
+    build, key, least, _ = _GENERATORS[gen]
+    if key not in spec:
+        raise ValidationError(f"space.{key}: required for {gen}")
+    size = spec[key]
+    if isinstance(size, bool) or not isinstance(size, Integral) or size < least:
+        raise ValidationError(f"space.{key}: must be an integer >= {least}, got {size!r}")
+    return build, int(size)
 
 
 def space_from_spec(spec: dict) -> DiscreteSpace:
