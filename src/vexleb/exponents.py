@@ -132,9 +132,7 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     # each point reads the minimum over its closed ball, order[:upto], and
     # over the points from its tie group on with d0 <= a, order[below:]
     ball_min = np.minimum.accumulate(pv)[row.upto - 1]
-    suffix = np.full(pv.size + 1, np.inf)
-    suffix[:-1] = np.minimum.accumulate(np.where(row.ds <= a, pv, np.inf)[::-1])[::-1]
-    tail_min = suffix[row.below]
+    tail_min = np.minimum.accumulate(np.where(row.ds <= a, pv, np.inf)[::-1])[::-1][row.below]
     tail_min = np.where(np.isinf(tail_min), p.values if p_c is None else p_c, tail_min)
 
     # tail_min beyond a is already the tail value; only ball_min is spliced

@@ -362,6 +362,7 @@ class Materialized:
     def _build_weights(self):
         sc, space = self.scenario, self.space
         if sc.pair is not None:
+            # a profile value beyond the floats is refused as not finite
             with _naming("weights.pair"), np.errstate(over="ignore", invalid="ignore"):
                 pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
                 dre = space.radial_distances()

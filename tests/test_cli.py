@@ -274,6 +274,12 @@ class TestRun:
         # so is one whose expression overflows
         ("weights.v", {"weights": {"v": {"kind": "weight", "expr": "power-of-dist(x0, -400)"},
                                    "w": {"kind": "weight", "expr": "const 1"}}}),
+        ("weights.pair", {"space": {"points": [{"coord": float(c)} for c in range(5)],
+                                    "metric": "euclidean1d"},
+                          "exponents": {"p": {"kind": "exponent", "expr": "const 2"},
+                                        "alpha": {"kind": "alpha", "expr": "const 0.25"}},
+                          "weights": {"pair": {"family": "power-pair", "gamma": 1000}},
+                          "conditions": ["radial-potential"], "resolutions": [5]}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
