@@ -49,6 +49,11 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
             scenario.seed = _seed(seed, "--seed")
         if resolutions:
             scenario.resolutions = _resolutions(resolutions, "--resolutions")
+        if scenario.operator is not None and len(scenario.resolutions) < 3:
+            raise ValidationError(
+                f"{'--resolutions' if resolutions else 'scenario.resolutions'}: operator "
+                f"{scenario.operator!r} needs at least 3 resolutions for its ratio study, "
+                f"got {scenario.resolutions}")
         study = None
         if len(scenario.resolutions) >= 3 and (scenario.conditions or scenario.operator):
             # the report's geometry and conditions are the study's finest resolution

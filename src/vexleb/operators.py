@@ -6,6 +6,10 @@ of their images.  All of them are pure per-point sums over the space; the
 non-atomic diagonal of the continuum is handled by excluding y = x
 (potentials) or by the truncation radius (singular integrals), and
 refinement studies are expected to confirm the exclusion is harmless.
+
+Distances are read a block of rows at a time (``DiscreteSpace.rows``) or at
+broadcast point ids (``pairs``), and a singular kernel at broadcast ids
+(``KernelSpec.at``), so no operator calls a kernel once per point.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
-from .space import (DiscreteSpace, _distinct, _quasi_constants, _row_blocks,
+from .space import (_RADIUS_JITTER, DiscreteSpace, _distinct, _quasi_constants, _row_blocks,
                     _sorted_row_blocks)
 
 __all__ = [
@@ -162,52 +166,48 @@ def distance_potentials(space: DiscreteSpace, alpha: PointFunction, rows) -> np.
 class KernelSpec:
     """A kernel on off-diagonal pairs plus its smoothness modulus.
 
-    ``row(space, x)`` returns the vector k(x, .) and ``col(space, x)`` the
-    vector k(., x); entries at distance 0 are unused (the truncation removes
-    them).  ``omega`` is the smoothness modulus on (0, inf).
+    ``at(space, xs, ys)`` returns k at the broadcast point ids, as
+    ``K[xs, ys]`` indexes a kernel table; entries at distance 0 are unused
+    (the truncation removes them).  ``omega`` is the smoothness modulus on
+    (0, inf).
     """
 
-    row: Callable[[DiscreteSpace, int], np.ndarray]
-    col: Callable[[DiscreteSpace, int], np.ndarray]
+    at: Callable[[DiscreteSpace, np.ndarray, np.ndarray], np.ndarray]
     omega: Callable[[np.ndarray], np.ndarray]
 
 
 def hilbert_kernel() -> KernelSpec:
     """k(x, y) = 1 / (coord(x) - coord(y)) on coordinate-labelled spaces."""
 
-    def row(space: DiscreteSpace, x: int) -> np.ndarray:
+    def at(space: DiscreteSpace, xs, ys) -> np.ndarray:
         if space.coords is None:
             raise DomainError("Hilbert kernel needs coordinate labels")
-        diff = space.coords[x] - space.coords
-        with np.errstate(divide="ignore"):
-            return np.where(diff != 0, 1.0 / np.where(diff != 0, diff, 1.0), 0.0)
+        diff = space.coords[xs] - space.coords[ys]
+        return np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
 
-    # antisymmetric: y - x and 1 / -t round to exactly -(x - y) and -(1 / t)
-    return KernelSpec(row, lambda space, x: -row(space, x), power_modulus(1.0))
+    return KernelSpec(at, power_modulus(1.0))
 
 
 def power_dist_kernel(exponent: float) -> KernelSpec:
     """k(x, y) = d(x, y)**exponent (positive, distance-driven)."""
 
-    def power(d: np.ndarray) -> np.ndarray:
+    def at(space: DiscreteSpace, xs, ys) -> np.ndarray:
+        d = space.pairs(xs, ys)
         with np.errstate(divide="ignore"):
             return np.where(d > 0, d ** exponent, 0.0)
 
-    return KernelSpec(lambda space, x: power(space.d_from(x)),
-                      lambda space, x: power(space.cols(x, x + 1)[0]),
-                      power_modulus(1.0))
+    return KernelSpec(at, power_modulus(1.0))
 
 
 def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
     k = np.asarray(matrix, dtype=float)
 
-    def table(space: DiscreteSpace) -> np.ndarray:
+    def at(space: DiscreteSpace, xs, ys) -> np.ndarray:
         if k.shape != (space.n, space.n):
             raise DomainError("kernel table does not match the space")
-        return k
+        return k[xs, ys]
 
-    return KernelSpec(lambda space, x: table(space)[x], lambda space, x: table(space)[:, x],
-                      omega or power_modulus(1.0))
+    return KernelSpec(at, omega or power_modulus(1.0))
 
 
 def power_modulus(a: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -230,12 +230,17 @@ def singular_integrals(space: DiscreteSpace, kernel: KernelSpec, rows,
                        eps: float) -> np.ndarray:
     """Truncated singular integral of each row f of a (P, n) block: sum over
     {y : d(x, y) > eps} of k(x, y) f(y) mu(y), the truncated kernel built
-    once per call.  The principal value is approached by shrinking eps."""
+    once per call, a block of rows at a time.  eps is compared with the
+    relative radius jitter, so each distance level lies wholly on one side
+    of it.  The principal value is approached by shrinking eps."""
     if eps <= 0:
         raise DomainError("truncation radius must be positive")
-    table = np.array([kernel.row(space, x) for x in range(space.n)], dtype=float)
+    ids = np.arange(space.n)
+    table = np.empty((space.n, space.n))
     for start, d in _row_blocks(space):
-        table[start:start + len(d)][d <= eps] = 0.0
+        xs = ids[start:start + len(d), None]
+        table[start:start + len(d)] = np.where(d > eps * (1.0 + _RADIUS_JITTER),
+                                               kernel.at(space, xs, ids), 0.0)
     return _apply_kernel(table, _rows(space, rows) * space.mu)
 
 
@@ -271,7 +276,7 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
         yy = ys[xs == x]
         yy = yy[space.d_from(x)[yy] > 0]
         if yy.size:
-            size_c = max(size_c, float(np.max(np.abs(kernel.row(space, x)[yy])
+            size_c = max(size_c, float(np.max(np.abs(kernel.at(space, x, yy))
                                               * open_measure(x)[yy])))
 
     smooth_c = 0.0
@@ -282,14 +287,12 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
         dx = d2[x1]
         if dx <= 0:
             continue
-        gate = d2 >= 2.0 * a1 * dx
-        gate &= d2 > 0
-        if not gate.any():
+        ys = np.flatnonzero((d2 >= 2.0 * a1 * dx) & (d2 > 0))
+        if not ys.size:
             continue
-        num = np.abs(kernel.row(space, x1) - kernel.row(space, x2))[gate]
-        # transposed differences k(y, x1) - k(y, x2)
-        num += np.abs(kernel.col(space, x1)[gate] - kernel.col(space, x2)[gate])
-        quot = num * open_measure(x2)[gate] / kernel.omega(dx / d2[gate])
+        num = np.abs(kernel.at(space, x1, ys) - kernel.at(space, x2, ys))
+        num += np.abs(kernel.at(space, ys, x1) - kernel.at(space, ys, x2))
+        quot = num * open_measure(x2)[ys] / kernel.omega(dx / d2[ys])
         quot = quot[np.isfinite(quot)]
         if quot.size:
             smooth_c = max(smooth_c, float(quot.max()))

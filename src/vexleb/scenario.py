@@ -349,9 +349,9 @@ class Materialized:
         self.kernel = None
         if scenario.operator == "singular":
             self.kernel = ops.kernel_from_spec(scenario.params.get("kernel", {"type": "hilbert"}))
-            # a kernel that cannot weigh this space fails on its first row
+            # a kernel that cannot weigh this space fails on its first read
             with _naming("params.kernel"):
-                self.kernel.row(space, space.x0)
+                self.kernel.at(space, space.x0, space.x0)
 
     def _field(self, where: str, spec: Optional[dict]) -> Optional[PointFunction]:
         if spec is None:

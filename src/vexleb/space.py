@@ -6,10 +6,10 @@ positive weight per point.  A table-backed space stores its distances as an
 ``euclidean1d`` spec) stores only its coordinates and computes
 d(x, y) = |coords[x] - coords[y]| a block of rows at a time, so it holds no
 (n, n) array.  Every distance read goes through ``DiscreteSpace.rows`` (a
-block of rows), ``cols`` (a transposed block of columns) or ``pairs`` (a
-gather of single entries), which slice the table or compute from the
-coordinates with the same float operation per entry, so both kinds give the
-same values bit for bit.
+block of rows) or ``pairs`` (d at broadcast point ids, so a transposed block
+is ``pairs(ids, block[:, None])``), which slice the table or compute from
+the coordinates with the same float operation per entry, so both kinds give
+the same values bit for bit.
 
 Every geometric query here is a pure read: balls, annuli, and estimates of
 the quasi-triangle, doubling, reverse-doubling and Ahlfors-regularity
@@ -157,17 +157,9 @@ class DiscreteSpace:
         block = np.subtract.outer(self.coords[start:stop], self.coords)
         return np.abs(block, out=block)
 
-    def cols(self, start: int, stop: int) -> np.ndarray:
-        """The (stop - start, n) block of d(y, x) for x in start:stop, the
-        transposed column block.  On the line it is the row block: x - y and
-        y - x round to the same magnitude."""
-        if self.dist is None:
-            return self.rows(start, stop)
-        # copied first: read transposed in place, it strides across the table
-        return np.ascontiguousarray(self.dist[:, start:stop]).T
-
-    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """d(xs[i], ys[i]) for each i."""
+    def pairs(self, xs, ys) -> np.ndarray:
+        """d(x, y) at the broadcast point ids xs, ys, as ``dist[xs, ys]``
+        indexes the table."""
         if self.dist is None:
             return np.abs(self.coords[xs] - self.coords[ys])
         return self.dist[xs, ys]
@@ -193,12 +185,6 @@ class DiscreteSpace:
         for a in out:
             a.flags.writeable = False
         return out
-
-    @property
-    def radial_order(self) -> np.ndarray:
-        """Point ids in stable ascending order of d0 (read-only): the order
-        behind the radial regions {d0 <= t} and {t < d0}."""
-        return self._basepoint_row.order
 
     @property
     def muB0(self) -> np.ndarray:
@@ -379,9 +365,10 @@ def _a0(space: DiscreteSpace):
     pair in row-major order, one block of rows at a time.  A ratio that
     overflows is an infinite a0; only the diagonal's 0 / 0 is masked."""
     a0, a0_pair = -np.inf, (0, 0)
+    ids = np.arange(space.n)
     for start, d in _row_blocks(space):
         with np.errstate(invalid="ignore", over="ignore"):
-            ratios = d / space.cols(start, start + len(d))
+            ratios = d / space.pairs(ids, ids[start:start + len(d), None])
         ratios[np.isnan(ratios)] = 0.0
         j = int(ratios.argmax())
         if ratios.flat[j] > a0:

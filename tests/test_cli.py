@@ -293,6 +293,26 @@ class TestRun:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o" / "hardy_unit.json").exists()
 
+    @pytest.mark.parametrize("option", [False, True], ids=["file", "option"])
+    def test_operator_with_two_resolutions_exit_two(self, tmp_path, capsys, option):
+        # a ratio needs a refinement study of 3 resolutions; with fewer the
+        # report was written with no ratio at all
+        args = ["run", str(SCENARIOS / "hardy_unit.json"), "--out-dir", str(tmp_path / "o")]
+        if option:
+            args += ["--resolutions", "64,128"]
+        else:
+            data = json.loads((SCENARIOS / "hardy_unit.json").read_text())
+            args[1] = str(write_scenario(tmp_path, dict(data, resolutions=[64, 128]),
+                                         "hardy_unit.json"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert ("--resolutions" in err) == option
+        assert ("scenario.resolutions" in err) != option
+        assert list((tmp_path / "o").iterdir()) == []
+        # only the runner refuses: the library still evaluates the ratio
+        sc = load_scenario(SCENARIOS / "hardy_unit.json")
+        assert sc.materialize(64).evaluate_ratio().ratio > 0
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..\\escaped", ""])
     def test_name_leaving_out_dir_exit_two(self, tmp_path, capsys, name):
         path = write_scenario(tmp_path, dict(MINIMAL, name=name, resolutions=[16, 32, 64]))
@@ -404,14 +424,14 @@ class TestWriteCsv:
 class TestGoldenScenarios:
     @pytest.mark.parametrize("name", ["hardy_unit", "hardy_divergent",
                                       "power_pair_bounded", "log_pair_maximal",
-                                      "geometry_only"])
+                                      "geometry_only", "hilbert_unit"])
     def test_golden_files_load(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.json")
         assert sc.name == name
 
     @pytest.mark.parametrize("name", ["hardy_unit", "hardy_divergent",
                                       "power_pair_bounded", "log_pair_maximal",
-                                      "geometry_only"])
+                                      "geometry_only", "hilbert_unit"])
     def test_run_imports_no_masked_arrays(self, name, tmp_path):
         # np.unique imports numpy.ma on its first call, 15-35 ms per process
         code = ("import sys, warnings; warnings.simplefilter('ignore');"
@@ -423,3 +443,17 @@ class TestGoldenScenarios:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.split() == ["0", "False"]
+
+    def test_hilbert_unit_ratios_below_exact_norms(self, tmp_path):
+        # each probe ratio is a lower bound of the operator norm, here the
+        # dense exact L2(mu) norm of the same truncated operator
+        sc = load_scenario(SCENARIOS / "hilbert_unit.json")
+        assert run(sc, tmp_path) == 0
+        study = json.loads((tmp_path / "hilbert_unit.json").read_text())["study"]
+        assert study["resolutions"] == [128, 256, 512]
+        for n, ratio in zip(study["resolutions"], study["ratios"]):
+            m = sc.materialize(n)
+            T = vx.scenario.OPERATORS["singular"].apply(m, np.eye(n)).T
+            root = np.sqrt(m.space.mu)
+            exact = np.linalg.norm(root[:, None] * T / root, 2)
+            assert 0 < ratio <= exact

@@ -93,11 +93,12 @@ class TestLineSpace:
         coords = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, n))
         sp = vx.space_from_spec({"points": [{"coord": c} for c in coords],
                                  "metric": "euclidean1d", "x0": 70, "L": 1.0})
-        table = as_table(sp)
+        table, ids = as_table(sp), np.arange(n)
         for start in range(0, n, _BLOCK_ROWS + 7):
             stop = min(start + _BLOCK_ROWS + 7, n)
             assert np.array_equal(sp.rows(start, stop), table.rows(start, stop))
-            assert np.array_equal(sp.cols(start, stop), table.cols(start, stop))
+            transposed = (ids, ids[start:stop, None])
+            assert np.array_equal(sp.pairs(*transposed), table.pairs(*transposed))
         line, searched = vars(vx.geometry_constants(sp)), vars(vx.geometry_constants(table))
         assert {key: line[key] for key in EXACT_QUASI} == EXACT_QUASI
         assert searched["a1"] <= 1.0 + A1_ROUNDING

@@ -57,7 +57,8 @@ def reference_kernel_constants(space, kernel, pairs, seed, a1):
     over the same seeded draws, each ball measured on its own."""
     rng = np.random.default_rng(seed)
     xs, ys, x1s, x2s = (rng.integers(0, space.n, pairs) for _ in range(4))
-    k = np.array([kernel.row(space, x) for x in range(space.n)])
+    ids = np.arange(space.n)
+    k = kernel.at(space, ids[:, None], ids)
     d = space.rows(0, space.n)
 
     def open_ball(x, r):
@@ -91,6 +92,9 @@ def spaces(draw):
     dist = rng.integers(1, 6, (n, n)) / 4.0
     np.fill_diagonal(dist, 0.0)
     return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n))
+
+
+EXPLICIT_8 = np.random.default_rng(1).uniform(-1, 1, (8, 8))
 
 
 class TestAgainstPerCenterLoops:
@@ -415,6 +419,46 @@ class TestSingularIntegral:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def truncated_hilbert(n, k):
+    """The truncated Hilbert operator on uniform_grid(n) as a matrix T with
+    T[x, y] = k(x, y) mu(y): at eps = k / (n - 1), or at the default radius of
+    a ``singular`` scenario when k is None."""
+    eye = np.eye(n)
+    if k is None:
+        sc = vx.Scenario.from_dict({"space": {"generator": "uniform-grid", "n": n},
+                                    "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+                                    "operator": "singular", "resolutions": [n]})
+        return vx.scenario.OPERATORS["singular"].apply(sc.materialize(n), eye).T
+    return vx.singular_integrals(vx.uniform_grid(n), vx.hilbert_kernel(), eye, k / (n - 1)).T
+
+
+class TestSingularTruncation:
+    """A truncation radius on a distance level keeps or drops the whole
+    level: on a uniform grid the truncated Hilbert matrix is Toeplitz and
+    antisymmetric, and by Hilbert's inequality (Schur 1911) its L2(mu) norm
+    is at most pi (n - 1) / n."""
+
+    # the default radius is twice the grid step, so it drops two levels
+    NORMS = {(128, 1): 2.9274, (256, 1): 3.0264, (512, 1): 3.0802,
+             (128, 2): 2.8210, (256, 2): 2.9671, (512, 2): 3.0478}
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("k", [1, 2, 3, None], ids=["h", "2h", "3h", "default"])
+    def test_hilbert_keeps_whole_levels(self, n, k):
+        T = truncated_hilbert(n, k)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        dropped = 2 if k is None else k
+        assert np.array_equal(T != 0, np.abs(lag) > dropped)
+        assert np.array_equal(T, -T.T)
+        kept = T != 0
+        assert np.allclose(T[kept], (n - 1) / (n * lag[kept]), rtol=1e-12, atol=0)
+        # mu is constant, so the L2(mu) norm is the spectral norm of T
+        norm = np.linalg.norm(T, 2)
+        assert norm <= np.pi * (n - 1) / n
+        if (n, dropped) in self.NORMS:
+            assert norm == pytest.approx(self.NORMS[n, dropped], abs=1e-4)
+
+
 class TestLinearity:
     @pytest.mark.parametrize("apply_op", [
         lambda sp, F: vx.hardy_transforms(
@@ -499,7 +543,7 @@ class TestKernelChecks:
         assert peak < 15e6
 
     def test_keeps_no_kernel_rows(self):
-        # k(y, x1) and k(y, x2) come from the kernel's column reader: the
+        # k(y, x1) and k(y, x2) are read at the gated ids alone: the
         # whole rows of every gated y, once kept, were 8.4 MB of a 12.8 MB peak
         sp = vx.uniform_grid(1024)
         tracemalloc.start()
@@ -512,19 +556,35 @@ class TestKernelChecks:
         assert peak < sp.n * sp.n * 8
 
     @pytest.mark.parametrize("table", [False, True], ids=["line", "asymmetric-table"])
-    @pytest.mark.parametrize("make", [
-        vx.hilbert_kernel, lambda: vx.power_dist_kernel(-0.5),
-        lambda: vx.explicit_kernel(np.random.default_rng(1).uniform(-1, 1, (8, 8)))],
+    @pytest.mark.parametrize("make,formula,ulps", [
+        (vx.hilbert_kernel, lambda sp, d, x, y: (1.0 / (sp.coords[x] - sp.coords[y])
+                                                 if sp.coords[x] != sp.coords[y] else 0.0), 0),
+        # the power's array loop may be a vectorized pow, an ulp off the C library's
+        (lambda: vx.power_dist_kernel(-0.5),
+         lambda sp, d, x, y: d(x, y) ** -0.5 if d(x, y) > 0 else 0.0, 1),
+        (lambda: vx.explicit_kernel(EXPLICIT_8), lambda sp, d, x, y: EXPLICIT_8[x, y], 0)],
         ids=["hilbert", "power-dist", "explicit"])
-    def test_columns_are_transposed_rows(self, make, table):
+    def test_columns_are_transposed_rows(self, make, formula, ulps, table):
+        # at() on broadcast ids, read as a block, its transpose, a row, a
+        # column and one pair, equals a per-pair loop of the kernel's formula
         sp = vx.cantor_space(3)
         if table:
             d = sp.rows(0, sp.n) * np.random.default_rng(2).uniform(1.0, 2.0, (8, 8))
             sp = vx.explicit_space(d, sp.mu, L=1.0, coords=sp.coords)
+
+        def dist(x, y):
+            return abs(sp.coords[x] - sp.coords[y]) if sp.dist is None else sp.dist[x, y]
+
         kernel = make()
-        rows = np.array([kernel.row(sp, x) for x in range(sp.n)])
-        for x in range(sp.n):
-            assert np.array_equal(kernel.col(sp, x), rows[:, x])
+        rng = np.random.default_rng(3)
+        xs, ys = rng.integers(0, sp.n, 6), rng.integers(0, sp.n, 11)
+        for a, b in ((xs[:, None], ys), (ys[:, None], xs), (xs[0], ys), (ys, xs[0]),
+                     (xs[1], xs[1]), (xs[2], ys[2])):
+            got = kernel.at(sp, a, b)
+            a, b = np.broadcast_arrays(a, b)
+            want = np.array([formula(sp, dist, x, y) for x, y in zip(a.flat, b.flat)])
+            assert got.shape == a.shape
+            np.testing.assert_array_max_ulp(got.ravel(), want, maxulp=ulps)
 
     def test_table_modulus(self):
         om = vx.table_modulus([0.0, 1.0], [0.0, 2.0])

@@ -282,7 +282,7 @@ class TestSharedSortedRows:
     @given(sorted_row_spaces())
     @settings(max_examples=60, deadline=None)
     def test_basepoint_row_equals_per_row_sort(self, sp):
-        assert np.array_equal(sp.radial_order, np.argsort(sp.d0, kind="stable"))
+        assert np.array_equal(sp._basepoint_row.order, np.argsort(sp.d0, kind="stable"))
         assert np.array_equal(sp.muB0, reference_muB0(sp))
         blk = next(b for b in _sorted_row_blocks(sp) if b.start <= sp.x0 < b.start + _BLOCK_ROWS)
         assert np.array_equal(sp.muB0, blk.open_measure()[sp.x0 - blk.start])
@@ -304,7 +304,7 @@ class TestSharedSortedRows:
 
     def test_basepoint_arrays_are_read_only(self):
         sp = vx.uniform_grid(16)
-        for shared in (sp.muB0, sp.radial_order):
+        for shared in (sp.muB0, sp._basepoint_row.order):
             with pytest.raises(ValueError, match="read-only"):
                 shared[1] = 0
 
