@@ -18,7 +18,8 @@ from pathlib import Path
 from . import __version__
 from .errors import DomainError, PreconditionError, ValidationError
 from .report import fmt_float, write_csv, write_json
-from .scenario import Scenario, _resolutions, _seed
+from .scenario import Scenario, _resolutions
+from .space import _integer
 from .verify import refinement_study
 
 __all__ = ["load_scenario", "run", "emit_report", "main"]
@@ -46,7 +47,7 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
     out.mkdir(parents=True, exist_ok=True)
     try:
         if seed is not None:
-            scenario.seed = _seed(seed, "--seed")
+            scenario.seed = _integer(seed, "--seed", 0)
         if resolutions:
             scenario.resolutions = _resolutions(resolutions, "--resolutions")
         if scenario.operator is not None and len(scenario.resolutions) < 3:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .space import DiscreteSpace, _sorted_row_blocks
+from .space import DiscreteSpace, _known_keys, _mapping, _number, _sorted_row_blocks
 
 __all__ = [
     "PointFunction",
@@ -261,16 +260,15 @@ _EXPR_RE = re.compile(r"^\s*([a-z0-9-]+)\s*(?:\(\s*x0\s*(?:,\s*([^)]*))?\))?\s*(
 def parse_field_spec(spec) -> Optional[Tuple[_Expression, List[float]]]:
     """The expression and parameters of a field spec, or None when it lists
     explicit ``values``.  Expressions are written ``name(x0, a, ...)`` or
-    ``name a ...``; a malformed spec raises ValidationError."""
-    if not isinstance(spec, dict):
-        raise ValidationError("field spec must be a mapping")
+    ``name a ...``; a malformed spec, or one holding a key other than
+    ``kind``, ``expr`` and ``values``, raises ValidationError."""
+    _known_keys(_mapping(spec, "field spec"), "", ("kind", "expr", "values"))
     if "values" in spec:
         values = spec["values"]
         if not isinstance(values, (list, tuple, np.ndarray)):
-            raise ValidationError(f"'values' must be a list of numbers, got {values!r}")
-        bad = [v for v in values if isinstance(v, bool) or not isinstance(v, Real)]
-        if bad:
-            raise ValidationError(f"'values' must hold numbers only, got {bad[0]!r}")
+            raise ValidationError(f"values: must be a list of numbers, got {values!r}")
+        for v in values:
+            _number(v, "values")
         return None
     expr = spec.get("expr")
     m = _EXPR_RE.match(expr) if isinstance(expr, str) else None

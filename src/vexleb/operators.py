@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
-from .space import (_RADIUS_JITTER, DiscreteSpace, _distinct, _quasi_constants, _row_blocks,
-                    _sorted_row_blocks)
+from .space import (_RADIUS_JITTER, DiscreteSpace, _distinct, _known_keys, _mapping, _number,
+                    _quasi_constants, _row_blocks, _sorted_row_blocks)
 
 __all__ = [
     "KernelSpec",
@@ -199,7 +198,7 @@ def power_dist_kernel(exponent: float) -> KernelSpec:
     return KernelSpec(at, power_modulus(1.0))
 
 
-def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
+def explicit_kernel(matrix: np.ndarray) -> KernelSpec:
     k = np.asarray(matrix, dtype=float)
 
     def at(space: DiscreteSpace, xs, ys) -> np.ndarray:
@@ -207,7 +206,7 @@ def explicit_kernel(matrix: np.ndarray, omega=None) -> KernelSpec:
             raise DomainError("kernel table does not match the space")
         return k[xs, ys]
 
-    return KernelSpec(at, omega or power_modulus(1.0))
+    return KernelSpec(at, power_modulus(1.0))
 
 
 def power_modulus(a: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -302,13 +301,6 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
     return size_c, smooth_c, dini_sum
 
 
-def _number(spec: dict, key: str, default=None) -> float:
-    value = spec.get(key, default)
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ValidationError(f"{key}: must be a number, got {value!r}")
-    return float(value)
-
-
 # the keys each kernel type and each modulus type reads besides "type"; a
 # spec's type is looked up by comparison, as it may be any JSON value
 _KERNEL_KEYS = {"hilbert": (), "power-dist": ("exponent",), "explicit-table": ("table",)}
@@ -320,24 +312,17 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
     "exponent": g, "table": [[...]], "omega": {"type": "power", "a": 1.0} |
     {"type": "table", "t": [...], "value": [...]}}.  A key the named kernel
     or modulus type does not read is refused by name."""
-    if not isinstance(spec, dict):
-        raise ValidationError("kernel spec must be a mapping")
-    omega_spec = spec.get("omega", {"type": "power", "a": 1.0})
-    if not isinstance(omega_spec, dict):
-        raise ValidationError(f"omega: must be a mapping, got {omega_spec!r}")
+    spec = _mapping(spec, "kernel spec")
+    omega_spec = _mapping(spec.get("omega", {"type": "power", "a": 1.0}), "omega")
     ktype, otype = spec.get("type"), omega_spec.get("type")
     if ktype not in tuple(_KERNEL_KEYS):
         raise ValidationError(f"unknown kernel type {ktype!r}")
     if otype not in tuple(_MODULUS_KEYS):
         raise ValidationError(f"unknown modulus type {otype!r}")
-    unknown = [key for key in spec if key not in ("type", "omega", *_KERNEL_KEYS[ktype])]
-    unknown += [f"omega.{key}" for key in omega_spec
-                if key not in ("type", *_MODULUS_KEYS[otype])]
-    if unknown:
-        raise ValidationError(f"unknown key(s) {', '.join(map(str, unknown))} "
-                              f"(kernel type {ktype!r}, modulus type {otype!r})")
+    _known_keys(spec, "", ("type", "omega", *_KERNEL_KEYS[ktype]))
+    _known_keys(omega_spec, "omega", ("type", *_MODULUS_KEYS[otype]))
     if otype == "power":
-        omega = power_modulus(_number(omega_spec, "a", 1.0))
+        omega = power_modulus(_number(omega_spec.get("a", 1.0), "omega.a"))
     else:
         if "t" not in omega_spec or "value" not in omega_spec:
             raise ValidationError("table modulus needs 't' and 'value'")
@@ -345,9 +330,7 @@ def kernel_from_spec(spec: dict) -> KernelSpec:
     if ktype == "hilbert":
         k = hilbert_kernel()
     elif ktype == "power-dist":
-        if "exponent" not in spec:
-            raise ValidationError("power-dist kernel needs 'exponent'")
-        k = power_dist_kernel(_number(spec, "exponent"))
+        k = power_dist_kernel(_number(spec.get("exponent"), "exponent"))
     else:
         if "table" not in spec:
             raise ValidationError("explicit-table kernel needs 'table'")

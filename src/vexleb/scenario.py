@@ -1,14 +1,15 @@
 """Scenario descriptions: which space, fields, operator and conditions to
 evaluate, at which resolutions.  Scenarios are plain JSON-compatible dicts;
 this module validates them and materializes the referenced objects at a
-given resolution.
+given resolution.  Every mapping of a scenario is read through the checks
+in ``space``, so a key it does not read, or a number or integer out of its
+range, is refused with the field named.  A field's kind is its slot's.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -18,7 +19,8 @@ from . import operators as ops
 from .errors import DomainError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
-from .space import _GENERATORS, DiscreteSpace, _generator, geometry_constants, space_from_spec
+from .space import (_GENERATORS, DiscreteSpace, _generator, _integer, _known_keys, _mapping,
+                    _number, geometry_constants, space_from_spec)
 from .verify import NormEstimate, empirical_ratio
 
 __all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
@@ -130,15 +132,20 @@ def _log_pair(m: "Materialized", pair: dict):
     return cond.log_adjusted_weight_pair(px0 / (px0 - 1.0), float(pair.get("L", m.space.L_eff)))
 
 
-# weight-pair families: each builds its ProfilePair from (materialization, pair spec)
-_PAIR_FAMILIES = {"power-pair": _power_pair, "log-pair": _log_pair}
+# weight-pair families: each builds its ProfilePair from (materialization,
+# pair spec) and reads the keys listed besides "family"
+_PAIR_FAMILIES = {"power-pair": (_power_pair, ("beta", "gamma")), "log-pair": (_log_pair, ("L",))}
+
+# the kind of the field each slot holds; a spec may name it but not another
+_SLOT_KINDS = {"exponents.p": "exponent", "exponents.alpha": "alpha",
+               "weights.v": "weight", "weights.w": "weight"}
 
 
 @dataclass
 class Scenario:
     """Validated scenario: everything needed to run condition evaluations and
     refinement studies.  ``weights`` may name a built-in pair family instead
-    of explicit v/w field specs."""
+    of (never beside) explicit v/w field specs."""
 
     name: str
     space_spec: dict
@@ -155,45 +162,46 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ValidationError("scenario must be a mapping")
-        _known_keys(data, "scenario", _SCENARIO_KEYS)
+        data = _mapping(data, "scenario", _SCENARIO_KEYS)
         name = data.get("name", "scenario")
         # the name becomes the report's file name inside --out-dir
         if not isinstance(name, str) or not name or "/" in name or "\\" in name:
             raise ValidationError(f"scenario.name: must be a plain file name, got {name!r}")
         if data.get("space") is None:
             raise ValidationError("scenario.space: required")
-        space_spec = _mapping(data, "space")
+        space_spec = _mapping(data["space"], "scenario.space")
         if space_spec.get("generator") is not None:
             # checked here: materialize replaces the size with the resolution
             with _naming(""):
                 _generator(space_spec)
-        exps = _mapping(data, "exponents")
-        weights = _mapping(data, "weights")
-        pair = None
-        v_spec = weights.get("v")
-        w_spec = weights.get("w")
+        exps = _mapping(data.get("exponents", {}), "scenario.exponents", ("p", "alpha"))
+        weights = _mapping(data.get("weights", {}), "scenario.weights", ("v", "w", "pair"))
+        specs = {"exponents.p": exps.get("p"), "exponents.alpha": exps.get("alpha"),
+                 "weights.v": weights.get("v"), "weights.w": weights.get("w")}
         parsed = {}
-        for where, spec in (("exponents.p", exps.get("p")), ("exponents.alpha", exps.get("alpha")),
-                            ("weights.v", v_spec), ("weights.w", w_spec)):
+        for where, spec in specs.items():
             with _naming(where):
                 parsed[where] = None if spec is None else parse_field_spec(spec)
+            if spec is not None and spec.get("kind", _SLOT_KINDS[where]) != _SLOT_KINDS[where]:
+                raise ValidationError(f"scenario.{where}.kind: must be {_SLOT_KINDS[where]!r}, "
+                                      f"got {spec['kind']!r}")
         radial_weights = all(f is not None and f[0].radial
                              for f in (parsed["weights.v"], parsed["weights.w"]))
+        pair = None
         if "pair" in weights:
+            if "v" in weights or "w" in weights:
+                raise ValidationError("scenario.weights: give a pair or v and w, not both")
             pair = dict(weights["pair"]) if isinstance(weights["pair"], dict) \
                 else {"family": weights["pair"]}
             fam = pair.get("family")
-            if fam not in _PAIR_FAMILIES:
-                raise ValidationError(f"weights.pair.family: unknown family {fam!r}")
+            if fam not in tuple(_PAIR_FAMILIES):
+                raise ValidationError(f"scenario.weights.pair.family: unknown family {fam!r}")
+            keys = _PAIR_FAMILIES[fam][1]
+            _known_keys(pair, "scenario.weights.pair", ("family", *keys))
             # gamma may be null: the family then picks the minimal one
-            for key in ("beta", "gamma", "L"):
-                value = pair.get(key)
-                if key in pair and not (key == "gamma" and value is None) \
-                        and not _is_number(value):
-                    raise ValidationError(
-                        f"scenario.weights.pair.{key}: must be a number, got {value!r}")
+            for key in keys:
+                if key in pair and not (key == "gamma" and pair[key] is None):
+                    _number(pair[key], f"scenario.weights.pair.{key}")
         operator = data.get("operator")
         if operator is not None and operator not in _OPERATOR_TAGS:
             raise ValidationError(
@@ -220,21 +228,18 @@ class Scenario:
         if ("p" not in exps) and (conds or operator):
             raise ValidationError("scenario.exponents.p: required")
         if conds and pair is None:
-            if v_spec is None:
-                raise ValidationError("scenario.weights.v: required by the listed conditions")
-            if w_spec is None:
-                raise ValidationError("scenario.weights.w: required by the listed conditions")
+            for where in ("weights.v", "weights.w"):
+                if specs[where] is None:
+                    raise ValidationError(f"scenario.{where}: required by the listed conditions")
         resolutions = _resolutions(data.get("resolutions", [64, 256, 1024]), "scenario.resolutions")
-        seed = _seed(data.get("seed", 0), "scenario.seed")
-        params = dict(_mapping(data, "params"))
-        _known_keys(params, "scenario.params", _PARAM_KEYS)
+        seed = _integer(data.get("seed", 0), "scenario.seed", 0)
+        params = dict(_mapping(data.get("params", {}), "scenario.params", _PARAM_KEYS))
         # the reverse-doubling factor A and the Muckenhoupt exponent r exceed
         # 1; the quasi-triangle constant a1 and the truncation radius eps are
         # positive
         for key, bound in (("A", 1), ("a1", 0), ("r", 1), ("eps", 0)):
-            if key in params and not (_is_number(params[key]) and params[key] > bound):
-                raise ValidationError(f"scenario.params.{key}: must be a number above "
-                                      f"{bound}, got {params[key]!r}")
+            if key in params:
+                _number(params[key], f"scenario.params.{key}", bound)
         if not isinstance(params.get("require_monotone", False), bool):
             raise ValidationError("scenario.params.require_monotone: must be true or false, "
                                   f"got {params['require_monotone']!r}")
@@ -242,10 +247,10 @@ class Scenario:
             with _naming("params.kernel", ValueError):
                 ops.kernel_from_spec(params["kernel"])
         return cls(
-            name=name, space_spec=space_spec, p_spec=exps.get("p"),
-            alpha_spec=exps.get("alpha"), v_spec=v_spec, w_spec=w_spec, pair=pair,
-            operator=operator, conditions=conds, resolutions=resolutions,
-            seed=int(seed), params=params,
+            name=name, space_spec=space_spec, p_spec=specs["exponents.p"],
+            alpha_spec=specs["exponents.alpha"], v_spec=specs["weights.v"],
+            w_spec=specs["weights.w"], pair=pair, operator=operator, conditions=conds,
+            resolutions=resolutions, seed=seed, params=params,
         )
 
     def to_dict(self) -> dict:
@@ -280,17 +285,6 @@ class Scenario:
         return Materialized(self, space)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _seed(seed, where: str) -> int:
-    """A checked seed: a nonnegative integer, as the probe generator takes."""
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"{where}: must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
 @contextmanager
 def _naming(where: str, errors=(ValidationError, DomainError)):
     """Re-raise ``errors`` from the body as a ValidationError under
@@ -309,28 +303,13 @@ _PARAM_KEYS = ("A", "a1", "r", "eps", "require_monotone", "kernel")
 
 
 def _resolutions(resolutions, where: str) -> List[int]:
-    """Checked ``resolutions``: nonempty, integers, strictly increasing."""
-    if not isinstance(resolutions, (list, tuple)) or not resolutions \
-            or not all(isinstance(r, Integral) and not isinstance(r, bool) for r in resolutions):
-        raise ValidationError(f"{where}: must be a list of integers, got {resolutions!r}")
-    resolutions = [int(r) for r in resolutions]
+    """Checked ``resolutions``: positive integers, strictly increasing."""
+    if not isinstance(resolutions, (list, tuple)) or not resolutions:
+        raise ValidationError(f"{where}: must be a nonempty list of integers, got {resolutions!r}")
+    resolutions = [_integer(r, where, 1) for r in resolutions]
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValidationError(f"{where}: must be strictly increasing")
     return resolutions
-
-
-def _known_keys(data: dict, where: str, known: tuple):
-    unknown = [f"{where}.{key}" for key in data if key not in known]
-    if unknown:
-        raise ValidationError(f"{', '.join(unknown)}: unknown key(s), expected one of {known}")
-
-
-def _mapping(data: dict, key: str) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ValidationError(
-            f"scenario.{key}: must be a mapping, got {type(value).__name__}")
-    return value
 
 
 class Materialized:
@@ -357,14 +336,14 @@ class Materialized:
         if spec is None:
             return None
         with _naming(where):
-            return field_from_spec(self.space, spec)
+            return field_from_spec(self.space, dict(spec, kind=_SLOT_KINDS[where]))
 
     def _build_weights(self):
         sc, space = self.scenario, self.space
         if sc.pair is not None:
             # a profile value beyond the floats is refused as not finite
             with _naming("weights.pair"), np.errstate(over="ignore", invalid="ignore"):
-                pair = _PAIR_FAMILIES[sc.pair["family"]](self, sc.pair)
+                pair = _PAIR_FAMILIES[sc.pair["family"]][0](self, sc.pair)
                 dre = space.radial_distances()
                 self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")
                 self.w = PointFunction(np.asarray(pair.w_profile(dre), dtype=float), "weight")

@@ -673,11 +673,41 @@ def explicit_space(dist, mu, x0: int = 0, L: float = np.inf,
                          trunc_radius=trunc_radius, coords=coords)
 
 
-def _number(value, where: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real) or (positive and not value > 0):
-        kind = "positive number" if positive else "number"
-        raise ValidationError(f"{where}: must be a {kind}, got {value!r}")
+# ---------------------------------------------------------------------------
+# spec reading: every mapping a scenario holds goes through these checks,
+# each naming the field at ``where`` in its error
+
+
+def _mapping(value, where: str, known=None) -> dict:
+    """``value``, checked to be a mapping and, given ``known``, its keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be a mapping, got {type(value).__name__}")
+    return value if known is None else _known_keys(value, where, known)
+
+
+def _known_keys(data: dict, where: str, known) -> dict:
+    """``data``, each key outside ``known`` refused by name: ``where.key``,
+    or the bare key with ``where`` empty."""
+    unknown = [f"{where}.{key}" if where else str(key) for key in data if key not in known]
+    if unknown:
+        raise ValidationError(f"{', '.join(unknown)}: unknown key(s), expected one of {known}")
+    return data
+
+
+def _number(value, where: str, above: Optional[float] = None) -> float:
+    """``value`` as a float: a real number, not a bool, above ``above`` if given."""
+    if isinstance(value, bool) or not isinstance(value, Real) \
+            or (above is not None and not value > above):
+        bound = "" if above is None else f" above {above}"
+        raise ValidationError(f"{where}: must be a number{bound}, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str, least: int) -> int:
+    """``value`` as an int: an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"{where}: must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 # each generator by name (looked up by comparison: a spec may hold any JSON
@@ -690,18 +720,19 @@ _GENERATORS = {
 
 
 def _generator(spec: dict):
-    """(builder, size) of a generator spec, its size field checked to be an
-    integer (not a bool) of at least the least size; no space is built."""
+    """(builder, size) of a generator spec, which holds only ``generator``
+    and its size, an integer of at least the least size; no space is built."""
     gen = spec["generator"]
     if gen not in tuple(_GENERATORS):
         raise ValidationError(f"space.generator: unknown generator {gen!r}")
     build, key, least, _ = _GENERATORS[gen]
-    if key not in spec:
-        raise ValidationError(f"space.{key}: required for {gen}")
-    size = spec[key]
-    if isinstance(size, bool) or not isinstance(size, Integral) or size < least:
-        raise ValidationError(f"space.{key}: must be an integer >= {least}, got {size!r}")
-    return build, int(size)
+    _known_keys(spec, "space", ("generator", key))
+    return build, _integer(spec.get(key), f"space.{key}", least)
+
+
+# the keys of the explicit form, and those each metric adds
+_EXPLICIT_KEYS = ("points", "metric", "mu", "x0", "L", "trunc_radius")
+_METRIC_KEYS = {"euclidean1d": (), "explicit": ("dist",)}
 
 
 def space_from_spec(spec: dict) -> DiscreteSpace:
@@ -712,38 +743,40 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     ``depth >= 1``.  Explicit form:
     ``{"points": [{"id": 0, "coord": 0.0}, ...], "metric": "euclidean1d" |
     "explicit", "dist": row-major table, "mu": [...] | "lebesgue-grid",
-    "x0": id, "L": number | "inf", "trunc_radius": number}``.  Every
-    malformed field raises a ValidationError that names it.
+    "x0": id, "L": number | "inf", "trunc_radius": number}``, where
+    ``dist`` belongs to the explicit metric only.  Every malformed field
+    raises a ValidationError that names it, and so does every key the form,
+    its metric or a point does not read.
     """
-    if not isinstance(spec, dict):
-        raise ValidationError("space: must be a mapping")
-    if spec.get("generator") is not None:
+    if _mapping(spec, "space").get("generator") is not None:
         build, size = _generator(spec)
         return build(size)
 
+    metric = spec.get("metric", "explicit")
+    if metric not in tuple(_METRIC_KEYS):
+        raise ValidationError(f"space.metric: unknown metric {metric!r}")
+    _known_keys(spec, "space", _EXPLICIT_KEYS + _METRIC_KEYS[metric])
     points = spec.get("points")
-    if not isinstance(points, list) or not points \
-            or not all(isinstance(p, dict) for p in points):
+    if not isinstance(points, list) or not points:
         raise ValidationError(f"space.points: must be a nonempty list of mappings, got {points!r}")
+    points = [_mapping(p, f"space.points[{i}]", ("id", "coord")) for i, p in enumerate(points)]
     n = len(points)
     ids = [p.get("id", i) for i, p in enumerate(points)]
     coords = None
     if any("coord" in p for p in points):
-        coords = np.array([_number(p.get("coord"), "space.points: coord") for p in points])
-    metric = spec.get("metric", "explicit")
+        coords = np.array([_number(p.get("coord"), f"space.points[{i}].coord")
+                           for i, p in enumerate(points)])
     dist = None
     if metric == "euclidean1d":
         if coords is None:
             raise ValidationError("space.points: euclidean1d metric needs coords")
-    elif metric == "explicit":
+    else:
         if "dist" not in spec:
             raise ValidationError("space.dist: required for explicit metric")
         try:
             dist = np.asarray(spec["dist"], dtype=float).reshape(n, n)
         except (TypeError, ValueError):
             raise ValidationError(f"space.dist: must list {n} x {n} numbers row by row") from None
-    else:
-        raise ValidationError(f"space.metric: unknown metric {metric!r}")
     if n < 2:
         raise ValidationError(f"space.points: need at least 2 points, got {n}")
     mu_spec = spec.get("mu", "lebesgue-grid")
@@ -763,10 +796,10 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     except ValueError:
         raise ValidationError(f"space.x0: id {x0_id!r} not among points") from None
     L_spec = spec.get("L", "inf")
-    L = np.inf if L_spec == "inf" else _number(L_spec, "space.L", positive=True)
+    L = np.inf if L_spec == "inf" else _number(L_spec, "space.L", above=0)
     trunc = spec.get("trunc_radius")
     if trunc is not None:
-        trunc = _number(trunc, "space.trunc_radius", positive=True)
+        trunc = _number(trunc, "space.trunc_radius", above=0)
     elif np.isinf(L):
         # an infinite span is refused with the coordinates below
         with np.errstate(over="ignore"):

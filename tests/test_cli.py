@@ -280,6 +280,46 @@ class TestRun:
                                         "alpha": {"kind": "alpha", "expr": "const 0.25"}},
                           "weights": {"pair": {"family": "power-pair", "gamma": 1000}},
                           "conditions": ["radial-potential"], "resolutions": [5]}),
+        # every mapping refuses a key it does not read: a generator reads its
+        # size, a metric its table, a point its id and coordinate
+        ("space.nn", {"space": {"generator": "uniform-grid", "n": 32, "nn": 3}}),
+        ("space.L", {"space": {"generator": "cantor", "depth": 5, "L": 1.0}}),
+        ("space.dist", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                                  "metric": "euclidean1d", "dist": [0.0, 1.0, 1.0, 0.0]},
+                        "resolutions": [4]}),
+        ("space.points[1].idd", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0, "idd": 1}],
+                                           "metric": "euclidean1d"}, "resolutions": [4]}),
+        ("space.points[0]", {"space": {"points": [0.0, {"coord": 1.0}],
+                                       "metric": "euclidean1d"}, "resolutions": [4]}),
+        ("weights.w: exprr", {"weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                          "w": {"kind": "weight", "expr": "const 1",
+                                                "exprr": "const 2"}}}),
+        ("exponents.p: knd", {"exponents": {"p": {"knd": "exponent", "expr": "const 2"}}}),
+        ("weights.pair.betta", {"exponents": {"p": {"kind": "exponent", "expr": "const 2"},
+                                              "alpha": {"kind": "alpha", "expr": "const 0.25"}},
+                                "weights": {"pair": {"family": "power-pair", "betta": 0.25}}}),
+        ("weights.pair.beta", {"weights": {"pair": {"family": "log-pair", "beta": 0.25}}}),
+        ("exponents.q", {"exponents": {"p": {"kind": "exponent", "expr": "const 2"},
+                                       "q": {"kind": "exponent", "expr": "const 2"}}}),
+        ("weights.u", {"weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                   "w": {"kind": "weight", "expr": "const 1"},
+                                   "u": {"kind": "weight", "expr": "const 1"}}}),
+        # a pair family sets v and w, which were dropped when given beside it
+        ("weights: give a pair or v and w", {"weights": {"pair": {"family": "log-pair"},
+                                       "v": {"kind": "weight", "expr": "const 5"},
+                                       "w": {"kind": "weight", "expr": "const 7"}}}),
+        # an unhashable family is named, not a traceback
+        ("weights.pair.family", {"weights": {"pair": {"family": [1]}}}),
+        # a field's kind is its slot's: a kind-less zero weight is a weight
+        ("weights.w", {"weights": {"v": {"expr": "const 1"}, "w": {"expr": "const 0"}}}),
+        ("weights.w.kind", {"weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                        "w": {"kind": "exponent", "expr": "const 2"}}}),
+        ("exponents.p.kind", {"exponents": {"p": {"kind": "weight", "expr": "const 2"}}}),
+        # resolutions are positive, also where the space ignores them
+        ("resolutions", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                                   "metric": "euclidean1d"}, "resolutions": [0]}),
+        ("resolutions", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
+                                   "metric": "euclidean1d"}, "resolutions": [-4]}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
@@ -292,6 +332,31 @@ class TestRun:
         assert main(args) == 2
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o" / "hardy_unit.json").exists()
+
+    @pytest.mark.parametrize("resolutions", ["0", "-4", "2,0,4"])
+    def test_nonpositive_resolution_option_named(self, tmp_path, capsys, resolutions):
+        # an explicit point list ignores the resolution, which is refused all the same
+        space = {"points": [{"coord": 0.0}, {"coord": 1.0}], "metric": "euclidean1d"}
+        path = write_scenario(tmp_path, dict(MINIMAL, space=space, resolutions=[4]))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--resolutions", resolutions]) == 2
+        assert "--resolutions: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["hardy_divergent", "power_pair_bounded"])
+    def test_kindless_fields_take_their_slots_kind(self, tmp_path, name):
+        # p is an exponent, alpha an order, v and w weights, written or not
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        for group in ("exponents", "weights"):
+            for spec in data[group].values():
+                if isinstance(spec, dict):
+                    spec.pop("kind", None)
+        bare = load_scenario(write_scenario(tmp_path, data, f"{name}.json"))
+        for sc, out in ((load_scenario(SCENARIOS / f"{name}.json"), "a"), (bare, "b")):
+            assert run(sc, tmp_path / out, fmt="csv", resolutions=[32, 48, 64]) == 0
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for fname in written:
+            assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
     @pytest.mark.parametrize("option", [False, True], ids=["file", "option"])
     def test_operator_with_two_resolutions_exit_two(self, tmp_path, capsys, option):
@@ -443,6 +508,42 @@ class TestGoldenScenarios:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.split() == ["0", "False"]
+
+    @pytest.mark.parametrize("name, changes", [
+        *((name, {}) for name in ("hardy_unit", "hardy_divergent", "power_pair_bounded",
+                                  "log_pair_maximal", "geometry_only", "hilbert_unit")),
+        ("../perfbench/scenarios/condition_sweep", {}),
+        # the mappings no golden file holds: points, params, a kernel and its modulus
+        ("geometry_only", {"space": {"points": [{"id": i, "coord": i / 4} for i in range(5)],
+                                     "metric": "euclidean1d", "L": 1.0}}),
+        ("hilbert_unit", {"params": {"eps": 0.01, "kernel": {
+            "type": "hilbert", "omega": {"type": "power", "a": 1.0}}}}),
+    ], ids=["hardy_unit", "hardy_divergent", "power_pair_bounded", "log_pair_maximal",
+            "geometry_only", "hilbert_unit", "condition_sweep", "points", "kernel"])
+    def test_unknown_key_in_every_mapping_named(self, tmp_path, capsys, name, changes):
+        base = dict(json.loads((SCENARIOS / f"{name}.json").read_text()), **changes)
+        vx.Scenario.from_dict(base)
+
+        def mappings(value, path):
+            if isinstance(value, dict):
+                yield path, value
+            items = value.items() if isinstance(value, dict) \
+                else enumerate(value) if isinstance(value, list) else ()
+            for key, item in items:
+                yield from mappings(item, path + (f"[{key}]" if isinstance(key, int)
+                                                  else f".{key}",))
+
+        paths = [path for path, _ in mappings(base, ())]
+        assert len(paths) >= 2
+        for path in paths:
+            data = json.loads(json.dumps(base))
+            target = next(m for p, m in mappings(data, ()) if p == path)
+            target["zz_unknown"] = 1
+            scenario = write_scenario(tmp_path, data)
+            assert main(["run", str(scenario), "--out-dir", str(tmp_path / "o")]) == 2, path
+            # a field or kernel spec names its keys after its slot and a colon
+            err = capsys.readouterr().err.replace(": ", ".")
+            assert f"scenario{''.join(path)}.zz_unknown" in err, (path, err)
 
     def test_hilbert_unit_ratios_below_exact_norms(self, tmp_path):
         # each probe ratio is a lower bound of the operator norm, here the
