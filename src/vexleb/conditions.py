@@ -45,6 +45,7 @@ Finiteness is a refinement trend, never a boolean at one resolution; see
 """
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -643,7 +644,9 @@ def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFu
 class _Muckenhoupt:
     """The Muckenhoupt functional as a consumer of sorted row blocks: each
     call reads one ``_SortedRows`` block and raises ``value`` to the sup over
-    the closed balls centered in it (see ``muckenhoupt_ar``)."""
+    the closed balls centered in it (see ``muckenhoupt_ar``).  A geometry
+    sweep may call it from two threads; the sup is exact, so the blocks may
+    come in any order, and ``value`` is raised under a lock."""
 
     def __init__(self, space: DiscreteSpace, w: PointFunction, r: float):
         if r <= 1:
@@ -661,6 +664,7 @@ class _Muckenhoupt:
         log_w, log_mu = np.log(wv), np.log(space.mu)
         self.log_terms = (log_w + log_mu, (1.0 - rp) * log_w + log_mu)
         self.value = 0.0
+        self._lock = threading.Lock()
 
     def __call__(self, blk) -> None:
         # the averages over the ball up to every sorted position; the closed
@@ -681,7 +685,8 @@ class _Muckenhoupt:
             row_max, logs = np.zeros(len(cmu)), np.arange(len(cmu))
         if logs.size:
             row_max[logs] = self._log_rows(blk, logs)
-        self.value = max(self.value, float(row_max.max()))
+        with self._lock:
+            self.value = max(self.value, float(row_max.max()))
 
     def _log_rows(self, blk, rows: np.ndarray) -> np.ndarray:
         """The row sups of ``rows`` of the block, every ball sum in logs."""

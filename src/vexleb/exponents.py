@@ -260,9 +260,12 @@ _EXPR_RE = re.compile(r"^\s*([a-z0-9-]+)\s*(?:\(\s*x0\s*(?:,\s*([^)]*))?\))?\s*(
 def parse_field_spec(spec) -> Optional[Tuple[_Expression, List[float]]]:
     """The expression and parameters of a field spec, or None when it lists
     explicit ``values``.  Expressions are written ``name(x0, a, ...)`` or
-    ``name a ...``; a malformed spec, or one holding a key other than
-    ``kind``, ``expr`` and ``values``, raises ValidationError."""
+    ``name a ...``; a malformed spec, one holding both ``values`` and
+    ``expr``, or one holding a key other than ``kind``, ``expr`` and
+    ``values``, raises ValidationError."""
     _known_keys(_mapping(spec, "field spec"), "", ("kind", "expr", "values"))
+    if "values" in spec and "expr" in spec:
+        raise ValidationError("give 'values' or 'expr', not both")
     if "values" in spec:
         values = spec["values"]
         if not isinstance(values, (list, tuple, np.ndarray)):

@@ -170,10 +170,12 @@ class Scenario:
         if data.get("space") is None:
             raise ValidationError("scenario.space: required")
         space_spec = _mapping(data["space"], "scenario.space")
-        if space_spec.get("generator") is not None:
-            # checked here: materialize replaces the size with the resolution
-            with _naming(""):
+        with _naming(""):
+            if space_spec.get("generator") is not None:
+                # materialize replaces the size with the resolution
                 _generator(space_spec)
+            else:
+                space_from_spec(space_spec)
         exps = _mapping(data.get("exponents", {}), "scenario.exponents", ("p", "alpha"))
         weights = _mapping(data.get("weights", {}), "scenario.weights", ("v", "w", "pair"))
         specs = {"exponents.p": exps.get("p"), "exponents.alpha": exps.get("alpha"),

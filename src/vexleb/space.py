@@ -30,6 +30,13 @@ order, sorted distances and per-point counts.  The geometry sweep hands each
 block to the block consumers it is given, so a scenario's Muckenhoupt
 functional reads the rows the geometry sorts: one materialization sorts
 each row once.
+A space of more than 1024 points, in a process that may run on two CPUs,
+has its geometry sweep read in slices of 16 rows, the even ones on the
+calling thread and the odd ones on one helper thread; smaller spaces, or a
+single CPU, read blocks of 64 rows on the calling thread.  Every block
+offers its own estimates with their first witnesses, and the calling
+thread folds them in row order with the same strict comparisons, so the
+report is the same bit for bit on either path.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -38,6 +45,8 @@ each estimator takes the reading that matches its continuum quantity.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -477,19 +486,158 @@ def _first_max(block: np.ndarray, last: np.ndarray):
     return last[i], i, block.shape[1]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Above this many points the geometry sweep runs its slices of
+# ``_SLICE_ROWS`` rows on two threads (``_sweep_candidates``), when two CPUs
+# are usable.  Sorting, searching and reducing a row release the GIL; below
+# the gate the hand-off costs more than the second CPU gains.  A slice holds
+# a few (slice, n) arrays per thread: the smaller the slice, the less memory
+# the second thread adds.
+_THREADED_ABOVE = 1024
+_SLICE_ROWS = 16
+
+
+def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
+    """``candidates(blk)`` of every sorted row block, in row order.
+
+    Up to ``_THREADED_ABOVE`` points, or with one usable CPU, the blocks are
+    ``_sorted_row_blocks(space)`` on the calling thread.  Above it they are
+    slices of ``_SLICE_ROWS`` rows, each sorted once by
+    ``_sorted_row_blocks(space, start, stop)``: the even slices on the
+    calling thread, the odd ones on one helper thread, which runs under the
+    caller's ``np.geterr()``, hands its exception to the caller and is joined
+    before this returns.  The fold over the list reads it in row order
+    either way, so the slicing does not change a value or a witness."""
+    n = space.n
+    if n <= _THREADED_ABOVE or _usable_cpus() < 2:
+        return [candidates(blk) for blk in _sorted_row_blocks(space)]
+    starts = range(0, n, _SLICE_ROWS)
+    out = [None] * len(starts)
+
+    def run(first: int) -> None:
+        for j in range(first, len(starts), 2):
+            blk, = _sorted_row_blocks(space, starts[j], min(starts[j] + _SLICE_ROWS, n))
+            out[j] = candidates(blk)
+
+    errors, failed = np.geterr(), []
+
+    def helper() -> None:
+        try:
+            with np.errstate(**errors):
+                run(1)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="vexleb-geometry-sweep")
+    thread.start()
+    try:
+        run(0)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
+def _block_candidates(blk: _SortedRows, n: int, L: float, A: float, q: float):
+    """The estimates of one sorted row block, each with its first witness
+    in row-major order: (doubling, witness), (reverse doubling, witness),
+    (Ahlfors c1, witness), (Ahlfors c2, witness) and whether no annulus of
+    its rows is empty.  An estimate with nothing to read is 0 for a sup,
+    inf for an inf, with the empty witness ``()``; see ``_geometry_sweep``."""
+    ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
+    b = ds.shape[0]
+    positive = ds > 0
+    closed = ends & positive
+    swept = positive.copy()
+    swept[:, 1:] &= ends[:, :-1]
+    small = ds <= L / A
+
+    # the columns the searches read (see _geometry_sweep): doubling's first
+    # k_2, reverse doubling's 1 to k_A - 1 (column 0 is the center)
+    t_2 = 2.0 * ds * (1.0 + _RADIUS_JITTER)
+    k_2 = int((closed & (t_2 >= ds[:, -1:])).argmax(axis=1).max()) + 1
+    k_A = int(np.count_nonzero(small, axis=1).max())
+    t_A = A * ds[:, 1:k_A] * (1.0 - _RADIUS_JITTER)
+    dbl, rdc = np.empty((b, k_2)), np.empty(t_A.shape)
+    for i in range(b):
+        prefix[i].take(ds[i].searchsorted(t_2[i, :k_2], side="right"), out=dbl[i])
+        prefix[i].take(ds[i].searchsorted(t_A[i], side="left"), out=rdc[i])
+
+    # doubling over closed balls B[x, r], B[x, 2r], at the tie groups' ends:
+    # mu B[x, 2r] / mu B[x, r] in place
+    np.divide(dbl, _jittered_measures(ds, prefix, closed, "right", k_2), out=dbl)
+    np.putmask(dbl, ~closed[:, :k_2], -np.inf)
+    i, k = divmod(int(dbl.argmax()), k_2)
+    doubling = float(dbl[i, k]), (start + i, float(ds[i, k]))
+
+    # reverse doubling over open balls B(x, r), B(x, A r) for r <= L_eff / A,
+    # at the tie groups' starts: mu B(x, A r) / mu B(x, r) in place
+    m_open = _jittered_measures(ds, prefix, swept, "left", n)
+    reverse = np.inf, ()
+    if k_A > 1:
+        np.divide(rdc, m_open[:, 1:k_A], out=rdc)
+        np.putmask(rdc, ~(swept[:, 1:k_A] & small[:, 1:k_A]), np.inf)
+        i, k = divmod(int(rdc.argmin()), k_A - 1)
+        reverse = float(rdc[i, k]), (start + i, float(ds[i, k + 1]))
+
+    # Ahlfors over the same open balls, each row followed by one ball past
+    # its largest distance (the whole space)
+    # its open ball holds every point unless the jittered radius does not
+    # pass the largest distance (0, or subnormal); only those rows count
+    whole = ds[:, -1] * (1.0 + 1e-6)
+    bound = whole * (1.0 - _RADIUS_JITTER)
+    inside = np.full(b, n)
+    few = np.flatnonzero(bound <= ds[:, -1])
+    inside[few] = (ds[few] < bound[few, None]).sum(axis=1)
+    m_whole = prefix[np.arange(b), inside]
+    ok_whole = swept.any(axis=1)
+    ratios = ds**q
+    # column 0 divides the empty ball at the center by 0; it is masked
+    with np.errstate(invalid="ignore"):
+        np.divide(m_open, ratios, out=ratios)
+    np.putmask(ratios, ~swept, -np.inf)
+    ratios_whole = np.divide(m_whole, whole**q, out=np.full(whole.shape, -np.inf),
+                             where=ok_whole)
+    value, i, k = _first_max(ratios, ratios_whole)
+    upper = float(value), (start + i, float(ds[i, k] if k < n else whole[i]))
+    np.putmask(ratios, ~(swept & (ds <= L)), np.inf)
+    ratios_whole[~(ok_whole & (whole <= L))] = np.inf
+    value, i, k = _first_max(np.negative(ratios, out=ratios), -ratios_whole)
+    lower = float(-value), (start + i, float(ds[i, k] if k < n else whole[i]))
+
+    # an empty annulus [r, A r) is a jump by more than A between
+    # consecutive distinct distances of one center within (0, L_eff]
+    annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
+                        & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
+    return doubling, reverse, upper, lower, annuli
+
+
 def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
     """Doubling, reverse doubling, Ahlfors regularity and the annulus test in
     one pass over the sorted row blocks: returns (doubling_c, rdc_B,
     doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
     whether no annulus is empty.  Each of ``consumers`` is called with every
     ``_SortedRows`` block, which it must not write, so a functional of the
-    same balls sorts no row again.
+    same balls sorts no row again.  Above ``_THREADED_ABOVE`` points the
+    blocks are read on two threads (``_sweep_candidates``), so a consumer
+    may be called from either and must serialize what it updates.
 
     The swept radii of a center are its distinct positive distances.  Closed
     balls are read at the last position of each tie group, open balls at the
     first, and each estimate is evaluated where its balls are read.  Each
     keeps the witness of the first center and then the first radius that
-    attains it, as a loop over the centers in order would.
+    attains it, as a loop over the centers in order would: every block
+    offers its own first witness (``_block_candidates``), and the blocks are
+    folded in row order, a later one replacing an estimate only when
+    strictly larger (sup) or smaller (inf).
 
     The two ball searches of each row block read only the columns that can
     still change an estimate.  Doubling reads the first k_2 columns, where
@@ -505,84 +653,25 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
         raise DomainError("reverse-doubling factor must exceed 1")
     if q <= 0:
         raise DomainError("Ahlfors exponent must be positive")
-    n = space.n
-    L = space.L_eff
-    cap = L / A
-    doubling_c, rdc_B, c1, c2 = 0.0, np.inf, 0.0, np.inf
-    dbl_wit, rdc_wit, w1, w2 = (), (), (), ()
-    annuli = True
-    for blk in _sorted_row_blocks(space):
+    n, L = space.n, space.L_eff
+
+    def candidates(blk):
         for consume in consumers:
             consume(blk)
-        ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
-        b = ds.shape[0]
-        positive = ds > 0
-        closed = ends & positive
-        swept = positive.copy()
-        swept[:, 1:] &= ends[:, :-1]
-        small = ds <= cap
+        return _block_candidates(blk, n, L, A, q)
 
-        # the columns the searches read (see above): doubling's first k_2,
-        # reverse doubling's 1 to k_A - 1 (column 0 is the center)
-        t_2 = 2.0 * ds * (1.0 + _RADIUS_JITTER)
-        k_2 = int((closed & (t_2 >= ds[:, -1:])).argmax(axis=1).max()) + 1
-        k_A = int(np.count_nonzero(small, axis=1).max())
-        t_A = A * ds[:, 1:k_A] * (1.0 - _RADIUS_JITTER)
-        dbl, rdc = np.empty((b, k_2)), np.empty(t_A.shape)
-        for i in range(b):
-            prefix[i].take(ds[i].searchsorted(t_2[i, :k_2], side="right"), out=dbl[i])
-            prefix[i].take(ds[i].searchsorted(t_A[i], side="left"), out=rdc[i])
-
-        # doubling over closed balls B[x, r], B[x, 2r], at the tie groups' ends:
-        # mu B[x, 2r] / mu B[x, r] in place
-        np.divide(dbl, _jittered_measures(ds, prefix, closed, "right", k_2), out=dbl)
-        np.putmask(dbl, ~closed[:, :k_2], -np.inf)
-        i, k = divmod(int(dbl.argmax()), k_2)
-        if dbl[i, k] > doubling_c:
-            doubling_c, dbl_wit = float(dbl[i, k]), (start + i, float(ds[i, k]))
-
-        # reverse doubling over open balls B(x, r), B(x, A r) for r <= L_eff / A,
-        # at the tie groups' starts: mu B(x, A r) / mu B(x, r) in place
-        m_open = _jittered_measures(ds, prefix, swept, "left", n)
-        if k_A > 1:
-            np.divide(rdc, m_open[:, 1:k_A], out=rdc)
-            np.putmask(rdc, ~(swept[:, 1:k_A] & small[:, 1:k_A]), np.inf)
-            i, k = divmod(int(rdc.argmin()), k_A - 1)
-            if rdc[i, k] < rdc_B:
-                rdc_B, rdc_wit = float(rdc[i, k]), (start + i, float(ds[i, k + 1]))
-
-        # Ahlfors over the same open balls, each row followed by one ball past
-        # its largest distance (the whole space)
-        # its open ball holds every point unless the jittered radius does not
-        # pass the largest distance (0, or subnormal); only those rows count
-        whole = ds[:, -1] * (1.0 + 1e-6)
-        bound = whole * (1.0 - _RADIUS_JITTER)
-        inside = np.full(b, n)
-        few = np.flatnonzero(bound <= ds[:, -1])
-        inside[few] = (ds[few] < bound[few, None]).sum(axis=1)
-        m_whole = prefix[np.arange(b), inside]
-        ok_whole = swept.any(axis=1)
-        ratios = ds**q
-        # column 0 divides the empty ball at the center by 0; it is masked
-        with np.errstate(invalid="ignore"):
-            np.divide(m_open, ratios, out=ratios)
-        np.putmask(ratios, ~swept, -np.inf)
-        ratios_whole = np.divide(m_whole, whole**q, out=np.full(whole.shape, -np.inf),
-                                 where=ok_whole)
-        value, i, k = _first_max(ratios, ratios_whole)
-        if value > c1:
-            c1, w1 = float(value), (start + i, float(ds[i, k] if k < n else whole[i]))
-        np.putmask(ratios, ~(swept & (ds <= L)), np.inf)
-        ratios_whole[~(ok_whole & (whole <= L))] = np.inf
-        value, i, k = _first_max(np.negative(ratios, out=ratios), -ratios_whole)
-        if -value < c2:
-            c2, w2 = float(-value), (start + i, float(ds[i, k] if k < n else whole[i]))
-
-        # an empty annulus [r, A r) is a jump by more than A between
-        # consecutive distinct distances of one center within (0, L_eff]
-        if annuli:
-            annuli = not np.any(swept[:, 1:] & positive[:, :-1] & (ds[:, 1:] <= L)
-                                & (ds[:, 1:] > A * ds[:, :-1] * (1 + 1e-12)))
+    (doubling_c, dbl_wit), (rdc_B, rdc_wit) = (0.0, ()), (np.inf, ())
+    (c1, w1), (c2, w2), annuli = (0.0, ()), (np.inf, ()), True
+    for doubling, reverse, upper, lower, block_annuli in _sweep_candidates(space, candidates):
+        if doubling[0] > doubling_c:
+            doubling_c, dbl_wit = doubling
+        if reverse[0] < rdc_B:
+            rdc_B, rdc_wit = reverse
+        if upper[0] > c1:
+            c1, w1 = upper
+        if lower[0] < c2:
+            c2, w2 = lower
+        annuli = annuli and block_annuli
     return (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
 
 

@@ -320,6 +320,14 @@ class TestRun:
                                    "metric": "euclidean1d"}, "resolutions": [0]}),
         ("resolutions", {"space": {"points": [{"coord": 0.0}, {"coord": 1.0}],
                                    "metric": "euclidean1d"}, "resolutions": [-4]}),
+        # a field spec reads its values or its expression, never both: the
+        # expression was dropped without a word
+        ("weights.w", {"space": {"points": [{"coord": float(c)} for c in range(3)],
+                                 "metric": "euclidean1d"},
+                       "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                                   "w": {"kind": "weight", "values": [1, 1, 1],
+                                         "expr": "const 7"}},
+                       "resolutions": [4]}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
-from test_space import line_spaces, tied_spaces
+from vexleb.errors import ValidationError
+from test_space import line_spaces, sweep_threads, tied_spaces
 from vexleb import conditions
 from vexleb import space as space_module
 from vexleb.scenario import CONDITIONS, Materialized
@@ -105,25 +108,38 @@ def shared_pass_cases(draw):
     return sc, sp
 
 
-@given(shared_pass_cases())
-@settings(max_examples=40, deadline=None)
-def test_shared_pass_equals_separate_calls(case):
-    # the geometry report and the Muckenhoupt value of one shared pass are
-    # those of separate geometry_constants and muckenhoupt_ar calls, bit for
-    # bit, whichever the materialization is asked for first
+def check_shared_pass(case, gate=None):
+    # the geometry report and the Muckenhoupt value of one shared pass, its
+    # geometry sweep gated at ``gate``, are those of separate
+    # geometry_constants and muckenhoupt_ar calls, bit for bit, whichever
+    # the materialization is asked for first
     sc, sp = case
     r, A = sc.params["r"], sc.params["A"]
+    report = vx.geometry_constants(sp, A=A)
     for geometry_first in (True, False):
         mat = Materialized(sc, sp)
-        if geometry_first:
-            geometry, reports = mat.geometry_summary(), mat.evaluate_conditions()
-        else:
-            reports = mat.evaluate_conditions()
-            geometry = mat.geometry_summary()
-        report = vx.geometry_constants(sp, A=A)
+        with sweep_threads(gate):
+            if geometry_first:
+                geometry, reports = mat.geometry_summary(), mat.evaluate_conditions()
+            else:
+                reports = mat.evaluate_conditions()
+                geometry = mat.geometry_summary()
         assert repr(mat._sorted_pass[0]) == repr(report)
         assert geometry["doubling_c"] == report.doubling_c
         assert repr(reports["muckenhoupt"].value) == repr(vx.muckenhoupt_ar(sp, mat.w, r))
+
+
+@given(shared_pass_cases())
+@settings(max_examples=40, deadline=None)
+def test_shared_pass_equals_separate_calls(case):
+    check_shared_pass(case)
+
+
+@given(shared_pass_cases())
+@settings(max_examples=40, deadline=None)
+def test_threaded_shared_pass_equals_separate_calls(case):
+    # the shared pass two threads wide, against separate calls on one
+    check_shared_pass(case, gate=0)
 
 
 @pytest.mark.parametrize("geometry_first", [True, False])
@@ -146,3 +162,22 @@ def test_muckenhoupt_reads_the_geometry_sweep_blocks(monkeypatch, geometry_first
     mat.evaluate_conditions()
     mat.geometry_summary()
     assert full == [mat.space.n]
+
+
+@pytest.mark.parametrize("field, space", [
+    ("space.points[1].zz_unknown", {"points": [{"coord": 0.0}, {"coord": 1.0, "zz_unknown": 1}],
+                                    "metric": "euclidean1d"}),
+    ("space.points", {"points": [{"coord": 0.0}, {"coord": 0.0}], "metric": "euclidean1d"}),
+    ("space.mu", {"points": [{"coord": 0.0}, {"coord": 1.0}], "metric": "euclidean1d",
+                  "mu": [1.0, -1.0]}),
+])
+def test_explicit_space_checked_at_load(field, space):
+    # a points space is checked by from_dict itself, as a generator space is,
+    # not first when it is materialized
+    data = {"name": "points", "space": space,
+            "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+            "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                        "w": {"kind": "weight", "expr": "const 1"}},
+            "conditions": ["hardy"], "resolutions": [4]}
+    with pytest.raises(ValidationError, match=rf"^scenario\.{re.escape(field)}"):
+        vx.Scenario.from_dict(data)

@@ -1,12 +1,20 @@
 import dataclasses
+import os
+import threading
+import warnings
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
+from vexleb import space as space_module
+from vexleb.conditions import _Muckenhoupt
 from vexleb.errors import DomainError, ValidationError
-from vexleb.space import _BLOCK_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1, _sorted_row_blocks
+from vexleb.space import _BLOCK_ROWS, _SLICE_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1, _sorted_row_blocks
 
 
 def brute_ball(space, center, r, closed=False):
@@ -451,13 +459,36 @@ class TestBall:
         assert b1.measure <= b2.measure + 1e-15
 
 
+@contextmanager
+def sweep_threads(gate=None, cpus=2):
+    """The geometry sweep with its size gate at ``gate`` (kept if None) and
+    ``cpus`` usable CPUs, whatever the machine has."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        if gate is None:
+            yield
+        else:
+            with mock.patch.object(space_module, "_THREADED_ABOVE", gate):
+                yield
+
+
+def check_report_equals_loops(sp, A, q):
+    # repr: the same values and the same Python types
+    got = vx.geometry_constants(sp, A=A, ahlfors_exponent=q)
+    assert repr(got) == repr(reference_report(sp, A, q))
+
+
 class TestGeometryAgainstPerCenterLoops:
     @given(geometry_spaces(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.7]))
     @settings(max_examples=80, deadline=None)
     def test_report_equals_loops_exactly(self, sp, A, q):
-        # repr: the same values and the same Python types
-        got = vx.geometry_constants(sp, A=A, ahlfors_exponent=q)
-        assert repr(got) == repr(reference_report(sp, A, q))
+        check_report_equals_loops(sp, A, q)
+
+    @given(geometry_spaces(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_threaded_report_equals_loops_exactly(self, sp, A, q):
+        # every space two threads wide: 16-row slices, the odd ones on a helper
+        with sweep_threads(gate=0):
+            check_report_equals_loops(sp, A, q)
 
     @given(tied_spaces(st.integers(EXHAUSTIVE_TRIPLE_LIMIT + 1, EXHAUSTIVE_TRIPLE_LIMIT + 8)),
            st.integers(0, 2**32 - 1))
@@ -526,6 +557,113 @@ class TestGeometryAgainstPerCenterLoops:
         sp = vx.explicit_space([[0.0]], [1.0], 0, 1.0)
         with pytest.raises(DomainError):
             vx.geometry_constants(sp)
+
+
+def tied_table(n, seed=0):
+    """An n-point asymmetric table of five distinct distances, uneven weights
+    and a diameter below the largest distance."""
+    rng = np.random.default_rng(seed)
+    dist = rng.uniform(0.2, 1.3, 5)[rng.integers(0, 5, (n, n))]
+    np.fill_diagonal(dist, 0.0)
+    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n), 0, 0.8)
+
+
+class ThreadLog:
+    """A block consumer noting the thread each block's rows were read on."""
+
+    def __init__(self):
+        self.threads = {}
+
+    def __call__(self, blk):
+        self.threads[blk.start] = threading.get_ident()
+
+
+class TestThreadedSweep:
+    @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(1100), lambda: vx.cantor_space(11),
+                                      lambda: tied_table(1100)], ids=["grid", "cantor", "tied"])
+    def test_same_report_threaded_or_not(self, make):
+        # above the gate with two CPUs the sweep runs on two threads; with
+        # the gate raised, or one CPU, on the calling thread: the same report
+        sp = make()
+        reports, logs = [], []
+        for gate, cpus in ((None, 2), (sp.n, 2), (None, 1)):
+            log = ThreadLog()
+            with sweep_threads(gate, cpus):
+                reports.append(repr(vx.geometry_constants(sp, sample_triples=10**4,
+                                                          _consumers=(log,))))
+            logs.append(log.threads)
+        assert reports == reports[:1] * 3
+        # even slices on the calling thread, odd ones on one helper
+        main = threading.get_ident()
+        threaded = logs[0]
+        assert sorted(threaded) == list(range(0, sp.n, _SLICE_ROWS))
+        assert {start for start, ident in threaded.items() if ident == main} \
+            == set(range(0, sp.n, 2 * _SLICE_ROWS))
+        assert len(set(threaded.values())) == 2
+        for serial in logs[1:]:
+            assert sorted(serial) == list(range(0, sp.n, _BLOCK_ROWS))
+            assert set(serial.values()) == {main}
+
+    @pytest.mark.parametrize("gate", [None, 1100], ids=["threaded", "serial"])
+    def test_each_row_sorted_once(self, gate):
+        # the geometry sweep and the Muckenhoupt functional it feeds read
+        # every distance row from one sort, on two threads or one
+        sp = vx.uniform_grid(1100)
+        rows, blocks = Counter(), _sorted_row_blocks
+
+        def counted(space, first=0, stop=None):
+            for blk in blocks(space, first, stop):
+                rows.update(range(blk.start, blk.start + len(blk.d)))
+                yield blk
+
+        sup = _Muckenhoupt(sp, vx.PointFunction(1.0 + sp.coords, "weight"), 2.0)
+        with sweep_threads(gate), mock.patch.object(space_module, "_sorted_row_blocks", counted):
+            vx.geometry_constants(sp, _consumers=(sup,))
+        assert rows == Counter(range(sp.n))
+        assert repr(sup.value) == repr(vx.muckenhoupt_ar(sp, vx.PointFunction(1.0 + sp.coords,
+                                                                              "weight"), 2.0))
+
+    def test_helper_failure_reaches_caller(self):
+        # a slice on the helper thread raises: the caller raises it, and no
+        # thread is left behind
+        sp = vx.uniform_grid(200)
+
+        def fail(blk):
+            if blk.start == _SLICE_ROWS:
+                assert threading.current_thread() is not threading.main_thread()
+                raise KeyError("helper slice")
+
+        before = threading.active_count()
+        with sweep_threads(gate=0), pytest.raises(KeyError, match="helper slice"):
+            vx.geometry_constants(sp, _consumers=(fail,))
+        assert threading.active_count() == before
+
+    def test_helper_warning_reaches_caller(self):
+        # the helper runs under the caller's numpy error state and warning
+        # filters: a division by zero in a helper slice warns, raises as an
+        # error::RuntimeWarning, or raises a FloatingPointError under
+        # np.errstate(divide="raise"), each on the calling thread
+        sp = vx.uniform_grid(200)
+        states = {}
+
+        def divide(blk):
+            if blk.start == _SLICE_ROWS:
+                states[threading.current_thread() is threading.main_thread()] = np.geterr()
+                np.log(np.zeros(1))
+
+        before = threading.active_count()
+        with sweep_threads(gate=0):
+            with pytest.warns(RuntimeWarning, match="divide by zero"):
+                vx.geometry_constants(sp, _consumers=(divide,))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="divide by zero"):
+                    vx.geometry_constants(sp, _consumers=(divide,))
+            with np.errstate(divide="raise", under="ignore"), pytest.raises(FloatingPointError):
+                vx.geometry_constants(sp, _consumers=(divide,))
+        assert list(states) == [False]
+        assert states[False]["divide"] == "raise" and states[False]["under"] == "ignore"
+        assert threading.active_count() == before
 
 
 class TestGeometryConstants:
