@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import sys
 import threading
 import warnings
 from collections import Counter
@@ -622,6 +623,37 @@ class TestThreadedSweep:
         assert rows == Counter(range(sp.n))
         assert repr(sup.value) == repr(vx.muckenhoupt_ar(sp, vx.PointFunction(1.0 + sp.coords,
                                                                               "weight"), 2.0))
+
+    def test_muckenhoupt_keeps_every_raise(self):
+        # 16 threads raise one Muckenhoupt value at once, a row each, with
+        # the interpreter switching threads every microsecond: every round
+        # must end at the largest row sup (without the lock a raise was lost
+        # in about one round of fifty)
+        sp = vx.uniform_grid(64)
+        w = vx.PointFunction(np.random.default_rng(3).uniform(0.1, 10.0, sp.n), "weight")
+        blocks = [next(_sorted_row_blocks(sp, i, i + 1)) for i in range(16)]
+        want = _Muckenhoupt(sp, w, 2.0)
+        for blk in blocks:
+            want(blk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                sup, start = _Muckenhoupt(sp, w, 2.0), threading.Barrier(len(blocks))
+
+                def raise_one(blk, sup=sup, start=start):
+                    start.wait(timeout=10)
+                    sup(blk)
+
+                threads = [threading.Thread(target=raise_one, args=(blk,)) for blk in blocks]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sup.value == want.value
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_helper_failure_reaches_caller(self):
         # a slice on the helper thread raises: the caller raises it, and no
