@@ -159,6 +159,9 @@ class Scenario:
     resolutions: List[int]
     seed: int
     params: dict = field(default_factory=dict)
+    # the space an explicit spec built when it was checked at load; every
+    # materialization reads it instead of building it again
+    space: Optional[DiscreteSpace] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -170,12 +173,13 @@ class Scenario:
         if data.get("space") is None:
             raise ValidationError("scenario.space: required")
         space_spec = _mapping(data["space"], "scenario.space")
+        space = None
         with _naming(""):
             if space_spec.get("generator") is not None:
                 # materialize replaces the size with the resolution
                 _generator(space_spec)
             else:
-                space_from_spec(space_spec)
+                space = space_from_spec(space_spec)
         exps = _mapping(data.get("exponents", {}), "scenario.exponents", ("p", "alpha"))
         weights = _mapping(data.get("weights", {}), "scenario.weights", ("v", "w", "pair"))
         specs = {"exponents.p": exps.get("p"), "exponents.alpha": exps.get("alpha"),
@@ -252,7 +256,7 @@ class Scenario:
             name=name, space_spec=space_spec, p_spec=specs["exponents.p"],
             alpha_spec=specs["exponents.alpha"], v_spec=specs["weights.v"],
             w_spec=specs["weights.w"], pair=pair, operator=operator, conditions=conds,
-            resolutions=resolutions, seed=seed, params=params,
+            resolutions=resolutions, seed=seed, params=params, space=space,
         )
 
     def to_dict(self) -> dict:
@@ -278,6 +282,8 @@ class Scenario:
         return out
 
     def materialize(self, n: Optional[int] = None) -> "Materialized":
+        if self.space is not None:
+            return Materialized(self, self.space)
         space_spec = dict(self.space_spec)
         if n is not None and space_spec.get("generator") in tuple(_GENERATORS):
             _, key, _, size = _GENERATORS[space_spec["generator"]]

@@ -31,12 +31,12 @@ block to the block consumers it is given, so a scenario's Muckenhoupt
 functional reads the rows the geometry sorts: one materialization sorts
 each row once.
 A space of more than 1024 points, in a process that may run on two CPUs,
-has its geometry sweep read in slices of 16 rows, the even ones on the
-calling thread and the odd ones on one helper thread; smaller spaces, or a
-single CPU, read blocks of 64 rows on the calling thread.  Every block
-offers its own estimates with their first witnesses, and the calling
-thread folds them in row order with the same strict comparisons, so the
-report is the same bit for bit on either path.
+has its geometry sweep read in slices of 16 rows by the calling thread and
+one helper thread, each taking the next slice as it comes free; smaller
+spaces, or a single CPU, read blocks of 64 rows on the calling thread.
+Every block offers its own estimates with their first witnesses, and the
+calling thread folds them in row order with the same strict comparisons,
+so the report is the same bit for bit on either path.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -510,35 +510,44 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     Up to ``_THREADED_ABOVE`` points, or with one usable CPU, the blocks are
     ``_sorted_row_blocks(space)`` on the calling thread.  Above it they are
     slices of ``_SLICE_ROWS`` rows, each sorted once by
-    ``_sorted_row_blocks(space, start, stop)``: the even slices on the
-    calling thread, the odd ones on one helper thread, which runs under the
-    caller's ``np.geterr()``, hands its exception to the caller and is joined
-    before this returns.  The fold over the list reads it in row order
+    ``_sorted_row_blocks(space, start, stop)`` on the calling thread or on
+    one helper thread, which runs under the caller's ``np.geterr()``, hands
+    its exception to the caller and is joined before this returns.  Both
+    threads take the next slice from one iterator, so a thread that gets
+    less CPU reads fewer slices and the other is never left waiting on it;
+    a failing thread drains the iterator, so the other stops after the
+    slice it is reading.  The fold over the list reads it in row order
     either way, so the slicing does not change a value or a witness."""
     n = space.n
     if n <= _THREADED_ABOVE or _usable_cpus() < 2:
         return [candidates(blk) for blk in _sorted_row_blocks(space)]
-    starts = range(0, n, _SLICE_ROWS)
-    out = [None] * len(starts)
+    out = [None] * -(-n // _SLICE_ROWS)
+    # next() of a range iterator runs under the GIL: no slice is read twice
+    starts = iter(range(0, n, _SLICE_ROWS))
 
-    def run(first: int) -> None:
-        for j in range(first, len(starts), 2):
-            blk, = _sorted_row_blocks(space, starts[j], min(starts[j] + _SLICE_ROWS, n))
-            out[j] = candidates(blk)
+    def run() -> None:
+        try:
+            for start in starts:
+                blk, = _sorted_row_blocks(space, start, min(start + _SLICE_ROWS, n))
+                out[start // _SLICE_ROWS] = candidates(blk)
+        except BaseException:
+            for _ in starts:
+                pass
+            raise
 
     errors, failed = np.geterr(), []
 
     def helper() -> None:
         try:
             with np.errstate(**errors):
-                run(1)
+                run()
         except BaseException as exc:  # re-raised on the calling thread
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="vexleb-geometry-sweep")
     thread.start()
     try:
-        run(0)
+        run()
     finally:
         thread.join()
     if failed:

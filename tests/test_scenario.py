@@ -8,6 +8,7 @@ import vexleb as vx
 from vexleb.errors import ValidationError
 from test_space import line_spaces, sweep_threads, tied_spaces
 from vexleb import conditions
+from vexleb import scenario as scenario_module
 from vexleb import space as space_module
 from vexleb.scenario import CONDITIONS, Materialized
 from vexleb.space import _BLOCK_ROWS
@@ -181,3 +182,18 @@ def test_explicit_space_checked_at_load(field, space):
             "conditions": ["hardy"], "resolutions": [4]}
     with pytest.raises(ValidationError, match=rf"^scenario\.{re.escape(field)}"):
         vx.Scenario.from_dict(data)
+
+
+def test_explicit_space_built_once(monkeypatch):
+    # the points space from_dict checks is the one every materialization
+    # reads: a run builds it once, not once more per resolution
+    data = {"name": "points", "space": {"points": [{"coord": float(c)} for c in range(5)],
+                                        "metric": "euclidean1d"},
+            "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+            "weights": {"v": {"kind": "weight", "expr": "const 1"},
+                        "w": {"kind": "weight", "expr": "const 1"}},
+            "conditions": ["hardy"], "resolutions": [4, 8]}
+    sc = vx.Scenario.from_dict(data)
+    monkeypatch.setattr(scenario_module, "space_from_spec", None)
+    assert sc.materialize(4).space is sc.space
+    assert sc.materialize(8).space is sc.space

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -570,13 +571,29 @@ def tied_table(n, seed=0):
 
 
 class ThreadLog:
-    """A block consumer noting the thread each block's rows were read on."""
+    """A block consumer noting each block's first row and the thread that
+    read it."""
 
     def __init__(self):
-        self.threads = {}
+        self.reads = []
 
     def __call__(self, blk):
-        self.threads[blk.start] = threading.get_ident()
+        self.reads.append((blk.start, threading.get_ident()))
+
+
+def on_helper(action):
+    """A block consumer running ``action`` on the helper thread's first block;
+    the calling thread's blocks wait until it has run, so the helper reads
+    one block whatever the scheduling."""
+    ran = threading.Event()
+
+    def consume(blk):
+        if threading.current_thread() is threading.main_thread():
+            assert ran.wait(timeout=10)
+        elif not ran.is_set():
+            ran.set()
+            action()
+    return consume
 
 
 class TestThreadedSweep:
@@ -592,18 +609,34 @@ class TestThreadedSweep:
             with sweep_threads(gate, cpus):
                 reports.append(repr(vx.geometry_constants(sp, sample_triples=10**4,
                                                           _consumers=(log,))))
-            logs.append(log.threads)
+            logs.append(log.reads)
         assert reports == reports[:1] * 3
-        # even slices on the calling thread, odd ones on one helper
+        # every slice read once, on the calling thread or on one helper
         main = threading.get_ident()
-        threaded = logs[0]
-        assert sorted(threaded) == list(range(0, sp.n, _SLICE_ROWS))
-        assert {start for start, ident in threaded.items() if ident == main} \
-            == set(range(0, sp.n, 2 * _SLICE_ROWS))
-        assert len(set(threaded.values())) == 2
+        assert sorted(start for start, _ in logs[0]) == list(range(0, sp.n, _SLICE_ROWS))
+        threads = {ident for _, ident in logs[0]}
+        assert main in threads and len(threads) <= 2
         for serial in logs[1:]:
-            assert sorted(serial) == list(range(0, sp.n, _BLOCK_ROWS))
-            assert set(serial.values()) == {main}
+            assert serial == [(start, main) for start in range(0, sp.n, _BLOCK_ROWS)]
+
+    def test_slow_thread_reads_fewer_slices(self):
+        # the threads take slices as they come free: a helper that sleeps
+        # 20 ms on each of its blocks leaves most of them to the caller,
+        # where a fixed split would wait for it on every other slice
+        sp = vx.uniform_grid(1100)
+        log = ThreadLog()
+
+        def slow(blk):
+            log(blk)
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+
+        with sweep_threads(gate=0):
+            vx.geometry_constants(sp, _consumers=(slow,))
+        main = threading.get_ident()
+        assert sorted(start for start, _ in log.reads) == list(range(0, sp.n, _SLICE_ROWS))
+        helper = [start for start, ident in log.reads if ident != main]
+        assert len(helper) < len(log.reads) // 4
 
     @pytest.mark.parametrize("gate", [None, 1100], ids=["threaded", "serial"])
     def test_each_row_sorted_once(self, gate):
@@ -658,43 +691,59 @@ class TestThreadedSweep:
     def test_helper_failure_reaches_caller(self):
         # a slice on the helper thread raises: the caller raises it, and no
         # thread is left behind
-        sp = vx.uniform_grid(200)
+        sp = vx.uniform_grid(1100)
 
-        def fail(blk):
-            if blk.start == _SLICE_ROWS:
-                assert threading.current_thread() is not threading.main_thread()
-                raise KeyError("helper slice")
+        def fail():
+            raise KeyError("helper slice")
 
         before = threading.active_count()
         with sweep_threads(gate=0), pytest.raises(KeyError, match="helper slice"):
+            vx.geometry_constants(sp, _consumers=(on_helper(fail),))
+        assert threading.active_count() == before
+
+    def test_caller_failure_stops_helper(self):
+        # the calling thread raises in its first slice: the helper stops
+        # after the slice it is reading instead of reading the other 68
+        sp = vx.uniform_grid(1100)
+        raised, helper = threading.Event(), []
+
+        def fail(blk):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise KeyError("caller slice")
+            helper.append(blk.start)
+            assert raised.wait(timeout=10)
+
+        before = threading.active_count()
+        with sweep_threads(gate=0), pytest.raises(KeyError, match="caller slice"):
             vx.geometry_constants(sp, _consumers=(fail,))
         assert threading.active_count() == before
+        assert len(helper) <= 2
 
     def test_helper_warning_reaches_caller(self):
         # the helper runs under the caller's numpy error state and warning
         # filters: a division by zero in a helper slice warns, raises as an
         # error::RuntimeWarning, or raises a FloatingPointError under
         # np.errstate(divide="raise"), each on the calling thread
-        sp = vx.uniform_grid(200)
-        states = {}
+        sp = vx.uniform_grid(1100)
+        states = []
 
-        def divide(blk):
-            if blk.start == _SLICE_ROWS:
-                states[threading.current_thread() is threading.main_thread()] = np.geterr()
-                np.log(np.zeros(1))
+        def divide():
+            states.append(np.geterr())
+            np.log(np.zeros(1))
 
         before = threading.active_count()
         with sweep_threads(gate=0):
             with pytest.warns(RuntimeWarning, match="divide by zero"):
-                vx.geometry_constants(sp, _consumers=(divide,))
+                vx.geometry_constants(sp, _consumers=(on_helper(divide),))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(RuntimeWarning, match="divide by zero"):
-                    vx.geometry_constants(sp, _consumers=(divide,))
+                    vx.geometry_constants(sp, _consumers=(on_helper(divide),))
             with np.errstate(divide="raise", under="ignore"), pytest.raises(FloatingPointError):
-                vx.geometry_constants(sp, _consumers=(divide,))
-        assert list(states) == [False]
-        assert states[False]["divide"] == "raise" and states[False]["under"] == "ignore"
+                vx.geometry_constants(sp, _consumers=(on_helper(divide),))
+        assert len(states) == 3
+        assert states[2]["divide"] == "raise" and states[2]["under"] == "ignore"
         assert threading.active_count() == before
 
 
