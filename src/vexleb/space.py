@@ -513,26 +513,30 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     ``_sorted_row_blocks(space, start, stop)`` on the calling thread or on
     one helper thread, which runs under the caller's ``np.geterr()``, hands
     its exception to the caller and is joined before this returns.  Both
-    threads take the next slice from one iterator, so a thread that gets
-    less CPU reads fewer slices and the other is never left waiting on it;
-    a failing thread drains the iterator, so the other stops after the
-    slice it is reading.  The fold over the list reads it in row order
+    threads take the next slice from one iterator, under a lock, so a
+    thread that gets less CPU reads fewer slices and the other is never
+    left waiting on it; a failing thread drains the iterator, so the other
+    stops after the slice it is reading.  The fold over the list reads it in row order
     either way, so the slicing does not change a value or a witness."""
     n = space.n
     if n <= _THREADED_ABOVE or _usable_cpus() < 2:
         return [candidates(blk) for blk in _sorted_row_blocks(space)]
     out = [None] * -(-n // _SLICE_ROWS)
-    # next() of a range iterator runs under the GIL: no slice is read twice
-    starts = iter(range(0, n, _SLICE_ROWS))
+    starts, lock = iter(range(0, n, _SLICE_ROWS)), threading.Lock()
+
+    def take() -> Optional[int]:
+        with lock:
+            return next(starts, None)
 
     def run() -> None:
         try:
-            for start in starts:
+            for start in iter(take, None):
                 blk, = _sorted_row_blocks(space, start, min(start + _SLICE_ROWS, n))
                 out[start // _SLICE_ROWS] = candidates(blk)
         except BaseException:
-            for _ in starts:
-                pass
+            with lock:
+                for _ in starts:
+                    pass
             raise
 
     errors, failed = np.geterr(), []
