@@ -516,8 +516,9 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     threads take the next slice from one iterator, under a lock, so a
     thread that gets less CPU reads fewer slices and the other is never
     left waiting on it; a failing thread drains the iterator, so the other
-    stops after the slice it is reading.  The fold over the list reads it in row order
-    either way, so the slicing does not change a value or a witness."""
+    stops after the slice it is reading.  The fold over the list reads it
+    in row order either way, so the slicing does not change a value or a
+    witness."""
     n = space.n
     if n <= _THREADED_ABOVE or _usable_cpus() < 2:
         return [candidates(blk) for blk in _sorted_row_blocks(space)]
