@@ -1,14 +1,17 @@
 """The modular and the Luxemburg norm.
 
 The modular of f is sum |f(x)|**p(x) mu(x); the norm is the smallest lambda
-with modular(f / lambda) <= 1.  Variable exponents admit no closed form.  In
-u = log lambda, h(u) = log modular(f / lambda) is convex and decreasing, with
-slope minus the mean exponent sum p a / sum a over the terms
-a = |f / lambda|**p mu, so the norm is found by Newton steps in log lambda,
-each kept strictly inside a bracket verified by the modular and replaced by
-the bracket's geometric midpoint when it falls outside.  The first bracket
-comes from lambda = max |f|, where the modular lies between mu at the
-largest entry and mu(X).
+with modular(f / lambda) <= 1.  For constant p the space is classical
+weighted L^p, the modular is homogeneous of degree -p in lambda and the
+norm has its closed form (sum |f|**p mu)**(1 / p), taken from the modular
+at lambda = max |f| and checked by one more evaluation.  Variable exponents
+admit no closed form.  In u = log lambda, h(u) = log modular(f / lambda) is
+convex and decreasing, with slope minus the mean exponent sum p a / sum a
+over the terms a = |f / lambda|**p mu, so the norm is found by Newton steps
+in log lambda, each kept strictly inside a bracket verified by the modular
+and replaced by the bracket's geometric midpoint when it falls outside.
+The first bracket comes from lambda = max |f|, where the modular lies
+between mu at the largest entry and mu(X).
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ MAX_ITERS = 200
 # from the side of the point it was taken from, so that near the root two
 # consecutive steps land on either side of it within REL_TOL.
 _NUDGE = REL_TOL / 4
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,12 @@ class NormResult:
     max |f|, each a Newton step or, where that leaves the bracket, a
     bisection step.  ``converged`` is False when ``MAX_ITERS`` of them left
     the bracket wider than ``REL_TOL`` relative.
+
+    For constant p the value is the closed form and ``bisection_iters`` is
+    1, the evaluation that checks it (with the one-ulp raises rounding may
+    call for); the bracket is (value (1 - REL_TOL / 2), value), whose lower
+    end homogeneity certifies without an evaluation.  A norm outside the
+    normal floats takes the Newton steps instead (``_closed_form``).
     """
 
     value: float
@@ -51,11 +61,10 @@ class NormResult:
 
 
 def _powered(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """|f|**p mu entrywise; zero values give 0."""
-    fv = np.abs(fv)
-    out = np.zeros_like(fv)
+    """|f|**p mu entrywise, in one new array; p > 1 makes zero values 0."""
+    out = np.abs(fv)
     with np.errstate(over="ignore"):
-        np.power(fv, pv, out=out, where=fv > 0)
+        np.power(out, pv, out=out)
     out *= mu
     return out
 
@@ -91,18 +100,20 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     """``luxemburg_norm`` of each row of a (P, n) block of finite values.
 
     Each row starts at lambda = max |f|, where every |f / lambda| <= 1, so
-    the modular S lies in [mu_j, mu(X)] with j the largest entry.  At
+    the modular S lies in [mu_j, mu(X)] with j the largest entry.
+
+    For constant p the modular is S (max |f| / lambda)**p, so the norm is
+    max |f| S**(1 / p) (``_closed_form``).  Otherwise, at
     max |f| (mu_j / 2)**(1 / p_j) that entry alone makes the modular at
     least 2, and past max |f| the modular falls at least like
     (max |f| / lambda)**p_min, to 1/2 at max |f| (2 S)**(1 / p_min); these
     end the first bracket on the side of the root max |f| is not on.  Then
     each step takes the Newton target in log lambda from the last point
     evaluated, moved by ``_NUDGE`` across the root, and bisects instead
-    when that target is not strictly inside the bracket.  For constant p
-    the modular is a power of lambda, so two steps close the bracket.  The
-    rows step together, each with its own bracket and active mask, so every
-    row goes through exactly the iterates it would go through alone and its
-    NormResult is bit for bit the single-row one.
+    when that target is not strictly inside the bracket
+    (``_newton``).  The rows go together, each with its own bracket and
+    active mask, so every row goes through exactly the evaluations it would
+    go through alone and its NormResult is bit for bit the single-row one.
     """
     if p.kind != "exponent":
         raise DomainError("Luxemburg norm needs an exponent field")
@@ -119,6 +130,47 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     fv = np.abs(fv[live])
     top = fv.argmax(axis=1)
     peak = fv[np.arange(len(fv)), top]
+    solve = _closed_form if pv.min() == pv.max() else _newton
+    lo, hi, at_hi, iters = solve(fv, top, peak, pv, mu)
+    for j, row in enumerate(live):
+        results[row] = NormResult(float(hi[j]), float(at_hi[j]), int(iters[j]),
+                                  (float(lo[j]), float(hi[j])),
+                                  converged=bool(hi[j] - lo[j] <= REL_TOL * hi[j]))
+    return results
+
+
+def _closed_form(fv, top, peak, pv, mu):
+    """(lo, hi, modular at hi, evaluations) of nonnegative rows whose
+    largest entries are ``peak`` at ``top``, for a constant exponent p.
+
+    hi is max |f| S**(1 / p), with S the modular at max |f|, raised by one
+    ulp while the modular there exceeds 1, which rounding can make it do.
+    lo = hi (1 - REL_TOL / 2) is not evaluated: the modular there is the one
+    at hi times (hi / lo)**p > 1 + p REL_TOL / 2, and the one at hi is
+    within REL_TOL / 4 of 1.  A row where hi is not a normal float (the
+    norm underflows or overflows), or where the modular at hi misses 1 by
+    more than that, takes the steps of ``_newton`` instead; every other row
+    counts one evaluation, the closed form's check."""
+    with np.errstate(over="ignore", under="ignore"):
+        hi = peak * _modular_arrays(fv / peak[:, None], pv, mu) ** (1.0 / pv[0])
+    at_hi = np.full(len(fv), np.nan)
+    k = np.flatnonzero((hi >= _TINY) & (hi < np.inf))
+    while k.size:
+        at_hi[k] = _modular_arrays(fv[k] / hi[k, None], pv, mu)
+        k = k[(1.0 < at_hi[k]) & (at_hi[k] <= 1.0 + REL_TOL / 4)]
+        hi[k] = np.nextafter(hi[k], np.inf)
+    lo, iters = hi * (1.0 - REL_TOL / 2), np.ones(len(fv), dtype=int)
+    left = np.flatnonzero(~((1.0 - REL_TOL / 4 <= at_hi) & (at_hi <= 1.0)))
+    if left.size:
+        lo[left], hi[left], at_hi[left], iters[left] = _newton(fv[left], top[left], peak[left],
+                                                               pv, mu)
+    return lo, hi, at_hi, iters
+
+
+def _newton(fv, top, peak, pv, mu):
+    """(lo, hi, modular at hi, evaluations) of nonnegative rows whose
+    largest entries are ``peak`` at ``top``, by the bracketed Newton steps
+    of ``luxemburg_norms``."""
     lam = peak.copy()
     s, moment = _modular_moment(fv / lam[:, None], pv, mu)
     above = s > 1.0
@@ -149,8 +201,4 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
         k = open_rows()
     unseen = np.isnan(at_hi)
     at_hi[unseen] = _modular_arrays(fv[unseen] / hi[unseen, None], pv, mu)
-    for j, row in enumerate(live):
-        results[row] = NormResult(float(hi[j]), float(at_hi[j]), int(iters[j]),
-                                  (float(lo[j]), float(hi[j])),
-                                  converged=bool(hi[j] - lo[j] <= REL_TOL * hi[j]))
-    return results
+    return lo, hi, at_hi, iters

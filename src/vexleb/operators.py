@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .exponents import PointFunction
 from .space import (_RADIUS_JITTER, DiscreteSpace, _distinct, _known_keys, _mapping, _number,
-                    _quasi_constants, _row_blocks, _sorted_row_blocks)
+                    _quasi_constants, _row_blocks, _sorted_row_blocks, _sorted_rows)
 
 __all__ = [
     "KernelSpec",
@@ -266,7 +266,7 @@ def kernel_regularity_check(space: DiscreteSpace, kernel: KernelSpec, sample_pai
 
     @cache
     def open_measure(x: int) -> np.ndarray:
-        return next(_sorted_row_blocks(space, x, x + 1)).open_measure()[0]
+        return _sorted_rows(space, x, x + 1).open_measure()[0]
 
     size_c = 0.0
     xs = rng.integers(0, n, sample_pairs)

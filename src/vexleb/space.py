@@ -20,23 +20,24 @@ line space |x - y| is a metric, so the asymmetry and quasi-triangle
 constants are a0 = a1 = 1 and are not searched; on a table they are
 searched, exhaustively or over seeded triples.
 
-Distance rows are sorted in one place: ``_sorted_row_blocks`` reads them a
-block at a time, each row sorted once, and every sweep, ball measure and
-basepoint order is read from its blocks, so no (n, n) table of sorted rows
-is kept.  The basepoint's row is sorted and its tie groups searched once
-per space (``_basepoint_row``): ``muB0``, the local exponents, the Hardy
-transforms and the condition sweeps read their balls around x0 from its
-order, sorted distances and per-point counts.  The geometry sweep hands each
-block to the block consumers it is given, so a scenario's Muckenhoupt
-functional reads the rows the geometry sorts: one materialization sorts
-each row once.
-A space of more than 1024 points, in a process that may run on two CPUs,
-has its geometry sweep read in slices of 16 rows by the calling thread and
+Distance rows are sorted in one place: ``_sorted_rows`` sorts a block of
+them, each row once, and every sweep, ball measure and basepoint order is
+read from its blocks (``_sorted_row_blocks`` gives them in order), so no
+(n, n) table of sorted rows is kept.  The basepoint's row is sorted and its
+tie groups searched once per space (``_basepoint_row``): ``muB0``, the
+local exponents, the Hardy transforms and the condition sweeps read their
+balls around x0 from its order, sorted distances and per-point counts.  The
+geometry sweep hands each block to the block consumers it is given, so a
+scenario's Muckenhoupt functional reads the rows the geometry sorts: one
+materialization sorts each row once.
+The geometry sweep reads its rows in slices of about 2**15 distances (16
+rows at 2048 points, 32 at 1024).  A space of more than 1024 points, in a
+process that may run on two CPUs, has them read by the calling thread and
 one helper thread, each taking the next slice as it comes free; smaller
-spaces, or a single CPU, read blocks of 64 rows on the calling thread.
-Every block offers its own estimates with their first witnesses, and the
-calling thread folds them in row order with the same strict comparisons,
-so the report is the same bit for bit on either path.
+spaces, or a single CPU, read them on the calling thread.  Every slice
+offers its own estimates with their first witnesses, and the calling
+thread folds them in row order with the same strict comparisons, so the
+report is the same bit for bit on either path.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -73,6 +74,14 @@ __all__ = [
 EXHAUSTIVE_TRIPLE_LIMIT = 512
 
 
+def _positive_finite_total(mu: np.ndarray) -> bool:
+    """Whether every weight is positive and their total finite (so each
+    weight, and each ball measure, is finite too)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = mu.sum()
+    return not np.any(mu <= 0) and bool(np.isfinite(total))
+
+
 @dataclass(frozen=True)
 class DiscreteSpace:
     """Finite quasimetric measure space.
@@ -85,7 +94,7 @@ class DiscreteSpace:
         ``geometry_constants`` estimates.  ``None`` makes a line space:
         d(x, y) = |coords[x] - coords[y]|, computed on each read.
     mu : (n,) array
-        Strictly positive measure weight per point.
+        Strictly positive measure weight per point, with a finite total.
     x0 : int
         Basepoint index used by all radial constructions.
     L : float
@@ -115,8 +124,8 @@ class DiscreteSpace:
             n = self._check_table()
         if mu.shape != (n,):
             raise ValidationError("mu must have one weight per point")
-        if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
-            raise ValidationError("point weights must be positive and finite")
+        if not _positive_finite_total(mu):
+            raise ValidationError("point weights must be positive with a finite total")
         if not (0 <= self.x0 < n):
             raise DomainError(f"basepoint {self.x0} out of range for {n} points")
         if np.isinf(self.L) and self.trunc_radius is None:
@@ -186,7 +195,7 @@ class DiscreteSpace:
     def _basepoint_row(self) -> "_BasepointRow":
         """The basepoint's row, sorted once, with its tie groups searched
         once (read-only arrays)."""
-        row = next(_sorted_row_blocks(self, self.x0, self.x0 + 1))
+        row = _sorted_rows(self, self.x0, self.x0 + 1)
         ds, d0 = row.ds[0], row.d[0]
         below = ds.searchsorted(d0, "left")
         out = _BasepointRow(row.order[0], ds, below, ds.searchsorted(d0, "right"),
@@ -355,18 +364,25 @@ def _row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None
         yield start, space.rows(start, min(start + _BLOCK_ROWS, stop))
 
 
+def _sorted_rows(space: DiscreteSpace, start: int, stop: int) -> _SortedRows:
+    """Distance rows ``start`` up to ``stop`` as one block, each row sorted
+    once."""
+    d = space.rows(start, stop)
+    order = np.argsort(d, axis=1, kind="stable")
+    ds = np.take_along_axis(d, order, axis=1)
+    prefix = np.zeros((d.shape[0], space.n + 1))
+    np.cumsum(space.mu[order], axis=1, out=prefix[:, 1:])
+    ends = np.ones(ds.shape, dtype=bool)
+    np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
+    return _SortedRows(start, d, order, ds, prefix, ends)
+
+
 def _sorted_row_blocks(space: DiscreteSpace, first: int = 0, stop: Optional[int] = None):
     """Distance rows ``first`` up to ``stop`` (default: all) in blocks of
     ``_BLOCK_ROWS``, each row sorted once."""
-    n = space.n
-    for start, d in _row_blocks(space, first, stop):
-        order = np.argsort(d, axis=1, kind="stable")
-        ds = np.take_along_axis(d, order, axis=1)
-        prefix = np.zeros((d.shape[0], n + 1))
-        np.cumsum(space.mu[order], axis=1, out=prefix[:, 1:])
-        ends = np.ones(ds.shape, dtype=bool)
-        np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
-        yield _SortedRows(start, d, order, ds, prefix, ends)
+    stop = space.n if stop is None else stop
+    for start in range(first, stop, _BLOCK_ROWS):
+        yield _sorted_rows(space, start, min(start + _BLOCK_ROWS, stop))
 
 
 def _a0(space: DiscreteSpace):
@@ -494,36 +510,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Above this many points the geometry sweep runs its slices of
-# ``_SLICE_ROWS`` rows on two threads (``_sweep_candidates``), when two CPUs
-# are usable.  Sorting, searching and reducing a row release the GIL; below
-# the gate the hand-off costs more than the second CPU gains.  A slice holds
-# a few (slice, n) arrays per thread: the smaller the slice, the less memory
-# the second thread adds.
+# The geometry sweep reads its rows in slices of about this many distances,
+# max(1, _SLICE_ENTRIES // n) rows: each (slice, n) array of a slice then
+# takes about 256 KB, small enough to stay in cache while the slice is
+# sorted, searched and reduced.
+_SLICE_ENTRIES = 2**15
+# Above this many points the sweep runs its slices on two threads
+# (``_sweep_candidates``), when two CPUs are usable.  Sorting, searching and
+# reducing a row release the GIL; below the gate the hand-off costs more
+# than the second CPU gains.  Each thread holds the arrays of its own
+# slice, so the slice size also bounds the memory the second thread adds.
 _THREADED_ABOVE = 1024
-_SLICE_ROWS = 16
 
 
 def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
-    """``candidates(blk)`` of every sorted row block, in row order.
+    """``candidates(blk)`` of every slice of max(1, ``_SLICE_ENTRIES`` // n)
+    rows, each sorted once by ``_sorted_rows``, in row order.
 
-    Up to ``_THREADED_ABOVE`` points, or with one usable CPU, the blocks are
-    ``_sorted_row_blocks(space)`` on the calling thread.  Above it they are
-    slices of ``_SLICE_ROWS`` rows, each sorted once by
-    ``_sorted_row_blocks(space, start, stop)`` on the calling thread or on
-    one helper thread, which runs under the caller's ``np.geterr()``, hands
-    its exception to the caller and is joined before this returns.  Both
-    threads take the next slice from one iterator, under a lock, so a
-    thread that gets less CPU reads fewer slices and the other is never
-    left waiting on it; a failing thread drains the iterator, so the other
-    stops after the slice it is reading.  The fold over the list reads it
-    in row order either way, so the slicing does not change a value or a
-    witness."""
+    Up to ``_THREADED_ABOVE`` points, or with one usable CPU, the slices are
+    read in order on the calling thread.  Above it they are read on the
+    calling thread and on one helper thread, which runs under the caller's
+    ``np.geterr()``, hands its exception to the caller and is joined before
+    this returns.  Both threads take the next slice from one iterator,
+    under a lock, so a thread that gets less CPU reads fewer slices and the
+    other is never left waiting on it; a failing thread drains the
+    iterator, so the other stops after the slice it is reading.  Both paths
+    read the same slices, and the fold over the list reads it in row order
+    either way, so the threads do not change a value or a witness."""
     n = space.n
+    rows = max(1, _SLICE_ENTRIES // n)
+    slices = range(0, n, rows)
+
+    def read(start: int):
+        return candidates(_sorted_rows(space, start, min(start + rows, n)))
+
     if n <= _THREADED_ABOVE or _usable_cpus() < 2:
-        return [candidates(blk) for blk in _sorted_row_blocks(space)]
-    out = [None] * -(-n // _SLICE_ROWS)
-    starts, lock = iter(range(0, n, _SLICE_ROWS)), threading.Lock()
+        return [read(start) for start in slices]
+    out = [None] * len(slices)
+    starts, lock = iter(slices), threading.Lock()
 
     def take() -> Optional[int]:
         with lock:
@@ -532,8 +556,7 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     def run() -> None:
         try:
             for start in iter(take, None):
-                blk, = _sorted_row_blocks(space, start, min(start + _SLICE_ROWS, n))
-                out[start // _SLICE_ROWS] = candidates(blk)
+                out[start // rows] = read(start)
         except BaseException:
             with lock:
                 for _ in starts:
@@ -890,9 +913,9 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
     else:
         mu = np.array([_number(m, "space.mu") for m in mu_spec]) \
             if isinstance(mu_spec, (list, tuple, np.ndarray)) else None
-        if mu is None or mu.shape != (n,) or np.any(mu <= 0) or not np.all(np.isfinite(mu)):
-            raise ValidationError(f"space.mu: must list {n} positive finite weights, "
-                                  f"got {mu_spec!r}")
+        if mu is None or mu.shape != (n,) or not _positive_finite_total(mu):
+            raise ValidationError(f"space.mu: must list {n} positive weights with a finite "
+                                  f"total, got {mu_spec!r}")
     x0_id = spec.get("x0", ids[0])
     try:
         x0 = ids.index(x0_id)

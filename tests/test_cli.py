@@ -328,6 +328,9 @@ class TestRun:
                                    "w": {"kind": "weight", "values": [1, 1, 1],
                                          "expr": "const 7"}},
                        "resolutions": [4]}),
+        # every weight finite, their total not
+        ("space.mu", {"space": {"points": [{"coord": float(c)} for c in range(1100)],
+                                "metric": "euclidean1d", "mu": [1e306] * 1100}}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -147,22 +148,19 @@ def test_threaded_shared_pass_equals_separate_calls(case):
 def test_muckenhoupt_reads_the_geometry_sweep_blocks(monkeypatch, geometry_first):
     # one full sorted-row pass serves the geometry report and the Muckenhoupt
     # value; the basepoint row is sorted on its own
-    full = []
-    blocks = space_module._sorted_row_blocks
+    rows, sort = Counter(), space_module._sorted_rows
 
-    def counted(space, first=0, stop=None):
-        if first == 0 and stop is None:
-            full.append(space.n)
-        return blocks(space, first, stop)
+    def counted(space, start, stop):
+        rows.update(range(start, stop))
+        return sort(space, start, stop)
 
-    monkeypatch.setattr(space_module, "_sorted_row_blocks", counted)
-    monkeypatch.setattr(conditions, "_sorted_row_blocks", counted)
+    monkeypatch.setattr(space_module, "_sorted_rows", counted)
     mat = sweep_scenario(["muckenhoupt", "annulus-comparison", "hardy"]).materialize()
     if geometry_first:
         mat.geometry_summary()
     mat.evaluate_conditions()
     mat.geometry_summary()
-    assert full == [mat.space.n]
+    assert rows == Counter(range(mat.space.n)) + Counter([mat.space.x0])
 
 
 @pytest.mark.parametrize("field, space", [

@@ -5,7 +5,7 @@ import threading
 import time
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -16,7 +16,8 @@ import vexleb as vx
 from vexleb import space as space_module
 from vexleb.conditions import _Muckenhoupt
 from vexleb.errors import DomainError, ValidationError
-from vexleb.space import _BLOCK_ROWS, _SLICE_ROWS, EXHAUSTIVE_TRIPLE_LIMIT, _a1, _sorted_row_blocks
+from vexleb.space import (_BLOCK_ROWS, _SLICE_ENTRIES, EXHAUSTIVE_TRIPLE_LIMIT, _a1,
+                          _sorted_row_blocks, _sorted_rows)
 
 
 def brute_ball(space, center, r, closed=False):
@@ -462,15 +463,17 @@ class TestBall:
 
 
 @contextmanager
-def sweep_threads(gate=None, cpus=2):
-    """The geometry sweep with its size gate at ``gate`` (kept if None) and
-    ``cpus`` usable CPUs, whatever the machine has."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
-        if gate is None:
-            yield
-        else:
-            with mock.patch.object(space_module, "_THREADED_ABOVE", gate):
-                yield
+def sweep_threads(gate=None, cpus=2, entries=None):
+    """The geometry sweep with its size gate at ``gate`` and its slices of
+    ``entries`` distances (each kept if None), and ``cpus`` usable CPUs,
+    whatever the machine has."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
+                                              lambda pid: set(range(cpus)), create=True))
+        for name, value in (("_THREADED_ABOVE", gate), ("_SLICE_ENTRIES", entries)):
+            if value is not None:
+                stack.enter_context(mock.patch.object(space_module, name, value))
+        yield
 
 
 def check_report_equals_loops(sp, A, q):
@@ -488,8 +491,9 @@ class TestGeometryAgainstPerCenterLoops:
     @given(geometry_spaces(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.7]))
     @settings(max_examples=80, deadline=None)
     def test_threaded_report_equals_loops_exactly(self, sp, A, q):
-        # every space two threads wide: 16-row slices, the odd ones on a helper
-        with sweep_threads(gate=0):
+        # every space two threads wide, in 16-row slices, so that the fold
+        # meets slice edges on these small spaces
+        with sweep_threads(gate=0, entries=16 * sp.n):
             check_report_equals_loops(sp, A, q)
 
     @given(tied_spaces(st.integers(EXHAUSTIVE_TRIPLE_LIMIT + 1, EXHAUSTIVE_TRIPLE_LIMIT + 8)),
@@ -596,28 +600,37 @@ def on_helper(action):
     return consume
 
 
+def slice_starts(n):
+    """The first rows of the geometry sweep's slices of an n-point space."""
+    return list(range(0, n, max(1, _SLICE_ENTRIES // n)))
+
+
 class TestThreadedSweep:
-    @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(1100), lambda: vx.cantor_space(11),
-                                      lambda: tied_table(1100)], ids=["grid", "cantor", "tied"])
+    @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(300), lambda: vx.uniform_grid(1000),
+                                      lambda: vx.uniform_grid(1100), lambda: vx.cantor_space(11),
+                                      lambda: tied_table(1100)],
+                             ids=["grid300", "grid1000", "grid", "cantor", "tied"])
     def test_same_report_threaded_or_not(self, make):
-        # above the gate with two CPUs the sweep runs on two threads; with
-        # the gate raised, or one CPU, on the calling thread: the same report
+        # 109, 32, 29, 16 and 29 rows a slice.  With the gate lowered and two
+        # CPUs the sweep runs on two threads; with the gate raised, or one
+        # CPU, on the calling thread: the same report as the per-center loops
         sp = make()
         reports, logs = [], []
-        for gate, cpus in ((None, 2), (sp.n, 2), (None, 1)):
+        for gate, cpus in ((0, 2), (sp.n, 2), (0, 1)):
             log = ThreadLog()
             with sweep_threads(gate, cpus):
                 reports.append(repr(vx.geometry_constants(sp, sample_triples=10**4,
                                                           _consumers=(log,))))
             logs.append(log.reads)
-        assert reports == reports[:1] * 3
-        # every slice read once, on the calling thread or on one helper
+        assert reports == [repr(reference_report(sp, 2.0, 1.0, sample_triples=10**4))] * 3
+        # the same slices on every path: each read once, on the calling
+        # thread or on one helper, and in order on the calling thread alone
         main = threading.get_ident()
-        assert sorted(start for start, _ in logs[0]) == list(range(0, sp.n, _SLICE_ROWS))
+        assert sorted(start for start, _ in logs[0]) == slice_starts(sp.n)
         threads = {ident for _, ident in logs[0]}
         assert main in threads and len(threads) <= 2
         for serial in logs[1:]:
-            assert serial == [(start, main) for start in range(0, sp.n, _BLOCK_ROWS)]
+            assert serial == [(start, main) for start in slice_starts(sp.n)]
 
     def test_slow_thread_reads_fewer_slices(self):
         # the threads take slices as they come free: a helper that sleeps
@@ -634,7 +647,7 @@ class TestThreadedSweep:
         with sweep_threads(gate=0):
             vx.geometry_constants(sp, _consumers=(slow,))
         main = threading.get_ident()
-        assert sorted(start for start, _ in log.reads) == list(range(0, sp.n, _SLICE_ROWS))
+        assert sorted(start for start, _ in log.reads) == slice_starts(sp.n)
         helper = [start for start, ident in log.reads if ident != main]
         assert len(helper) < len(log.reads) // 4
 
@@ -643,15 +656,14 @@ class TestThreadedSweep:
         # the geometry sweep and the Muckenhoupt functional it feeds read
         # every distance row from one sort, on two threads or one
         sp = vx.uniform_grid(1100)
-        rows, blocks = Counter(), _sorted_row_blocks
+        rows, sort = Counter(), _sorted_rows
 
-        def counted(space, first=0, stop=None):
-            for blk in blocks(space, first, stop):
-                rows.update(range(blk.start, blk.start + len(blk.d)))
-                yield blk
+        def counted(space, start, stop):
+            rows.update(range(start, stop))
+            return sort(space, start, stop)
 
         sup = _Muckenhoupt(sp, vx.PointFunction(1.0 + sp.coords, "weight"), 2.0)
-        with sweep_threads(gate), mock.patch.object(space_module, "_sorted_row_blocks", counted):
+        with sweep_threads(gate), mock.patch.object(space_module, "_sorted_rows", counted):
             vx.geometry_constants(sp, _consumers=(sup,))
         assert rows == Counter(range(sp.n))
         assert repr(sup.value) == repr(vx.muckenhoupt_ar(sp, vx.PointFunction(1.0 + sp.coords,
@@ -703,7 +715,7 @@ class TestThreadedSweep:
 
     def test_caller_failure_stops_helper(self):
         # the calling thread raises in its first slice: the helper stops
-        # after the slice it is reading instead of reading the other 68
+        # after the slice it is reading instead of reading the other 37
         sp = vx.uniform_grid(1100)
         raised, helper = threading.Event(), []
 
@@ -895,6 +907,15 @@ class TestSpaceValidation:
         with pytest.raises(ValidationError):
             vx.DiscreteSpace(dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
                              mu=np.array([0.5, 0.5]), x0=0, L=np.inf)
+
+    @pytest.mark.parametrize("table", [False, True], ids=["line", "table"])
+    def test_rejects_weights_whose_total_overflows(self, table):
+        # each weight finite, their total not: the sweep's ball measures
+        # would reach inf and read as doubling_c = 0, rdc_B = c1 = c2 = inf
+        coords = np.linspace(0.0, 1.0, 1100)
+        dist = np.abs(coords[:, None] - coords[None, :]) if table else None
+        with pytest.raises(ValidationError, match="finite total"):
+            vx.DiscreteSpace(dist=dist, mu=np.full(1100, 1e306), x0=0, L=1.0, coords=coords)
 
 
 class TestSpaceFromSpec:

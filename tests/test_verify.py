@@ -77,11 +77,14 @@ class TestEmpiricalRatio:
         assert est.ratio > 0
 
     def test_converged_reports_norm_bisections(self, monkeypatch):
+        # a variable exponent (affine-in-dist(x0, 2, 1)): constant p takes
+        # its closed form and no Newton step that MAX_ITERS could cut short
         from vexleb import norms
         n = 64
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
-        args = (sp, hardy_op(sp), const(n, 2.0), const(n, 2.0), one, one)
+        p = vx.PointFunction(2.0 + sp.d0, "exponent")
+        args = (sp, hardy_op(sp), p, p, one, one)
         assert vx.empirical_ratio(*args, trials=4, seed=0).converged is True
         monkeypatch.setattr(norms, "MAX_ITERS", 1)
         assert vx.empirical_ratio(*args, trials=4, seed=0).converged is False
@@ -308,11 +311,11 @@ class TestNecessityProbeReadsTheCurve:
 
 
 class TestRefinementStudy:
-    def _scenario(self, w_expr):
+    def _scenario(self, w_expr, p_expr="const 2"):
         return vx.Scenario.from_dict({
             "name": "t",
             "space": {"generator": "uniform-grid", "n": 256},
-            "exponents": {"p": {"kind": "exponent", "expr": "const 2"}},
+            "exponents": {"p": {"kind": "exponent", "expr": p_expr}},
             "weights": {"v": {"kind": "weight", "expr": "const 1"},
                         "w": {"kind": "weight", "expr": w_expr}},
             "operator": "hardy",
@@ -326,8 +329,10 @@ class TestRefinementStudy:
         assert study.ratio_trend == "bounded"
 
     def test_unconverged_ratio_gives_no_trend(self, monkeypatch):
+        # a variable exponent, whose norms take Newton steps (constant p has
+        # a closed form)
         from vexleb import norms
-        sc = self._scenario("const 1")
+        sc = self._scenario("const 1", "affine-in-dist(x0, 2, 1)")
         assert vx.refinement_study(sc, [64, 128, 256]).ratio_trend == "bounded"
         monkeypatch.setattr(norms, "MAX_ITERS", 1)
         est = sc.materialize(64).evaluate_ratio()
