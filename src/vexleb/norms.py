@@ -61,8 +61,12 @@ class NormResult:
 
 
 def _powered(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """|f|**p mu entrywise, written over ``fv``; p > 1 makes zero values 0."""
+    """|f|**p mu entrywise, written over ``fv``; p > 1 makes zero values 0.
+    A constant p goes to numpy as one number, which it raises faster (p = 2
+    as a square, exact where the pow of an exponent array is not)."""
     np.abs(fv, out=fv)
+    if pv.min() == pv.max():
+        pv = pv[0]
     with np.errstate(over="ignore"):
         np.power(fv, pv, out=fv)
     fv *= mu
