@@ -369,9 +369,12 @@ def _sorted_rows(space: DiscreteSpace, start: int, stop: int) -> _SortedRows:
     once."""
     d = space.rows(start, stop)
     order = np.argsort(d, axis=1, kind="stable")
-    ds = np.take_along_axis(d, order, axis=1)
-    prefix = np.zeros((d.shape[0], space.n + 1))
-    np.cumsum(space.mu[order], axis=1, out=prefix[:, 1:])
+    # one flat take gathers the sorted rows several times faster than
+    # np.take_along_axis, which builds an index grid per call
+    b, n = d.shape
+    ds = d.take(order + np.arange(0, b * n, n)[:, None])
+    prefix = np.zeros((b, n + 1))
+    np.cumsum(space.mu.take(order), axis=1, out=prefix[:, 1:])
     ends = np.ones(ds.shape, dtype=bool)
     np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
     return _SortedRows(start, d, order, ds, prefix, ends)
