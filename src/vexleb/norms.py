@@ -129,14 +129,15 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
         raise DomainError("norm rows must be finite everywhere")
     pv, mu = p.values, space.mu
     results = [NormResult(0.0, 0.0, 0, (0.0, 0.0))] * len(fv)
-    live = np.flatnonzero(np.any(fv != 0, axis=1))
+    fv = np.abs(fv)
+    peak = fv.max(axis=1)
+    live = np.flatnonzero(peak > 0)
     if not live.size:
         return results
-    fv = np.abs(fv[live])
-    top = fv.argmax(axis=1)
-    peak = fv[np.arange(len(fv)), top]
+    if live.size < len(fv):
+        fv, peak = fv[live], peak[live]
     solve = _closed_form if pv.min() == pv.max() else _newton
-    lo, hi, at_hi, iters = solve(fv, top, peak, pv, mu)
+    lo, hi, at_hi, iters = solve(fv, peak, pv, mu)
     for j, row in enumerate(live):
         results[row] = NormResult(float(hi[j]), float(at_hi[j]), int(iters[j]),
                                   (float(lo[j]), float(hi[j])),
@@ -144,9 +145,9 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     return results
 
 
-def _closed_form(fv, top, peak, pv, mu):
+def _closed_form(fv, peak, pv, mu):
     """(lo, hi, modular at hi, evaluations) of nonnegative rows whose
-    largest entries are ``peak`` at ``top``, for a constant exponent p.
+    largest entries are ``peak``, for a constant exponent p.
 
     hi is max |f| S**(1 / p), with S the modular at max |f|, raised by one
     ulp while the modular there exceeds 1, which rounding can make it do.
@@ -167,15 +168,15 @@ def _closed_form(fv, top, peak, pv, mu):
     lo, iters = hi * (1.0 - REL_TOL / 2), np.ones(len(fv), dtype=int)
     left = np.flatnonzero(~((1.0 - REL_TOL / 4 <= at_hi) & (at_hi <= 1.0)))
     if left.size:
-        lo[left], hi[left], at_hi[left], iters[left] = _newton(fv[left], top[left], peak[left],
-                                                               pv, mu)
+        lo[left], hi[left], at_hi[left], iters[left] = _newton(fv[left], peak[left], pv, mu)
     return lo, hi, at_hi, iters
 
 
-def _newton(fv, top, peak, pv, mu):
+def _newton(fv, peak, pv, mu):
     """(lo, hi, modular at hi, evaluations) of nonnegative rows whose
-    largest entries are ``peak`` at ``top``, by the bracketed Newton steps
-    of ``luxemburg_norms``."""
+    largest entries are ``peak``, by the bracketed Newton steps of
+    ``luxemburg_norms``."""
+    top = fv.argmax(axis=1)
     lam = peak.copy()
     s, moment = _modular_moment(fv / lam[:, None], pv, mu)
     above = s > 1.0
