@@ -115,10 +115,10 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     end the first bracket on the side of the root max |f| is not on.  Then
     each step takes the Newton target in log lambda from the last point
     evaluated, moved by ``_NUDGE`` across the root, and bisects instead
-    when that target is not strictly inside the bracket
-    (``_newton``).  The rows go together, each with its own bracket and
-    active mask, so every row goes through exactly the evaluations it would
-    go through alone and its NormResult is bit for bit the single-row one.
+    when that target is not strictly inside the bracket (``_newton``).  The
+    rows go together, each with its own bracket and active mask, so every
+    row goes through exactly the evaluations it would go through alone and
+    its NormResult is bit for bit the single-row one.
     """
     if p.kind != "exponent":
         raise DomainError("Luxemburg norm needs an exponent field")
