@@ -1,17 +1,15 @@
 """The modular and the Luxemburg norm.
 
 The modular of f is sum |f(x)|**p(x) mu(x); the norm is the smallest lambda
-with modular(f / lambda) <= 1.  For constant p the space is classical
-weighted L^p, the modular is homogeneous of degree -p in lambda and the
-norm has its closed form (sum |f|**p mu)**(1 / p), taken from the modular
-at lambda = max |f| and checked by one more evaluation.  Variable exponents
-admit no closed form.  In u = log lambda, h(u) = log modular(f / lambda) is
-convex and decreasing, with slope minus the mean exponent sum p a / sum a
-over the terms a = |f / lambda|**p mu, so the norm is found by Newton steps
-in log lambda, each kept strictly inside a bracket verified by the modular
-and replaced by the bracket's geometric midpoint when it falls outside.
-The first bracket comes from lambda = max |f|, where the modular lies
-between mu at the largest entry and mu(X).
+with modular(f / lambda) <= 1.  For constant p (classical weighted L^p) it
+is (sum |f|**p mu)**(1 / p).  Variable exponents admit no closed form.  In
+u = log lambda, h(u) = log modular(f / lambda) is convex and decreasing, with
+slope minus the mean exponent sum p a / sum a over the terms
+a = |f / lambda|**p mu, so the norm is found by Newton steps in log lambda,
+each kept strictly inside a bracket verified by the modular and replaced by
+the bracket's geometric midpoint when it falls outside.  The first bracket
+comes from lambda = max |f|, where the modular lies between mu at the
+largest entry and mu(X).
 """
 from __future__ import annotations
 
@@ -44,13 +42,9 @@ class NormResult:
     ``bisection_iters`` counts the modular evaluations after the one at
     max |f|, each a Newton step or, where that leaves the bracket, a
     bisection step.  ``converged`` is False when ``MAX_ITERS`` of them left
-    the bracket wider than ``REL_TOL`` relative.
-
-    For constant p the value is the closed form and ``bisection_iters`` is
-    1, the evaluation that checks it (with the one-ulp raises rounding may
-    call for); the bracket is (value (1 - REL_TOL / 2), value), whose lower
-    end homogeneity certifies without an evaluation.  A norm outside the
-    normal floats takes the Newton steps instead (``_closed_form``).
+    the bracket wider than ``REL_TOL`` relative.  For constant p it is 1,
+    the evaluation that checks the closed form, and the bracket's lower end
+    value (1 - REL_TOL / 2) is certified by homogeneity (``_closed_form``).
     """
 
     value: float
@@ -62,8 +56,7 @@ class NormResult:
 
 def _powered(fv: np.ndarray, pv: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """|f|**p mu entrywise, written over ``fv``; p > 1 makes zero values 0.
-    A constant p goes to numpy as one number, which it raises faster (p = 2
-    as a square, exact where the pow of an exponent array is not)."""
+    A constant p goes to numpy as one number, which it raises faster."""
     np.abs(fv, out=fv)
     if pv.min() == pv.max():
         pv = pv[0]
@@ -107,10 +100,9 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     Each row starts at lambda = max |f|, where every |f / lambda| <= 1, so
     the modular S lies in [mu_j, mu(X)] with j the largest entry.
 
-    For constant p the modular is S (max |f| / lambda)**p, so the norm is
-    max |f| S**(1 / p) (``_closed_form``).  Otherwise, at
-    max |f| (mu_j / 2)**(1 / p_j) that entry alone makes the modular at
-    least 2, and past max |f| the modular falls at least like
+    For constant p the norm is max |f| S**(1 / p) (``_closed_form``).
+    Otherwise, at max |f| (mu_j / 2)**(1 / p_j) that entry alone makes the
+    modular at least 2, and past max |f| the modular falls at least like
     (max |f| / lambda)**p_min, to 1/2 at max |f| (2 S)**(1 / p_min); these
     end the first bracket on the side of the root max |f| is not on.  Then
     each step takes the Newton target in log lambda from the last point
@@ -149,14 +141,11 @@ def _closed_form(fv, peak, pv, mu):
     """(lo, hi, modular at hi, evaluations) of nonnegative rows whose
     largest entries are ``peak``, for a constant exponent p.
 
-    hi is max |f| S**(1 / p), with S the modular at max |f|, raised by one
-    ulp while the modular there exceeds 1, which rounding can make it do.
-    lo = hi (1 - REL_TOL / 2) is not evaluated: the modular there is the one
-    at hi times (hi / lo)**p > 1 + p REL_TOL / 2, and the one at hi is
-    within REL_TOL / 4 of 1.  A row where hi is not a normal float (the
-    norm underflows or overflows), or where the modular at hi misses 1 by
-    more than that, takes the steps of ``_newton`` instead; every other row
-    counts one evaluation, the closed form's check."""
+    hi = max |f| S**(1 / p) is raised by one ulp while rounding leaves the
+    modular there above 1.  The modular at lo = hi (1 - REL_TOL / 2) is the
+    one at hi, within REL_TOL / 4 of 1, times (hi / lo)**p > 1 + p REL_TOL / 2.
+    A row whose hi is not a normal float, or whose modular at hi misses 1 by
+    more, takes the steps of ``_newton`` instead."""
     with np.errstate(over="ignore", under="ignore"):
         hi = peak * _modular_arrays(fv / peak[:, None], pv, mu) ** (1.0 / pv[0])
     at_hi = np.full(len(fv), np.nan)
