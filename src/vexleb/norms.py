@@ -42,7 +42,9 @@ class NormResult:
     ``bisection_iters`` counts the modular evaluations after the one at
     max |f|, each a Newton step or, where that leaves the bracket, a
     bisection step.  ``converged`` is False when ``MAX_ITERS`` of them left
-    the bracket wider than ``REL_TOL`` relative.  For constant p it is 1,
+    the bracket wider than ``REL_TOL`` relative, or when the norm lies below
+    the normal floats: a row ends once hi is at most the smallest normal
+    float, with the lower end 0 if it underflowed.  For constant p it is 1,
     the evaluation that checks the closed form, and the bracket's lower end
     value (1 - REL_TOL / 2) is certified by homogeneity (``_closed_form``).
     """
@@ -107,7 +109,8 @@ def luxemburg_norms(space: DiscreteSpace, p: PointFunction, rows: np.ndarray) ->
     end the first bracket on the side of the root max |f| is not on.  Then
     each step takes the Newton target in log lambda from the last point
     evaluated, moved by ``_NUDGE`` across the root, and bisects instead
-    when that target is not strictly inside the bracket (``_newton``).  The
+    when that target is not strictly inside the bracket (``_newton``), at
+    the smallest normal float when the lower end underflowed to 0.  The
     rows go together, each with its own bracket and active mask, so every
     row goes through exactly the evaluations it would go through alone and
     its NormResult is bit for bit the single-row one.
@@ -175,7 +178,7 @@ def _newton(fv, peak, pv, mu):
     iters = np.zeros(len(fv), dtype=int)
 
     def open_rows():
-        return np.flatnonzero((hi - lo > REL_TOL * hi) & (iters < MAX_ITERS))
+        return np.flatnonzero((hi - lo > REL_TOL * hi) & (iters < MAX_ITERS) & (hi > _TINY))
 
     k = open_rows()
     while k.size:
@@ -185,7 +188,10 @@ def _newton(fv, peak, pv, mu):
             step = np.log(sk) * sk / moment[k] + np.where(sk > 1.0, _NUDGE, -_NUDGE)
             x = lam[k] * np.exp(step)
         bisect = ~((lo[k] < x) & (x < hi[k]))
-        x[bisect] = np.sqrt(lo[k[bisect]]) * np.sqrt(hi[k[bisect]])
+        # a lower end that underflowed to 0 is bisected at the smallest
+        # normal float, whose modular ends the row or lifts the lower end
+        mid = np.sqrt(lo[k[bisect]]) * np.sqrt(hi[k[bisect]])
+        x[bisect] = np.where(mid > 0.0, mid, _TINY)
         s[k], moment[k] = _modular_moment(fv[k] / x[:, None], pv, mu)
         lam[k] = x
         inside = s[k] <= 1.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ class TestLuxemburgNorm:
         with np.errstate(divide="ignore"):
             res, = vx.luxemburg_norms(sp, const(2, 1.5), np.full((1, 2), 1e-200))
         assert res.value > 0.0 and not res.converged
+
+    @pytest.mark.parametrize("pv", [[1.5, 1.5], [1.5, 1.6]], ids=["constant", "variable"])
+    def test_norm_below_the_normal_floats_ends_unconverged(self, pv):
+        # the norm, about 1.6e-400, lies below the normal floats, and the
+        # first lower end, max |f| (mu / 2)**(1 / p), underflows to 0: the
+        # row ends within a few evaluations and without a warning, its
+        # bracket (0, hi) with hi at most the smallest normal float
+        sp = vx.DiscreteSpace(None, mu=[1e-300, 1e-300], x0=0, L=1.0, coords=[0.0, 1.0])
+        p, f = vx.PointFunction(pv, "exponent"), np.full(2, 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = vx.luxemburg_norm(sp, p, vx.PointFunction(f, "test"))
+        lo, hi = res.bracket
+        assert lo == 0.0 and 0.0 < hi <= np.finfo(float).tiny and res.value == hi
+        assert not res.converged and res.bisection_iters <= 4
+        assert res.modular_at_value == vx.modular(sp, p, vx.PointFunction(f / hi, "test")) <= 1.0
 
     def test_two_point_variable_exponent(self):
         sp = vx.explicit_space([[0, 1], [1, 0]], [0.5, 0.5], 0, 1.0)
