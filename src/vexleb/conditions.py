@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _distinct, _sorted_row_blocks
+from .space import DiscreteSpace, _distinct, _sweep_candidates
 
 __all__ = [
     "ConditionReport",
@@ -644,8 +644,8 @@ def annulus_weight_comparison(space: DiscreteSpace, v: PointFunction, w: PointFu
 class _Muckenhoupt:
     """The Muckenhoupt functional as a consumer of sorted row blocks: each
     call reads one ``_SortedRows`` block and raises ``value`` to the sup over
-    the closed balls centered in it (see ``muckenhoupt_ar``).  A geometry
-    sweep may call it from two threads; the sup is exact, so the blocks may
+    the closed balls centered in it (see ``muckenhoupt_ar``).  The sweep's
+    two threads may call it at once; the sup is exact, so the blocks may
     come in any order, and ``value`` is raised under a lock."""
 
     def __init__(self, space: DiscreteSpace, w: PointFunction, r: float):
@@ -708,12 +708,11 @@ def muckenhoupt_ar(space: DiscreteSpace, w: PointFunction, r: float) -> float:
     Where a term w mu or w**(1-r') mu, or a ball sum of them, leaves the
     normal floats, the rows it reaches are evaluated in logs, each scaled by
     its largest term as in ``_log_partial_sums``; every other row keeps the
-    bits of the plain float evaluation.  A scenario evaluates the same block
-    consumer inside its geometry sweep (``Materialized``), so one run sorts
-    each distance row once."""
+    bits of the plain float evaluation.  The rows are read as the geometry
+    sweep reads them (``_sweep_candidates``), and a scenario feeds the same
+    consumer from its own geometry sweep, so one run sorts each row once."""
     sup = _Muckenhoupt(space, w, r)
-    for blk in _sorted_row_blocks(space):
-        sup(blk)
+    _sweep_candidates(space, sup)
     return sup.value
 
 

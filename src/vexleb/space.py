@@ -30,14 +30,14 @@ balls around x0 from its order, sorted distances and per-point counts.  The
 geometry sweep hands each block to the block consumers it is given, so a
 scenario's Muckenhoupt functional reads the rows the geometry sorts: one
 materialization sorts each row once.
-The geometry sweep reads its rows in slices of about 2**15 distances (16
-rows at 2048 points, 32 at 1024).  A space of more than 1024 points, in a
-process that may run on two CPUs, has them read by the calling thread and
-one helper thread, each taking the next slice as it comes free; smaller
-spaces, or a single CPU, read them on the calling thread.  Every slice
+The geometry sweep and ``muckenhoupt_ar`` read the rows in slices of about
+2**15 distances (16 rows at 2048 points, 32 at 1024), by one worker loop
+that takes the next slice as it comes free (``_sweep_candidates``).  The
+calling thread runs it; for a space of more than 1024 points, in a process
+that may run on two CPUs, one helper thread runs it too.  Every slice
 offers its own estimates with their first witnesses, and the calling
 thread folds them in row order with the same strict comparisons, so the
-report is the same bit for bit on either path.
+report is the same bit for bit on one thread or two.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -530,61 +530,46 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     """``candidates(blk)`` of every slice of max(1, ``_SLICE_ENTRIES`` // n)
     rows, each sorted once by ``_sorted_rows``, in row order.
 
-    Up to ``_THREADED_ABOVE`` points, or with one usable CPU, the slices are
-    read in order on the calling thread.  Above it they are read on the
-    calling thread and on one helper thread, which runs under the caller's
-    ``np.geterr()``, hands its exception to the caller and is joined before
-    this returns.  Both threads take the next slice from one iterator,
-    under a lock, so a thread that gets less CPU reads fewer slices and the
-    other is never left waiting on it; a failing thread drains the
-    iterator, so the other stops after the slice it is reading.  Both paths
-    read the same slices, and the fold over the list reads it in row order
-    either way, so the threads do not change a value or a witness."""
+    One worker reads the slices, taking the next one under a lock.  The
+    calling thread runs it; above ``_THREADED_ABOVE`` points, with two
+    usable CPUs, one helper thread runs it too, under the caller's
+    ``np.geterr()``, so a thread that gets less CPU reads fewer slices and
+    the other never waits on it.  A failing worker records its exception,
+    the others stop after the slice they are reading, and the caller raises
+    it after the join.  The fold reads the list in row order however the
+    slices were shared, so the threads change no value or witness."""
     n = space.n
     rows = max(1, _SLICE_ENTRIES // n)
     slices = range(0, n, rows)
+    out, failed = [None] * len(slices), []
+    starts, lock, errors = iter(slices), threading.Lock(), np.geterr()
 
-    # Each path holds a slice until the next one is sorted.  Freed first,
-    # its memory went back to the system and the next slice faulted it in
-    # again: a 2048-point sweep took 60-70 thousand page faults instead of
-    # 40-50 thousand, and 9% longer.
-    def sort(start: int) -> _SortedRows:
-        return _sorted_rows(space, start, min(start + rows, n))
-
-    if n <= _THREADED_ABOVE or _usable_cpus() < 2:
-        return [candidates(blk) for blk in map(sort, slices)]
-    out = [None] * len(slices)
-    starts, lock = iter(slices), threading.Lock()
-
-    def take() -> Optional[int]:
-        with lock:
-            return next(starts, None)
-
-    def run() -> None:
+    def work() -> None:
+        # A worker holds its slice until the next one is sorted.  Freed
+        # first, its memory went back to the system and the next slice
+        # faulted it in again: a 2048-point sweep took 60-70 thousand page
+        # faults instead of 40-50 thousand, and 9% longer.
         try:
-            for start in iter(take, None):
-                blk = sort(start)
+            while True:
+                with lock:
+                    start = None if failed else next(starts, None)
+                if start is None:
+                    return
+                blk = _sorted_rows(space, start, min(start + rows, n))
                 out[start // rows] = candidates(blk)
-        except BaseException:
-            with lock:
-                for _ in starts:
-                    pass
-            raise
-
-    errors, failed = np.geterr(), []
-
-    def helper() -> None:
-        try:
-            with np.errstate(**errors):
-                run()
-        except BaseException as exc:  # re-raised on the calling thread
+        except BaseException as exc:  # raised on the calling thread
             failed.append(exc)
 
+    def helper() -> None:
+        with np.errstate(**errors):
+            work()
+
+    threaded = n > _THREADED_ABOVE and _usable_cpus() > 1
     thread = threading.Thread(target=helper, name="vexleb-geometry-sweep")
-    thread.start()
-    try:
-        run()
-    finally:
+    if threaded:
+        thread.start()
+    work()
+    if threaded:
         thread.join()
     if failed:
         raise failed[0]
@@ -671,9 +656,9 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
     doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
     whether no annulus is empty.  Each of ``consumers`` is called with every
     ``_SortedRows`` block, which it must not write, so a functional of the
-    same balls sorts no row again.  Above ``_THREADED_ABOVE`` points the
-    blocks are read on two threads (``_sweep_candidates``), so a consumer
-    may be called from either and must serialize what it updates.
+    same balls sorts no row again.  Above ``_THREADED_ABOVE`` points a
+    helper thread reads some of the blocks (``_sweep_candidates``), so a
+    consumer must serialize what it updates.
 
     The swept radii of a center are its distinct positive distances.  Closed
     balls are read at the last position of each tie group, open balls at the

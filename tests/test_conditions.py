@@ -11,6 +11,7 @@ import vexleb as vx
 from vexleb import conditions
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
+from test_space import sweep_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -497,13 +498,25 @@ def tied_spaces(draw):
     return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n))
 
 
+def check_equals_per_center_loop(sp, seed, r):
+    w = np.random.default_rng(seed).uniform(0.01, 10.0, sp.n)
+    got = vx.muckenhoupt_ar(sp, vx.PointFunction(w, "weight"), r)
+    assert got == reference_muckenhoupt(sp, w, r)
+
+
 class TestMuckenhoupt:
     @given(tied_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.7]))
     @settings(max_examples=60, deadline=None)
     def test_equals_per_center_loop_exactly(self, sp, seed, r):
-        w = np.random.default_rng(seed).uniform(0.01, 10.0, sp.n)
-        got = vx.muckenhoupt_ar(sp, vx.PointFunction(w, "weight"), r)
-        assert got == reference_muckenhoupt(sp, w, r)
+        check_equals_per_center_loop(sp, seed, r)
+
+    @given(tied_spaces(), st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.7]))
+    @settings(max_examples=60, deadline=None)
+    def test_threaded_equals_per_center_loop_exactly(self, sp, seed, r):
+        # every space two threads wide, in 16-row slices, so that the helper
+        # reads slices of these small spaces too
+        with sweep_threads(gate=0, entries=16 * sp.n):
+            check_equals_per_center_loop(sp, seed, r)
 
     def test_unit_weight(self):
         sp = vx.uniform_grid(128)

@@ -732,6 +732,27 @@ class TestThreadedSweep:
         assert threading.active_count() == before
         assert len(helper) <= 2
 
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["threaded", "serial"])
+    def test_caller_interrupt_reaches_caller(self, cpus):
+        # a KeyboardInterrupt in the calling thread's first slice stops the
+        # helper after the slice it is reading, and the caller raises it
+        # once no thread is left behind, on two threads or one
+        sp = vx.uniform_grid(1100)
+        raised, helper = threading.Event(), []
+
+        def interrupt(blk):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise KeyboardInterrupt
+            helper.append(blk.start)
+            assert raised.wait(timeout=10)
+
+        before = threading.active_count()
+        with sweep_threads(gate=0, cpus=cpus), pytest.raises(KeyboardInterrupt):
+            vx.geometry_constants(sp, _consumers=(interrupt,))
+        assert threading.active_count() == before
+        assert len(helper) <= (2 if cpus == 2 else 0)
+
     def test_helper_warning_reaches_caller(self):
         # the helper runs under the caller's numpy error state and warning
         # filters: a division by zero in a helper slice warns, raises as an
