@@ -413,12 +413,15 @@ def _half(space: DiscreteSpace, kind: str, name: str, p: PointFunction, q, alpha
 
 
 def _pair(space: DiscreteSpace, kind: str, prefix: str, p: PointFunction, q, alpha,
-          v: np.ndarray, w: np.ndarray, a: Optional[float]):
+          v: np.ndarray, w: np.ndarray, a: Optional[float], halves):
     """The reports ``prefix``-ball and ``prefix``-tail of the ``_PAIRS`` row
-    ``kind``: e from the capped ball and the tail minima of p."""
+    ``kind``: e from the capped ball and the tail minima of p.  A half whose
+    index (0 ball, 1 tail) is not in ``halves`` is not evaluated: None."""
     le = local_exponents(space, p, a)
-    return (_half(space, kind, f"{prefix}-ball", p, q, alpha, v, w, le.ball_min_capped),
-            _half(space, kind, f"{prefix}-tail", p, q, alpha, v, w, le.tail_min, tail=True))
+    return (_half(space, kind, f"{prefix}-ball", p, q, alpha, v, w, le.ball_min_capped)
+            if 0 in halves else None,
+            _half(space, kind, f"{prefix}-tail", p, q, alpha, v, w, le.tail_min, tail=True)
+            if 1 in halves else None)
 
 
 def hardy_condition(space: DiscreteSpace, p: PointFunction, q: PointFunction,
@@ -460,7 +463,7 @@ def _alpha_gate(alpha_vals: np.ndarray, p: PointFunction):
 
 def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
                          v: PointFunction, w: PointFunction, alpha: float,
-                         a: Optional[float] = None):
+                         a: Optional[float] = None, *, _halves=(0, 1)):
     """Ball-potential pair of functionals for constant order alpha.
 
     ball part : outer {t < d0 <= L} with base (v / muB0**(1-alpha))**q,
@@ -469,17 +472,18 @@ def potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunctio
                 inner {t < d0 <= L} of (w muB0**(1-alpha))**(-e1(x)) mu
 
     e0/e1 are the conjugates of the capped ball/tail minima of p.
-    Returns (ball_report, tail_report).
+    Returns (ball_report, tail_report).  ``_halves`` (private, in every pair
+    functional) names the halves evaluated, 0 ball and 1 tail; others are None.
     """
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(np.array([alpha]), p)
-    return _pair(space, "potential", "potential", p, q, alpha, vv, wv, a)
+    return _pair(space, "potential", "potential", p, q, alpha, vv, wv, a, _halves)
 
 
 def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
                                   v: PointFunction, w: PointFunction, alpha: PointFunction,
-                                  a: Optional[float] = None):
+                                  a: Optional[float] = None, *, _halves=(0, 1)):
     """Distance-potential pair for variable order (upper Ahlfors 1-regular
     spaces): the ball part uses base (v / d0**(1-alpha(x)))**q with inner
     w**(-e0(x)); the tail part uses inner (w(y) d0(y)**(1-alpha(y)))**(-e1(x)).
@@ -488,7 +492,8 @@ def distance_potential_conditions(space: DiscreteSpace, p: PointFunction, q: Poi
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
     _alpha_gate(alpha.values, p)
-    return _pair(space, "distance-potential", "distance", p, q, alpha.values, vv, wv, a)
+    return _pair(space, "distance-potential", "distance", p, q, alpha.values, vv, wv, a,
+                 _halves)
 
 
 def _check_profile(space: DiscreteSpace, profile: Callable, what: str,
@@ -556,7 +561,7 @@ def radial_condition(space: DiscreteSpace, p: PointFunction, v_profile: Callable
 def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFunction,
                               v: PointFunction, w_profile: Callable, alpha: PointFunction,
                               a: Optional[float] = None,
-                              require_monotone: bool = True):
+                              require_monotone: bool = True, *, _halves=(0, 1)):
     """Variable-order pair with a radial w: the ball part has base
     (v/muB0**(1-alpha(x)))**q and inner w(d0(y))**(-e0(x)); the tail part has
     base v**q and inner (w(d0(y)) muB0(y)**(1-alpha(x)))**(-e1(x)), where the
@@ -573,12 +578,12 @@ def variable_order_conditions(space: DiscreteSpace, p: PointFunction, q: PointFu
                       "functionals evaluated anyway", stacklevel=2)
     if np.any(wr <= 0) or not np.all(np.isfinite(wr)):
         raise PreconditionError("w profile must be positive on the swept distances")
-    return _pair(space, "potential", "variable-order", p, q, alpha.values, vv, wr, a)
+    return _pair(space, "potential", "variable-order", p, q, alpha.values, vv, wr, a, _halves)
 
 
 def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
                                 v: PointFunction, w: PointFunction,
-                                a: Optional[float] = None):
+                                a: Optional[float] = None, *, _halves=(0, 1)):
     """The maximal/singular pair: ball part with base (v/muB0)**p and inner
     w**(-e0(x)); tail part with base v**p and inner (w muB0)**(-e1(x)).
     Returns (ball_report, tail_report).
@@ -589,7 +594,7 @@ def maximal_singular_conditions(space: DiscreteSpace, p: PointFunction,
     """
     vv = _nonneg(space, v, "v")
     wv = _positive(space, w, "w")
-    return _pair(space, "maximal", "maximal", p, None, None, vv, wv, a)
+    return _pair(space, "maximal", "maximal", p, None, None, vv, wv, a, _halves)
 
 
 def _range_reduce(ufunc, vals: np.ndarray, starts: np.ndarray,

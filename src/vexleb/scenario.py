@@ -57,7 +57,9 @@ class Condition(NamedTuple):
     needs_alpha: bool
     needs_radial: bool
     operators: tuple
-    evaluate: Callable           # evaluate(materialized) -> report, or (ball, tail) reports
+    # evaluate(materialized) -> report, or for a pair's tag
+    # evaluate(materialized, halves) -> (ball, tail) reports, None where not in halves
+    evaluate: Callable
     half: Optional[int] = None   # which half of the (ball, tail) pair the tag reports
 
 
@@ -86,11 +88,14 @@ def _muckenhoupt(m: "Materialized"):
 
 
 # the functionals of (ball, tail) pairs, each shared by the pair's two tags
-_potential = lambda m: cond.potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha0)
-_distance = lambda m: cond.distance_potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha)
-_variable_order = lambda m: cond.variable_order_conditions(
-    m.space, m.p, m.q, m.v, m.w_profile, m.alpha, require_monotone=_monotone(m))
-_maximal = lambda m: cond.maximal_singular_conditions(m.space, m.p, m.v, m.w)
+_potential = lambda m, halves: cond.potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha0,
+                                                         _halves=halves)
+_distance = lambda m, halves: cond.distance_potential_conditions(
+    m.space, m.p, m.q, m.v, m.w, m.alpha, _halves=halves)
+_variable_order = lambda m, halves: cond.variable_order_conditions(
+    m.space, m.p, m.q, m.v, m.w_profile, m.alpha, require_monotone=_monotone(m), _halves=halves)
+_maximal = lambda m, halves: cond.maximal_singular_conditions(m.space, m.p, m.v, m.w,
+                                                              _halves=halves)
 _MAXIMAL_OPS = ("maximal", "singular")
 
 CONDITIONS = {
@@ -372,15 +377,14 @@ class Materialized:
 
     def evaluate_conditions(self) -> dict:
         """One report per listed tag; the two tags of a (ball, tail) pair
-        share one evaluation."""
-        out, results = {}, {}
-        for tag in self.scenario.conditions:
-            entry = CONDITIONS[tag]
-            if entry.evaluate not in results:
-                results[entry.evaluate] = entry.evaluate(self)
-            result = results[entry.evaluate]
-            out[tag] = result if entry.half is None else result[entry.half]
-        return out
+        share one evaluation, of the halves the listed tags read."""
+        entries = {tag: CONDITIONS[tag] for tag in self.scenario.conditions}
+        halves = {}
+        for entry in entries.values():
+            halves.setdefault(entry.evaluate, set()).add(entry.half)
+        results = {f: f(self) if h == {None} else f(self, h) for f, h in halves.items()}
+        return {tag: results[e.evaluate] if e.half is None else results[e.evaluate][e.half]
+                for tag, e in entries.items()}
 
     def evaluate_ratio(self) -> Optional[NormEstimate]:
         """The empirical norm ratio of the scenario's operator, or None

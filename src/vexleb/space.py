@@ -31,10 +31,10 @@ geometry sweep hands each block to the block consumers it is given, so a
 scenario's Muckenhoupt functional reads the rows the geometry sorts: one
 materialization sorts each row once.
 The geometry sweep and ``muckenhoupt_ar`` read the rows in slices of about
-2**15 distances (16 rows at 2048 points, 32 at 1024), by one worker loop
-that takes the next slice as it comes free (``_sweep_candidates``).  The
-calling thread runs it; for a space of more than 1024 points, in a process
-that may run on two CPUs, one helper thread runs it too.  Every slice
+2**15 distances on one thread and 2**16 on two, by one worker loop that
+takes the next slice as it comes free (``_sweep_candidates``).  The calling
+thread runs it; for a space of 1024 points or more, in a process that may
+run on two CPUs, one helper thread runs it too.  Every slice
 offers its own estimates with their first witnesses, and the calling
 thread folds them in row order with the same strict comparisons, so the
 report is the same bit for bit on one thread or two.
@@ -514,24 +514,24 @@ def _usable_cpus() -> int:
 
 
 # The geometry sweep reads its rows in slices of about this many distances,
-# max(1, _SLICE_ENTRIES // n) rows: each (slice, n) array of a slice then
-# takes about 256 KB, small enough to stay in cache while the slice is
-# sorted, searched and reduced.
-_SLICE_ENTRIES = 2**15
-# Above this many points the sweep runs its slices on two threads
-# (``_sweep_candidates``), when two CPUs are usable.  Sorting, searching and
-# reducing a row release the GIL; below the gate the hand-off costs more
-# than the second CPU gains.  Each thread holds the arrays of its own
-# slice, so the slice size also bounds the memory the second thread adds.
-_THREADED_ABOVE = 1024
+# max(1, entries // n) rows, on one thread and on two.  On one, a slice's
+# 256 KB arrays stay in cache; twice as large ran 15-25% slower at 768 to
+# 2048 points.  On two, the threads hand the GIL over at each numpy call,
+# and twice the slice halves the hand-offs (about 2400 thread switches in a
+# 2048-point sweep, not 4700); four times held 6 MB more.
+_SLICE_ENTRIES = (2**15, 2**16)
+# From this many points the sweep runs its slices on two threads
+# (``_sweep_candidates``) when two CPUs are usable.  Each thread holds the
+# arrays of its own slice, so the slice size bounds the memory it adds.
+_THREADED_FROM = 1024
 
 
 def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
-    """``candidates(blk)`` of every slice of max(1, ``_SLICE_ENTRIES`` // n)
-    rows, each sorted once by ``_sorted_rows``, in row order.
+    """``candidates(blk)`` in row order of every slice of max(1, entries // n)
+    rows (``_SLICE_ENTRIES`` by thread count), each sorted by ``_sorted_rows``.
 
     One worker reads the slices, taking the next one under a lock.  The
-    calling thread runs it; above ``_THREADED_ABOVE`` points, with two
+    calling thread runs it; from ``_THREADED_FROM`` points on, with two
     usable CPUs, one helper thread runs it too, under the caller's
     ``np.geterr()``, so a thread that gets less CPU reads fewer slices and
     the other never waits on it.  A failing worker records its exception,
@@ -539,7 +539,8 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     it after the join.  The fold reads the list in row order however the
     slices were shared, so the threads change no value or witness."""
     n = space.n
-    rows = max(1, _SLICE_ENTRIES // n)
+    threaded = n >= _THREADED_FROM and _usable_cpus() > 1
+    rows = max(1, _SLICE_ENTRIES[threaded] // n)
     slices = range(0, n, rows)
     out, failed = [None] * len(slices), []
     starts, lock, errors = iter(slices), threading.Lock(), np.geterr()
@@ -564,7 +565,6 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
         with np.errstate(**errors):
             work()
 
-    threaded = n > _THREADED_ABOVE and _usable_cpus() > 1
     thread = threading.Thread(target=helper, name="vexleb-geometry-sweep")
     if threaded:
         thread.start()
@@ -656,7 +656,7 @@ def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
     doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
     whether no annulus is empty.  Each of ``consumers`` is called with every
     ``_SortedRows`` block, which it must not write, so a functional of the
-    same balls sorts no row again.  Above ``_THREADED_ABOVE`` points a
+    same balls sorts no row again.  From ``_THREADED_FROM`` points on a
     helper thread reads some of the blocks (``_sweep_candidates``), so a
     consumer must serialize what it updates.
 

@@ -11,6 +11,7 @@ import vexleb as vx
 from vexleb import conditions
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
+from vexleb.scenario import CONDITIONS
 from test_space import sweep_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1124,8 +1125,19 @@ class TestSupMemo:
         mat = sc.materialize(128)
         reports = mat.evaluate_conditions()
         assert reports["radial-potential"].curve is reports["potential-ball"].curve
-        # the potential pair also evaluates its tail half, which no tag reports
-        assert len(mat.space._sup_memo) == 2
+        # the potential pair evaluates only the ball half its tags read
+        assert len(mat.space._sup_memo) == 1
+
+    @pytest.mark.parametrize("tag", [t for t in SUP_TAGS if CONDITIONS[t].half is not None])
+    def test_one_listed_half_is_evaluated_alone(self, tag):
+        # the pair's other half is not evaluated, and the listed one is the
+        # report it is when both are listed
+        reports, space = sweep_reports([tag], n=64)
+        assert len(space._sup_memo) == 1
+        other = next(t for t, e in CONDITIONS.items()
+                     if e.evaluate is CONDITIONS[tag].evaluate and t != tag)
+        both, _ = sweep_reports([tag, other], n=64)
+        assert_same_report(reports[tag], both[tag])
 
     def test_shared_arrays_are_read_only(self):
         reports, _ = sweep_reports(["potential-ball", "radial-potential"])

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import sys
 import threading
-import time
 import warnings
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -465,12 +464,13 @@ class TestBall:
 @contextmanager
 def sweep_threads(gate=None, cpus=2, entries=None):
     """The geometry sweep with its size gate at ``gate`` and its slices of
-    ``entries`` distances (each kept if None), and ``cpus`` usable CPUs,
-    whatever the machine has."""
+    ``entries`` distances on one thread or two (each kept if None), and
+    ``cpus`` usable CPUs, whatever the machine has."""
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(os, "sched_getaffinity",
                                               lambda pid: set(range(cpus)), create=True))
-        for name, value in (("_THREADED_ABOVE", gate), ("_SLICE_ENTRIES", entries)):
+        for name, value in (("_THREADED_FROM", gate),
+                            ("_SLICE_ENTRIES", entries and (entries, entries))):
             if value is not None:
                 stack.enter_context(mock.patch.object(space_module, name, value))
         yield
@@ -600,9 +600,10 @@ def on_helper(action):
     return consume
 
 
-def slice_starts(n):
-    """The first rows of the geometry sweep's slices of an n-point space."""
-    return list(range(0, n, max(1, _SLICE_ENTRIES // n)))
+def slice_starts(n, threaded):
+    """The first rows of the geometry sweep's slices of an n-point space, on
+    two threads or one."""
+    return list(range(0, n, max(1, _SLICE_ENTRIES[threaded] // n)))
 
 
 class TestThreadedSweep:
@@ -611,12 +612,13 @@ class TestThreadedSweep:
                                       lambda: tied_table(1100)],
                              ids=["grid300", "grid1000", "grid", "cantor", "tied"])
     def test_same_report_threaded_or_not(self, make):
-        # 109, 32, 29, 16 and 29 rows a slice.  With the gate lowered and two
-        # CPUs the sweep runs on two threads; with the gate raised, or one
-        # CPU, on the calling thread: the same report as the per-center loops
+        # 218, 65, 59, 32 and 59 rows a slice on two threads, half as many on
+        # one.  With the gate lowered and two CPUs the sweep runs on two
+        # threads; with the gate raised, or one CPU, on the calling thread:
+        # the same report as the per-center loops
         sp = make()
         reports, logs = [], []
-        for gate, cpus in ((0, 2), (sp.n, 2), (0, 1)):
+        for gate, cpus in ((0, 2), (sp.n + 1, 2), (0, 1)):
             log = ThreadLog()
             with sweep_threads(gate, cpus):
                 reports.append(repr(vx.geometry_constants(sp, sample_triples=10**4,
@@ -626,32 +628,50 @@ class TestThreadedSweep:
         # the same slices on every path: each read once, on the calling
         # thread or on one helper, and in order on the calling thread alone
         main = threading.get_ident()
-        assert sorted(start for start, _ in logs[0]) == slice_starts(sp.n)
+        assert sorted(start for start, _ in logs[0]) == slice_starts(sp.n, True)
         threads = {ident for _, ident in logs[0]}
         assert main in threads and len(threads) <= 2
         for serial in logs[1:]:
-            assert serial == [(start, main) for start in slice_starts(sp.n)]
+            assert serial == [(start, main) for start in slice_starts(sp.n, False)]
+
+    def test_gate_from_1024_points(self):
+        # with two usable CPUs a 1024-point space is read on two threads
+        # (the calling thread waits for the helper's first slice), a
+        # 1023-point one on the calling thread alone, in order
+        main = threading.get_ident()
+        for n, wait in ((1024, on_helper(lambda: None)), (1023, lambda blk: None)):
+            log = ThreadLog()
+            with sweep_threads(cpus=2):
+                vx.geometry_constants(vx.uniform_grid(n), _consumers=(log, wait))
+            assert sorted(start for start, _ in log.reads) == slice_starts(n, n == 1024)
+            if n == 1024:
+                threads = {ident for _, ident in log.reads}
+                assert main in threads and len(threads) == 2
+            else:
+                assert log.reads == [(start, main) for start in slice_starts(n, False)]
 
     def test_slow_thread_reads_fewer_slices(self):
-        # the threads take slices as they come free: a helper that sleeps
-        # 20 ms on each of its blocks leaves most of them to the caller,
-        # where a fixed split would wait for it on every other slice
+        # the threads take slices as they come free: a helper held on its
+        # first block until the caller has read all 18 other slices leaves
+        # them to the caller, where a fixed split would wait for it on every
+        # other slice (and the held helper would time out)
         sp = vx.uniform_grid(1100)
-        log = ThreadLog()
+        log, rest = ThreadLog(), threading.Event()
+        main = threading.get_ident()
 
-        def slow(blk):
+        def held(blk):
             log(blk)
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.02)
+            if threading.get_ident() != main:
+                assert rest.wait(timeout=10)
+            elif sum(ident == main for _, ident in log.reads) == len(slice_starts(sp.n, True)) - 1:
+                rest.set()
 
         with sweep_threads(gate=0):
-            vx.geometry_constants(sp, _consumers=(slow,))
-        main = threading.get_ident()
-        assert sorted(start for start, _ in log.reads) == slice_starts(sp.n)
-        helper = [start for start, ident in log.reads if ident != main]
-        assert len(helper) < len(log.reads) // 4
+            vx.geometry_constants(sp, _consumers=(held,))
+        assert sorted(start for start, _ in log.reads) == slice_starts(sp.n, True)
+        assert len([start for start, ident in log.reads if ident != main]) <= 1
 
-    @pytest.mark.parametrize("gate", [None, 1100], ids=["threaded", "serial"])
+    @pytest.mark.parametrize("gate", [None, 1101], ids=["threaded", "serial"])
     def test_each_row_sorted_once(self, gate):
         # the geometry sweep and the Muckenhoupt functional it feeds read
         # every distance row from one sort, on two threads or one
@@ -715,7 +735,7 @@ class TestThreadedSweep:
 
     def test_caller_failure_stops_helper(self):
         # the calling thread raises in its first slice: the helper stops
-        # after the slice it is reading instead of reading the other 37
+        # after the slice it is reading instead of reading the other 18
         sp = vx.uniform_grid(1100)
         raised, helper = threading.Event(), []
 
