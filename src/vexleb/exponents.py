@@ -107,13 +107,17 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
     On a finite-diameter space ``a`` is forced to the diameter; on a
     truncated infinite model it defaults to the truncation radius, and p
     must be constant beyond radius a (checked; the offending point is named).
+    Computed once per space, bytes of p and radius a (read-only arrays).
     """
     _check_len(space, p)
     if p.kind != "exponent":
         raise DomainError("local exponents are defined for exponent fields")
-    p_c = None
     if a is None or not space.infinite_diameter:
         a = space.L_eff
+    key = (p.values.tobytes(), a)
+    if key in space._local_memo:
+        return space._local_memo[key]
+    p_c = None
     if space.infinite_diameter:
         if a <= 0:
             raise PreconditionError("truncated infinite model needs a positive cap radius a")
@@ -136,7 +140,11 @@ def local_exponents(space: DiscreteSpace, p: PointFunction, a: Optional[float] =
 
     # tail_min beyond a is already the tail value; only ball_min is spliced
     capped = ball_min if p_c is None else np.where(space.d0 > a, p_c, ball_min)
-    return LocalExponents(*(PointFunction(v, "exponent") for v in (ball_min, tail_min, capped)))
+    for v in (ball_min, tail_min, capped):
+        v.flags.writeable = False
+    space._local_memo[key] = LocalExponents(*(PointFunction(v, "exponent")
+                                              for v in (ball_min, tail_min, capped)))
+    return space._local_memo[key]
 
 
 def sobolev_exponent(p: PointFunction, alpha: PointFunction) -> PointFunction:

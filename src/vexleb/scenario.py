@@ -57,10 +57,7 @@ class Condition(NamedTuple):
     needs_alpha: bool
     needs_radial: bool
     operators: tuple
-    # evaluate(materialized) -> report, or for a pair's tag
-    # evaluate(materialized, halves) -> (ball, tail) reports, None where not in halves
-    evaluate: Callable
-    half: Optional[int] = None   # which half of the (ball, tail) pair the tag reports
+    evaluate: Callable   # evaluate(materialized) -> ConditionReport
 
 
 def _monotone(m: "Materialized") -> bool:
@@ -87,15 +84,16 @@ def _muckenhoupt(m: "Materialized"):
                                 np.array([sup.value]), m.space.n, meta={"r": sup.r})
 
 
-# the functionals of (ball, tail) pairs, each shared by the pair's two tags
-_potential = lambda m, halves: cond.potential_conditions(m.space, m.p, m.q, m.v, m.w, m.alpha0,
-                                                         _halves=halves)
-_distance = lambda m, halves: cond.distance_potential_conditions(
-    m.space, m.p, m.q, m.v, m.w, m.alpha, _halves=halves)
-_variable_order = lambda m, halves: cond.variable_order_conditions(
-    m.space, m.p, m.q, m.v, m.w_profile, m.alpha, require_monotone=_monotone(m), _halves=halves)
-_maximal = lambda m, halves: cond.maximal_singular_conditions(m.space, m.p, m.v, m.w,
-                                                              _halves=halves)
+# each tag of a (ball, tail) pair evaluates its own half h (0 ball, 1 tail) alone,
+# and a half two tags read is one memo entry (``conditions._sup_functional``)
+_potential = lambda h: lambda m: cond.potential_conditions(
+    m.space, m.p, m.q, m.v, m.w, m.alpha0, _halves=(h,))[h]
+_distance = lambda h: lambda m: cond.distance_potential_conditions(
+    m.space, m.p, m.q, m.v, m.w, m.alpha, _halves=(h,))[h]
+_variable_order = lambda h: lambda m: cond.variable_order_conditions(
+    m.space, m.p, m.q, m.v, m.w_profile, m.alpha, require_monotone=_monotone(m), _halves=(h,))[h]
+_maximal = lambda h: lambda m: cond.maximal_singular_conditions(m.space, m.p, m.v, m.w,
+                                                                 _halves=(h,))[h]
 _MAXIMAL_OPS = ("maximal", "singular")
 
 CONDITIONS = {
@@ -103,10 +101,10 @@ CONDITIONS = {
                        lambda m: cond.hardy_condition(m.space, m.p, m.q, m.v, m.w)),
     "hardy-tail": Condition(False, False, ("hardy-tail",),
                             lambda m: cond.hardy_tail_condition(m.space, m.p, m.q, m.v, m.w)),
-    "potential-ball": Condition(True, False, ("potential-ball", "hardy"), _potential, 0),
-    "potential-tail": Condition(True, False, ("potential-ball", "hardy-tail"), _potential, 1),
-    "distance-ball": Condition(True, False, ("potential-distance",), _distance, 0),
-    "distance-tail": Condition(True, False, ("potential-distance",), _distance, 1),
+    "potential-ball": Condition(True, False, ("potential-ball", "hardy"), _potential(0)),
+    "potential-tail": Condition(True, False, ("potential-ball", "hardy-tail"), _potential(1)),
+    "distance-ball": Condition(True, False, ("potential-distance",), _distance(0)),
+    "distance-tail": Condition(True, False, ("potential-distance",), _distance(1)),
     "radial-potential": Condition(True, True, ("potential-ball", "hardy"), _radial("potential")),
     "radial-potential-basepoint": Condition(True, True, ("potential-ball",),
                                             _radial("potential-basepoint")),
@@ -114,10 +112,10 @@ CONDITIONS = {
                                            _radial("distance-potential")),
     "radial-maximal": Condition(False, True, _MAXIMAL_OPS, _radial("maximal")),
     "radial-maximal-basepoint": Condition(False, True, _MAXIMAL_OPS, _radial("maximal-basepoint")),
-    "variable-order-ball": Condition(True, True, ("potential-ball",), _variable_order, 0),
-    "variable-order-tail": Condition(True, True, ("potential-ball",), _variable_order, 1),
-    "maximal-ball": Condition(False, False, _MAXIMAL_OPS, _maximal, 0),
-    "maximal-tail": Condition(False, False, _MAXIMAL_OPS, _maximal, 1),
+    "variable-order-ball": Condition(True, True, ("potential-ball",), _variable_order(0)),
+    "variable-order-tail": Condition(True, True, ("potential-ball",), _variable_order(1)),
+    "maximal-ball": Condition(False, False, _MAXIMAL_OPS, _maximal(0)),
+    "maximal-tail": Condition(False, False, _MAXIMAL_OPS, _maximal(1)),
     "annulus-comparison": Condition(False, False, _OPERATOR_TAGS, _annulus),
     "muckenhoupt": Condition(False, False, _OPERATOR_TAGS, _muckenhoupt),
 }
@@ -265,18 +263,9 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        exps = {}
-        if self.p_spec is not None:
-            exps["p"] = self.p_spec
-        if self.alpha_spec is not None:
-            exps["alpha"] = self.alpha_spec
-        weights = {}
-        if self.pair is not None:
-            weights["pair"] = self.pair
-        if self.v_spec is not None:
-            weights["v"] = self.v_spec
-        if self.w_spec is not None:
-            weights["w"] = self.w_spec
+        exps = {k: s for k, s in (("p", self.p_spec), ("alpha", self.alpha_spec)) if s is not None}
+        weights = {k: s for k, s in (("pair", self.pair), ("v", self.v_spec), ("w", self.w_spec))
+                   if s is not None}
         out = {"name": self.name, "space": self.space_spec, "exponents": exps,
                "weights": weights, "conditions": list(self.conditions),
                "resolutions": list(self.resolutions), "seed": self.seed}
@@ -376,15 +365,8 @@ class Materialized:
     # -- evaluation hooks used by refinement studies and the runner ---------
 
     def evaluate_conditions(self) -> dict:
-        """One report per listed tag; the two tags of a (ball, tail) pair
-        share one evaluation, of the halves the listed tags read."""
-        entries = {tag: CONDITIONS[tag] for tag in self.scenario.conditions}
-        halves = {}
-        for entry in entries.values():
-            halves.setdefault(entry.evaluate, set()).add(entry.half)
-        results = {f: f(self) if h == {None} else f(self, h) for f, h in halves.items()}
-        return {tag: results[e.evaluate] if e.half is None else results[e.evaluate][e.half]
-                for tag, e in entries.items()}
+        """One report per listed tag."""
+        return {tag: CONDITIONS[tag].evaluate(self) for tag in self.scenario.conditions}
 
     def evaluate_ratio(self) -> Optional[NormEstimate]:
         """The empirical norm ratio of the scenario's operator, or None

@@ -228,6 +228,11 @@ class DiscreteSpace:
         bytes each evaluation read (see ``conditions._sup_functional``)."""
         return {}
 
+    @cached_property
+    def _local_memo(self) -> dict:
+        """``exponents.local_exponents`` on this space by (bytes of p, a)."""
+        return {}
+
     def d_from(self, center: int) -> np.ndarray:
         if not (0 <= center < self.n):
             raise DomainError(f"point id {center} out of range")
@@ -469,7 +474,6 @@ def _jittered_measures(ds: np.ndarray, prefix: np.ndarray, at: np.ndarray,
     the rare positions with more are searched row by row.
     """
     n = ds.shape[1]
-    more = np.zeros_like(at[:, :stop])
     if side == "right":
         t = ds[:, :stop] * (1.0 + _RADIUS_JITTER)
         s1 = min(stop, n - 1)
@@ -479,7 +483,7 @@ def _jittered_measures(ds: np.ndarray, prefix: np.ndarray, at: np.ndarray,
         m = prefix[:, 1:stop + 1].copy()
         m[:, :s1] = np.where(near, prefix[:, 2:s1 + 2], m[:, :s1])
         s2 = min(stop, n - 2)
-        more[:, :s2] = near[:, :s2] & (ds[:, 2:s2 + 2] <= t[:, :s2])
+        more, skip = near[:, :s2] & (ds[:, 2:s2 + 2] <= t[:, :s2]), 0
     else:
         t = ds[:, :stop] * (1.0 - _RADIUS_JITTER)
         near = at[:, 1:stop] & (ds[:, :stop - 1] >= t[:, 1:])
@@ -487,9 +491,10 @@ def _jittered_measures(ds: np.ndarray, prefix: np.ndarray, at: np.ndarray,
             return prefix[:, :stop]
         m = prefix[:, :stop].copy()
         m[:, 1:] = np.where(near, prefix[:, :stop - 1], m[:, 1:])
-        more[:, 2:] = near[:, 1:] & (ds[:, :stop - 2] >= t[:, 2:])
+        more, skip = near[:, 1:] & (ds[:, :stop - 2] >= t[:, 2:]), 2
+    # more[:, j] marks position skip + j past more than one near-tie
     for i in np.flatnonzero(more.any(axis=1)):
-        k = np.flatnonzero(more[i])
+        k = skip + np.flatnonzero(more[i])
         m[i, k] = prefix[i, np.searchsorted(ds[i], t[i, k], side=side)]
     return m
 

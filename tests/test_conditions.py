@@ -11,7 +11,6 @@ import vexleb as vx
 from vexleb import conditions
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
-from vexleb.scenario import CONDITIONS
 from test_space import sweep_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1073,6 +1072,8 @@ CONDITION_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "scenar
     / "condition_sweep.json"
 SUP_TAGS = [t for t in json.loads(CONDITION_SWEEP.read_text())["conditions"]
             if t not in ("annulus-comparison", "muckenhoupt")]
+# the (ball, tail) pairs: each names the tags <pair>-ball and <pair>-tail
+PAIRS = ("potential", "distance", "variable-order", "maximal")
 # each coinciding tag and the tag first evaluated with the same bytes
 COINCIDING = {"radial-potential": "potential-ball",
               "radial-potential-basepoint": "potential-ball",
@@ -1128,14 +1129,14 @@ class TestSupMemo:
         # the potential pair evaluates only the ball half its tags read
         assert len(mat.space._sup_memo) == 1
 
-    @pytest.mark.parametrize("tag", [t for t in SUP_TAGS if CONDITIONS[t].half is not None])
+    @pytest.mark.parametrize("tag", [f"{pair}-{half}" for pair in PAIRS
+                                     for half in ("ball", "tail")])
     def test_one_listed_half_is_evaluated_alone(self, tag):
         # the pair's other half is not evaluated, and the listed one is the
         # report it is when both are listed
         reports, space = sweep_reports([tag], n=64)
         assert len(space._sup_memo) == 1
-        other = next(t for t, e in CONDITIONS.items()
-                     if e.evaluate is CONDITIONS[tag].evaluate and t != tag)
+        other = tag[:-4] + {"ball": "tail", "tail": "ball"}[tag[-4:]]
         both, _ = sweep_reports([tag, other], n=64)
         assert_same_report(reports[tag], both[tag])
 

@@ -168,6 +168,38 @@ class TestLocalExponents:
         beyond = c > 1.0
         assert np.all(le.ball_min_capped.values[beyond] == 3.0)
 
+    def test_computed_once_per_field_and_radius(self):
+        c = np.linspace(0, 2, 41)
+        sp = vx.explicit_space(np.abs(c[:, None] - c[None, :]), np.full(41, 1 / 41),
+                               0, np.inf, trunc_radius=2.0, coords=c)
+        vals = np.where(c <= 1.0, 2.0 + c, 3.0)
+        le = vx.local_exponents(sp, vx.PointFunction(vals, "exponent"), a=1.0)
+        # a field with the same bytes is a repeat, whichever object holds them
+        assert vx.local_exponents(sp, vx.PointFunction(vals.copy(), "exponent"), a=1.0) is le
+        assert vx.local_exponents(sp, vx.PointFunction(vals, "exponent"), a=1.5) is not le
+        nudged = vals.copy()
+        nudged[0] = np.nextafter(nudged[0], 0.0)
+        assert vx.local_exponents(sp, vx.PointFunction(nudged, "exponent"), a=1.0) is not le
+        for f in (le.ball_min, le.tail_min, le.ball_min_capped):
+            with pytest.raises(ValueError):
+                f.values[0] = 2.0
+
+    def test_finite_space_forces_the_radius(self):
+        sp = vx.uniform_grid(32)
+        p = vx.PointFunction(2.0 + sp.d0, "exponent")
+        assert vx.local_exponents(sp, p, a=0.25) is vx.local_exponents(sp, p)
+
+    def test_refusal_is_repeated(self):
+        c = np.linspace(0, 2, 41)
+        sp = vx.explicit_space(np.abs(c[:, None] - c[None, :]), np.full(41, 1 / 41),
+                               0, np.inf, trunc_radius=2.0, coords=c)
+        p_bad = vx.PointFunction(2.0 + c, "exponent")
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                vx.local_exponents(sp, p_bad, a=1.0)
+        with pytest.raises(DomainError):
+            vx.local_exponents(sp, vx.PointFunction(2.0 + c, "weight"), a=1.0)
+
     def test_capped_matches_plain_inside(self):
         sp = vx.uniform_grid(32)
         p = vx.PointFunction(2.0 + np.sin(3 * sp.d0) * 0.3 + 0.5, "exponent")

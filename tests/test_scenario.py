@@ -30,17 +30,37 @@ def sweep_scenario(tags):
 
 
 def test_pair_tags_share_one_evaluation(monkeypatch):
-    calls = dict.fromkeys(PAIR_FUNCTIONALS, 0)
+    # each pair tag calls its functional once and asks only for its own half;
+    # a half two tags read is shared through the space's memo
+    halves = {name: [] for name in PAIR_FUNCTIONALS}
     for name in PAIR_FUNCTIONALS:
         def counted(*args, _fn=getattr(conditions, name), _name=name, **kwargs):
-            calls[_name] += 1
+            halves[_name].append(tuple(kwargs["_halves"]))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(conditions, name, counted)
     tags = list(CONDITIONS)
     with pytest.warns(UserWarning):  # the order field leaves the stated regime
         reports = sweep_scenario(tags).materialize().evaluate_conditions()
     assert list(reports) == tags
-    assert calls == dict.fromkeys(PAIR_FUNCTIONALS, 1)
+    # every pair's ball tag is listed before its tail tag
+    assert halves == {name: [(0,), (1,)] for name in PAIR_FUNCTIONALS}
+
+
+def test_local_exponents_computed_once_per_space():
+    stored = []
+
+    class Stores(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+    sc = sweep_scenario(list(CONDITIONS))
+    with pytest.warns(UserWarning):
+        for n in (32, 64, 128):
+            mat = sc.materialize(n)
+            mat.space.__dict__["_local_memo"] = Stores()
+            mat.evaluate_conditions()
+    # once per space, though fifteen tags read them
+    assert len(stored) == 3
 
 
 def test_pair_halves_match_tags_listed_alone():
