@@ -4,8 +4,8 @@ refinement study, and emit machine-readable reports.
     vexleb run scenario.json --resolutions 64,256,1024 --seed 0 \
         --out-dir out --format both
 
-Exit codes: 0 on completion, 2 on validation or precondition failures,
-1 on internal errors.
+Exit codes: 0 on completion, 2 on validation or precondition failures and
+on paths that cannot be read or written, 1 on internal errors.
 """
 from __future__ import annotations
 
@@ -29,12 +29,14 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; error messages carry the failing
     field."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"scenario file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario parse error at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario file {path}: not UTF-8 at byte {exc.start}") from None
+    except OSError as exc:
+        raise ValidationError(f"scenario file {path}: {exc.strerror}") from None
     sc = Scenario.from_dict(data)
     if sc.name == "scenario":
         sc.name = path.stem
@@ -44,7 +46,11 @@ def load_scenario(path) -> Scenario:
 def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=None) -> int:
     """Execute one scenario and write its reports.  Returns the exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        sys.stderr.write(f"error: --out-dir {out}: {exc}\n")
+        return 2
     try:
         if seed is not None:
             scenario.seed = _integer(seed, "--seed", 0)
@@ -80,8 +86,11 @@ def run(scenario: Scenario, out_dir, fmt: str = "both", resolutions=None, seed=N
         ],
         "study": None if study is None else study.to_dict(),
     }
-    emit_report(results, fmt, out, curves={name: rep for name, rep in reports.items()},
-                study=study)
+    try:
+        emit_report(results, fmt, out, curves=reports, study=study)
+    except OSError as exc:
+        sys.stderr.write(f"error: --out-dir {out}: {exc}\n")
+        return 2
     return 0
 
 

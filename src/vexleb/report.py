@@ -1,10 +1,14 @@
 """Deterministic report serialization.
 
-Floats are rendered with 17 significant digits and keys keep insertion
-order, so identical results yield byte-identical files.
+JSON reports spell each float in the shortest form that reads back
+exactly (so an integral float keeps its ``.0``), and ``NaN``,
+``Infinity`` and ``-Infinity`` as JavaScript does; CSV cells spell each
+float with 17 significant digits.  Keys keep insertion order, so a rerun
+with the same results writes the same bytes.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,46 +30,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _esc(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def to_json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
-    if isinstance(obj, str):
-        return f'"{_esc(obj)}"'
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{_esc(str(k))}": {to_json_text(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {to_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+def _plain(obj):
+    """The Python value of a numpy array or scalar, for ``json.dumps``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def to_json_text(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False, default=_plain)
 
 
 def write_json(path: Path, obj) -> None:

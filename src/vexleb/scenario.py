@@ -171,7 +171,7 @@ class Scenario:
         data = _mapping(data, "scenario", _SCENARIO_KEYS)
         name = data.get("name", "scenario")
         # the name becomes the report's file name inside --out-dir
-        if not isinstance(name, str) or not name or "/" in name or "\\" in name:
+        if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
             raise ValidationError(f"scenario.name: must be a plain file name, got {name!r}")
         if data.get("space") is None:
             raise ValidationError("scenario.space: required")

@@ -35,8 +35,9 @@ The geometry sweep and ``muckenhoupt_ar`` read the rows in slices of about
 takes the next slice as it comes free (``_sweep_candidates``).  The calling
 thread runs it; for a space of 1024 points or more, in a process that may
 run on two CPUs, one helper thread runs it too.  Every slice
-offers its own estimates with their first witnesses, and the calling
-thread folds them in row order with the same strict comparisons, so the
+offers its own estimates with their first witnesses, and
+``geometry_constants`` folds them in row order by ``max`` and ``min``,
+which replace an estimate only by a strictly larger or smaller one, so the
 report is the same bit for bit on one thread or two.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
@@ -51,6 +52,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -586,7 +588,8 @@ def _block_candidates(blk: _SortedRows, n: int, L: float, A: float, q: float):
     in row-major order: (doubling, witness), (reverse doubling, witness),
     (Ahlfors c1, witness), (Ahlfors c2, witness) and whether no annulus of
     its rows is empty.  An estimate with nothing to read is 0 for a sup,
-    inf for an inf, with the empty witness ``()``; see ``_geometry_sweep``."""
+    inf for an inf, with the empty witness ``()``: the values that
+    ``geometry_constants`` starts its ``max`` and ``min`` from."""
     ds, prefix, ends, start = blk.ds, blk.prefix, blk.ends, blk.start
     b = ds.shape[0]
     positive = ds > 0
@@ -595,7 +598,7 @@ def _block_candidates(blk: _SortedRows, n: int, L: float, A: float, q: float):
     swept[:, 1:] &= ends[:, :-1]
     small = ds <= L / A
 
-    # the columns the searches read (see _geometry_sweep): doubling's first
+    # the columns the searches read (see geometry_constants): doubling's first
     # k_2, reverse doubling's 1 to k_A - 1 (column 0 is the center)
     t_2 = 2.0 * ds * (1.0 + _RADIUS_JITTER)
     k_2 = int((closed & (t_2 >= ds[:, -1:])).argmax(axis=1).max()) + 1
@@ -655,61 +658,6 @@ def _block_candidates(blk: _SortedRows, n: int, L: float, A: float, q: float):
     return doubling, reverse, upper, lower, annuli
 
 
-def _geometry_sweep(space: DiscreteSpace, A: float, q: float, consumers=()):
-    """Doubling, reverse doubling, Ahlfors regularity and the annulus test in
-    one pass over the sorted row blocks: returns (doubling_c, rdc_B,
-    doubling witness, rdc witness), (c1, c2, c1 witness, c2 witness) and
-    whether no annulus is empty.  Each of ``consumers`` is called with every
-    ``_SortedRows`` block, which it must not write, so a functional of the
-    same balls sorts no row again.  From ``_THREADED_FROM`` points on a
-    helper thread reads some of the blocks (``_sweep_candidates``), so a
-    consumer must serialize what it updates.
-
-    The swept radii of a center are its distinct positive distances.  Closed
-    balls are read at the last position of each tie group, open balls at the
-    first, and each estimate is evaluated where its balls are read.  Each
-    keeps the witness of the first center and then the first radius that
-    attains it, as a loop over the centers in order would: every block
-    offers its own first witness (``_block_candidates``), and the blocks are
-    folded in row order, a later one replacing an estimate only when
-    strictly larger (sup) or smaller (inf).
-
-    The two ball searches of each row block read only the columns that can
-    still change an estimate.  Doubling reads the first k_2 columns, where
-    k_2 - 1 is the block's largest column holding a row's first closed
-    radius r with 2r (1 + jitter) >= the row's largest distance: from there
-    on B[x, 2r] is the whole space and B[x, r] only grows, so no later ratio
-    of the row is larger, and a later tie never replaces the first maximum.
-    Reverse doubling reads the positive distances r <= L_eff / A, a prefix
-    of each sorted row, and nothing in a block where every such prefix is
-    empty.  Values and witnesses are those of the full sweep, bit for bit.
-    """
-    if A <= 1:
-        raise DomainError("reverse-doubling factor must exceed 1")
-    if q <= 0:
-        raise DomainError("Ahlfors exponent must be positive")
-    n, L = space.n, space.L_eff
-
-    def candidates(blk):
-        for consume in consumers:
-            consume(blk)
-        return _block_candidates(blk, n, L, A, q)
-
-    (doubling_c, dbl_wit), (rdc_B, rdc_wit) = (0.0, ()), (np.inf, ())
-    (c1, w1), (c2, w2), annuli = (0.0, ()), (np.inf, ()), True
-    for doubling, reverse, upper, lower, block_annuli in _sweep_candidates(space, candidates):
-        if doubling[0] > doubling_c:
-            doubling_c, dbl_wit = doubling
-        if reverse[0] < rdc_B:
-            rdc_B, rdc_wit = reverse
-        if upper[0] > c1:
-            c1, w1 = upper
-        if lower[0] < c2:
-            c2, w2 = lower
-        annuli = annuli and block_annuli
-    return (doubling_c, rdc_B, dbl_wit, rdc_wit), (c1, c2, w1, w2), annuli
-
-
 def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: float = 1.0,
                        seed: int = 0, sample_triples: int = 10**6, *,
                        _consumers=()) -> GeometryReport:
@@ -720,24 +668,60 @@ def geometry_constants(space: DiscreteSpace, A: float = 2.0, ahlfors_exponent: f
     r <= L_eff / A, and the Ahlfors c1 = sup, c2 = inf of mu B(x, r) / r^q
     over open balls and the whole space, c2 only for r <= L_eff (the module
     docstring gives each reading's reason).  Every swept ball holds its
-    center, so no ratio divides by 0.  Each witness is the first
-    (center, radius) attaining its estimate.
+    center, so no ratio divides by 0.  All four, and the annulus test, come
+    from one pass over the sorted row blocks.
+
+    The swept radii of a center are its distinct positive distances.  Closed
+    balls are read at the last position of each tie group, open balls at the
+    first, and each estimate is evaluated where its balls are read.  Each
+    witness is the first center and then the first radius that attains its
+    estimate, as a loop over the centers in order would find it: every slice
+    offers its own first witness (``_block_candidates``), and ``max`` and
+    ``min`` fold the slices in row order, a later one replacing an estimate
+    only when strictly larger (sup) or smaller (inf), so a NaN never does.
+
+    The two ball searches of each row block read only the columns that can
+    still change an estimate.  Doubling reads the first k_2 columns, where
+    k_2 - 1 is the block's largest column holding a row's first closed
+    radius r with 2r (1 + jitter) >= the row's largest distance: from there
+    on B[x, 2r] is the whole space and B[x, r] only grows, so no later ratio
+    of the row is larger, and a later tie never replaces the first maximum.
+    Reverse doubling reads the positive distances r <= L_eff / A, a prefix
+    of each sorted row, and nothing in a block where every such prefix is
+    empty.  Values and witnesses are those of the full sweep, bit for bit.
 
     A line space reports a0 = a1 = 1 exactly, the values of its metric; a
     table-backed space has them searched, and only there do ``seed`` and
     ``sample_triples`` apply (to the triple sampler past
-    ``EXHAUSTIVE_TRIPLE_LIMIT`` points).  ``_consumers`` is private: the
-    block consumers the sweep hands its sorted rows (``_geometry_sweep``)."""
+    ``EXHAUSTIVE_TRIPLE_LIMIT`` points).  ``_consumers`` is private: each is
+    called with every ``_SortedRows`` block of the pass, which it must not
+    write, so a functional of the same balls sorts no row again.  From
+    ``_THREADED_FROM`` points on a helper thread reads some of the blocks
+    (``_sweep_candidates``), so a consumer must serialize what it updates."""
     if space.n < 2:
         raise DomainError("need at least 2 points")
+    if A <= 1:
+        raise DomainError("reverse-doubling factor must exceed 1")
+    if ahlfors_exponent <= 0:
+        raise DomainError("Ahlfors exponent must be positive")
     a0, a0_pair, a1, a1_triple = _quasi_constants(space, seed, sample_triples)
-    doubling, ahlfors, annuli_nonempty = _geometry_sweep(space, A, ahlfors_exponent, _consumers)
-    doubling_c, rdc_B, dbl_wit, rdc_wit = doubling
-    c1, c2, w1, w2 = ahlfors
+    n, L = space.n, space.L_eff
+
+    def candidates(blk):
+        for consume in _consumers:
+            consume(blk)
+        return _block_candidates(blk, n, L, A, ahlfors_exponent)
+
+    dbl, rdc, upper, lower, annuli = zip(*_sweep_candidates(space, candidates))
+    sup, inf, value = (0.0, ()), (np.inf, ()), itemgetter(0)
+    doubling_c, dbl_wit = max([sup, *dbl], key=value)
+    rdc_B, rdc_wit = min([inf, *rdc], key=value)
+    c1, w1 = max([sup, *upper], key=value)
+    c2, w2 = min([inf, *lower], key=value)
     return GeometryReport(
         a0=a0, a1=a1, doubling_c=doubling_c, rdc_A=A, rdc_B=rdc_B,
         ahlfors_upper_c1=c1, ahlfors_lower_c2=c2, ahlfors_exponent=ahlfors_exponent,
-        annuli_nonempty=annuli_nonempty,
+        annuli_nonempty=all(annuli),
         a0_pair=a0_pair, a1_triple=a1_triple,
         doubling_witness=dbl_wit, rdc_witness=rdc_wit,
         ahlfors_upper_witness=w1, ahlfors_lower_witness=w2,

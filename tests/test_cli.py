@@ -176,6 +176,40 @@ class TestRun:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("case", ["not-utf8", "directory"])
+    def test_unreadable_scenario_exit_two(self, tmp_path, capsys, case):
+        path = tmp_path / "s.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(dict(MINIMAL, name="café"), ensure_ascii=False)
+                             .encode("latin-1"))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["file", "under-file"])
+    def test_out_dir_not_a_directory_exit_two(self, tmp_path, capsys, case):
+        path = write_scenario(tmp_path, dict(MINIMAL, resolutions=[16, 32, 64]))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if case == "file" else blocker / "o"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("fmt, taken", [("json", "s.json"), ("csv", "s_hardy.csv"),
+                                            ("csv", "s_study.csv")])
+    def test_report_path_is_a_directory_exit_two(self, tmp_path, capsys, fmt, taken):
+        path = write_scenario(tmp_path, dict(MINIMAL, resolutions=[16, 32, 64]))
+        (tmp_path / "o" / taken).mkdir(parents=True)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "o" / taken) in err
+
     @pytest.mark.parametrize("field, changes", [
         ("exponents", {"exponents": [], "conditions": []}),
         ("weights", {"weights": "log-pair"}),
@@ -389,7 +423,8 @@ class TestRun:
         sc = load_scenario(SCENARIOS / "hardy_unit.json")
         assert sc.materialize(64).evaluate_ratio().ratio > 0
 
-    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..\\escaped", ""])
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..\\escaped", "",
+                                      "escaped\0"])
     def test_name_leaving_out_dir_exit_two(self, tmp_path, capsys, name):
         path = write_scenario(tmp_path, dict(MINIMAL, name=name, resolutions=[16, 32, 64]))
         out = tmp_path / "reports" / "out"
@@ -495,6 +530,54 @@ class TestWriteCsv:
         path = tmp_path_factory.getbasetemp() / "rows.csv"
         write_csv(path, ["a", "b"], iter(rows))
         assert path.read_bytes() == per_cell_csv(["a", "b"], rows)
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308]),
+    st.floats(-1e-307, 1e-307))
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS, JSON_FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+    st.booleans().map(np.bool_), st.none(),
+    st.text(st.one_of(st.characters(), st.sampled_from('"\\\0\b\t\n\x1f\x7f é∞'))),
+    st.lists(JSON_FLOATS, max_size=5).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+def json_equal(loaded, obj) -> bool:
+    """Whether ``loaded`` is what JSON reads back for ``obj``: numpy values
+    as their Python values, tuples as lists, NaN equal to NaN and the sign
+    of a zero kept."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return (type(loaded) is dict and list(loaded) == list(obj)
+                and all(json_equal(loaded[k], v) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return (type(loaded) is list and len(loaded) == len(obj)
+                and all(map(json_equal, loaded, obj)))
+    if type(obj) is float:
+        # repr tells -0.0 from 0.0 and spells every NaN "nan"
+        return type(loaded) is float and repr(loaded) == repr(obj)
+    return type(loaded) is type(obj) and loaded == obj
+
+
+class TestToJsonText:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_loads_back_equal(self, obj):
+        from vexleb.report import to_json_text
+        assert json_equal(json.loads(to_json_text(obj)), obj)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, np.complex128(1j),
+                                     np.datetime64("2020-01-01")])
+    def test_unsupported_object_raises(self, bad):
+        from vexleb.report import to_json_text
+        with pytest.raises(TypeError):
+            to_json_text({"x": [bad]})
 
 
 class TestGoldenScenarios:

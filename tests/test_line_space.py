@@ -42,7 +42,7 @@ A1_ROUNDING = 4 * 2.0**-52
 def results(sp) -> dict:
     """The geometry report without a1 and its triple, every condition
     functional and the empirical ratio of every operator at seed 0 on
-    ``sp``, each rendered with every float at 17 significant digits."""
+    ``sp``, each rendered as JSON text, whose floats read back exactly."""
     with warnings.catch_warnings():
         # the order field leaves the variable-order regime
         warnings.simplefilter("ignore", UserWarning)

@@ -97,13 +97,13 @@ def test_radial_profile_is_the_field_at_radial_distances(expr):
 def test_geometry_sweep_runs_once_per_resolution(monkeypatch):
     # the distance pair and the geometry report share one row sweep
     calls = []
-    sweep = space_module._geometry_sweep
+    sweep = space_module._sweep_candidates
 
     def counted(*args, **kwargs):
-        calls.append(args[1:])
+        calls.append(args[0])
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(space_module, "_geometry_sweep", counted)
+    monkeypatch.setattr(space_module, "_sweep_candidates", counted)
     mat = sweep_scenario(["distance-ball", "distance-tail"]).materialize()
     mat.evaluate_conditions()
     mat.geometry_summary()
