@@ -20,18 +20,18 @@ consistency identities hold exactly on discrete data.
 
 Every functional is evaluated in logs.  Each one hands the sweep evaluator
 (``_sup_functional``) its outer bases and the log of its inner integrand,
-exponent * log base + log mu, as data: the pair (e, log base) of the
-exponent per outer point and the log base per inner point, one array when
-the exponent is constant.  A variable order enters the base per outer point
-(log w(y) + (1 - alpha(x)) log muB0(y)); a constant one is folded into the
-base.  Inner sums are row-max-scaled cumsums in basepoint order (tail sums
-reversed cumsums), and the outer sum is a max-scaled exp-sum per sweep step
-over blocks of outer points, so an exponent near 1 (conjugate near
-infinity) or weights near 1e+-200 neither overflow nor collapse to 0.  The
-curve is evaluated once per step, at the knots 0, the distinct distances
-and L, and each midpoint repeats the knot below it.  Only true atoms, a
-zero base under a negative exponent, are dropped from an inner sum;
-``meta["skipped_inner"]`` counts them.
+exponent * log base + log mu, as arrays: e, the exponent per outer point,
+and the log base per inner point.  A variable order enters the base per
+outer point (log w(y) + (1 - alpha(x)) log muB0(y)); a constant one is
+folded into the base.  Inner sums are row-max-scaled cumsums in basepoint
+order (tail sums reversed cumsums), and the outer sum is a max-scaled
+exp-sum per sweep step over blocks of outer points, so an exponent near 1
+(conjugate near infinity) or weights near 1e+-200 neither overflow nor
+collapse to 0.  The curve is evaluated once per step, at the knots 0, the
+distinct distances and L, and each midpoint repeats the knot below it.  No
+inner entry is +inf: a negative e reads a w kept above 0, a positive e
+sends w = 0 to -inf, and the tail's infinite ball factor sits at the
+basepoint, which no tail sums.
 
 On radial weight pairs several conditions are one computation (a radial
 variant and the ball half it restates, the potential and variable-order
@@ -148,12 +148,10 @@ _BLOCK_ELEMS = 2**17
 _TINY = np.finfo(float).tiny
 
 
-def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool,
-                      m: Optional[np.ndarray] = None) -> np.ndarray:
+def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool) -> np.ndarray:
     """Logs of the partial sums of exp(r) along each row of ``r`` (no entry
     +inf), read at positions ``at``: the sum over the first ``at`` entries
-    (head) or over the entries from ``at`` on (tail).  ``m``, if given, is
-    the row maxima of ``r``; it is overwritten.
+    (head) or over the entries from ``at`` on (tail).
 
     Each row is scaled by its maximum before the exp and the cumsum; a tail
     is its own reversed cumsum, never a total minus a head, which would
@@ -162,8 +160,7 @@ def _log_partial_sums(r: np.ndarray, at: np.ndarray, head: bool,
     lost digits) is recomputed alone by ``np.logaddexp.accumulate``.
     """
     b, n = r.shape
-    if m is None:
-        m = r.max(axis=1, initial=-np.inf)
+    m = r.max(axis=1, initial=-np.inf)
     m[m == -np.inf] = 0.0
     csum = np.zeros((b, n + 1))
     terms = csum[:, 1:] if head else csum[:, :-1]
@@ -211,28 +208,24 @@ def _flat(a: np.ndarray) -> bool:
 
 
 def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
-                    forward: bool, inner, gamma: np.ndarray) -> ConditionReport:
+                    forward: bool, gamma: np.ndarray, e: np.ndarray, base: np.ndarray,
+                    term: Optional[tuple]) -> ConditionReport:
     """Evaluate one sup-functional over the sweep, in logs.
 
     ``forward`` selects the outer region {t < d0 <= L} with the inner sum
     over {d0 <= t}; otherwise the outer region is {d0 <= t} and the inner
     sum runs over {t < d0 <= L}.  ``log_outer`` is log O(x), the outer base
-    times mu (-inf where O is 0).  ``inner`` is the log-integrand of the
-    inner sum, log of (integrand times mu), given as data: an array when it
-    does not depend on the outer point x; a pair (e, base) for the rows
-    e[x] base[y] + log mu[y], one array when e is constant; or
-    (e, base, coef, extra) for the rows e[x] (base[y] + coef[x] extra[y])
-    + log mu[y], where a coef that is exactly constant is folded into the
-    base as base + coef[0] * extra.  ``gamma`` is the per-x outer power
-    applied to the inner sum W_x(t).  The curve at t is the sum over the
-    outer region of exp(log O(x) + gamma(x) log W_x(t)), so neither a weight
-    raised to a large power nor a sum of such terms overflows or underflows
-    before the result itself would.
-
-    Inner entries of +inf are the atoms of a zero base under a negative
-    exponent (the basepoint of a singular integrand): they are zeroed and
-    counted in ``meta["skipped_inner"]``, once per inner row evaluated (one
-    row for an x-independent integrand, one per outer point otherwise).
+    times mu (-inf where O is 0).  The inner sum's log-integrand, log of
+    (integrand times mu), is the row e[x] base[y] + log mu[y] per outer
+    point x, or e[x] (base[y] + coef[x] extra[y]) + log mu[y] with ``term``
+    = (coef, extra).  A coef that is exactly constant is folded into the
+    base as base + coef[0] * extra, and with no term left a constant e
+    makes one row shared by every x.  No entry the sums read may be +inf.
+    ``gamma`` is the per-x outer power applied to the inner sum W_x(t).
+    The curve at t is the sum over the outer region of exp(log O(x) +
+    gamma(x) log W_x(t)), so neither a weight raised to a large power nor a
+    sum of such terms overflows or underflows before the result itself
+    would.
 
     The curve is evaluated once per step of the sweep, at the knots 0, the
     distinct basepoint distances within [0, L] and L: a midpoint of
@@ -264,26 +257,22 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     cols = order[lo:hi]
     # x is outer at knot k when forward: k < cut(x); else k >= cut(x)
     cut = np.searchsorted(knots, d0, side="left")
-    gamma = np.asarray(gamma, dtype=float)
     log_mu = np.log(space.mu)
 
     xs = np.flatnonzero(log_O > -np.inf)
     xs = xs[np.argsort(cut[xs], kind="stable")]
     # the outer points of some knot, the only ones evaluated by blocks
     live = xs[cut[xs] > 0] if forward else xs[cut[xs] < T]
-    if isinstance(inner, tuple) and len(inner) == 4 and np.all(inner[2] == inner[2][0]):
-        inner = (inner[0], inner[1] + inner[2][0] * inner[3])
-    if isinstance(inner, tuple) and len(inner) == 2 and _flat(inner[0]):
-        inner = inner[0][0] * inner[1] + log_mu
-    if isinstance(inner, np.ndarray):
-        shared = inner[cols]
+    if term is not None and np.all(term[0] == term[0][0]):
+        base, term = base + term[0][0] * term[1], None
+    if term is None and _flat(e):
+        shared = (e[0] * base + log_mu)[cols]
         # W**gamma factors out of the outer sum
         factored = _flat(gamma)
         key = ("shared", forward, log_O.tobytes(), shared.tobytes(), factored,
                (gamma[:1] if factored else gamma[live]).tobytes())
     else:
         shared, factored = None, False
-        e, base, *term = inner
         coef, extra = term or (None, None)
         base, log_mu = base[cols], log_mu[cols]
         key = ("rows", forward, log_O.tobytes(), gamma[live].tobytes(), e[live].tobytes(),
@@ -295,20 +284,12 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     first = memo.get(key)
     if first is not None:
         return replace(first, name=name, meta=dict(first.meta))
-    skipped = 0
 
     def log_W(r: np.ndarray, k0: int, k1: int) -> np.ndarray:
         """log W at knots k0..k1-1 from log-integrand rows over the columns
-        they sum, in basepoint order; the atoms of ``r`` are zeroed."""
-        nonlocal skipped
-        m = r.max(axis=1, initial=-np.inf)
-        for i in np.flatnonzero(m == np.inf):
-            atoms = r[i] == np.inf
-            skipped += int(atoms.sum())
-            r[i, atoms] = -np.inf
-            m[i] = r[i].max()
+        they sum, in basepoint order."""
         start = lo if forward else head_count[k0]
-        return _log_partial_sums(r, head_count[k0:k1] - start, forward, m)
+        return _log_partial_sums(r, head_count[k0:k1] - start, forward)
 
     if shared is not None:
         shared = log_W(shared[None, :], 0, T)[0]
@@ -355,8 +336,7 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
     curve.flags.writeable = False
     j = int(curve.argmax())
     report = ConditionReport(name, float(curve[j]), float(ts[j]), ts, curve,
-                             resolution=space.n, meta={"skipped_inner": skipped},
-                             log_value=float(log_curve.max()))
+                             resolution=space.n, log_value=float(log_curve.max()))
     memo[key] = replace(report, meta=dict(report.meta))
     return report
 
@@ -403,13 +383,14 @@ def _half(space: DiscreteSpace, kind: str, name: str, p: PointFunction, q, alpha
     ball half's outer sum."""
     s, log_D, sign, term = _PAIRS[kind](space, p, q, alpha)
     conj = conjugate(local).values
-    inner = (sign * conj, _log(w))
     if tail:
         log_D = 0.0
         if term is not None:
-            inner += (np.broadcast_to(term[0], space.n), term[1])
+            term = (np.broadcast_to(term[0], space.n), term[1])
+    else:
+        term = None
     log_O = np.where(log_D < np.inf, s * (_log(v) - log_D) + np.log(space.mu), -np.inf)
-    return _sup_functional(space, name, log_O, not tail, inner, s / conj)
+    return _sup_functional(space, name, log_O, not tail, s / conj, sign * conj, _log(w), term)
 
 
 def _pair(space: DiscreteSpace, kind: str, prefix: str, p: PointFunction, q, alpha,

@@ -173,6 +173,29 @@ class TestRun:
                      "--resolutions", resolutions]) == 2
         assert "--resolutions: must be strictly increasing" in capsys.readouterr().err
 
+    def test_non_integer_resolutions_option_exit_two(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, MINIMAL)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--resolutions", "64,abc"]) == 2
+        assert capsys.readouterr().err \
+            == "error: --resolutions expects comma-separated integers\n"
+
+    def test_params_written_end_to_end(self, tmp_path):
+        # eps and a power-dist kernel whose modulus is a table: the singular
+        # operator reads them, and the report's scenario holds them as given
+        params = {"eps": 0.02, "kernel": {
+            "type": "power-dist", "exponent": -1.0,
+            "omega": {"type": "table", "t": [0.0, 0.5, 1.0], "value": [0.0, 0.4, 1.0]}}}
+        data = dict(json.loads((SCENARIOS / "hilbert_unit.json").read_text()),
+                    params=params, resolutions=[32, 48, 64])
+        assert data["operator"] == "singular" and data["space"]["generator"] == "uniform-grid"
+        path = write_scenario(tmp_path, data)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--format", "json"]) == 0
+        rep = json.loads((tmp_path / "o" / "hilbert_unit.json").read_text())
+        assert rep["meta"]["scenario"]["params"] == params
+        assert rep["study"]["resolutions"] == [32, 48, 64]
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 

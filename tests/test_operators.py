@@ -281,6 +281,44 @@ class TestHardyTransforms:
             assert out[x] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
+@st.composite
+def hardy_spaces(draw):
+    """Line spaces (grids, and shuffled coordinates on a 0.1 lattice around
+    any basepoint) and tables of plane distances rounded to 0.1, whose
+    basepoint distances tie."""
+    kind = draw(st.sampled_from(["grid", "line", "table"]))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(2, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    mu, x0 = rng.uniform(0.1, 1.0, n), draw(st.integers(0, n - 1))
+    if kind == "line":
+        coords = rng.choice(60, n, replace=False) * 0.1
+        return vx.space_from_spec({"points": [{"coord": c} for c in coords],
+                                   "metric": "euclidean1d", "mu": mu.tolist(), "x0": x0,
+                                   "L": "inf"})
+    pts = rng.uniform(0.0, 2.0, (n, 2))
+    dist = np.maximum(np.round(np.hypot(*(pts[:, None] - pts[None, :]).T), 1), 0.1)
+    np.fill_diagonal(dist, 0.0)
+    return vx.explicit_space(dist, mu, x0=x0)
+
+
+class TestHardyAdjoint:
+    @given(hardy_spaces(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_transform_is_the_adjoint(self, sp, rows, seed):
+        # both sides are the sum of g(x) v(x) f(y) w(y) mu(x) mu(y) over the
+        # pairs d0(y) < d0(x), row by row; tol is 1e-12 of the sum of |terms|
+        rng = np.random.default_rng(seed)
+        n = sp.n
+        v, w = (vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight") for _ in range(2))
+        f, g = rng.uniform(-1.0, 1.0, (2, rows, n))
+        lhs = (g * vx.hardy_transforms(sp, v, w, f) * sp.mu).sum(axis=1)
+        rhs = (f * vx.hardy_tail_transforms(sp, w, v, g) * sp.mu).sum(axis=1)
+        terms = (np.abs(g) * vx.hardy_transforms(sp, v, w, np.abs(f)) * sp.mu).sum(axis=1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * terms)
+
+
 class TestMaximalFunction:
     def test_constant(self):
         sp, _, _ = grid_setup(64)
