@@ -66,16 +66,21 @@ def _hardy(space: DiscreteSpace, v: PointFunction, w: PointFunction, rows,
            below: bool) -> np.ndarray:
     """v(x) times the sum of f w mu of each row of a (P, n) block over
     {y : d0(y) < d0(x)} when ``below``, else over {y : d0(y) > d0(x)}: one
-    cumsum along the basepoint order for the whole block."""
+    cumsum for the whole block, along the basepoint order for the ball and
+    against it for the tail.  The tail is summed from the far end, not taken
+    as the total less the closed ball, so a tail far below the total does
+    not cancel to 0."""
     integrand = _rows(space, rows) * w.values
     integrand *= space.mu
     row = space._basepoint_row
     csum = np.zeros((len(integrand), space.n + 1))
-    np.cumsum(integrand[:, row.order], axis=1, out=csum[:, 1:])
     if below:
+        np.cumsum(integrand[:, row.order], axis=1, out=csum[:, 1:])
         out = csum[:, row.below]
     else:
-        out = csum[:, -1:] - csum[:, row.upto]
+        # csum[:, k] sums the k points farthest from x0
+        np.cumsum(integrand[:, row.order[::-1]], axis=1, out=csum[:, 1:])
+        out = csum[:, space.n - row.upto]
     out *= v.values
     return out
 

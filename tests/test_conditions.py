@@ -597,6 +597,9 @@ class TestMuckenhoupt:
 
 class TestHardyAdjoint:
     @given(tied_spaces(), st.integers(0, 2**32 - 1))
+    # the tail at x0 is 1e-8 of the total: a tail taken as the total less
+    # the closed ball lost 1e-10 of it
+    @example(vx.uniform_grid(2), 827815)
     @settings(max_examples=200, deadline=None)
     def test_tail_transform_is_the_adjoint(self, sp, seed):
         # sum (H_{v,w} F) G mu = sum F (H*_{w,v} G) mu: the forward sum over

@@ -252,6 +252,16 @@ class TestHardyTransforms:
         out = vx.hardy_tail_transforms(sp, one_w, one_w, one_f)[0]
         assert np.max(np.abs(out - (1 - sp.coords))) <= 1.0 / 1024
 
+    def test_small_tail_does_not_cancel(self):
+        # w = exp(-60 d0): the tails at the far points are 1e-26 of the total
+        sp, one_w, one_f = grid_setup(64)
+        w = vx.PointFunction(np.exp(-60.0 * sp.d0), "weight")
+        out = vx.hardy_tail_transforms(sp, one_w, w, one_f)[0]
+        fw = w.values * sp.mu
+        want = np.array([fw[sp.d0 > sp.d0[x]].sum() for x in range(sp.n)])
+        assert want[-2] < 1e-25 * want[0]
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+
     def test_partition_identity_exact(self):
         # forward + tail + same-distance shell recovers the full weighted sum
         rng = np.random.default_rng(1)

@@ -405,20 +405,18 @@ class TestBasepointRowReaders:
         order = basepoint_loop_order(sp)
         for k in range(2):
             terms = [(y, f[k, y] * w.values[y] * sp.mu[y]) for y in order]
-            total = 0.0
-            for _, term in terms:
-                total += term
             for x in range(sp.n):
-                below = upto = 0.0
+                below = above = 0.0
                 for y, term in terms:
                     if sp.d0[y] < sp.d0[x]:
                         below += term
-                    if sp.d0[y] <= sp.d0[x]:
-                        upto += term
+                # the tail is summed against the basepoint order, from the
+                # farthest point in
+                for y, term in reversed(terms):
+                    if sp.d0[y] > sp.d0[x]:
+                        above += term
                 assert fwd[k, x] == below * v.values[x]
-                # the tail is the total less the closed ball, both summed
-                # along the basepoint order
-                assert tail[k, x] == (total - upto) * v.values[x]
+                assert tail[k, x] == above * v.values[x]
 
 
 class TestBall:
