@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conditions as cond
 from . import operators as ops
-from .errors import DomainError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError
 from .exponents import (PointFunction, field_from_spec, parse_field_spec, radial_profile,
                         sobolev_exponent)
 from .space import (_GENERATORS, DiscreteSpace, _generator, _integer, _known_keys, _mapping,
@@ -344,7 +344,8 @@ class Materialized:
         sc, space = self.scenario, self.space
         if sc.pair is not None:
             # a profile value beyond the floats is refused as not finite
-            with _naming("weights.pair"), np.errstate(over="ignore", invalid="ignore"):
+            with _naming("weights.pair", (ValidationError, DomainError, PreconditionError)), \
+                    np.errstate(over="ignore", invalid="ignore"):
                 pair = _PAIR_FAMILIES[sc.pair["family"]][0](self, sc.pair)
                 dre = space.radial_distances()
                 self.v = PointFunction(np.asarray(pair.v_profile(dre), dtype=float), "weight")

@@ -30,15 +30,16 @@ balls around x0 from its order, sorted distances and per-point counts.  The
 geometry sweep hands each block to the block consumers it is given, so a
 scenario's Muckenhoupt functional reads the rows the geometry sorts: one
 materialization sorts each row once.
-The geometry sweep and ``muckenhoupt_ar`` read the rows in slices of about
-2**15 distances on one thread and 2**16 on two, by one worker loop that
-takes the next slice as it comes free (``_sweep_candidates``).  The calling
-thread runs it; for a space of 1024 points or more, in a process that may
-run on two CPUs, one helper thread runs it too.  Every slice
-offers its own estimates with their first witnesses, and
-``geometry_constants`` folds them in row order by ``max`` and ``min``,
-which replace an estimate only by a strictly larger or smaller one, so the
-report is the same bit for bit on one thread or two.
+With one weight on every point, each block's ``prefix`` is one read-only
+row per space, broadcast (no reader may write it).  The geometry sweep and
+``muckenhoupt_ar`` read the rows in slices of about 2**15 distances on one
+thread and 2**16 on two, by one worker loop that takes the next slice as it
+comes free (``_sweep_candidates``).  The calling thread runs it; for a
+space of 1024 points or more, in a process that may run on two CPUs, one
+helper thread runs it too.  Every slice offers its own estimates with their
+first witnesses, and ``geometry_constants`` folds them in row order by
+``max`` and ``min``, which replace an estimate only by a strictly larger or
+smaller one, so the report is the same bit for bit on one thread or two.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -206,6 +207,15 @@ class DiscreteSpace:
             a.flags.writeable = False
         return out
 
+    @cached_property
+    def _constant_prefix(self) -> Optional[np.ndarray]:
+        """0 then cumsum(mu) if every weight is mu[0] exactly, else None (read-only)."""
+        if np.any(self.mu != self.mu[0]):
+            return None
+        row = np.concatenate(([0.0], np.cumsum(self.mu)))
+        row.flags.writeable = False
+        return row
+
     @property
     def muB0(self) -> np.ndarray:
         """Open-ball measures mu B(x0, d0(x)) per point, 0 at the basepoint
@@ -329,7 +339,8 @@ class _SortedRows(NamedTuple):
     d      : (b, n) the rows as read, unsorted
     order  : (b, n) stable ascending order of each row
     ds     : (b, n) the sorted distances
-    prefix : (b, n + 1) mu summed over the first k points of that order
+    prefix : (b, n + 1) mu summed over the first k points of that order;
+             with constant mu one shared read-only row, never to be written
     ends   : (b, n) True at the last sorted position of each tie group
     """
 
@@ -380,8 +391,11 @@ def _sorted_rows(space: DiscreteSpace, start: int, stop: int) -> _SortedRows:
     # np.take_along_axis, which builds an index grid per call
     b, n = d.shape
     ds = d.take(order + np.arange(0, b * n, n)[:, None])
-    prefix = np.zeros((b, n + 1))
-    np.cumsum(space.mu.take(order), axis=1, out=prefix[:, 1:])
+    if space._constant_prefix is None:
+        prefix = np.zeros((b, n + 1))
+        np.cumsum(space.mu.take(order), axis=1, out=prefix[:, 1:])
+    else:
+        prefix = np.broadcast_to(space._constant_prefix, (b, n + 1))
     ends = np.ones(ds.shape, dtype=bool)
     np.not_equal(ds[:, 1:], ds[:, :-1], out=ends[:, :-1])
     return _SortedRows(start, d, order, ds, prefix, ends)

@@ -97,17 +97,23 @@ class TestRun:
         rep = json.loads((tmp_path / "out" / "s.json").read_text())
         assert rep["study"]["condition_trends"]["hardy"] == "bounded"
 
-    def test_inadmissible_pair_exit_two(self, tmp_path):
-        data = {
-            "space": {"generator": "uniform-grid", "n": 32},
-            "exponents": {"p": {"kind": "exponent", "expr": "const 2"},
-                          "alpha": {"kind": "alpha", "expr": "const 0.25"}},
-            "weights": {"pair": {"family": "power-pair", "beta": 0.6}},
-            "conditions": ["radial-potential"],
-            "resolutions": [16, 32, 64],
-        }
-        sc = load_scenario(write_scenario(tmp_path, data))
-        assert run(sc, tmp_path / "out") == 2
+    def test_inadmissible_pair_exit_two(self, tmp_path, capsys):
+        # p = 2, alpha = 0.25: beta outside [0, 1/p') and gamma below its
+        # minimum beta are refused, each naming the pair field
+        for pair, refused in (({"beta": 0.6}, "beta=0.6 outside [0, 1/p') = [0, 0.5)"),
+                              ({"beta": 0.25, "gamma": 0.1}, "gamma=0.1 below minimum 0.25")):
+            data = {
+                "space": {"generator": "uniform-grid", "n": 32},
+                "exponents": {"p": {"kind": "exponent", "expr": "const 2"},
+                              "alpha": {"kind": "alpha", "expr": "const 0.25"}},
+                "weights": {"pair": {"family": "power-pair", **pair}},
+                "conditions": ["radial-potential"],
+                "resolutions": [16, 32, 64],
+            }
+            sc = load_scenario(write_scenario(tmp_path, data))
+            assert run(sc, tmp_path / "out") == 2
+            assert capsys.readouterr().err \
+                == f"error: scenario.weights.pair: weight pair inadmissible: {refused}\n"
 
     def test_point_beyond_finite_diameter(self, tmp_path):
         # the point at d0 = 2 > L lies outside every capped region: the run

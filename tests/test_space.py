@@ -563,13 +563,23 @@ class TestGeometryAgainstPerCenterLoops:
             vx.geometry_constants(sp)
 
 
-def tied_table(n, seed=0):
+def tied_table(n, seed=0, constant_mu=False):
     """An n-point asymmetric table of five distinct distances, uneven weights
-    and a diameter below the largest distance."""
+    (or 1/n each) and a diameter below the largest distance."""
     rng = np.random.default_rng(seed)
     dist = rng.uniform(0.2, 1.3, 5)[rng.integers(0, 5, (n, n))]
     np.fill_diagonal(dist, 0.0)
-    return vx.explicit_space(dist, rng.uniform(0.1, 1.0, n), 0, 0.8)
+    mu = np.full(n, 1.0 / n) if constant_mu else rng.uniform(0.1, 1.0, n)
+    return vx.explicit_space(dist, mu, 0, 0.8)
+
+
+def uneven_line(n, seed=0):
+    """An n-point ``euclidean1d`` line space: shuffled coordinates on a 0.25
+    lattice with uneven gaps, uneven weights, the basepoint inside."""
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(np.cumsum(rng.integers(1, 4, n) * 0.25))
+    return vx.DiscreteSpace(dist=None, mu=rng.uniform(0.1, 1.0, n), x0=int(rng.integers(0, n)),
+                            L=float(np.ptp(coords)), coords=coords)
 
 
 class ThreadLog:
@@ -607,13 +617,17 @@ def slice_starts(n, threaded):
 class TestThreadedSweep:
     @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(300), lambda: vx.uniform_grid(1000),
                                       lambda: vx.uniform_grid(1100), lambda: vx.cantor_space(11),
-                                      lambda: tied_table(1100)],
-                             ids=["grid300", "grid1000", "grid", "cantor", "tied"])
+                                      lambda: tied_table(1100), lambda: uneven_line(1100),
+                                      lambda: tied_table(1100, constant_mu=True)],
+                             ids=["grid300", "grid1000", "grid", "cantor", "tied", "line",
+                                  "tied-constant"])
     def test_same_report_threaded_or_not(self, make):
-        # 218, 65, 59, 32 and 59 rows a slice on two threads, half as many on
-        # one.  With the gate lowered and two CPUs the sweep runs on two
-        # threads; with the gate raised, or one CPU, on the calling thread:
-        # the same report as the per-center loops
+        # 218, 65, 59, 32, 59, 59 and 59 rows a slice on two threads, half as
+        # many on one.  With the gate lowered and two CPUs the sweep runs on
+        # two threads; with the gate raised, or one CPU, on the calling
+        # thread: the same report as the per-center loops.  The grids, the
+        # Cantor set and the constant-weight table read one shared prefix
+        # row; the uneven line and table sum a prefix per row
         sp = make()
         reports, logs = [], []
         for gate, cpus in ((0, 2), (sp.n + 1, 2), (0, 1)):
@@ -796,6 +810,50 @@ class TestThreadedSweep:
         assert len(states) == 3
         assert states[2]["divide"] == "raise" and states[2]["under"] == "ignore"
         assert threading.active_count() == before
+
+
+def one_ulp_off(sp, at):
+    """``sp`` with the weight at ``at`` one ulp above the others."""
+    mu = sp.mu.copy()
+    mu[at] = np.nextafter(mu[at], np.inf)
+    return dataclasses.replace(sp, mu=mu)
+
+
+class TestSharedPrefixRow:
+    @pytest.mark.parametrize("make, shared", [
+        (lambda: vx.uniform_grid(200), True), (lambda: vx.cantor_space(7), True),
+        (lambda: tied_table(150, constant_mu=True), True),
+        (lambda: one_ulp_off(vx.uniform_grid(200), 117), False),
+        (lambda: one_ulp_off(tied_table(150, constant_mu=True), 0), False),
+    ], ids=["grid", "cantor", "tied-constant", "grid-ulp-off", "tied-ulp-off"])
+    def test_prefix_equals_per_row_cumsum(self, make, shared):
+        # with every weight equal each block's prefix is the one shared row,
+        # read-only, and holds the bits of a cumsum over each row's order;
+        # a weight one ulp off sums a writable prefix per row
+        sp = make()
+        assert (sp._constant_prefix is not None) == shared
+        for start, stop in ((0, 1), (3, 73), (sp.n - 5, sp.n)):
+            blk = _sorted_rows(sp, start, stop)
+            want = np.zeros((stop - start, sp.n + 1))
+            np.cumsum(sp.mu.take(blk.order), axis=1, out=want[:, 1:])
+            assert np.ascontiguousarray(blk.prefix).tobytes() == want.tobytes()
+            if shared:
+                assert blk.prefix.strides[0] == 0
+                with pytest.raises(ValueError, match="read-only"):
+                    blk.prefix[0, 1] = 0.0
+            else:
+                assert blk.prefix.flags.writeable
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["constant", "ulp-off"])
+    def test_sweep_sums_no_block(self, shared):
+        # the constant-weight sweep of 38 slices calls np.cumsum once, for
+        # the shared row; a weight one ulp off calls it once per slice
+        sp = vx.uniform_grid(1100)
+        sp = sp if shared else one_ulp_off(sp, 500)
+        with sweep_threads(gate=sp.n + 1), \
+                mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+            vx.geometry_constants(sp)
+        assert cumsum.call_count == (1 if shared else len(slice_starts(sp.n, False)))
 
 
 class TestGeometryConstants:
