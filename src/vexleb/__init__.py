@@ -4,8 +4,8 @@ quasimetric measure spaces.
 The package computes Luxemburg norms, applies Hardy-type, maximal, potential
 and singular operators, evaluates the two-weight sufficient-condition
 functionals that govern their boundedness, and verifies the corresponding
-norm inequalities empirically through refinement studies and necessity
-probes.
+norm inequalities empirically through probe ratios across refinement
+resolutions.
 """
 
 __version__ = "0.1.0"
@@ -72,7 +72,5 @@ from .verify import (
     NormEstimate,
     StudyReport,
     empirical_ratio,
-    necessity_probe,
-    power_iteration_pq,
     refinement_study,
 )

@@ -28,7 +28,9 @@ __all__ = ["Scenario", "Materialized", "OPERATORS", "CONDITIONS"]
 
 class Operator(NamedTuple):
     apply: Callable          # apply(materialized, rows) -> the (P, n) block of row images
-    weighted: bool = False   # v and w act inside the operator, not on the norm ratio
+    # v and w act inside the operator: H_{v,w} f = v H(w f), so ``apply`` is the
+    # unweighted H and the ratio over g = w f reads v and 1/w as norm weights
+    weighted: bool = False
 
 
 def _singular(m: "Materialized", rows: np.ndarray) -> np.ndarray:
@@ -41,9 +43,9 @@ def _singular(m: "Materialized", rows: np.ndarray) -> np.ndarray:
 # a function replaced there (a tracer, a test double) is the one that runs.
 # Each operator takes a (P, n) block of test functions and returns its block.
 OPERATORS = {
-    "hardy": Operator(lambda m, rows: ops.hardy_transforms(m.space, *m._weights, rows), True),
+    "hardy": Operator(lambda m, rows: ops.hardy_transforms(m.space, m._one, m._one, rows), True),
     "hardy-tail": Operator(
-        lambda m, rows: ops.hardy_tail_transforms(m.space, *m._weights, rows), True),
+        lambda m, rows: ops.hardy_tail_transforms(m.space, m._one, m._one, rows), True),
     "maximal": Operator(lambda m, rows: ops.maximal_functions(m.space, rows)),
     "potential-ball": Operator(lambda m, rows: ops.ball_potentials(m.space, m.alpha, rows)),
     "potential-distance": Operator(
@@ -358,10 +360,9 @@ class Materialized:
             self.w_profile = None if sc.w_spec is None else radial_profile(space, sc.w_spec)
 
     @cached_property
-    def _weights(self):
-        """v and w, each defaulting to the unit weight."""
-        ones = PointFunction.constant(self.space.n, 1.0, "weight")
-        return self.v or ones, self.w or ones
+    def _one(self):
+        """The unit weight."""
+        return PointFunction.constant(self.space.n, 1.0, "weight")
 
     # -- evaluation hooks used by refinement studies and the runner ---------
 
@@ -375,10 +376,15 @@ class Materialized:
         if self.scenario.operator is None or self.p is None:
             return None
         op = OPERATORS[self.scenario.operator]
-        v, w = self._weights
+        v, w = self.v or self._one, self.w or self._one
         if op.weighted:
-            # weights live inside the transform; the ratio is ||T f||_q / ||f||_p
-            v = w = PointFunction.constant(self.space.n, 1.0, "weight")
+            # ||v H(w f)||_q / ||f||_p is ||v H g||_q / ||g / w||_p over g = w f
+            with np.errstate(over="ignore"):
+                inv = 1.0 / w.values
+            if not np.all(np.isfinite(inv)):
+                raise ValidationError("scenario.weights.w: 1/w overflows, and a Hardy ratio "
+                                      "reads it as its norm weight")
+            w = PointFunction(inv, "weight")
         return empirical_ratio(self.space, lambda rows: op.apply(self, rows), self.p, self.q,
                                v, w, trials=8, seed=self.scenario.seed)
 

@@ -115,6 +115,31 @@ class TestRun:
             assert capsys.readouterr().err \
                 == f"error: scenario.weights.pair: weight pair inadmissible: {refused}\n"
 
+    @pytest.mark.parametrize("operator, w", [("maximal", "power-of-dist(x0, 0.5)"),
+                                             ("hardy", "power-of-dist(x0, -0.5)")])
+    def test_conjugate_probes_near_p_one_exit_zero(self, tmp_path, operator, w):
+        # at p = 1.001 the probe family's conjugate rows (the norm weight to
+        # the power -p' = -1001) overflow near the basepoint
+        data = dict(MINIMAL, operator=operator, conditions=[], resolutions=[32, 48, 64],
+                    exponents={"p": {"kind": "exponent", "expr": "const 1.001"}},
+                    weights={"v": {"kind": "weight", "expr": "const 1"},
+                             "w": {"kind": "weight", "expr": w}})
+        path = write_scenario(tmp_path, data)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        ratios = json.loads((tmp_path / "o" / "s.json").read_text())["study"]["ratios"]
+        assert all(np.isfinite(r) and r > 0 for r in ratios)
+
+    def test_hardy_weight_whose_reciprocal_overflows_exit_two(self, tmp_path, capsys):
+        # w = d0**150 falls below 1e-308 at the floored basepoint of 64 points;
+        # a Hardy ratio reads 1/w as its norm weight, so the run names w
+        data = dict(MINIMAL, operator="hardy", conditions=[], resolutions=[32, 48, 64],
+                    weights={"v": {"kind": "weight", "expr": "const 1"},
+                             "w": {"kind": "weight", "expr": "power-of-dist(x0, 150)"}})
+        path = write_scenario(tmp_path, data)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: scenario.weights.w: 1/w overflows, and a "
+                                           "Hardy ratio reads it as its norm weight\n")
+
     def test_point_beyond_finite_diameter(self, tmp_path):
         # the point at d0 = 2 > L lies outside every capped region: the run
         # succeeds and reads as the space without it

@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vexleb as vx
 from vexleb.errors import DomainError, PreconditionError
+from test_space import line_spaces, tied_spaces
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def const(n, v, kind="exponent"):
@@ -117,6 +124,32 @@ class TestEmpiricalRatio:
         kept = np.any(normed[0] != 0, axis=1)
         assert np.array_equal(w.values * seen[0], normed[0][kept])
 
+    def test_conjugate_rows_near_p_one_are_scaled(self):
+        # at p = 1.001, w**(-p') = d0**(-500.5) overflows near the basepoint:
+        # each conjugate row is w**(-p') on its ball scaled to peak 1
+        n = 64
+        sp = vx.uniform_grid(n)
+        one = const(n, 1.0, "weight")
+        p = const(n, 1.001)
+        w = vx.PointFunction(sp.radial_distances() ** 0.5, "weight")
+        seen = []
+
+        def op(rows):
+            seen.append(rows)
+            return vx.maximal_functions(sp, rows)
+
+        est = vx.empirical_ratio(sp, op, p, p, one, w, trials=4, seed=0)
+        assert np.isfinite(est.ratio) and est.ratio > 0
+        assert est.discarded == 0
+        conj = seen[0][n + len(vx.verify._PROBE_POWERS):][:n]
+        radii = np.unique(sp.d0)
+        pc = vx.conjugate(p).values[0]
+        for row, r in zip(conj, radii):
+            ball = sp.d0 <= r
+            assert row.max() == 1.0 and np.all(row[~ball] == 0.0)
+            want = -pc * np.log(w.values[ball])
+            assert np.allclose(row[ball], np.exp(want - want.max()), rtol=1e-9, atol=1e-300)
+
     def test_op_block_of_the_wrong_shape_is_refused(self):
         n = 16
         sp = vx.uniform_grid(n)
@@ -124,118 +157,6 @@ class TestEmpiricalRatio:
         with pytest.raises(DomainError, match="block"):
             vx.empirical_ratio(sp, lambda rows: rows[:1], const(n, 2.0), const(n, 2.0),
                                one, one, trials=4, seed=0)
-
-
-class TestPowerIteration:
-    def test_matches_dense_svd(self):
-        rng = np.random.default_rng(10)
-        c = np.arange(16.0)
-        sp = vx.explicit_space(np.abs(c[:, None] - c[None, :]) / 15, np.full(16, 1 / 16),
-                               0, 1.0)
-        s = np.sqrt(sp.mu)
-        for _ in range(20):
-            a = rng.uniform(0.1, 1.0, (16, 16))
-            k = 0.5 * (a + a.T)
-            est = vx.power_iteration_pq(sp, k, 2.0, 2.0, iters=3000, tol=1e-14)
-            oracle = np.linalg.svd(s[:, None] * k * s[None, :], compute_uv=False)[0]
-            assert est.ratio == pytest.approx(oracle, abs=1e-6 * oracle)
-
-    def test_identity_kernel(self):
-        sp = vx.uniform_grid(16)
-        k = np.diag(1.0 / sp.mu)
-        assert vx.power_iteration_pq(sp, k, 2.0, 2.0).ratio == pytest.approx(1.0)
-
-    def test_homogeneous_in_kernel(self):
-        rng = np.random.default_rng(11)
-        sp = vx.uniform_grid(12)
-        k = rng.uniform(0.1, 1.0, (12, 12))
-        base = vx.power_iteration_pq(sp, k, 1.5, 2.5).ratio
-        tripled = vx.power_iteration_pq(sp, 3.0 * k, 1.5, 2.5).ratio
-        assert tripled == pytest.approx(3.0 * base, rel=1e-12)
-
-    def test_dominates_probe_search(self):
-        # the iteration explores a superset of the probe directions
-        n = 48
-        sp = vx.uniform_grid(n)
-        rng = np.random.default_rng(12)
-        k = rng.uniform(0.05, 1.0, (n, n))
-        pi = vx.power_iteration_pq(sp, k, 2.0, 2.0, iters=2000, tol=1e-13)
-        one = const(n, 1.0, "weight")
-        er = vx.empirical_ratio(sp, lambda rows: (rows * sp.mu) @ k.T, const(n, 2.0),
-                                const(n, 2.0), one, one, trials=16, seed=3)
-        assert pi.ratio >= er.ratio - 1e-9
-
-    def test_nonconvergence_returns_flagged_best(self):
-        rng = np.random.default_rng(13)
-        sp = vx.uniform_grid(12)
-        k = rng.uniform(0.1, 1.0, (12, 12))
-        est = vx.power_iteration_pq(sp, k, 2.0, 2.0, iters=2, tol=0.0)
-        assert not est.converged and est.ratio > 0
-
-    def test_rejects_bad_exponents(self):
-        sp = vx.uniform_grid(8)
-        with pytest.raises(DomainError):
-            vx.power_iteration_pq(sp, np.ones((8, 8)), 1.0, 2.0)
-
-
-class TestNecessityProbe:
-    def test_hardy_unit_weights(self):
-        n = 256
-        sp = vx.uniform_grid(n)
-        one = const(n, 1.0, "weight")
-        ratio, cond = vx.necessity_probe(sp, "hardy", 2.0, 2.0, one, one, 0.5)
-        assert cond == pytest.approx(0.25, abs=2.0 / n)
-        assert 0.25 * cond**0.5 <= ratio <= 4.0 * cond**0.5
-
-    def test_divergent_weight_grows(self):
-        ratios, conds = [], []
-        for n in (64, 256, 1024, 4096):
-            sp = vx.uniform_grid(n)
-            one = const(n, 1.0, "weight")
-            w = vx.PointFunction(sp.radial_distances(), "weight")
-            r, c = vx.necessity_probe(sp, "hardy", 2.0, 2.0, one, w, 0.5)
-            ratios.append(r)
-            conds.append(c)
-        assert ratios[-1] / ratios[0] >= 2.0
-        assert conds[-1] / conds[0] >= 2.0
-
-    def test_zero_v(self):
-        n = 64
-        sp = vx.uniform_grid(n)
-        r, c = vx.necessity_probe(sp, "hardy", 2.0, 2.0, const(n, 0.0, "test"),
-                                  const(n, 1.0, "weight"), 0.5)
-        assert r == 0.0 and c == 0.0
-
-    def test_potential_variants_track_conditions(self):
-        n = 256
-        sp = vx.uniform_grid(n)
-        one = const(n, 1.0, "weight")
-        for variant in ("potential-ball", "potential-tail"):
-            ratio, cond = vx.necessity_probe(sp, variant, 2.0, 4.0, one, one, 0.5)
-            assert ratio > 0 and np.isfinite(cond)
-            # the probe certifies a lower bound comparable to cond^(1/q)
-            assert ratio >= 0.1 * cond ** (1 / 4)
-
-    def test_maximal_variant(self):
-        n = 256
-        sp = vx.uniform_grid(n)
-        one = const(n, 1.0, "weight")
-        ratio, cond = vx.necessity_probe(sp, "maximal", 2.0, 2.0, one, one, 0.5)
-        assert ratio > 0 and cond > 0
-        assert 0.1 * cond**0.5 <= ratio <= 10.0 * cond**0.5
-
-    def test_degenerate_weight_rejected(self):
-        n = 32
-        sp = vx.uniform_grid(n)
-        with pytest.raises(DomainError):
-            vx.necessity_probe(sp, "hardy", 2.0, 2.0, const(n, 1.0, "weight"),
-                               const(n, 0.0, "test"), 0.5)
-
-    def test_unknown_variant(self):
-        sp = vx.uniform_grid(8)
-        with pytest.raises(DomainError):
-            vx.necessity_probe(sp, "nope", 2.0, 2.0, const(8, 1.0, "weight"),
-                               const(8, 1.0, "weight"), 0.5)
 
 
 def hand_sum(sp, variant, p, q, v, w, t):
@@ -261,7 +182,7 @@ def hand_sum(sp, variant, p, q, v, w, t):
 
 
 def functional_curve(sp, variant, p, q, v, w):
-    """The report of the functional a necessity probe reads its value from."""
+    """The report of the functional whose curve ``hand_sum`` gives at a cut."""
     n, a = sp.n, sp.L_eff
     P, Q = const(n, p), const(n, q)
     vf = vx.PointFunction(v, "weight")
@@ -280,10 +201,17 @@ def line_beyond_L():
                                "metric": "euclidean1d", "L": 1.0})
 
 
+# the four condition halves whose curve a cut reads
+CUT_FUNCTIONALS = ("hardy", "potential-ball", "potential-tail", "maximal")
+
+
 class TestNecessityProbeReadsTheCurve:
+    """A cut {d0 <= t} reads its condition at the curve's last sweep knot
+    <= t, which is the hand-written sum there."""
+
     @pytest.mark.parametrize("make", [lambda: vx.uniform_grid(48), lambda: vx.cantor_space(5),
                                       line_beyond_L], ids=["grid", "cantor", "line-beyond-L"])
-    @pytest.mark.parametrize("variant", vx.verify.PROBE_VARIANTS)
+    @pytest.mark.parametrize("variant", CUT_FUNCTIONALS)
     def test_condition_is_the_curve_value_at_t(self, make, variant):
         sp = make()
         n, L = sp.n, sp.L_eff
@@ -294,20 +222,55 @@ class TestNecessityProbeReadsTheCurve:
         d = np.unique(sp.d0[sp.d0 <= L])
         between = 0.25 * d[3] + 0.75 * d[4]
         for t in (0.0, between, 0.37, L, 1.5 * L):
-            # the probe's w is any positive field, here a test function
-            _, cond = vx.necessity_probe(sp, variant, p, q, vx.PointFunction(v, "test"),
-                                         vx.PointFunction(w, "test"), t)
-            expected = rep.curve[np.searchsorted(rep.ts, t, side="right") - 1]
-            assert cond == pytest.approx(expected, rel=1e-12)
-            if t <= L:
-                assert cond == pytest.approx(hand_sum(sp, variant, p, q, v, w, t), rel=1e-12)
+            # the curve's value at the last sweep knot <= t; past L it holds
+            # the value at L
+            got = rep.curve[np.searchsorted(rep.ts, t, side="right") - 1]
+            want = hand_sum(sp, variant, p, q, v, w, min(t, L))
+            assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("variant", vx.verify.PROBE_VARIANTS)
-    def test_negative_cut_rejected(self, variant):
-        sp = vx.uniform_grid(16)
-        one = const(16, 1.0, "weight")
-        with pytest.raises(DomainError, match="cut"):
-            vx.necessity_probe(sp, variant, 2.0, 3.0, one, one, -0.1)
+
+@st.composite
+def hardy_cases(draw):
+    """A Hardy row at constant p <= q on a space of at most 64 points, so
+    every distinct basepoint distance is a probe radius, with random v, w."""
+    sizes = st.integers(2, 64)
+    sp = draw(st.one_of(line_spaces(sizes), tied_spaces(sizes), sizes.map(vx.uniform_grid),
+                        st.integers(1, 6).map(vx.cantor_space)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.floats(1.1, 4.0))
+    exps = {"p": {"kind": "exponent", "expr": f"const {p!r}"}}
+    frac = draw(st.sampled_from([None, 0.1, 0.5, 0.8]))
+    if frac is not None:
+        exps["alpha"] = {"kind": "alpha", "expr": f"const {frac / p!r}"}
+    v, w = (np.exp(rng.uniform(-3.0, 3.0, sp.n)) for _ in range(2))
+    sc = vx.Scenario.from_dict({
+        "name": "hardy", "space": {"generator": "uniform-grid", "n": 2}, "exponents": exps,
+        "weights": {"v": {"kind": "weight", "values": v.tolist()},
+                    "w": {"kind": "weight", "values": w.tolist()}},
+        "operator": "hardy", "conditions": ["hardy"]})
+    return vx.Materialized(sc, sp)
+
+
+class TestHardyProbesReachTheCondition:
+    # Muckenhoupt (1972): the Hardy condition B = value**(1/q) bounds the
+    # norm from below.  For x beyond a cut {d0 <= t}, H f(x) >= v(x) times the
+    # sum of w**p' mu over the cut when f = w**(p' - 1) on the cut, and the
+    # transform's open ball matches the condition's closed cut
+
+    @given(hardy_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_reaches_the_necessary_bound(self, mat):
+        q = float(mat.q.values[0])
+        value = mat.evaluate_conditions()["hardy"].value
+        assert mat.evaluate_ratio().ratio >= value ** (1.0 / q) * (1.0 - 1e-9)
+
+    def test_hardy_divergent_at_64(self):
+        # before the extremal rows the probes read 16.501 against B = 17.655
+        from vexleb.cli import load_scenario
+        mat = load_scenario(SCENARIOS / "hardy_divergent.json").materialize(64)
+        bound = mat.evaluate_conditions()["hardy"].value ** 0.5
+        assert bound == pytest.approx(17.655, abs=1e-3)
+        assert mat.evaluate_ratio().ratio == pytest.approx(18.3147, abs=1e-4)
 
 
 class TestRefinementStudy:
