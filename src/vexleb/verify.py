@@ -8,6 +8,7 @@ order is fixed, so results are bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -29,6 +30,9 @@ __all__ = [
 # radial power profiles mixed into the probe family
 _PROBE_POWERS = np.round(np.arange(-0.4, 0.95, 0.1), 10)
 _MAX_BALL_PROBES = 64
+# a weighted block's largest entry is kept below 2**_TOP, which leaves room
+# above it for the block's norms and their first brackets
+_TOP = 960
 
 
 @dataclass
@@ -102,21 +106,34 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
         probes.append(f)
 
     block = np.array(probes)
-    dens = luxemburg_norms(space, p, w.values * block)
+    wrows, kw = _weighted(w.values, block)
+    dens = luxemburg_norms(space, p, wrows)
     kept = [i for i, den in enumerate(dens) if den.value != 0.0]
     outs = np.asarray(op(block[kept]), dtype=float)
     if outs.shape != (len(kept), n):
         raise DomainError(f"operator must map a ({len(kept)}, {n}) block to one of that shape, "
                           f"got {outs.shape}")
-    nums = luxemburg_norms(space, q, v.values * outs)
+    vrows, kv = _weighted(v.values, outs)
+    nums = luxemburg_norms(space, q, vrows)
     best, best_f = 0.0, None
     for i, num in zip(kept, nums):
         r = num.value / dens[i].value
         if r > best:
             best, best_f = r, block[i]
-    return NormEstimate(best, None if best_f is None else PointFunction(best_f, "test"),
+    return NormEstimate(math.ldexp(best, kv - kw), None if best_f is None else PointFunction(best_f, "test"),
                         "probe", len(probes), discarded=len(probes) - len(kept),
                         converged=all(res.converged for res in dens + nums))
+
+
+def _weighted(weight: np.ndarray, rows: np.ndarray):
+    """(weight 2**-k rows, k) for the least even k >= 0 that keeps
+    max(weight) max |rows| 2**-k below 2**_TOP.  A power of four scales every
+    Luxemburg norm exactly, the bisection's square roots included, so the
+    norms of the block are those of weight rows times 2**-k."""
+    top = np.frexp(weight.max())[1] + np.frexp(np.max(np.abs(rows), initial=0.0))[1]
+    k = max(0, int(top) - _TOP)
+    k += k & 1
+    return np.ldexp(weight, -k) * rows, k
 
 
 @dataclass

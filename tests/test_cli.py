@@ -129,6 +129,27 @@ class TestRun:
         ratios = json.loads((tmp_path / "o" / "s.json").read_text())["study"]["ratios"]
         assert all(np.isfinite(r) and r > 0 for r in ratios)
 
+    @pytest.mark.parametrize("p, v, w", [
+        ("const 2", "const 8.98846567431158e307", "const 8.98846567431158e307"),
+        ("affine-in-dist(x0, 2, 1)", "const 1", "const 1e308")], ids=["2^1023", "1e308"])
+    def test_near_maximal_weights_exit_zero(self, tmp_path, p, v, w):
+        # a weight near the float maximum times a probe above 1 overflows
+        # unless the weighted block is scaled down by a power of four
+        def ratios(v, w, out):
+            data = dict(MINIMAL, operator="maximal", conditions=[], resolutions=[32, 48, 64],
+                        exponents={"p": {"kind": "exponent", "expr": p}},
+                        weights={"v": {"kind": "weight", "expr": v},
+                                 "w": {"kind": "weight", "expr": w}})
+            path = write_scenario(tmp_path, data)
+            assert main(["run", str(path), "--out-dir", str(tmp_path / out)]) == 0
+            return json.loads((tmp_path / out / "s.json").read_text())["study"]["ratios"]
+
+        got = ratios(v, w, "o")
+        assert all(np.isfinite(r) and r > 0 for r in got)
+        if v == w:
+            # v = w = 2**1023 scales both norms by the same power of four
+            assert got == ratios("const 1", "const 1", "unit")
+
     def test_hardy_weight_whose_reciprocal_overflows_exit_two(self, tmp_path, capsys):
         # w = d0**150 falls below 1e-308 at the floored basepoint of 64 points;
         # a Hardy ratio reads 1/w as its norm weight, so the run names w
