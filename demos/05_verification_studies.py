@@ -20,7 +20,7 @@ for n in (64, 256, 1024):
     p2 = vx.PointFunction.constant(n, 2.0, "exponent")
     # the operator maps a block of probes, one per row, to their images
     op = lambda rows: vx.hardy_transforms(sp, one, one, rows)
-    est = vx.empirical_ratio(sp, op, p2, p2, one, one, trials=8, seed=0)
+    est = vx.empirical_ratio(sp, op, p2, p2, one, one, seed=0)
     cond = vx.hardy_condition(sp, p2, p2, one, one).value
     print(f"  n = {n:5d}: condition {cond:.4f}, best ratio {est.ratio:.4f} "
           f"({est.trials} probes)")
@@ -35,7 +35,7 @@ for n in (64, 256, 1024):
     # H_{1,w} f = H(w f): over g = w f the ratio reads the norm weights (1, 1/w),
     # and the conjugate rows (1/w)**(-p') on balls are the extremals
     op = lambda rows: vx.hardy_transforms(sp, one, one, rows)
-    est = vx.empirical_ratio(sp, op, p2, p2, one, d0, trials=8, seed=0)
+    est = vx.empirical_ratio(sp, op, p2, p2, one, d0, seed=0)
     cond = vx.hardy_condition(sp, p2, p2, one, vx.PointFunction(1.0 / d0.values, "weight"))
     print(f"  n = {n:5d}: B = condition**(1/2) {cond.value ** 0.5:7.2f}, "
           f"best ratio {est.ratio:7.2f}")

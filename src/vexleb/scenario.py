@@ -386,7 +386,7 @@ class Materialized:
                                       "reads it as its norm weight")
             w = PointFunction(inv, "weight")
         return empirical_ratio(self.space, lambda rows: op.apply(self, rows), self.p, self.q,
-                               v, w, trials=8, seed=self.scenario.seed)
+                               v, w, seed=self.scenario.seed)
 
     @cached_property
     def _sorted_pass(self):

@@ -8,7 +8,6 @@ order is fixed, so results are bit-reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -20,16 +19,13 @@ from .exponents import PointFunction, conjugate
 from .norms import luxemburg_norms
 from .space import DiscreteSpace, _distinct
 
-__all__ = [
-    "NormEstimate",
-    "empirical_ratio",
-    "refinement_study",
-    "StudyReport",
-]
+__all__ = ["NormEstimate", "empirical_ratio", "refinement_study", "StudyReport"]
 
 # radial power profiles mixed into the probe family
 _PROBE_POWERS = np.round(np.arange(-0.4, 0.95, 0.1), 10)
 _MAX_BALL_PROBES = 64
+# seeded random mixtures closing the probe family
+_MIXTURES = 8
 # a weighted block's largest entry is kept below 2**_TOP, which leaves room
 # above it for the block's norms and their first brackets
 _TOP = 960
@@ -47,65 +43,51 @@ class NormEstimate:
 
 def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray],
                     p: PointFunction, q: PointFunction, v: PointFunction,
-                    w: PointFunction, trials: int = 32, seed: int = 0) -> NormEstimate:
-    """Best ratio ||v Op f||_q / ||w f||_p over the fixed probe family plus
-    seeded random fields.
+                    w: PointFunction, seed: int = 0) -> NormEstimate:
+    """Best ratio ||v Op f||_q / ||w f||_p over a fixed table of probes.
 
-    Probes, in order: indicators of closed basepoint balls at up to 64
-    quantile radii, radial powers d0**s for s in -0.4..0.9, the conjugate
-    weight functions w**(-p'(.)) cut to the same balls (each scaled by its
-    largest entry when w**(-p') overflows), then ``trials`` random
-    nonnegative mixtures of ball indicators, powers and point masses.
+    Its ball cuts are one (R, n) mask d0 <= r, at up to 64 quantile radii r
+    of the basepoint distances.  Rows, in order: the R ball indicators;
+    radial powers d0**s for s in -0.4..0.9; when w > 0 everywhere, the R
+    conjugate weights w**(-p'(.)) cut to the balls, each formed in logs and
+    scaled to peak 1 on its ball (the ratio does not depend on a row's
+    scale); then 8 random mixtures of ball indicators, powers and point
+    masses drawn from ``seed``.  That is 2R + 22 <= 150 rows, or R + 22.
     Probes with vanishing weighted norm are discarded and counted.
 
-    The norms are taken in two batches: every denominator ||w f||_p first,
-    then every numerator.  ``op`` maps a (P, n) block of test functions, one
-    per row, to the (P, n) block of their images; it is called once, on the
-    probes with a nonzero denominator, in probe order.  ``converged`` is
-    False when any of those norms stopped short of its tolerance.
+    The norms are taken in two batches, every denominator ||w f||_p first,
+    each weighted block scaled by a power of four (``_weighted``).  ``op``
+    maps a (P, n) block of test functions, one per row, to the (P, n) block
+    of their images; it is called once, on the probes with a nonzero
+    denominator, in probe order.  ``converged`` is False when any of those
+    norms stopped short of its tolerance.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    d0 = space.d0
+    d0, n = space.d0, space.n
     radii = _distinct(d0)
     if radii.size > _MAX_BALL_PROBES:
-        qs = np.linspace(0.0, 1.0, _MAX_BALL_PROBES)
-        radii = np.quantile(radii, qs, method="nearest")
-        radii = _distinct(radii)
+        radii = _distinct(np.quantile(radii, np.linspace(0.0, 1.0, _MAX_BALL_PROBES),
+                                      method="nearest"))
+    balls = d0 <= radii[:, None]
     dre = space.radial_distances()
-
-    probes: List[np.ndarray] = []
-    for r in radii:
-        probes.append((d0 <= r).astype(float))
-    for s in _PROBE_POWERS:
-        probes.append(dre ** s)
+    probes = [balls.astype(float)] + [dre ** s for s in _PROBE_POWERS]
     if np.all(w.values > 0):
-        pc = conjugate(p).values
-        with np.errstate(over="ignore"):
-            wconj = w.values ** (-pc)
-        finite = np.all(np.isfinite(wconj))
-        for r in radii:
-            ball = d0 <= r
-            if finite:
-                probes.append(wconj * ball)
-            else:
-                # w**(-p') leaves the floats: the row in logs, scaled by its
-                # largest entry on the ball, which leaves its ratio unchanged
-                logs = -pc[ball] * np.log(w.values[ball])
-                row = np.zeros_like(wconj)
-                row[ball] = np.exp(logs - logs.max())
-                probes.append(row)
-
+        # log w**(-p') up to a constant, from w / w(x0) in binary mantissas
+        # and exponents: no quotient leaves the floats, and at constant p a
+        # rescaling of w by a power of two leaves every bit
+        pc, (m, e), x0 = conjugate(p).values, np.frexp(w.values), space.x0
+        logs = -pc * (np.log(m / m[x0]) + (e - e[x0]) * np.log(2.0)) \
+            + (pc[x0] - pc) * np.log(w.values[x0])
+        logs = np.where(balls, logs, -np.inf)
+        probes.append(np.exp(logs - logs.max(axis=1, keepdims=True)))
     rng = np.random.default_rng(seed)
-    n = space.n
-    for _ in range(trials):
+    for _ in range(_MIXTURES):
         f = rng.uniform(0.0, 1.0) * (d0 <= rng.choice(radii)).astype(float)
         f = f + rng.uniform(0.0, 1.0) * dre ** rng.choice(_PROBE_POWERS)
         masses = rng.integers(0, n, size=3)
         f[masses] += rng.uniform(0.5, 2.0, size=3)
         probes.append(f)
 
-    block = np.array(probes)
+    block = np.vstack(probes)
     wrows, kw = _weighted(w.values, block)
     dens = luxemburg_norms(space, p, wrows)
     kept = [i for i, den in enumerate(dens) if den.value != 0.0]
@@ -115,25 +97,21 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
                           f"got {outs.shape}")
     vrows, kv = _weighted(v.values, outs)
     nums = luxemburg_norms(space, q, vrows)
-    best, best_f = 0.0, None
-    for i, num in zip(kept, nums):
-        r = num.value / dens[i].value
-        if r > best:
-            best, best_f = r, block[i]
-    return NormEstimate(math.ldexp(best, kv - kw), None if best_f is None else PointFunction(best_f, "test"),
-                        "probe", len(probes), discarded=len(probes) - len(kept),
+    ratios = [num.value / dens[i].value for i, num in zip(kept, nums)]
+    best = max(ratios, default=0.0)
+    best_f = PointFunction(block[kept[ratios.index(best)]], "test") if best > 0.0 else None
+    return NormEstimate(float(np.ldexp(best, kv - kw)), best_f, "probe", len(block),
+                        discarded=len(block) - len(kept),
                         converged=all(res.converged for res in dens + nums))
 
 
 def _weighted(weight: np.ndarray, rows: np.ndarray):
     """(weight 2**-k rows, k) for the least even k >= 0 that keeps
-    max(weight) max |rows| 2**-k below 2**_TOP.  A power of four scales every
-    Luxemburg norm exactly, the bisection's square roots included, so the
-    norms of the block are those of weight rows times 2**-k."""
+    max(weight) max |rows| 2**-k below 2**_TOP.  A power of four scales
+    every Luxemburg norm exactly, the bisection's square roots included."""
     top = np.frexp(weight.max())[1] + np.frexp(np.max(np.abs(rows), initial=0.0))[1]
     k = max(0, int(top) - _TOP)
-    k += k & 1
-    return np.ldexp(weight, -k) * rows, k
+    return np.ldexp(weight, -(k + k % 2)) * rows, k + k % 2
 
 
 @dataclass

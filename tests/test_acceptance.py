@@ -124,7 +124,7 @@ def test_c05_sufficiency_and_necessity_trends():
         op = lambda rows: vx.hardy_transforms(sp, v, w, rows)
         ones = const(n, 1.0, "weight")
         return vx.empirical_ratio(sp, op, const(n, p_val), const(n, q_val),
-                                  ones, ones, trials=8, seed=0).ratio
+                                  ones, ones, seed=0).ratio
 
     def unit(sp):
         return const(sp.n, 1.0, "weight"), const(sp.n, 1.0, "weight")
@@ -158,7 +158,7 @@ def test_c05_sufficiency_and_necessity_trends():
         one, p = const(n, 1.0, "weight"), const(n, 2.0)
         d0 = vx.PointFunction(sp.radial_distances(), "weight")
         op = lambda rows: vx.hardy_transforms(sp, one, one, rows)
-        probes.append(vx.empirical_ratio(sp, op, p, p, one, d0, trials=8, seed=0).ratio)
+        probes.append(vx.empirical_ratio(sp, op, p, p, one, d0, seed=0).ratio)
         inv = vx.PointFunction(1.0 / d0.values, "weight")
         conds.append(vx.hardy_condition(sp, p, p, one, inv).value)
     assert conds[1] >= 2.0 * conds[0]

@@ -94,7 +94,7 @@ class TestTieHeavySpaces:
         assert np.allclose(vx.maximal_functions(sp, np.ones((1, sp.n))), 1.0)
         p = vx.PointFunction.constant(sp.n, 2.0, "exponent")
         one = vx.PointFunction.constant(sp.n, 1.0, "weight")
-        est = vx.empirical_ratio(sp, lambda fv: fv, p, p, one, one, trials=4, seed=0)
+        est = vx.empirical_ratio(sp, lambda fv: fv, p, p, one, one, seed=0)
         assert est.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_two_point_ties_in_hardy(self):

@@ -29,7 +29,7 @@ class TestEmpiricalRatio:
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         est = vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
-                                 one, one, trials=4, seed=0)
+                                 one, one, seed=0)
         assert est.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_operator(self):
@@ -37,7 +37,7 @@ class TestEmpiricalRatio:
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         est = vx.empirical_ratio(sp, lambda f: np.zeros_like(f), const(n, 2.0),
-                                 const(n, 2.0), one, one, trials=4, seed=0)
+                                 const(n, 2.0), one, one, seed=0)
         assert est.ratio == 0.0
 
     def test_hardy_lower_bound_from_unit_probe(self):
@@ -46,7 +46,7 @@ class TestEmpiricalRatio:
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         est = vx.empirical_ratio(sp, hardy_op(sp), const(n, 2.0), const(n, 2.0),
-                                 one, one, trials=4, seed=0)
+                                 one, one, seed=0)
         assert est.ratio >= 1.0 / np.sqrt(3.0) - 0.01
 
     def test_seed_determinism_bitwise(self):
@@ -54,9 +54,9 @@ class TestEmpiricalRatio:
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         a = vx.empirical_ratio(sp, hardy_op(sp), const(n, 2.0), const(n, 2.0),
-                               one, one, trials=16, seed=123)
+                               one, one, seed=123)
         b = vx.empirical_ratio(sp, hardy_op(sp), const(n, 2.0), const(n, 2.0),
-                               one, one, trials=16, seed=123)
+                               one, one, seed=123)
         assert a.ratio == b.ratio
         assert np.array_equal(a.best_f.values, b.best_f.values)
 
@@ -65,7 +65,7 @@ class TestEmpiricalRatio:
         sp = vx.uniform_grid(n)
         one = const(n, 1.0, "weight")
         p = const(n, 2.0)
-        est = vx.empirical_ratio(sp, hardy_op(sp), p, p, one, one, trials=8, seed=1)
+        est = vx.empirical_ratio(sp, hardy_op(sp), p, p, one, one, seed=1)
         f = est.best_f
         num = vx.luxemburg_norm(sp, p, vx.PointFunction(hardy_op(sp)(f.values[None])[0],
                                                          "test")).value
@@ -79,7 +79,7 @@ class TestEmpiricalRatio:
         one = const(n, 1.0, "weight")
         w = vx.PointFunction((sp.d0 == 0).astype(float), "test")
         est = vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
-                                 one, w, trials=4, seed=0)
+                                 one, w, seed=0)
         assert est.discarded == 0  # every probe touches the basepoint
         assert est.ratio > 0
 
@@ -92,9 +92,9 @@ class TestEmpiricalRatio:
         one = const(n, 1.0, "weight")
         p = vx.PointFunction(2.0 + sp.d0, "exponent")
         args = (sp, hardy_op(sp), p, p, one, one)
-        assert vx.empirical_ratio(*args, trials=4, seed=0).converged is True
+        assert vx.empirical_ratio(*args, seed=0).converged is True
         monkeypatch.setattr(norms, "MAX_ITERS", 1)
-        assert vx.empirical_ratio(*args, trials=4, seed=0).converged is False
+        assert vx.empirical_ratio(*args, seed=0).converged is False
 
     def test_op_called_once_per_kept_probe(self, monkeypatch):
         from vexleb import verify
@@ -114,8 +114,7 @@ class TestEmpiricalRatio:
 
         luxemburg_norms = verify.luxemburg_norms
         monkeypatch.setattr(verify, "luxemburg_norms", recording_norms)
-        est = vx.empirical_ratio(sp, op, const(n, 2.0), const(n, 2.0), one, w,
-                                 trials=4, seed=0)
+        est = vx.empirical_ratio(sp, op, const(n, 2.0), const(n, 2.0), one, w, seed=0)
         assert len(seen) == 1
         assert est.discarded > 0
         assert seen[0].shape == (est.trials - est.discarded, n)
@@ -138,7 +137,7 @@ class TestEmpiricalRatio:
             seen.append(rows)
             return vx.maximal_functions(sp, rows)
 
-        est = vx.empirical_ratio(sp, op, p, p, one, w, trials=4, seed=0)
+        est = vx.empirical_ratio(sp, op, p, p, one, w, seed=0)
         assert np.isfinite(est.ratio) and est.ratio > 0
         assert est.discarded == 0
         conj = seen[0][n + len(vx.verify._PROBE_POWERS):][:n]
@@ -156,7 +155,7 @@ class TestEmpiricalRatio:
         one = const(n, 1.0, "weight")
         with pytest.raises(DomainError, match="block"):
             vx.empirical_ratio(sp, lambda rows: rows[:1], const(n, 2.0), const(n, 2.0),
-                               one, one, trials=4, seed=0)
+                               one, one, seed=0)
 
 
 def hand_sum(sp, variant, p, q, v, w, t):
