@@ -883,7 +883,13 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
         raise ValidationError(f"space.points: must be a nonempty list of mappings, got {points!r}")
     points = [_mapping(p, f"space.points[{i}]", ("id", "coord")) for i, p in enumerate(points)]
     n = len(points)
-    ids = [p.get("id", i) for i, p in enumerate(points)]
+    index: dict = {}  # each point's id: a number or a string, none repeated
+    for i, p in enumerate(points):
+        pid = p.get("id", i)
+        if isinstance(pid, bool) or not isinstance(pid, (str, Real)) \
+                or index.setdefault(pid, i) != i:
+            raise ValidationError(f"space.points[{i}].id: must be a number or a string that "
+                                  f"no earlier point has, got {pid!r}")
     coords = None
     if any("coord" in p for p in points):
         coords = np.array([_number(p.get("coord"), f"space.points[{i}].coord")
@@ -912,11 +918,10 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
         if mu is None or mu.shape != (n,) or not _positive_finite_total(mu):
             raise ValidationError(f"space.mu: must list {n} positive weights with a finite "
                                   f"total, got {mu_spec!r}")
-    x0_id = spec.get("x0", ids[0])
-    try:
-        x0 = ids.index(x0_id)
-    except ValueError:
-        raise ValidationError(f"space.x0: id {x0_id!r} not among points") from None
+    x0 = spec.get("x0", next(iter(index)))
+    if isinstance(x0, bool) or not isinstance(x0, (str, Real)) or x0 not in index:
+        raise ValidationError(f"space.x0: must be the id of a point, got {x0!r}")
+    x0 = index[x0]
     L_spec = spec.get("L", "inf")
     L = np.inf if L_spec == "inf" else _number(L_spec, "space.L", above=0)
     trunc = spec.get("trunc_radius")

@@ -26,8 +26,7 @@ _PROBE_POWERS = np.round(np.arange(-0.4, 0.95, 0.1), 10)
 _MAX_BALL_PROBES = 64
 # seeded random mixtures closing the probe family
 _MIXTURES = 8
-# a weighted block's largest entry is kept below 2**_TOP, which leaves room
-# above it for the block's norms and their first brackets
+# weighted blocks stay below 2**_TOP, with room above for their norms
 _TOP = 960
 
 
@@ -46,21 +45,20 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
                     w: PointFunction, seed: int = 0) -> NormEstimate:
     """Best ratio ||v Op f||_q / ||w f||_p over a fixed table of probes.
 
-    Its ball cuts are one (R, n) mask d0 <= r, at up to 64 quantile radii r
-    of the basepoint distances.  Rows, in order: the R ball indicators;
-    radial powers d0**s for s in -0.4..0.9; when w > 0 everywhere, the R
-    conjugate weights w**(-p'(.)) cut to the balls, each formed in logs and
-    scaled to peak 1 on its ball (the ratio does not depend on a row's
-    scale); then 8 random mixtures of ball indicators, powers and point
-    masses drawn from ``seed``.  That is 2R + 22 <= 150 rows, or R + 22.
+    Its ball cuts are one (R, n) mask d0 <= r at up to 64 quantile radii r.
+    Rows, in order: the R ball indicators; radial powers d0**s, s in
+    -0.4..0.9; when w > 0, the R conjugate weights w**(-p') cut to the
+    balls, formed in logs and scaled to peak 1 on their ball (the ratio does
+    not depend on a row's scale); 8 mixtures of ball indicators, powers and
+    point masses drawn from ``seed``: 2R + 22 <= 150 rows, or R + 22.
     Probes with vanishing weighted norm are discarded and counted.
 
-    The norms are taken in two batches, every denominator ||w f||_p first,
-    each weighted block scaled by a power of four (``_weighted``).  ``op``
-    maps a (P, n) block of test functions, one per row, to the (P, n) block
-    of their images; it is called once, on the probes with a nonzero
-    denominator, in probe order.  ``converged`` is False when any of those
-    norms stopped short of its tolerance.
+    Every denominator ||w f||_p is taken first, then every numerator, each
+    weighted block scaled by a power of four (``_weighted``).  ``op`` maps
+    a (P, n) block of probes, one per row, to the block of their images; it
+    is called once, on the probes with a nonzero denominator, in probe
+    order.  ``converged`` is False when any of those norms stopped short of
+    its tolerance.
     """
     d0, n = space.d0, space.n
     radii = _distinct(d0)

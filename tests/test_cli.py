@@ -440,6 +440,17 @@ class TestRun:
         # every weight finite, their total not
         ("space.mu", {"space": {"points": [{"coord": float(c)} for c in range(1100)],
                                 "metric": "euclidean1d", "mu": [1e306] * 1100}}),
+        # a repeated id makes x0 ambiguous, and True == 1 would pick id 1
+        ("space.points[2].id", {"space": {"points": [{"id": i, "coord": float(c)}
+                                                     for c, i in enumerate((0, 1, 1))],
+                                          "metric": "euclidean1d", "x0": 1},
+                                "resolutions": [4]}),
+        ("space.x0", {"space": {"points": [{"id": i, "coord": float(i)} for i in range(3)],
+                                "metric": "euclidean1d", "x0": True}, "resolutions": [4]}),
+        ("space.points[0].id", {"space": {"points": [{"id": [0], "coord": 0.0},
+                                                     {"id": 1, "coord": 1.0}],
+                                          "metric": "euclidean1d", "x0": 1},
+                                "resolutions": [4]}),
     ])
     def test_malformed_field_type_exit_two(self, tmp_path, capsys, field, changes):
         path = write_scenario(tmp_path, dict(MINIMAL, **changes))
