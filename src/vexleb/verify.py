@@ -54,7 +54,7 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     Probes with vanishing weighted norm are discarded and counted.
 
     Every denominator ||w f||_p is taken first, then every numerator, each
-    weighted block scaled by a power of four (``_weighted``).  ``op`` maps
+    weighted block scaled by a power of four (``_scale``).  ``op`` maps
     a (P, n) block of probes, one per row, to the block of their images; it
     is called once, on the probes with a nonzero denominator, in probe
     order.  ``converged`` is False when any of those norms stopped short of
@@ -76,7 +76,8 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
         logs = -pc * (np.log(m / m[x0]) + (e - e[x0]) * np.log(2.0)) \
             + (pc[x0] - pc) * np.log(w.values[x0])
         logs = np.where(balls, logs, -np.inf)
-        probes.append(np.exp(logs - logs.max(axis=1, keepdims=True)))
+        logs -= logs.max(axis=1, keepdims=True)
+        probes.append(np.exp(logs, out=logs))
     rng = np.random.default_rng(seed)
     for _ in range(_MIXTURES):
         f = rng.uniform(0.0, 1.0) * (d0 <= rng.choice(radii)).astype(float)
@@ -86,15 +87,15 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
         probes.append(f)
 
     block = np.vstack(probes)
-    wrows, kw = _weighted(w.values, block)
-    dens = luxemburg_norms(space, p, wrows)
+    kw = _scale(w.values, block)
+    dens = luxemburg_norms(space, p, np.ldexp(w.values, -kw) * block)
     kept = [i for i, den in enumerate(dens) if den.value != 0.0]
     outs = np.asarray(op(block[kept]), dtype=float)
     if outs.shape != (len(kept), n):
         raise DomainError(f"operator must map a ({len(kept)}, {n}) block to one of that shape, "
                           f"got {outs.shape}")
-    vrows, kv = _weighted(v.values, outs)
-    nums = luxemburg_norms(space, q, vrows)
+    kv = _scale(v.values, outs)
+    nums = luxemburg_norms(space, q, np.ldexp(v.values, -kv) * outs)
     ratios = [num.value / dens[i].value for i, num in zip(kept, nums)]
     best = max(ratios, default=0.0)
     best_f = PointFunction(block[kept[ratios.index(best)]], "test") if best > 0.0 else None
@@ -103,13 +104,13 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
                         converged=all(res.converged for res in dens + nums))
 
 
-def _weighted(weight: np.ndarray, rows: np.ndarray):
-    """(weight 2**-k rows, k) for the least even k >= 0 that keeps
-    max(weight) max |rows| 2**-k below 2**_TOP.  A power of four scales
-    every Luxemburg norm exactly, the bisection's square roots included."""
-    top = np.frexp(weight.max())[1] + np.frexp(np.max(np.abs(rows), initial=0.0))[1]
-    k = max(0, int(top) - _TOP)
-    return np.ldexp(weight, -(k + k % 2)) * rows, k + k % 2
+def _scale(weight: np.ndarray, rows: np.ndarray) -> int:
+    """The least even k >= 0 that keeps max(weight) max |rows| 2**-k below
+    2**_TOP.  A power of four scales every Luxemburg norm exactly, the
+    bisection's square roots included."""
+    peak = max(rows.max(initial=0.0), -rows.min(initial=0.0))
+    k = max(0, int(np.frexp(weight.max())[1] + np.frexp(peak)[1]) - _TOP)
+    return k + k % 2
 
 
 @dataclass
