@@ -272,6 +272,79 @@ class TestHardyProbesReachTheCondition:
         assert mat.evaluate_ratio().ratio == pytest.approx(18.3147, abs=1e-4)
 
 
+SMALL_SPACES = st.integers(2, 64).flatmap(lambda n: st.one_of(
+    line_spaces(st.just(n)), tied_spaces(st.just(n)), st.just(n).map(vx.uniform_grid),
+    st.integers(1, 6).map(vx.cantor_space)))
+
+
+@st.composite
+def probe_cases(draw, zeros=True):
+    """A space of at most 64 points, so every distinct basepoint distance
+    cuts a ball; a constant or a variable p; random v and w, w zero at a
+    few points when ``zeros`` draws so."""
+    sp = draw(SMALL_SPACES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.floats(1.05, 4.0))
+    slope = draw(st.sampled_from([0.0, 0.5]))
+    p = vx.PointFunction(p + slope * np.minimum(sp.d0, 1.0), "exponent")
+    v, w = (np.exp(rng.uniform(-3.0, 3.0, sp.n)) for _ in range(2))
+    if zeros and draw(st.booleans()):
+        w[rng.integers(0, sp.n, 2)] = 0.0
+    # a weight field is positive; a norm weight with zeros is a plain field
+    return sp, p, vx.PointFunction(v, "weight"), vx.PointFunction(w, "test")
+
+
+def recorded_ratio(sp, p, v, w):
+    """``empirical_ratio`` of the maximal operator, with the probe block it
+    was handed."""
+    seen = []
+
+    def op(rows):
+        seen.append(rows)
+        return vx.maximal_functions(sp, rows)
+
+    return vx.empirical_ratio(sp, op, p, p, v, w, seed=0), seen[0]
+
+
+class TestProbeTable:
+    """The probe family is one fixed table: R ball indicators, 14 radial
+    powers, R conjugate rows when w > 0, and 8 seeded mixtures."""
+
+    @given(probe_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_cuts_powers_conjugates_and_mixtures(self, case):
+        sp, p, v, w = case
+        est, block = recorded_ratio(sp, p, v, w)
+        radii = np.unique(sp.d0)
+        R, powers = radii.size, len(vx.verify._PROBE_POWERS)
+        positive = bool(np.all(w.values > 0))
+        assert est.trials == (2 * R if positive else R) + powers + 8
+        if not positive:
+            return
+        assert est.discarded == 0 and block.shape == (est.trials, sp.n)
+        balls = sp.d0 <= radii[:, None]
+        assert np.array_equal(block[:R], balls.astype(float))
+        for row, ball in zip(block[R + powers:2 * R + powers], balls):
+            assert row[ball].max() == 1.0
+            assert np.all(row[~ball] == 0.0)
+
+    @given(probe_cases(zeros=False), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_weights_leave_every_bit(self, case, k):
+        # at constant p, v and w scaled by the same 2**k read the same ratio
+        sp, p, v, w = case
+        p = vx.PointFunction.constant(sp.n, float(p.values[0]), "exponent")
+        base = recorded_ratio(sp, p, v, w)[0].ratio
+        scaled = [vx.PointFunction(np.ldexp(f.values, k), "weight") for f in (v, w)]
+        assert recorded_ratio(sp, p, *scaled)[0].ratio == base
+
+    def test_library_and_scenario_count_the_same_probes(self):
+        from vexleb.cli import load_scenario
+        mat = load_scenario(SCENARIOS / "power_pair_bounded.json").materialize(64)
+        est = vx.empirical_ratio(mat.space, lambda rows: rows, mat.p, mat.q, mat.v, mat.w)
+        assert mat.evaluate_ratio().trials == est.trials == 2 * np.unique(mat.space.d0).size + 22
+
+
 class TestRefinementStudy:
     def _scenario(self, w_expr, p_expr="const 2"):
         return vx.Scenario.from_dict({
