@@ -918,10 +918,10 @@ def space_from_spec(spec: dict) -> DiscreteSpace:
         if mu is None or mu.shape != (n,) or not _positive_finite_total(mu):
             raise ValidationError(f"space.mu: must list {n} positive weights with a finite "
                                   f"total, got {mu_spec!r}")
-    x0 = spec.get("x0", next(iter(index)))
-    if isinstance(x0, bool) or not isinstance(x0, (str, Real)) or x0 not in index:
-        raise ValidationError(f"space.x0: must be the id of a point, got {x0!r}")
-    x0 = index[x0]
+    x0_id = spec.get("x0", next(iter(index)))
+    if isinstance(x0_id, bool) or not isinstance(x0_id, (str, Real)) or x0_id not in index:
+        raise ValidationError(f"space.x0: must be the id of a point, got {x0_id!r}")
+    x0 = index[x0_id]
     L_spec = spec.get("L", "inf")
     L = np.inf if L_spec == "inf" else _number(L_spec, "space.L", above=0)
     trunc = spec.get("trunc_radius")
