@@ -27,11 +27,14 @@ folded into the base.  Inner sums are row-max-scaled cumsums in basepoint
 order (tail sums reversed cumsums), and the outer sum is a max-scaled
 exp-sum per sweep step over blocks of outer points, so an exponent near 1
 (conjugate near infinity) or weights near 1e+-200 neither overflow nor
-collapse to 0.  The curve is evaluated once per step, at the knots 0, the
-distinct distances and L, and each midpoint repeats the knot below it.  No
-inner entry is +inf: a negative e reads a w kept above 0, a positive e
-sends w = 0 to -inf, and the tail's infinite ball factor sits at the
-basepoint, which no tail sums.
+collapse to 0.  The blocks run through the geometry sweep's worker loop
+(``space._run_in_order``), on one helper thread too when there are two or
+more and two CPUs are usable, and their sums are folded in block order, so
+the bits do not depend on the thread count.  The curve is evaluated once
+per step, at the knots 0, the distinct distances and L, and each midpoint
+repeats the knot below it.  No inner entry is +inf: a negative e reads a w
+kept above 0, a positive e sends w = 0 to -inf, and the tail's infinite
+ball factor sits at the basepoint, which no tail sums.
 
 On radial weight pairs several conditions are one computation (a radial
 variant and the ball half it restates, the potential and variable-order
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate, local_exponents
-from .space import DiscreteSpace, _distinct, _sweep_candidates
+from .space import DiscreteSpace, _distinct, _run_in_order, _sweep_candidates, _usable_cpus
 
 __all__ = [
     "ConditionReport",
@@ -300,9 +303,9 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
         log_R = _log_partial_sums(log_O[xs][None, :], at, not forward)[0]
         log_curve = float(gamma[0]) * shared + log_R
     else:
-        log_curve = np.full(T, -np.inf)
         B = max(1, _BLOCK_ELEMS // max(space.n, T))
-        for s in range(0, live.size, B):
+
+        def block_sums(s: int):
             blk = live[s:s + B]
             c = cut[blk]
             k0, k1 = (0, int(c[-1])) if forward else (int(c[0]), T)
@@ -326,7 +329,13 @@ def _sup_functional(space: DiscreteSpace, name: str, log_outer: np.ndarray,
             k = np.arange(c[0], c[-1])
             np.putmask(vals[:, c[0] - k0:c[-1] - k0],
                        (k >= c[:, None]) if forward else (k < c[:, None]), -np.inf)
-            log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], _log_col_sums(vals))
+            return (k0, k1, _log_col_sums(vals)), vals
+
+        # folded in block order, however the blocks were shared
+        log_curve = np.full(T, -np.inf)
+        for k0, k1, part in _run_in_order(block_sums, range(0, live.size, B),
+                                          _usable_cpus() > 1):
+            log_curve[k0:k1] = np.logaddexp(log_curve[k0:k1], part)
 
     ts = t_sweep(space)
     log_curve = log_curve[np.searchsorted(knots, ts, side="right") - 1]

@@ -47,23 +47,20 @@ def write_json(path: Path, obj) -> None:
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     """One line per row: float cells as ``fmt_float`` prints them, others by
-    ``str``.  Each row is printed by one %-format per row of cell types; a
-    row holding inf or NaN, which "%.17g" spells otherwise, is printed cell
-    by cell.  Returns the bytes written."""
-    lines = [",".join(header)]
-    formats = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                ["%.17g" if issubclass(k, _FLOATS) else "%s" for k in kinds])
-        line = fmt % row
-        if "inf" in line or "nan" in line:
-            line = ",".join([fmt_float(float(c)) if isinstance(c, _FLOATS) else str(c)
-                             for c in row])
-        lines.append(line)
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    ``str``.  When every row has the first row's cell types, all are printed
+    by that row's one %-format; otherwise, or when the text holds inf or
+    NaN, which "%.17g" spells otherwise, each cell is printed on its own.
+    Returns the bytes written."""
+    rows = list(map(tuple, rows))
+    kinds = [set(map(type, column)) for column in zip(*rows)]
+    text = None
+    if len(set(map(len, rows))) == 1 and all(len(k) == 1 for k in kinds):
+        fmt = ",".join(["%.17g" if issubclass(k.pop(), _FLOATS) else "%s" for k in kinds])
+        text = "\n".join(map(fmt.__mod__, rows))
+    if text is None or "inf" in text or "nan" in text:
+        text = "\n".join([",".join([fmt_float(float(c)) if isinstance(c, _FLOATS) else str(c)
+                                     for c in row]) for row in rows])
+    head = ",".join(header)
+    data = (f"{head}\n{text}\n" if rows else f"{head}\n").encode("utf-8")
     path.write_bytes(data)
     return data

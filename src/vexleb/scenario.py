@@ -385,8 +385,11 @@ class Materialized:
                 raise ValidationError("scenario.weights.w: 1/w overflows, and a Hardy ratio "
                                       "reads it as its norm weight")
             w = PointFunction(inv, "weight")
-        return empirical_ratio(self.space, lambda rows: op.apply(self, rows), self.p, self.q,
-                               v, w, seed=self.scenario.seed)
+        try:
+            return empirical_ratio(self.space, lambda rows: op.apply(self, rows), self.p,
+                                   self.q, v, w, seed=self.scenario.seed)
+        except FloatingPointError as exc:
+            raise ValidationError(f"scenario.weights: {exc}") from None
 
     @cached_property
     def _sorted_pass(self):

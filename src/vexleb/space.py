@@ -33,13 +33,15 @@ materialization sorts each row once.
 With one weight on every point, each block's ``prefix`` is one read-only
 row per space, broadcast (no reader may write it).  The geometry sweep and
 ``muckenhoupt_ar`` read the rows in slices of about 2**15 distances on one
-thread and 2**16 on two, by one worker loop that takes the next slice as it
-comes free (``_sweep_candidates``).  The calling thread runs it; for a
-space of 1024 points or more, in a process that may run on two CPUs, one
-helper thread runs it too.  Every slice offers its own estimates with their
-first witnesses, and ``geometry_constants`` folds them in row order by
-``max`` and ``min``, which replace an estimate only by a strictly larger or
-smaller one, so the report is the same bit for bit on one thread or two.
+thread and 2**16 on two (``_sweep_candidates``), by one worker loop that
+takes the next job as it comes free (``_run_in_order``), the loop that also
+runs the outer blocks of the condition functionals.  The calling thread
+runs it; for a space of 1024 points or more, in a process that may run on
+two CPUs, one helper thread runs it too.  Every slice offers its own
+estimates with their first witnesses, and ``geometry_constants`` folds
+them in row order by ``max`` and ``min``, which replace an estimate only by
+a strictly larger or smaller one, so the report is the same bit for bit on
+one thread or two.
 Radius sweeps use the sorted distinct distances seen from each center.
 Sup-type estimates (doubling) read closed balls there, inf-type estimates
 (reverse doubling, Ahlfors) read open balls: on atomic data closed balls
@@ -547,54 +549,72 @@ _SLICE_ENTRIES = (2**15, 2**16)
 _THREADED_FROM = 1024
 
 
-def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
-    """``candidates(blk)`` in row order of every slice of max(1, entries // n)
-    rows (``_SLICE_ENTRIES`` by thread count), each sorted by ``_sorted_rows``.
+def _run_in_order(work, jobs, threaded: bool) -> list:
+    """The results of ``work(job)`` for each of ``jobs``, in job order;
+    ``work`` returns a (result, held) pair.
 
-    One worker reads the slices, taking the next one under a lock.  The
-    calling thread runs it; from ``_THREADED_FROM`` points on, with two
-    usable CPUs, one helper thread runs it too, under the caller's
-    ``np.geterr()``, so a thread that gets less CPU reads fewer slices and
-    the other never waits on it.  A failing worker records its exception,
-    the others stop after the slice they are reading, and the caller raises
-    it after the join.  The fold reads the list in row order however the
-    slices were shared, so the threads change no value or witness."""
-    n = space.n
-    threaded = n >= _THREADED_FROM and _usable_cpus() > 1
-    rows = max(1, _SLICE_ENTRIES[threaded] // n)
-    slices = range(0, n, rows)
-    out, failed = [None] * len(slices), []
-    starts, lock, errors = iter(slices), threading.Lock(), np.geterr()
+    One worker takes the next job under a lock.  The calling thread runs
+    it; with ``threaded`` and two jobs or more, one helper thread runs it
+    too, under the caller's ``np.geterr()``, so a thread that gets less CPU
+    runs fewer jobs and the other never waits on it.  A failing worker
+    records its exception, the others stop after the job they are running,
+    and the caller raises it after the join.  The list is in job order
+    however the jobs were shared, so a fold that reads it in order gives
+    the same bits on one thread or two.
 
-    def work() -> None:
-        # A worker holds its slice until the next one is sorted.  Freed
-        # first, its memory went back to the system and the next slice
-        # faulted it in again: a 2048-point sweep took 60-70 thousand page
-        # faults instead of 40-50 thousand, and 9% longer.
+    A worker keeps the ``held`` arrays of its last job until its next job
+    has returned.  Freed first, their memory went back to the system and
+    the next job faulted it in again: a 2048-point geometry sweep took
+    60-70 thousand page faults instead of 40-50 thousand, and 9% longer;
+    the functionals of a 2048-point condition sweep took four times the
+    page faults, and 14% longer, on one thread."""
+    out, failed = [None] * len(jobs), []
+    todo, lock, errors = iter(enumerate(jobs)), threading.Lock(), np.geterr()
+
+    def worker() -> None:
+        held = None
         try:
             while True:
                 with lock:
-                    start = None if failed else next(starts, None)
-                if start is None:
+                    item = None if failed else next(todo, None)
+                if item is None:
                     return
-                blk = _sorted_rows(space, start, min(start + rows, n))
-                out[start // rows] = candidates(blk)
+                out[item[0]], held = work(item[1])
         except BaseException as exc:  # raised on the calling thread
             failed.append(exc)
 
     def helper() -> None:
         with np.errstate(**errors):
-            work()
+            worker()
 
-    thread = threading.Thread(target=helper, name="vexleb-geometry-sweep")
+    thread = threading.Thread(target=helper, name="vexleb-worker")
+    threaded = threaded and len(jobs) > 1
     if threaded:
         thread.start()
-    work()
+    worker()
     if threaded:
         thread.join()
     if failed:
         raise failed[0]
     return out
+
+
+def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
+    """``candidates(blk)`` in row order of every slice of max(1, entries // n)
+    rows (``_SLICE_ENTRIES`` by thread count), each sorted by ``_sorted_rows``,
+    through ``_run_in_order``: from ``_THREADED_FROM`` points on, with two
+    usable CPUs, on one helper thread too.  The fold reads the list in row
+    order however the slices were shared, so the threads change no value
+    or witness."""
+    n = space.n
+    threaded = n >= _THREADED_FROM and _usable_cpus() > 1
+    rows = max(1, _SLICE_ENTRIES[threaded] // n)
+
+    def work(start: int):
+        blk = _sorted_rows(space, start, min(start + rows, n))
+        return candidates(blk), blk
+
+    return _run_in_order(work, range(0, n, rows), threaded)
 
 
 def _block_candidates(blk: _SortedRows, n: int, L: float, A: float, q: float):

@@ -58,7 +58,8 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     a (P, n) block of probes, one per row, to the block of their images; it
     is called once, on the probes with a nonzero denominator, in probe
     order.  ``converged`` is False when any of those norms stopped short of
-    its tolerance.
+    its tolerance.  A positive ratio that scales back to 0 or to inf, past
+    the floats, raises ``FloatingPointError``.
     """
     d0, n = space.d0, space.n
     radii = _distinct(d0)
@@ -99,7 +100,12 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     ratios = [num.value / dens[i].value for i, num in zip(kept, nums)]
     best = max(ratios, default=0.0)
     best_f = PointFunction(block[kept[ratios.index(best)]], "test") if best > 0.0 else None
-    return NormEstimate(float(np.ldexp(best, kv - kw)), best_f, "probe", len(block),
+    with np.errstate(over="ignore"):
+        ratio = float(np.ldexp(best, kv - kw))
+    if best > 0.0 and ratio in (0.0, np.inf):
+        raise FloatingPointError(f"the ratio {best!r} * 2**{kv - kw} of the scaled norms "
+                                 f"leaves the floats")
+    return NormEstimate(ratio, best_f, "probe", len(block),
                         discarded=len(block) - len(kept),
                         converged=all(res.converged for res in dens + nums))
 

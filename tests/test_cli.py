@@ -150,6 +150,20 @@ class TestRun:
             # v = w = 2**1023 scales both norms by the same power of four
             assert got == ratios("const 1", "const 1", "unit")
 
+    @pytest.mark.parametrize("v, w", [("const 1e-20", "const 1e308"),
+                                      ("const 1e308", "const 1e-300")], ids=["zero", "inf"])
+    def test_ratio_beyond_the_floats_exit_two(self, tmp_path, capsys, v, w):
+        # a maximal ratio of about v / w scales back to 0 or to inf: the run
+        # names the weights instead of reporting it (and a false trend)
+        data = dict(MINIMAL, operator="maximal", conditions=[], resolutions=[32, 48, 64],
+                    weights={"v": {"kind": "weight", "expr": v},
+                             "w": {"kind": "weight", "expr": w}})
+        path = write_scenario(tmp_path, data)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.weights: the ratio ") and "leaves the floats" in err
+        assert "Traceback" not in err and not (tmp_path / "o" / "s.json").exists()
+
     def test_hardy_weight_whose_reciprocal_overflows_exit_two(self, tmp_path, capsys):
         # w = d0**150 falls below 1e-308 at the floored basepoint of 64 points;
         # a Hardy ratio reads 1/w as its norm weight, so the run names w
@@ -616,6 +630,28 @@ class TestWriteCsv:
         path = tmp_path_factory.getbasetemp() / "rows.csv"
         write_csv(path, ["a", "b"], iter(rows))
         assert path.read_bytes() == per_cell_csv(["a", "b"], rows)
+
+    @given(st.one_of(
+        st.lists(st.tuples(st.text(), st.floats()), max_size=30),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["condition:hardy", "ratio"]),
+                           st.floats(width=32) | st.floats(-1e-307, 1e-307)), max_size=30)))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_one_kind_equal_per_cell_formatting(self, tmp_path_factory, rows):
+        # the rows a curve or a study writes share their cell types, and are
+        # printed by one %-format unless the text holds inf or nan
+        from vexleb.report import write_csv
+        path = tmp_path_factory.getbasetemp() / "kind.csv"
+        assert write_csv(path, ["a", "b"], iter(rows)) == per_cell_csv(["a", "b"], rows)
+        assert path.read_bytes() == per_cell_csv(["a", "b"], rows)
+
+    def test_inf_and_nan_rows_keep_their_spelling(self, tmp_path):
+        from vexleb.report import write_csv
+        rows = [("0", 0.1), ("0.5", np.inf), ("Infinity", -np.inf), ("NaN", np.nan),
+                ("1", 1e-320), ("inf", 2.0)]
+        want = (b"t,value\n0,0.10000000000000001\n0.5,Infinity\nInfinity,-Infinity\n"
+                b"NaN,NaN\n1,9.9998886718268301e-321\ninf,2\n")
+        assert write_csv(tmp_path / "c.csv", ["t", "value"], rows) == want
+        assert (tmp_path / "c.csv").read_bytes() == want == per_cell_csv(["t", "value"], rows)
 
 
 JSON_FLOATS = st.one_of(

@@ -1,4 +1,5 @@
 import json
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ from vexleb import conditions
 from vexleb.conditions import t_sweep
 from vexleb.errors import DomainError, PreconditionError
 from vexleb.scenario import Materialized
-from test_space import sweep_threads
+from test_space import line_spaces, sweep_threads, tied_spaces as tied_tables
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -1020,6 +1021,111 @@ class TestBlockPathAgainstLoops:
         knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
         with mock.patch.object(conditions, "_BLOCK_ELEMS", per_block * max(sp.n, knots.size)):
             check_every_functional(sp, seed, p_varies, q_varies, a, b)
+
+
+@st.composite
+def fold_spaces(draw):
+    """Lines, grids, Cantor sets and tied tables of 8 to 64 points."""
+    kind = draw(st.sampled_from(["line", "grid", "cantor", "tied"]))
+    if kind == "line":
+        return draw(line_spaces(st.integers(8, 64)))
+    if kind == "grid":
+        return vx.uniform_grid(draw(st.integers(8, 64)))
+    if kind == "cantor":
+        return vx.cantor_space(draw(st.integers(3, 6)))
+    return draw(tied_tables(st.integers(8, 64)))
+
+
+def every_half(sp, seed):
+    """Every ``_PAIRS`` ball and tail half at a variable p, on random fields."""
+    rng = np.random.default_rng(seed)
+    n = sp.n
+    p = vx.PointFunction(rng.uniform(1.3, 3.0, n), "exponent")
+    q = vx.PointFunction(p.values + rng.uniform(0.0, 1.0, n), "exponent")
+    v, w = rng.uniform(0.2, 5.0, n), rng.uniform(0.2, 5.0, n)
+    alpha = rng.uniform(0.05, 0.95, n) / p.values.max()
+    return [rep for kind in conditions._PAIRS
+            for rep in conditions._pair(sp, kind, kind, p, q, alpha, v, w, None, (0, 1))]
+
+
+def block_elems(sp, per_block):
+    """``_BLOCK_ELEMS`` for blocks of ``per_block`` outer points on ``sp``."""
+    L = sp.L_eff
+    knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
+    return per_block * max(sp.n, knots.size)
+
+
+def on_helper_block(action):
+    """``conditions._log_col_sums`` running ``action`` in the helper thread's
+    first block; the calling thread's blocks wait until it has run, so the
+    helper runs one block whatever the scheduling."""
+    ran, col_sums = threading.Event(), conditions._log_col_sums
+
+    def sums(vals):
+        if threading.current_thread() is threading.main_thread():
+            assert ran.wait(timeout=10)
+        elif not ran.is_set():
+            ran.set()
+            action()
+        return col_sums(vals)
+    return mock.patch.object(conditions, "_log_col_sums", sums)
+
+
+class TestThreadedFold:
+    @given(fold_spaces(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_two_cpus_equal_one_exactly(self, sp, seed, per_block):
+        # 1-4 outer points a block, so each half folds several blocks, run
+        # on two threads or on the calling thread alone
+        got = []
+        with mock.patch.object(conditions, "_BLOCK_ELEMS", block_elems(sp, per_block)):
+            for cpus in (1, 2):
+                sp._sup_memo.clear()
+                with sweep_threads(cpus=cpus):
+                    got.append([(rep.name, rep.value, rep.argmax_t, rep.log_value,
+                                 rep.curve.tobytes()) for rep in every_half(sp, seed)])
+        assert repr(got[1]) == repr(got[0])
+
+    def hardy_args(self, n):
+        rng = np.random.default_rng(5)
+        p = vx.PointFunction(rng.uniform(1.3, 3.0, n), "exponent")
+        q = vx.PointFunction(p.values + 1.0, "exponent")
+        w = vx.PointFunction(rng.uniform(0.2, 5.0, n), "weight")
+        return p, q, vx.PointFunction(np.ones(n), "weight"), w
+
+    def test_helper_failure_reaches_caller(self):
+        # a block on the helper thread raises: the caller raises it, and no
+        # thread is left behind
+        sp = vx.uniform_grid(64)
+
+        def fail():
+            raise KeyError("helper block")
+
+        before = threading.active_count()
+        with sweep_threads(cpus=2), on_helper_block(fail), \
+                mock.patch.object(conditions, "_BLOCK_ELEMS", block_elems(sp, 4)), \
+                pytest.raises(KeyError, match="helper block"):
+            vx.hardy_condition(sp, *self.hardy_args(sp.n))
+        assert threading.active_count() == before
+        assert not sp._sup_memo
+
+    def test_helper_only_for_two_blocks_on_two_cpus(self):
+        # a 64-point functional is one block and starts no thread; cut into
+        # blocks of 4 outer points it starts one helper on two CPUs and none
+        # on one, with the same report either way
+        start = threading.Thread.start
+        reports = []
+        for per_block, cpus, threads in ((None, 2, 0), (4, 2, 1), (4, 1, 0)):
+            sp = vx.uniform_grid(64)
+            elems = block_elems(sp, per_block) if per_block else conditions._BLOCK_ELEMS
+            with sweep_threads(cpus=cpus), \
+                    mock.patch.object(conditions, "_BLOCK_ELEMS", elems), \
+                    mock.patch.object(threading.Thread, "start", autospec=True,
+                                      side_effect=start) as started:
+                rep = vx.hardy_condition(sp, *self.hardy_args(sp.n))
+            assert started.call_count == threads, (per_block, cpus)
+            reports.append((rep.value, rep.argmax_t, rep.log_value, rep.curve.tobytes()))
+        assert reports[1] == reports[2]
 
 
 class TestRadialPointwiseAgreement:

@@ -40,6 +40,26 @@ class TestEmpiricalRatio:
                                  const(n, 2.0), one, one, seed=0)
         assert est.ratio == 0.0
 
+    @pytest.mark.parametrize("v, w", [(1e-20, 1e308), (1e308, 1e-300)], ids=["zero", "inf"])
+    def test_ratio_beyond_the_floats_raises(self, v, w):
+        # the identity's ratio is v / w: 1e-328 scales back to 0, 1e608 to
+        # inf, and neither may be returned as a ratio
+        n = 64
+        sp = vx.uniform_grid(n)
+        with pytest.raises(FloatingPointError, match="leaves the floats"):
+            vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
+                               const(n, v, "weight"), const(n, w, "weight"))
+
+    def test_ratio_at_the_edge_of_the_floats_is_kept(self):
+        # v / w = 1e-300 and 1e300 are far apart weights whose ratio the
+        # floats still hold
+        n = 64
+        sp = vx.uniform_grid(n)
+        for v, w, want in ((1e-8, 1e292, 1e-300), (1e300, 1.0, 1e300)):
+            est = vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
+                                     const(n, v, "weight"), const(n, w, "weight"))
+            assert est.ratio == pytest.approx(want, rel=1e-9)
+
     def test_hardy_lower_bound_from_unit_probe(self):
         # f = 1 maps to the coordinate, so the ratio reaches 3^(-1/2)
         n = 256
