@@ -572,14 +572,13 @@ def _run_in_order(work, jobs, threaded: bool) -> list:
     todo, lock, errors = iter(enumerate(jobs)), threading.Lock(), np.geterr()
 
     def worker() -> None:
-        held = None
         try:
             while True:
                 with lock:
                     item = None if failed else next(todo, None)
                 if item is None:
                     return
-                out[item[0]], held = work(item[1])
+                out[item[0]], held = work(item[1])  # held until the next returns
         except BaseException as exc:  # raised on the calling thread
             failed.append(exc)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .conditions import classify_trend
 from .errors import DomainError, PreconditionError
 from .exponents import PointFunction, conjugate
-from .norms import luxemburg_norms
+from .norms import REL_TOL, luxemburg_norms
 from .space import DiscreteSpace, _distinct
 
 __all__ = ["NormEstimate", "empirical_ratio", "refinement_study", "StudyReport"]
@@ -28,6 +28,8 @@ _MAX_BALL_PROBES = 64
 _MIXTURES = 8
 # weighted blocks stay below 2**_TOP, with room above for their norms
 _TOP = 960
+# below this a float's spacing exceeds the norms' tolerance times the ratio
+_LEAST_RATIO = np.finfo(float).smallest_subnormal / REL_TOL
 
 
 @dataclass
@@ -58,8 +60,10 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     a (P, n) block of probes, one per row, to the block of their images; it
     is called once, on the probes with a nonzero denominator, in probe
     order.  ``converged`` is False when any of those norms stopped short of
-    its tolerance.  A positive ratio that scales back to 0 or to inf, past
-    the floats, raises ``FloatingPointError``.
+    its tolerance.  A positive ratio that scales back to inf, or below
+    ``_LEAST_RATIO``, where the spacing of the floats exceeds the norms'
+    ``REL_TOL`` (0 and the subnormals below about 4.9e-314), raises
+    ``FloatingPointError``.
     """
     d0, n = space.d0, space.n
     radii = _distinct(d0)
@@ -102,9 +106,11 @@ def empirical_ratio(space: DiscreteSpace, op: Callable[[np.ndarray], np.ndarray]
     best_f = PointFunction(block[kept[ratios.index(best)]], "test") if best > 0.0 else None
     with np.errstate(over="ignore"):
         ratio = float(np.ldexp(best, kv - kw))
-    if best > 0.0 and ratio in (0.0, np.inf):
-        raise FloatingPointError(f"the ratio {best!r} * 2**{kv - kw} of the scaled norms "
-                                 f"leaves the floats")
+    if best > 0.0 and not _LEAST_RATIO <= ratio < np.inf:
+        raise FloatingPointError(
+            f"the ratio {best!r} * 2**{kv - kw} of the scaled norms lies outside "
+            f"[{_LEAST_RATIO:.3g}, inf), where a float holds it to the norms' tolerance "
+            f"{REL_TOL:g}")
     return NormEstimate(ratio, best_f, "probe", len(block),
                         discarded=len(block) - len(kept),
                         converged=all(res.converged for res in dens + nums))

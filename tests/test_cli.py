@@ -151,17 +151,21 @@ class TestRun:
             assert got == ratios("const 1", "const 1", "unit")
 
     @pytest.mark.parametrize("v, w", [("const 1e-20", "const 1e308"),
-                                      ("const 1e308", "const 1e-300")], ids=["zero", "inf"])
+                                      ("const 1e308", "const 1e-300"),
+                                      ("const 1e-10", "const 1e308")],
+                             ids=["zero", "inf", "subnormal"])
     def test_ratio_beyond_the_floats_exit_two(self, tmp_path, capsys, v, w):
-        # a maximal ratio of about v / w scales back to 0 or to inf: the run
-        # names the weights instead of reporting it (and a false trend)
+        # a maximal ratio of about v / w scales back to 0, to inf or to a
+        # subnormal of 7 digits: the run names the weights instead of
+        # reporting it (and a false trend)
         data = dict(MINIMAL, operator="maximal", conditions=[], resolutions=[32, 48, 64],
                     weights={"v": {"kind": "weight", "expr": v},
                              "w": {"kind": "weight", "expr": w}})
         path = write_scenario(tmp_path, data)
         assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: scenario.weights: the ratio ") and "leaves the floats" in err
+        assert err.startswith("error: scenario.weights: the ratio ")
+        assert "lies outside [4.94e-314, inf)" in err
         assert "Traceback" not in err and not (tmp_path / "o" / "s.json").exists()
 
     def test_hardy_weight_whose_reciprocal_overflows_exit_two(self, tmp_path, capsys):

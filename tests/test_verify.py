@@ -40,22 +40,24 @@ class TestEmpiricalRatio:
                                  const(n, 2.0), one, one, seed=0)
         assert est.ratio == 0.0
 
-    @pytest.mark.parametrize("v, w", [(1e-20, 1e308), (1e308, 1e-300)], ids=["zero", "inf"])
+    @pytest.mark.parametrize("v, w", [(1e-20, 1e308), (1e308, 1e-300), (1e-10, 1e308)],
+                             ids=["zero", "inf", "subnormal"])
     def test_ratio_beyond_the_floats_raises(self, v, w):
         # the identity's ratio is v / w: 1e-328 scales back to 0, 1e608 to
-        # inf, and neither may be returned as a ratio
+        # inf, and 1e-318 to a subnormal float of 7 digits, short of the
+        # norms' 10; none may be returned as a ratio
         n = 64
         sp = vx.uniform_grid(n)
-        with pytest.raises(FloatingPointError, match="leaves the floats"):
+        with pytest.raises(FloatingPointError, match=r"lies outside \[4.94e-314, inf\)"):
             vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
                                const(n, v, "weight"), const(n, w, "weight"))
 
     def test_ratio_at_the_edge_of_the_floats_is_kept(self):
-        # v / w = 1e-300 and 1e300 are far apart weights whose ratio the
-        # floats still hold
+        # v / w = 1e-300, 1e-310 (a subnormal of 14 digits) and 1e300 are
+        # far apart weights whose ratio the floats still hold
         n = 64
         sp = vx.uniform_grid(n)
-        for v, w, want in ((1e-8, 1e292, 1e-300), (1e300, 1.0, 1e300)):
+        for v, w, want in ((1e-8, 1e292, 1e-300), (1e-2, 1e308, 1e-310), (1e300, 1.0, 1e300)):
             est = vx.empirical_ratio(sp, lambda f: f, const(n, 2.0), const(n, 2.0),
                                      const(n, v, "weight"), const(n, w, "weight"))
             assert est.ratio == pytest.approx(want, rel=1e-9)
