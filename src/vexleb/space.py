@@ -550,8 +550,7 @@ _THREADED_FROM = 1024
 
 
 def _run_in_order(work, jobs, threaded: bool) -> list:
-    """The results of ``work(job)`` for each of ``jobs``, in job order;
-    ``work`` returns a (result, held) pair.
+    """``work(job)`` for each of ``jobs``, listed in job order.
 
     One worker takes the next job under a lock.  The calling thread runs
     it; with ``threaded`` and two jobs or more, one helper thread runs it
@@ -560,14 +559,7 @@ def _run_in_order(work, jobs, threaded: bool) -> list:
     records its exception, the others stop after the job they are running,
     and the caller raises it after the join.  The list is in job order
     however the jobs were shared, so a fold that reads it in order gives
-    the same bits on one thread or two.
-
-    A worker keeps the ``held`` arrays of its last job until its next job
-    has returned.  Freed first, their memory went back to the system and
-    the next job faulted it in again: a 2048-point geometry sweep took
-    60-70 thousand page faults instead of 40-50 thousand, and 9% longer;
-    the functionals of a 2048-point condition sweep took four times the
-    page faults, and 14% longer, on one thread."""
+    the same bits on one thread or two."""
     out, failed = [None] * len(jobs), []
     todo, lock, errors = iter(enumerate(jobs)), threading.Lock(), np.geterr()
 
@@ -578,7 +570,7 @@ def _run_in_order(work, jobs, threaded: bool) -> list:
                     item = None if failed else next(todo, None)
                 if item is None:
                     return
-                out[item[0]], held = work(item[1])  # held until the next returns
+                out[item[0]] = work(item[1])
         except BaseException as exc:  # raised on the calling thread
             failed.append(exc)
 
@@ -608,10 +600,16 @@ def _sweep_candidates(space: DiscreteSpace, candidates) -> list:
     n = space.n
     threaded = n >= _THREADED_FROM and _usable_cpus() > 1
     rows = max(1, _SLICE_ENTRIES[threaded] // n)
+    # A thread keeps its slice until its next one is sorted.  Freed first,
+    # its memory went back to the system and the next slice faulted it in
+    # again: a 2048-point sweep took 60-70 thousand page faults instead of
+    # 40-50 thousand, and 9% longer.  Kept until its next slice's
+    # candidates were read too, a fine-grid pass ran 3% longer.
+    held = threading.local()
 
     def work(start: int):
-        blk = _sorted_rows(space, start, min(start + rows, n))
-        return candidates(blk), blk
+        held.blk = _sorted_rows(space, start, min(start + rows, n))
+        return candidates(held.blk)
 
     return _run_in_order(work, range(0, n, rows), threaded)
 

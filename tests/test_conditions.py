@@ -1004,6 +1004,13 @@ def check_every_functional(sp, seed, p_varies, q_varies, a, b):
         assert rep.value == rep.curve[j] and rep.argmax_t == ts[j] and knots[j]
 
 
+def block_elems(sp, per_block):
+    """``_BLOCK_ELEMS`` for blocks of ``per_block`` outer points on ``sp``."""
+    L = sp.L_eff
+    knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
+    return per_block * max(sp.n, knots.size)
+
+
 class TestBlockPathAgainstLoops:
     @given(small_spaces(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
            st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.3]))
@@ -1017,9 +1024,7 @@ class TestBlockPathAgainstLoops:
     def test_small_blocks_equal_plain_loop(self, sp, seed, p_varies, q_varies, a, b, per_block):
         # every space above fits one block; here each block holds 1-3 outer
         # points, so a block's knots and mask bounds fall inside the sweep
-        L = sp.L_eff
-        knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
-        with mock.patch.object(conditions, "_BLOCK_ELEMS", per_block * max(sp.n, knots.size)):
+        with mock.patch.object(conditions, "_BLOCK_ELEMS", block_elems(sp, per_block)):
             check_every_functional(sp, seed, p_varies, q_varies, a, b)
 
 
@@ -1046,13 +1051,6 @@ def every_half(sp, seed):
     alpha = rng.uniform(0.05, 0.95, n) / p.values.max()
     return [rep for kind in conditions._PAIRS
             for rep in conditions._pair(sp, kind, kind, p, q, alpha, v, w, None, (0, 1))]
-
-
-def block_elems(sp, per_block):
-    """``_BLOCK_ELEMS`` for blocks of ``per_block`` outer points on ``sp``."""
-    L = sp.L_eff
-    knots = np.unique(np.concatenate([[0.0], sp.d0[sp.d0 <= L], [L]]))
-    return per_block * max(sp.n, knots.size)
 
 
 def on_helper_block(action):
